@@ -50,7 +50,6 @@ from .evalues import (
     utility_id,
 )
 from .gaussian import (
-    GaussianParams,
     ar1_interval,
     composite_interval,
     gaussian_bounded_log_fuzzy,
@@ -72,6 +71,6 @@ from .harness import (
     mc_validate_posthoc,
     numerical_utility_oracle,
 )
-from .orbits import DataTuple, Orbit, distinct_positions, orbit_of, rank_of_last
+from .orbits import DataTuple, Orbit, orbit_of, rank_of_last
 
 __version__ = "0.1.0"

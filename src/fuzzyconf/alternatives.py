@@ -138,15 +138,19 @@ def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> Union[Iid
     return alt
 
 
-def _eval_ratio(ratio: Callable[[float], float], z: float) -> float:
-    r = float(ratio(z))
-    if math.isnan(r) or r < 0.0:
-        raise ValueError(f"ratio must be nonnegative, got {r!r} at z={z!r}")
-    if math.isinf(r):
-        raise ValueError(
+def _ratio_error(r: float, z: float) -> ValueError:
+    if r == math.inf:
+        return ValueError(
             f"ratio is infinite at z={z!r}; cap the ratio (infinite evidence "
             "is expressed through the utility, not the alternative)"
         )
+    return ValueError(f"ratio must be nonnegative, got {r!r} at z={z!r}")
+
+
+def _eval_ratio(ratio: Callable[[float], float], z: float) -> float:
+    r = float(ratio(z))
+    if not 0.0 <= r < math.inf:
+        raise _ratio_error(r, z)
     return r
 
 
@@ -166,6 +170,33 @@ def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> Like
         raise AllZeroRatioError("the ratio is zero on every element of the tuple")
     mean = total / orbit.size
     return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(x / mean for x in r))
+
+
+def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
+    try:
+        r = np.asarray(ratio(data), dtype=float)
+        if r.shape != data.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        r = np.vectorize(ratio, otypes=[float])(data)
+    bad = ~((r >= 0.0) & (r < math.inf))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise _ratio_error(float(r.flat[i]), float(data.flat[i]))
+    return r
+
+
+def lr_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
+    """Row-wise conditional likelihood ratio over slots: r / mean_slots(r).
+
+    Each row of ``data`` is one tuple; row by row this is
+    ``conditional_lr_iid`` expanded to every slot.
+    """
+    r = _ratio_matrix(data, ratio)
+    means = r.mean(axis=1, keepdims=True)
+    if (means == 0).any():
+        raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
+    return r / means
 
 
 def conditional_lr_weights(

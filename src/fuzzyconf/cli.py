@@ -12,16 +12,12 @@ Subcommands:
 
 Outputs are deterministic given the same flags and seed: floats render with
 17 significant digits, JSON keys are sorted, newlines are fixed.
-
-The FUZZYCONF_THREADS environment variable caps grid-evaluation parallelism
-(0 or unset picks the CPU count).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -40,14 +36,6 @@ _GAUSSIAN_FAMILIES = (
     "gaussian-np",
     "gaussian-np-composite",
 )
-
-
-def _threads() -> Optional[int]:
-    raw = os.environ.get("FUZZYCONF_THREADS")
-    if raw is None:
-        return os.cpu_count()
-    n = int(raw)
-    return os.cpu_count() if n == 0 else n
 
 
 def parse_utility(spec: str) -> evalues.UtilitySpec:
@@ -164,8 +152,7 @@ def cmd_fuzzy(args) -> int:
             raise ValueError("conformal needs --calib, --utility and --ratio")
         calib = _read_calibration(args.calib)
         fset = confidence.fuzzy_set(
-            calib, grid, parse_ratio(args.ratio), parse_utility(args.utility),
-            max_workers=_threads(),
+            calib, grid, parse_ratio(args.ratio), parse_utility(args.utility)
         )
     else:
         _check_gaussian_args(args)

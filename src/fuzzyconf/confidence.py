@@ -15,13 +15,14 @@ import csv
 import math
 import os
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Sequence, Union
 
-from .alternatives import AlternativeSpec, resolve_alternative
+import numpy as np
+
+from .alternatives import AlternativeSpec, IidRatio, lr_matrix, resolve_alternative
 from .errors import DomainError
-from .evalues import UtilitySpec, evalue_at, utility_id
+from .evalues import UtilitySpec, evalue_at, evalue_rows, utility_id
 from .orbits import TupleLike, tuple_values
 
 _REL_STEP_TOL = 1e-9
@@ -235,34 +236,45 @@ def load_confidence_set(doc: dict) -> Union[FuzzyConfidenceSet, BinaryConfidence
 # ---------------------------------------------------------------------------
 
 
+def grid_evidence(
+    calib_rows: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
+) -> np.ndarray:
+    """Evidence matrix (T, G): the fuzzy set of each calibration row over the grid.
+
+    Entry (t, g) is the optimal e-value at the final slot of the tuple
+    (calib_rows[t], points[g]). One (T, n+1) matrix is formed per grid
+    point, so memory stays O(T * n) whatever the grid size.
+    """
+    T = calib_rows.shape[0]
+    ev = np.empty((T, len(points)))
+    for gi, z in enumerate(points):
+        aug = np.column_stack([calib_rows, np.full(T, z)])
+        ev[:, gi] = evalue_rows(lr_matrix(aug, ratio), utility)
+    return ev
+
+
 def fuzzy_set(
     z_n: TupleLike,
     grid: PlugInGrid,
     alt: AlternativeSpec,
     utility: UtilitySpec,
-    max_workers: Optional[int] = None,
 ) -> FuzzyConfidenceSet:
     """Invert the optimal test over the grid: evidence(z) is the e-value of
     the tuple (z_1, ..., z_n, z).
 
-    Evaluation order never affects the result; ``max_workers`` > 1 fans the
-    grid out over a thread pool.
+    The alternative is resolved once against the calibration data.
     """
     calib = tuple_values(z_n)
     if len(calib) < 1:
         raise ValueError("calibration data must contain at least one observation")
     concrete = resolve_alternative(alt, calib)
     name = getattr(alt, "name", "unspecified")
-
-    def eval_point(z: float) -> float:
-        return evalue_at(calib + (z,), concrete, utility)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            evidence = tuple(ex.map(eval_point, grid.points))
+    if isinstance(concrete, IidRatio):
+        row = grid_evidence(np.array([calib]), grid.points, concrete.ratio, utility)[0]
+        evidence = tuple(row.tolist())
     else:
-        evidence = tuple(eval_point(z) for z in grid.points)
-
+        # orbit weights are keyed by value and have no row form
+        evidence = tuple(evalue_at(calib + (z,), concrete, utility) for z in grid.points)
     return FuzzyConfidenceSet(grid, evidence, calib, name, utility_id(utility))
 
 

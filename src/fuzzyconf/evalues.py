@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -222,7 +222,8 @@ def normalization_lambda(
         return lo
 
     hi = 1.0
-    while mean_at(hi) < 1.0:
+    # a boundary-feasible shape can reach 1 only within roundoff
+    while mean_at(hi) < 1.0 - EXACTNESS_TOL:
         hi *= 2.0
         if hi > _BRACKET_HI:
             raise NormalizationFailureError(
@@ -349,3 +350,87 @@ def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> fl
     vals = tuple_values(data)
     prof = profile_for(vals, alt)
     return optimal_evalue(prof, utility).evidence_at(vals[-1])
+
+
+# ---------------------------------------------------------------------------
+# Row engine: the same e-values for many tuples at once
+# ---------------------------------------------------------------------------
+
+
+def _lambda_rows(lr: np.ndarray, *, cap: Optional[float] = None, floor: Optional[float] = None) -> np.ndarray:
+    """Row-wise normalization constants for capped/clipped shapes.
+
+    The shaped orbit mean is piecewise linear in the constant, so each row is
+    solved exactly from the sorted slot values; rows landing on a breakpoint
+    within roundoff fall back to ``normalization_lambda``.
+    """
+    T, m = lr.shape
+    t = np.arange(m)
+
+    if cap is not None:
+        level = cap
+        s = np.sort(lr, axis=1)[:, ::-1]  # descending; candidate t = #capped slots
+    else:
+        level = floor
+        s = np.sort(lr, axis=1)  # ascending; candidate t = #floored slots
+
+    # tails[:, t] = sum of s[:, t:], summed directly: total - prefix cancels
+    # when one slot dominates
+    tails = np.cumsum(s[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (m - t * level) / tails
+        prev_ok = np.empty((T, m), dtype=bool)
+        prev_ok[:, 0] = True
+        if cap is not None:
+            prev_ok[:, 1:] = lam[:, 1:] * s[:, :-1] >= level  # capped slots really reach the cap
+            next_ok = lam * s < level  # first uncapped slot stays below it
+        else:
+            prev_ok[:, 1:] = lam[:, 1:] * s[:, :-1] <= level  # floored slots really sit at the floor
+            next_ok = lam * s >= level
+        valid = np.isfinite(lam) & (lam >= 0.0) & prev_ok & next_ok
+
+    has = valid.any(axis=1)
+    t_star = np.argmax(valid, axis=1)
+    lam_star = np.where(has, lam[np.arange(T), t_star], np.nan)
+
+    shape = capped_shape(cap) if cap is not None else clipped_shape(floor)
+    residual = shape(np.where(has, lam_star, 0.0)[:, None], lr).mean(axis=1) - 1.0
+    for i in np.nonzero(~(has & (np.abs(residual) <= EXACTNESS_TOL)))[0]:
+        row = tuple(lr[i])
+        lam_star[i] = normalization_lambda(LikelihoodRatioProfile(row, (1,) * m, row), shape)
+    return lam_star
+
+
+def evalue_rows(lr: np.ndarray, utility: UtilitySpec) -> np.ndarray:
+    """Optimal e-value at the final slot, one value per row of ``lr``.
+
+    Row-wise identical to ``optimal_evalue`` followed by ``evidence_at`` on
+    the final element; slot-level comparisons make tie handling exact.
+    """
+    m = lr.shape[1]
+    last = lr[:, -1]
+    if isinstance(utility, Log):
+        return last.copy()
+    if isinstance(utility, Power):
+        s = 1.0 / (1.0 - utility.h)
+        with np.errstate(divide="ignore"):
+            ll = s * np.log(lr)  # -inf at zero ratios, which exp maps back to 0
+        # log-mean-exp shifted by the row maximum, finite since lr has mean 1
+        top = ll.max(axis=1, keepdims=True)
+        denom = top[:, 0] + np.log(np.exp(ll - top).mean(axis=1))
+        return np.exp(ll[:, -1] - denom)
+    if isinstance(utility, NeymanPearson):
+        alpha = utility.alpha
+        gt = (lr > last[:, None]).sum(axis=1)
+        eq = (lr == last[:, None]).sum(axis=1)
+        am = alpha * m
+        boundary = (1.0 - gt / am) * (m / eq)
+        return np.where(gt + eq < am, 1.0 / alpha, np.where(gt < am, boundary, 0.0))
+    if isinstance(utility, BoundedLog):
+        cap = 1.0 / utility.alpha
+        return np.minimum(_lambda_rows(lr, cap=cap) * last, cap)
+    if isinstance(utility, ClippedLog):
+        return np.maximum(_lambda_rows(lr, floor=utility.b) * last, utility.b)
+    if isinstance(utility, Dampened):
+        return utility.b + (1.0 - utility.b) * evalue_rows(lr, utility.inner)
+    raise TypeError(f"unknown utility {utility!r}")

@@ -12,7 +12,6 @@ These double as analytic ground truth for the conformal machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -25,30 +24,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 _NULL_MEAN_TOL = 1e-6
 _BOOST_RESIDUAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Validated parameter bundle for the Gaussian families."""
-
-    mu: float = 0.0
-    sigma: float = 1.0
-    tau: Optional[float] = None
-    n: Optional[int] = None
-    rho: Optional[float] = None
-    alpha: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.tau is not None and self.tau <= self.sigma:
-            raise ValueError("tau must exceed sigma")
-        if self.n is not None and self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.rho is not None and not -1.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (-1, 1)")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
 
 
 def _norm_pdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:

@@ -27,16 +27,17 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog, minimize
-from scipy.special import logsumexp
 
 from .alternatives import (
     AlternativeSpec,
     IidRatio,
     KernelAlternative,
     LikelihoodRatioProfile,
+    lr_matrix,
 )
+from .confidence import grid_evidence
 from .decisions import DecisionProblem
-from .errors import AllZeroRatioError, ZeroDensityError
+from .errors import ZeroDensityError
 from .evalues import (
     BoundedLog,
     ClippedLog,
@@ -47,6 +48,7 @@ from .evalues import (
     Power,
     UtilitySpec,
     evalue_at,
+    evalue_rows,
 )
 from .orbits import TupleLike, tuple_values
 
@@ -192,118 +194,6 @@ def sample_finite_matrix(config: McConfig, n_points: int) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
-def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
-    try:
-        r = np.asarray(ratio(data), dtype=float)
-        if r.shape != data.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        r = np.vectorize(ratio, otypes=[float])(data)
-    if not np.isfinite(r).all() or (r < 0).any():
-        raise ValueError("ratio must be finite and nonnegative on all sampled values")
-    return r
-
-
-def lr_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
-    """Row-wise conditional likelihood ratio over slots: r / mean_slots(r)."""
-    r = _ratio_matrix(data, ratio)
-    means = r.mean(axis=1, keepdims=True)
-    if (means == 0).any():
-        raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
-    return r / means
-
-
-def _lambda_rows(lr: np.ndarray, *, cap: Optional[float] = None, floor: Optional[float] = None) -> np.ndarray:
-    """Row-wise normalization constants for capped/clipped shapes.
-
-    The shaped orbit mean is piecewise linear in the constant, so each row is
-    solved exactly from the sorted slot values; rows landing on a breakpoint
-    within roundoff fall back to scalar bisection.
-    """
-    T, m = lr.shape
-    t = np.arange(m)
-
-    if cap is not None:
-        level = cap
-        s = np.sort(lr, axis=1)[:, ::-1]  # descending; candidate t = #capped slots
-    else:
-        level = floor
-        s = np.sort(lr, axis=1)  # ascending; candidate t = #floored slots
-
-    tails = s.sum(axis=1, keepdims=True) - np.concatenate(
-        [np.zeros((T, 1)), np.cumsum(s, axis=1)[:, :-1]], axis=1
-    )  # tails[:, t] = sum of s[:, t:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (m - t * level) / tails
-        prev_ok = np.empty((T, m), dtype=bool)
-        prev_ok[:, 0] = True
-        if cap is not None:
-            prev_ok[:, 1:] = lam[:, 1:] * s[:, :-1] >= level  # capped slots really reach the cap
-            next_ok = lam * s < level  # first uncapped slot stays below it
-        else:
-            prev_ok[:, 1:] = lam[:, 1:] * s[:, :-1] <= level  # floored slots really sit at the floor
-            next_ok = lam * s >= level
-        valid = np.isfinite(lam) & (lam >= 0.0) & prev_ok & next_ok
-
-    has = valid.any(axis=1)
-    t_star = np.argmax(valid, axis=1)
-    lam_star = np.where(has, lam[np.arange(T), t_star], np.nan)
-
-    def phi(lam_col: np.ndarray) -> np.ndarray:
-        scaled = lam_col[:, None] * lr
-        shaped = np.minimum(scaled, cap) if cap is not None else np.maximum(scaled, floor)
-        return shaped.mean(axis=1)
-
-    residual_ok = has & (np.abs(phi(np.where(has, lam_star, 0.0)) - 1.0) <= 1e-9)
-    if not residual_ok.all():
-        from .alternatives import LikelihoodRatioProfile
-        from .evalues import capped_shape, clipped_shape, normalization_lambda
-
-        shape = capped_shape(cap) if cap is not None else clipped_shape(floor)
-        for i in np.nonzero(~residual_ok)[0]:
-            row = lr[i]
-            profile = LikelihoodRatioProfile(tuple(row), (1,) * m, tuple(row))
-            lam_star[i] = normalization_lambda(profile, shape)
-    return lam_star
-
-
-def evalue_rows(lr: np.ndarray, utility: UtilitySpec) -> np.ndarray:
-    """Optimal e-value at the final slot, one value per row of ``lr``.
-
-    Row-wise identical to ``optimal_evalue`` followed by ``evidence_at`` on
-    the final element; slot-level comparisons make tie handling exact.
-    """
-    m = lr.shape[1]
-    last = lr[:, -1]
-    if isinstance(utility, Log):
-        return last.copy()
-    if isinstance(utility, Power):
-        s = 1.0 / (1.0 - utility.h)
-        with np.errstate(divide="ignore"):
-            ll = np.log(lr)
-        denom = logsumexp(s * ll, axis=1) - math.log(m)
-        with np.errstate(invalid="ignore"):
-            out = np.exp(s * ll[:, -1] - denom)
-        return np.where(np.isneginf(ll[:, -1]), 0.0, out)
-    if isinstance(utility, NeymanPearson):
-        alpha = utility.alpha
-        gt = (lr > last[:, None]).sum(axis=1)
-        eq = (lr == last[:, None]).sum(axis=1)
-        am = alpha * m
-        boundary = (1.0 - gt / am) * (m / eq)
-        return np.where(gt + eq < am, 1.0 / alpha, np.where(gt < am, boundary, 0.0))
-    if isinstance(utility, BoundedLog):
-        cap = 1.0 / utility.alpha
-        lam = _lambda_rows(lr, cap=cap)
-        return np.minimum(lam * last, cap)
-    if isinstance(utility, ClippedLog):
-        lam = _lambda_rows(lr, floor=utility.b)
-        return np.maximum(lam * last, utility.b)
-    if isinstance(utility, Dampened):
-        return utility.b + (1.0 - utility.b) * evalue_rows(lr, utility.inner)
-    raise TypeError(f"unknown utility {utility!r}")
-
-
 def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
     """E-value of each row's final slot under the given alternative."""
     if isinstance(alt, IidRatio):
@@ -379,19 +269,6 @@ def mc_validate_posthoc(
     return _report("posthoc-validity", stats, 1.0, config, detail=f"n={n}")
 
 
-def _evidence_over_outcomes(
-    data: np.ndarray, outcomes: Sequence[float], alt: IidRatio, utility: UtilitySpec
-) -> np.ndarray:
-    """Evidence matrix (trials, outcomes): fuzzy set per trial over the grid."""
-    T, m = data.shape
-    calib = data[:, :-1]
-    ev = np.empty((T, len(outcomes)))
-    for gi, z in enumerate(outcomes):
-        aug = np.column_stack([calib, np.full(T, z)])
-        ev[:, gi] = evalue_rows(lr_matrix(aug, alt.ratio), utility)
-    return ev
-
-
 def _as_if_rows(loss: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise minimax over member outcomes: (decision, risk, empty mask)."""
     masked = np.where(members[:, None, :], loss[None, :, :], -np.inf)
@@ -433,7 +310,7 @@ def mc_validate_decision_risk(
     values, idx = sample_finite_matrix(config, n + 1)
     idx_last = idx[:, -1]
     loss = problem.loss_matrix
-    ev = _evidence_over_outcomes(values, problem.outcomes, alt, utility)
+    ev = grid_evidence(values[:, :-1], problem.outcomes, alt.ratio, utility)
     rows = np.arange(config.trials)
 
     if mode == "as-if":

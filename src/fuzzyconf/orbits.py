@@ -127,8 +127,3 @@ def rank_of_last(data: TupleLike) -> int:
         raise ValueError("cannot rank an empty tuple")
     rep = sorted(vals)
     return bisect_left(rep, vals[-1]) + 1
-
-
-def distinct_positions(orbit: Orbit) -> list[tuple[float, int]]:
-    """Distinct values in ascending order paired with their multiplicities."""
-    return list(zip(orbit.values, orbit.counts))

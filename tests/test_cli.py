@@ -66,19 +66,6 @@ def test_fuzzy_conformal_matches_library(tmp_path):
         assert float(z) == gz and float(e) == pytest.approx(ge, rel=1e-15)
 
 
-def test_fuzzy_conformal_respects_thread_env(tmp_path, monkeypatch):
-    calib = tmp_path / "calib.csv"
-    calib.write_text("0.4\n-0.3\n1.1\n")
-    base = ["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "np:0.2",
-            "--ratio", "gaussian-scale:0:1:2.5", "--grid", "-2:2:0.1"]
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    monkeypatch.setenv("FUZZYCONF_THREADS", "1")
-    assert run(base + ["--out", out1]) == 0
-    monkeypatch.setenv("FUZZYCONF_THREADS", "4")
-    assert run(base + ["--out", out2]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_interval_json(tmp_path, capsys):
     assert run(["interval", "--family", "simple", "--mu", 0, "--sigma", 1, "--alpha", 0.05]) == 0
     doc = json.loads(capsys.readouterr().out)

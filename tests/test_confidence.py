@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzyconf.alternatives import IidRatio
+from fuzzyconf.alternatives import (
+    IidRatio,
+    ar1_kernel,
+    gaussian_composite_kernel,
+    gaussian_mean_shift_ratio,
+    gaussian_scale_ratio,
+)
+from fuzzyconf.cli import parse_utility
 from fuzzyconf.confidence import (
     BinaryConfidenceSet,
     FuzzyConfidenceSet,
@@ -16,8 +24,8 @@ from fuzzyconf.confidence import (
     smallest_exclusion_level,
     sublevel_set,
 )
-from fuzzyconf.errors import DomainError
-from fuzzyconf.evalues import Log, NeymanPearson, np_threshold
+from fuzzyconf.errors import DomainError, FuzzyconfError
+from fuzzyconf.evalues import Dampened, Log, NeymanPearson, evalue_at, np_threshold
 from fuzzyconf.alternatives import conditional_lr_iid
 
 
@@ -70,12 +78,48 @@ def test_fuzzy_set_np_is_step_function():
         assert min(abs(e - 0.0), abs(e - k), abs(e - 1 / alpha)) < 1e-12
 
 
-def test_fuzzy_set_parallel_matches_serial():
-    grid = PlugInGrid.from_spec("-1:3:0.1")
-    alt = IidRatio(lambda z: math.exp(0.7 * z))
-    serial = fuzzy_set((0.5, 1.5, -0.2), grid, alt, Log())
-    threaded = fuzzy_set((0.5, 1.5, -0.2), grid, alt, Log(), max_workers=4)
-    assert serial.evidence == threaded.evidence
+def test_fuzzy_set_names_the_grid_point_of_an_infinite_ratio():
+    grid = PlugInGrid.from_points((0.0, 1.0, 2.0, 3.0))
+    alt = IidRatio(lambda z: math.inf if z == 2.0 else 1.0)
+    with pytest.raises(ValueError, match=r"ratio is infinite at z=2\.0"):
+        fuzzy_set((0.5, 1.5), grid, alt, Log())
+
+
+ENGINE_UTILITIES = [parse_utility(u) for u in (
+    "log", "np:0.01", "np:0.3", "bounded-log:0.05", "bounded-log:0.5", "clipped-log:0.1",
+    "clipped-log:1", "power:0.99", "power:-50", "power:0.5", "dampened:0.2:np:0.1",
+)]
+ENGINE_RATIOS = [
+    gaussian_scale_ratio(0.0, 1.0, 3.5),
+    gaussian_mean_shift_ratio(0.0, 1.0),
+    IidRatio(lambda z: max(z, 0.0)),  # scalar-only, with exact zeros
+    ar1_kernel(0.0, 0.5, 3.5),
+    gaussian_composite_kernel(1.0, 3.5),
+]
+LATTICE_GRID = PlugInGrid.from_spec("-3:3:0.5")
+
+
+@given(
+    calib=st.lists(st.integers(-8, 8).map(lambda k: k / 2), min_size=1, max_size=12),
+    alt=st.sampled_from(ENGINE_RATIOS),
+    utility=st.sampled_from(ENGINE_UTILITIES),
+)
+@settings(max_examples=500, deadline=None)
+def test_fuzzy_set_matches_scalar_evalue_loop(calib, alt, utility):
+    # lattice values tie with each other and with grid points
+    try:
+        want = [evalue_at(tuple(calib) + (z,), alt, utility) for z in LATTICE_GRID]
+    except FuzzyconfError as exc:
+        with pytest.raises(FuzzyconfError) as raised:
+            fuzzy_set(calib, LATTICE_GRID, alt, utility)
+        assert type(raised.value) is type(exc)
+        return
+    got = fuzzy_set(calib, LATTICE_GRID, alt, utility).evidence
+    if isinstance(utility, NeymanPearson) or (
+            isinstance(utility, Dampened) and isinstance(utility.inner, NeymanPearson)):
+        assert list(got) == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _flat_fuzzy(evidence):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzyconf.alternatives import IidRatio, LikelihoodRatioProfile, conditional_lr_iid
+from fuzzyconf.alternatives import (
+    IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, lr_matrix, resolve_alternative,
+)
 from fuzzyconf.errors import NormalizationFailureError
 from fuzzyconf.evalues import (
     BoundedLog,
@@ -17,6 +19,7 @@ from fuzzyconf.evalues import (
     capped_shape,
     clipped_shape,
     evalue_at,
+    evalue_rows,
     normalization_lambda,
     np_threshold,
     optimal_evalue,
@@ -229,3 +232,24 @@ def test_utility_ids():
     assert utility_id(Power(h=0.5)) == "power(h=0.5)"
     assert utility_id(Dampened(b=0.1, inner=NeymanPearson(alpha=0.05))) == \
         "dampened(b=0.1,np(alpha=0.05))"
+
+
+def test_rows_lambda_exact_when_one_slot_dominates():
+    # the dominant slot's ratio is ~1e5 times the others; suffix sums formed
+    # as total - prefix lost ~2e-12 of the small tail
+    calib, z, utility = (3.5, -3.0), 0.0, BoundedLog(0.5)
+    kern = ar1_kernel(0.0, 0.5, 3.5)
+    ratio = resolve_alternative(kern, calib).ratio
+    got = evalue_rows(lr_matrix(np.array([calib + (z,)]), ratio), utility)[0]
+    want = evalue_at(calib + (z,), kern, utility)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_rows_bounded_log_boundary_feasible():
+    # LR row [0]*6 + [2]*6 with cap 2: every lam >= 1 is exact, and the
+    # capped mean sums to 1 - 1ulp in slot order
+    data = (0.0,) * 5 + (0.5,) * 6 + (0.0,)
+    alt = IidRatio(lambda z: max(z, 0.0))
+    got = evalue_rows(lr_matrix(np.array([data]), alt.ratio), BoundedLog(0.5))
+    assert got.tolist() == [0.0]
+    assert evalue_at(data, alt, BoundedLog(0.5)) == 0.0

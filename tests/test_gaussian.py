@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from fuzzyconf.errors import DomainError
 from fuzzyconf.gaussian import (
-    GaussianParams,
     ar1_interval,
     bounded_log_boost,
     composite_bounded_log_boost,
@@ -243,14 +242,19 @@ def test_interval_coverage_mc():
 
 
 def test_gaussian_params_validation():
-    GaussianParams(mu=0.0, sigma=1.0, tau=3.5, n=3, rho=0.5, alpha=0.05)
+    simple_interval(0.0, 1.0, 0.05)
+    gaussian_log_fuzzy(0.0, 0.0, 1.0, 3.5)
+    composite_interval(0.0, 1.0, 3, 0.05)
+    ar1_interval(0.0, 0.5, 0.0, 0.05)
     with pytest.raises(ValueError):
-        GaussianParams(sigma=0.0)
+        simple_interval(0.0, 0.0, 0.05)
     with pytest.raises(ValueError):
-        GaussianParams(sigma=1.0, tau=0.5)
+        simple_interval(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        GaussianParams(n=0)
+        gaussian_log_fuzzy(0.0, 0.0, 1.0, 0.5)
     with pytest.raises(ValueError):
-        GaussianParams(rho=1.0)
+        gaussian_log_fuzzy(0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        GaussianParams(alpha=0.0)
+        composite_interval(0.0, 1.0, 0, 0.05)
+    with pytest.raises(ValueError):
+        ar1_interval(0.0, 1.0, 0.0, 0.05)

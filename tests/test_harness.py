@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyconf.alternatives import IidRatio, LikelihoodRatioProfile, conditional_lr_iid, kernel_alternative
+from fuzzyconf.alternatives import (
+    IidRatio, LikelihoodRatioProfile, conditional_lr_iid, kernel_alternative, lr_matrix,
+)
 from fuzzyconf.decisions import DecisionProblem
 from fuzzyconf.errors import ZeroDensityError
 from fuzzyconf.evalues import (
     BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power,
-    evalue_at, optimal_evalue, utility_id,
+    evalue_at, evalue_rows, optimal_evalue, utility_id,
 )
 from fuzzyconf.harness import (
     McConfig,
     brute_force_conditional_lr,
     classical_conformal_membership,
     conformal_pvalue,
-    evalue_rows,
     evalues_for,
     expected_utility,
-    lr_matrix,
     mc_validate_coverage,
     mc_validate_decision_risk,
     mc_validate_evalue,

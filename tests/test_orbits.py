@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzyconf.orbits import DataTuple, Orbit, distinct_positions, orbit_of, rank_of_last
+from fuzzyconf.orbits import DataTuple, Orbit, orbit_of, rank_of_last
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9)
 
@@ -11,19 +11,19 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e9,
 def test_orbit_of_sorts():
     orb = orbit_of((3, 1, 2))
     assert orb.representative == (1.0, 2.0, 3.0)
-    assert distinct_positions(orb) == [(1.0, 1), (2.0, 1), (3.0, 1)]
+    assert orb.values == (1.0, 2.0, 3.0) and orb.counts == (1, 1, 1)
 
 
 def test_orbit_of_degenerate():
     orb = orbit_of((1, 1, 1))
     assert orb.representative == (1.0, 1.0, 1.0)
-    assert distinct_positions(orb) == [(1.0, 3)]
+    assert orb.values == (1.0,) and orb.counts == (3,)
 
 
 def test_orbit_of_ties():
     orb = orbit_of((2, 1, 2, 5))
     assert orb.representative == (1.0, 2.0, 2.0, 5.0)
-    assert distinct_positions(orb) == [(1.0, 1), (2.0, 2), (5.0, 1)]
+    assert orb.values == (1.0, 2.0, 5.0) and orb.counts == (1, 2, 1)
 
 
 def test_orbit_rejects_nonfinite():
