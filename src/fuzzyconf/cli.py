@@ -105,7 +105,7 @@ def _read_calibration(path: str) -> tuple[float, ...]:
 
 
 def _write_json(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _NUMERIC_ERRORS = (
-    "AllZeroRatioError", "NormalizationFailureError", "QuadratureFailureError",
-    "EmptyConfidenceSetError", "AllInfiniteRiskError", "ZeroDensityError",
+    "AllZeroRatioError", "NormalizationFailureError", "EmptyConfidenceSetError",
+    "AllInfiniteRiskError", "ZeroDensityError",
 )
 
 

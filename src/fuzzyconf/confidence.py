@@ -105,6 +105,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _json_evidence(evidence) -> list:
+    # strict JSON has no infinity; "inf" matches the CSV and reads back
+    # through float()
+    return ["inf" if e == math.inf else e for e in evidence]
+
+
 @dataclass(frozen=True)
 class FuzzyConfidenceSet:
     """Evidence against each grid point, with the calibration data and the
@@ -133,7 +139,7 @@ class FuzzyConfidenceSet:
         return {
             "kind": "fuzzy-confidence-set",
             "grid": list(self.grid.points),
-            "evidence": list(self.evidence),
+            "evidence": _json_evidence(self.evidence),
             "calibration": list(self.calibration),
             "provenance": {"alternative": self.alternative, "utility": self.utility},
         }
@@ -184,7 +190,7 @@ class BinaryConfidenceSet:
         return {
             "kind": "binary-confidence-set",
             "grid": list(self.grid.points),
-            "evidence": list(self.evidence),
+            "evidence": _json_evidence(self.evidence),
             "membership": [bool(m) for m in self.membership],
             "alpha": self.alpha,
             "calibration": list(self.calibration),

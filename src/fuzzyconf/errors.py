@@ -22,10 +22,6 @@ class NormalizationFailureError(FuzzyconfError):
     """Bisection could not bracket or reach the normalization constant."""
 
 
-class QuadratureFailureError(FuzzyconfError):
-    """Numerical integration failed to meet its accuracy target."""
-
-
 class EmptyConfidenceSetError(FuzzyconfError):
     """A minimax decision was requested over an empty confidence set;
     widen alpha or the outcome grid."""

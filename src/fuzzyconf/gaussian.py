@@ -15,9 +15,7 @@ import math
 from functools import lru_cache
 from typing import Optional
 
-from scipy.integrate import quad
-
-from .errors import DomainError, QuadratureFailureError
+from .errors import DomainError, NormalizationFailureError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -26,9 +24,8 @@ _NULL_MEAN_TOL = 1e-6
 _BOOST_RESIDUAL_TOL = 1e-9
 
 
-def _norm_pdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    z = (x - mu) / sigma
-    return math.exp(-0.5 * z * z) / (sigma * _SQRT2PI)
+def _norm_pdf(x: float) -> float:
+    return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
 def _norm_cdf(x: float) -> float:
@@ -151,8 +148,9 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
     """Boost constant b for the capped ratio min(b * LR, 1/alpha).
 
     Solved so the null mean E_{N(mu, sigma^2)}[min(b*LR, 1/alpha)] equals 1
-    within 1e-6: adaptive quadrature on the uncapped core, analytic normal
-    tail mass where the cap binds, bisection on b.
+    within 1e-6, by bisection on b. The null mean has a closed form: where
+    the cap does not bind, LR * N(mu, sigma^2) = N(mu, tau^2), so the core is
+    b * P(|Z_tau| < radius); where it binds, the cap times the null tail mass.
     """
     _check(sigma=sigma, tau=tau, alpha=alpha)
     cap = 1.0 / alpha
@@ -163,22 +161,18 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
         if arg <= 0.0:
             return cap  # capped everywhere
         radius = math.sqrt(2.0 * sigma * sigma * tau * tau * arg / (tau * tau - sigma * sigma))
-        core, err = quad(
-            lambda z: b * math.exp(_log_scale_lr(z, mu, sigma, tau)) * _norm_pdf(z, mu, sigma),
-            mu - radius, mu + radius, epsabs=1e-10, epsrel=1e-10, limit=200,
-        )
-        if err > 1e-8:
-            raise QuadratureFailureError(f"core integral error estimate {err!r}")
-        tail = 2.0 * cap * (1.0 - _norm_cdf(radius / sigma))
+        core = b * math.erf(radius / (tau * _SQRT2))
+        # the lower tail keeps its relative accuracy; 1 - cdf would cancel
+        tail = 2.0 * cap * _norm_cdf(-radius / sigma)
         return core + tail
 
     lo, hi = 1.0, 2.0
     if null_mean(lo) > 1.0 + _BOOST_RESIDUAL_TOL:
-        raise QuadratureFailureError("capped ratio already exceeds mean 1 at boost 1")
+        raise NormalizationFailureError("capped ratio already exceeds mean 1 at boost 1")
     while null_mean(hi) < 1.0:
         hi *= 2.0
         if hi > 1e12:
-            raise QuadratureFailureError("no boost constant brackets mean 1")
+            raise NormalizationFailureError("no boost constant brackets mean 1")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if null_mean(mid) < 1.0:
@@ -189,7 +183,7 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
             break
     b = 0.5 * (lo + hi)
     if abs(null_mean(b) - 1.0) > _NULL_MEAN_TOL:
-        raise QuadratureFailureError("bisection on the boost constant stalled")
+        raise NormalizationFailureError("bisection on the boost constant stalled")
     return b
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .alternatives import (
     AlternativeSpec,
@@ -489,6 +488,10 @@ def numerical_utility_oracle(profile: LikelihoodRatioProfile, utility: UtilitySp
     for small profiles (a handful of distinct values); the result's expected
     utility is within 1e-6 of the optimum there.
     """
+    # scipy is a test-only dependency; importing it here keeps it off the
+    # import path of the library and the command line
+    from scipy.optimize import linprog, minimize
+
     p = np.asarray(profile.counts, dtype=float)
     p = p / p.sum()
     lr = np.asarray(profile.lr, dtype=float)

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import fuzzyconf as fc
 from fuzzyconf.cli import main, parse_ratio, parse_utility
-from fuzzyconf.confidence import PlugInGrid
+from fuzzyconf.confidence import PlugInGrid, load_confidence_set, sublevel_set
 
 
 def run(args):
@@ -193,3 +198,66 @@ def test_calibration_reader(tmp_path):
     empty.write_text("header\n")
     with pytest.raises(ValueError):
         _read_calibration(str(empty))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_infinite_evidence_is_strict_json(tmp_path):
+    # the raw scale ratio overflows to +inf far out in the tails
+    out, doc_path = tmp_path / "f.csv", tmp_path / "f.json"
+    assert run(["fuzzy", "--family", "gaussian-log", "--mu", 0, "--sigma", 1, "--tau", 3.5,
+                "--grid", "-45:45:1", "--out", out, "--json", doc_path]) == 0
+    doc = json.loads(doc_path.read_text(), parse_constant=_reject_constant)
+    assert doc["evidence"].count("inf") == 12
+    fset = load_confidence_set(doc)
+    assert fset.evidence_at(45.0) == math.inf and fset.evidence_at(0.0) == pytest.approx(1 / 3.5)
+    csv_evidence = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert [float(e) for e in doc["evidence"]] == [float(e) for e in csv_evidence]
+
+    binary = sublevel_set(fset, 0.05)
+    text = json.dumps(binary.to_json_doc(), allow_nan=False)
+    again = load_confidence_set(json.loads(text, parse_constant=_reject_constant))
+    assert again.evidence == binary.evidence and again.membership == binary.membership
+
+
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import json, os, sys
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+    import fuzzyconf
+    from fuzzyconf.cli import main
+
+    os.chdir(sys.argv[1])
+    with open("calib.csv", "w") as fh:
+        fh.write("1.2\\n0.7\\n2.1\\n")
+    with open("prob.json", "w") as fh:
+        json.dump({"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
+                   "loss": [[1, 1, 1], [2, 0.5, 2]]}, fh)
+    calls = [
+        ["interval", "--family", "simple", "--alpha", "0.05", "--out", "iv.json"],
+        ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
+         "--grid", "-3:3:0.5", "--out", "g.csv"],
+        ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+         "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-1:1:1",
+         "--out", "c.csv", "--json", "c.json"],
+        ["decide", "--problem", "prob.json", "--set", "c.json", "--out", "cert.json"],
+        ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "2000",
+         "--seed", "3", "--out", "report.json"],
+    ]
+    codes = [main(argv) for argv in calls]
+    loaded = sorted(m for m, mod in sys.modules.items()
+                    if m.split(".")[0] == "scipy" and mod is not None)
+    print(json.dumps({"codes": codes, "scipy": loaded}))
+""")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    src = str(Path(fc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}

@@ -144,7 +144,8 @@ def test_bounded_log_fuzzy_null_mean_one():
 
 
 def test_bounded_boost_closed_form_cross_check():
-    # independent of the quadrature: E[min(b*LR, cap)] via normal CDFs
+    # the same closed form the solver uses, written with normal CDFs instead
+    # of erf/erfc: E[min(b*LR, cap)] = b*(2*Phi(r/tau) - 1) + 2*cap*(1 - Phi(r/sigma))
     mu, sigma, tau, alpha = 0.0, 1.0, 3.5, 0.05
     cap = 1 / alpha
     b = bounded_log_boost(mu, sigma, tau, alpha)
@@ -152,6 +153,21 @@ def test_bounded_boost_closed_form_cross_check():
     closed = b * (2 * _Phi(r / tau) - 1) + 2 * cap * (1 - _Phi(r / sigma))
     assert closed == pytest.approx(1.0, abs=1e-6)
     assert b > 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-4, 1e-8, 1e-12])
+def test_bounded_boost_null_mean_one_at_tiny_alpha(alpha):
+    # quadrature of b*LR*phi on the uncapped core, the capped tail in erfc so
+    # that a large cap times a tiny tail mass keeps its relative accuracy
+    mu, sigma, tau = 0.0, 1.0, 3.5
+    cap = 1 / alpha
+    b = bounded_log_boost(mu, sigma, tau, alpha)
+    r = math.sqrt(2 * sigma**2 * tau**2 * math.log(cap * tau / (b * sigma)) / (tau**2 - sigma**2))
+    core, err = quad(lambda z: b * gaussian_log_fuzzy(z, mu, sigma, tau) * _phi((z - mu) / sigma) / sigma,
+                     mu - r, mu + r, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err < 1e-11
+    tail = cap * math.erfc(r / (sigma * math.sqrt(2)))
+    assert core + tail == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bounded_boost_tends_to_one_as_alpha_vanishes():
