@@ -22,7 +22,7 @@ import numpy as np
 
 from .alternatives import AlternativeSpec, IidRatio, lr_matrix, resolve_alternative
 from .errors import DomainError
-from .evalues import UtilitySpec, evalue_at, evalue_rows, utility_id
+from .evalues import UtilitySpec, evalue_rows, utility_id
 from .orbits import TupleLike, tuple_values
 
 _REL_STEP_TOL = 1e-9
@@ -268,20 +268,18 @@ def fuzzy_set(
     """Invert the optimal test over the grid: evidence(z) is the e-value of
     the tuple (z_1, ..., z_n, z).
 
-    The alternative is resolved once against the calibration data.
+    The alternative is resolved once against the calibration data and must be
+    an IidRatio; one OrbitWeights mapping exact at every grid point gives flat evidence.
     """
     calib = tuple_values(z_n)
     if len(calib) < 1:
         raise ValueError("calibration data must contain at least one observation")
     concrete = resolve_alternative(alt, calib)
+    if not isinstance(concrete, IidRatio):
+        raise TypeError("fuzzy sets need an IidRatio alternative, or a kernel resolving to one")
+    row = grid_evidence(np.array([calib]), grid.points, concrete.ratio, utility)[0]
     name = getattr(alt, "name", "unspecified")
-    if isinstance(concrete, IidRatio):
-        row = grid_evidence(np.array([calib]), grid.points, concrete.ratio, utility)[0]
-        evidence = tuple(row.tolist())
-    else:
-        # orbit weights are keyed by value and have no row form
-        evidence = tuple(evalue_at(calib + (z,), concrete, utility) for z in grid.points)
-    return FuzzyConfidenceSet(grid, evidence, calib, name, utility_id(utility))
+    return FuzzyConfidenceSet(grid, tuple(row.tolist()), calib, name, utility_id(utility))
 
 
 def sublevel_set(fuzzy: FuzzyConfidenceSet, alpha: float) -> BinaryConfidenceSet:

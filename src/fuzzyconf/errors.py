@@ -19,7 +19,7 @@ class InvalidWeightsError(FuzzyconfError, ValueError):
 
 
 class NormalizationFailureError(FuzzyconfError):
-    """Bisection could not bracket or reach the normalization constant."""
+    """No normalization constant makes the shaped e-value exact."""
 
 
 class EmptyConfidenceSetError(FuzzyconfError):

@@ -29,7 +29,6 @@ from .orbits import TupleLike, tuple_values
 EXACTNESS_TOL = 1e-9
 
 _BRACKET_LO = 1e-12
-_BRACKET_HI = 1e12
 _MAX_BISECT = 200
 
 
@@ -206,7 +205,7 @@ def normalization_lambda(
     Bisects lam until the multiplicity-weighted orbit mean of
     ``shape(lam, lr)`` equals 1 within 1e-9. The shape's orbit mean must be
     continuous and non-decreasing in lam. Raises NormalizationFailureError
-    when no bracket exists inside [1e-12, 1e12].
+    when the mean exceeds 1 at lam = 1e-12 or stops growing short of 1.
     """
     lr = np.asarray(profile.lr, dtype=float)
     w = np.asarray(profile.counts, dtype=float)
@@ -221,11 +220,12 @@ def normalization_lambda(
     if abs(mean_at(lo) - 1.0) <= EXACTNESS_TOL:
         return lo
 
-    hi = 1.0
-    # a boundary-feasible shape can reach 1 only within roundoff
-    while mean_at(hi) < 1.0 - EXACTNESS_TOL:
+    hi, at_hi = 1.0, shape(1.0, lr)
+    # boundary-feasible shapes reach 1 only within roundoff; NaN keeps looping
+    while not w @ at_hi >= 1.0 - EXACTNESS_TOL:
         hi *= 2.0
-        if hi > _BRACKET_HI:
+        before, at_hi = at_hi, shape(hi, lr)
+        if np.array_equal(at_hi, before) or not math.isfinite(hi):  # past every breakpoint
             raise NormalizationFailureError(
                 "orbit mean never reaches 1; the shaped e-value is infeasible"
             )
@@ -358,47 +358,44 @@ def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> fl
 
 
 def _lambda_rows(lr: np.ndarray, *, cap: Optional[float] = None, floor: Optional[float] = None) -> np.ndarray:
-    """Row-wise normalization constants for capped/clipped shapes.
+    """Row-wise normalization constants for capped/clipped shapes, in closed form.
 
-    The shaped orbit mean is piecewise linear in the constant, so each row is
-    solved exactly from the sorted slot values; rows landing on a breakpoint
-    within roundoff fall back to ``normalization_lambda``.
+    The shaped orbit mean is piecewise linear and monotone in lam, with a
+    breakpoint where each slot meets the cap (floor). The t breakpoints with
+    mean <= 1 (>= 1) are those of the slots at the level at the root, so
+    lam = (m - t * level) / tail[t], or the last breakpoint when no slot is
+    off the level. Infeasible rows raise NormalizationFailureError.
     """
     T, m = lr.shape
-    t = np.arange(m)
-
     if cap is not None:
-        level = cap
-        s = np.sort(lr, axis=1)[:, ::-1]  # descending; candidate t = #capped slots
+        level, start, at_level, bound = cap, 0.0, np.less_equal, np.maximum
+        s = np.sort(lr, axis=1)[:, ::-1]  # descending: capped slots lead
     else:
-        level = floor
-        s = np.sort(lr, axis=1)  # ascending; candidate t = #floored slots
+        level, start, at_level, bound = floor, math.inf, np.greater_equal, np.minimum
+        s = np.sort(lr, axis=1)  # ascending: floored slots lead
 
     # tails[:, t] = sum of s[:, t:], summed directly: total - prefix cancels
-    # when one slot dominates
-    tails = np.cumsum(s[:, ::-1], axis=1)[:, ::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = (m - t * level) / tails
-        prev_ok = np.empty((T, m), dtype=bool)
-        prev_ok[:, 0] = True
-        if cap is not None:
-            prev_ok[:, 1:] = lam[:, 1:] * s[:, :-1] >= level  # capped slots really reach the cap
-            next_ok = lam * s < level  # first uncapped slot stays below it
-        else:
-            prev_ok[:, 1:] = lam[:, 1:] * s[:, :-1] <= level  # floored slots really sit at the floor
-            next_ok = lam * s >= level
-        valid = np.isfinite(lam) & (lam >= 0.0) & prev_ok & next_ok
-
-    has = valid.any(axis=1)
-    t_star = np.argmax(valid, axis=1)
-    lam_star = np.where(has, lam[np.arange(T), t_star], np.nan)
+    # when one slot dominates; tails[:, m] = 0
+    tails = np.zeros((T, m + 1))
+    np.cumsum(s[:, ::-1], axis=1, out=tails[:, m - 1::-1])
+    rows = np.arange(T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        brk = np.divide(level, s, out=s)  # in place: s is not needed again
+        # m times the mean at each breakpoint; NaN at zero slots under the cap
+        t = at_level(np.arange(m) * level + brk * tails[:, :m], m).sum(axis=1)
+        tail = tails[rows, t]
+        near = np.where(t > 0, brk[rows, t - 1], start)  # breakpoint t - 1
+        # the segment's line holds t slots at the level and lets the rest pass
+        # it, so it bounds m * mean from above (cap) or below (floor): its root
+        # errs toward breakpoint t - 1, and bounding by it undoes a miscount
+        lam = np.where(tail > 0.0, bound((m - t * level) / tail, near), near)
 
     shape = capped_shape(cap) if cap is not None else clipped_shape(floor)
-    residual = shape(np.where(has, lam_star, 0.0)[:, None], lr).mean(axis=1) - 1.0
-    for i in np.nonzero(~(has & (np.abs(residual) <= EXACTNESS_TOL)))[0]:
-        row = tuple(lr[i])
-        lam_star[i] = normalization_lambda(LikelihoodRatioProfile(row, (1,) * m, row), shape)
-    return lam_star
+    residual = np.abs(shape(lam[:, None], lr).mean(axis=1) - 1.0)
+    if not (residual <= EXACTNESS_TOL).all():
+        raise NormalizationFailureError(
+            f"orbit mean misses 1 by {residual.max():.3g}; the shaped e-value is infeasible")
+    return lam
 
 
 def evalue_rows(lr: np.ndarray, utility: UtilitySpec) -> np.ndarray:

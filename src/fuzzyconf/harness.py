@@ -14,8 +14,9 @@ Everything the library guarantees is checked here at desk scale:
 
 Trial streams come from the counter-based Philox generator, so a fixed
 (seed, trial index) pair reproduces the same draw regardless of how trials
-are batched. Validators are vectorized across trials; a cross-check against
-the scalar per-tuple path is part of the test suite.
+are batched. Validators are vectorized across trials, kernels included, and
+take every e-value from ``evalue_rows``; the suite checks them against the
+scalar per-orbit ``evalue_at``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .alternatives import (
     KernelAlternative,
     LikelihoodRatioProfile,
     lr_matrix,
+    resolve_alternative,
 )
 from .confidence import grid_evidence
 from .decisions import DecisionProblem
@@ -46,7 +48,6 @@ from .evalues import (
     NeymanPearson,
     Power,
     UtilitySpec,
-    evalue_at,
     evalue_rows,
 )
 from .orbits import TupleLike, tuple_values
@@ -194,13 +195,15 @@ def sample_finite_matrix(config: McConfig, n_points: int) -> tuple[np.ndarray, n
 
 
 def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
-    """E-value of each row's final slot under the given alternative."""
+    """E-value of each row's final slot; kernels resolve against each row's calibration."""
     if isinstance(alt, IidRatio):
         return evalue_rows(lr_matrix(data, alt.ratio), utility)
     if isinstance(alt, KernelAlternative):
-        # calibration-dependent alternatives resolve per trial; no vector path
-        return np.array([evalue_at(row, alt, utility) for row in data])
-    raise TypeError("Monte-Carlo validation needs an IidRatio or KernelAlternative")
+        concrete = [resolve_alternative(alt, row[:-1]) for row in data]
+        if all(isinstance(c, IidRatio) for c in concrete):
+            lr = np.vstack([lr_matrix(row[None], c.ratio) for row, c in zip(data, concrete)])
+            return evalue_rows(lr, utility)
+    raise TypeError("Monte-Carlo validation needs an IidRatio, or a kernel resolving to one")
 
 
 # ---------------------------------------------------------------------------

@@ -261,3 +261,34 @@ def test_cli_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+
+_SCALAR_PATH = ("evalue_at", "optimal_evalue", "normalization_lambda", "np_threshold",
+                "profile_for", "conditional_lr_iid")
+
+
+def test_cli_evidence_comes_only_from_the_row_engine(tmp_path, monkeypatch):
+    # the per-orbit functions are the reference; no command may fall back to them
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("the scalar per-orbit path ran under the command line")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fuzzyconf":
+            for attr in _SCALAR_PATH:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, scalar_path)
+    calib = tmp_path / "calib.csv"
+    calib.write_text("1.2\n0.7\n2.1\n-0.4\n0.3\n")
+    fuzzy = ["fuzzy", "--family", "conformal", "--calib", calib, "--grid", "-4:4:0.5",
+             "--out", tmp_path / "f.csv"]
+    kernel = ["validate", "--check", "coverage", "--alpha", 0.1, "--model", "iid-gaussian",
+              "--n", 5, "--trials", 1000, "--seed", 7]
+    calls = [
+        fuzzy + ["--utility", "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5"],
+        fuzzy + ["--utility", "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5"],
+        fuzzy + ["--utility", "np:0.1", "--ratio", "gaussian-scale:0:1:3.5"],
+        fuzzy + ["--utility", "bounded-log:0.05", "--ratio", "gaussian-composite:1:3.5"],
+        kernel + ["--ratio", "ar1:0:0.5:3.5", "--utility", "log"],
+        kernel + ["--ratio", "gaussian-composite:1:3.5", "--utility", "bounded-log:0.05"],
+    ]
+    assert [run(args) for args in calls] == [0] * len(calls)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
+    OrbitWeights,
     ar1_kernel,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
@@ -212,3 +213,12 @@ def test_fuzzy_set_rejects_empty_calibration():
     grid = PlugInGrid.from_points((0.0, 1.0))
     with pytest.raises(ValueError):
         fuzzy_set((), grid, IidRatio(lambda z: 1.0), Log())
+
+
+def test_fuzzy_set_rejects_orbit_weights():
+    # one mapping is exact on every augmented orbit only if it weighs all
+    # grid points alike, which leaves nothing to invert
+    grid = PlugInGrid.from_points((0.0, 1.0))
+    weights = OrbitWeights({0.0: 0.25, 1.0: 0.25, 2.0: 0.25})
+    with pytest.raises(TypeError):
+        fuzzy_set((2.0, 2.0), grid, weights, Log())

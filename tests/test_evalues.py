@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, lr_matrix, resolve_alternative,
 )
+from fuzzyconf.confidence import PlugInGrid, fuzzy_set
 from fuzzyconf.errors import NormalizationFailureError
 from fuzzyconf.evalues import (
     BoundedLog,
@@ -253,3 +254,60 @@ def test_rows_bounded_log_boundary_feasible():
     got = evalue_rows(lr_matrix(np.array([data]), alt.ratio), BoundedLog(0.5))
     assert got.tolist() == [0.0]
     assert evalue_at(data, alt, BoundedLog(0.5)) == 0.0
+
+
+def test_boundary_feasible_root_past_the_old_bracket():
+    # 4 of 8 slots positive under cap 2 is feasible only with every positive
+    # slot capped; the root lam ~ 5e12 lay past the scalar bracket's 1e12
+    calib, alt, utility = (0, 1e5, 1e5, 0, 0, 2, 0), IidRatio(lambda z: z), BoundedLog(0.5)
+    grid = PlugInGrid.from_points((1e-8, 1.0))
+    assert fuzzy_set(calib, grid, alt, utility).evidence == pytest.approx((2.0, 2.0), rel=1e-12)
+    for z in grid:
+        assert evalue_at(calib + (z,), alt, utility) == pytest.approx(2.0, rel=1e-12)
+    # 3 of 8 positive slots capped at 2 reach mean 3/4 at most
+    infeasible = (0, 1e5, 1e5, 0, 0, 0, 0)
+    with pytest.raises(NormalizationFailureError):
+        fuzzy_set(infeasible, grid, alt, utility)
+    with pytest.raises(NormalizationFailureError):
+        evalue_at(infeasible + (1.0,), alt, utility)
+
+
+def _breakpoint_utilities(m):
+    shaped = [BoundedLog(a) for a in (1 / m, 0.05, 0.5)] + [ClippedLog(0.1), ClippedLog(1.0)]
+    return shaped + [Dampened(0.3, u) for u in shaped]
+
+
+@st.composite
+def _breakpoint_cases(draw):
+    m = draw(st.integers(2, 12))
+    ratios = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))  # ties and zeros
+    kind = draw(st.sampled_from(("lattice", "dominant", "boundary")))
+    if kind == "dominant":
+        ratios[draw(st.integers(0, m - 1))] = 100_000
+    elif kind == "boundary":
+        # one positive slot (cap m under alpha = 1/m), or half of them (alpha = 0.5)
+        k = draw(st.sampled_from((1, m // 2)))
+        ratios = [draw(st.sampled_from((1, 3, 100_000))) for _ in range(k)] + [0] * (m - k)
+        ratios = draw(st.permutations(ratios))
+    if not any(ratios):
+        ratios[-1] = 1
+    return tuple(float(r) for r in ratios), draw(st.sampled_from(_breakpoint_utilities(m)))
+
+
+@given(_breakpoint_cases())
+@example(((0.0, 1e5, 1e5, 0.0, 0.0, 2.0, 0.0, 1e-8), BoundedLog(0.5)))  # root lam ~ 5e12
+@example(((4e16, 4e16, 4e16, 1.0, 0.0, 0.0, 0.0, 4e16), BoundedLog(0.5)))  # tail below roundoff
+@example(((0.0,) * 19 + (7.0,), BoundedLog(0.05)))  # one slot capped at 20 = m
+@settings(max_examples=400, deadline=None)
+def test_rows_lambda_matches_scalar_at_breakpoints(case):
+    ratios, utility = case
+    r = np.asarray(ratios)
+    lr = r / r.mean()
+    prof = LRP(tuple(range(lr.size)), (1,) * lr.size, tuple(lr))
+    try:
+        want = optimal_evalue(prof, utility).evidence[-1]
+    except NormalizationFailureError:
+        with pytest.raises(NormalizationFailureError):
+            evalue_rows(lr[None, :], utility)
+        return
+    assert evalue_rows(lr[None, :], utility)[0] == pytest.approx(want, rel=1e-12, abs=0.0)

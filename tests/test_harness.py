@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fuzzyconf.alternatives import (
-    IidRatio, LikelihoodRatioProfile, conditional_lr_iid, kernel_alternative, lr_matrix,
+    IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, gaussian_composite_kernel,
+    kernel_alternative, lr_matrix,
 )
 from fuzzyconf.decisions import DecisionProblem
 from fuzzyconf.errors import ZeroDensityError
@@ -228,6 +229,15 @@ def test_kernel_alternative_loops_per_trial():
     got = evalues_for(data, kern, Log())
     want = np.array([evalue_at(row, kern, Log()) for row in data])
     assert np.allclose(got, want, atol=1e-12)
+    # the built-in kernels through the row engine against the scalar loop
+    for kern in (ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5)):
+        for utility in (Log(), NeymanPearson(0.1), BoundedLog(0.05), ClippedLog(0.1)):
+            got = evalues_for(data, kern, utility)
+            want = np.array([evalue_at(row, kern, utility) for row in data])
+            if isinstance(utility, NeymanPearson):
+                assert got.tolist() == want.tolist(), kern.name
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (kern.name, utility)
 
 
 def test_vector_scalar_np_agreement_at_integer_boundaries():
