@@ -172,14 +172,25 @@ def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> Like
     return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(x / mean for x in r))
 
 
-def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
+def _ratio_values(data: np.ndarray, ratio: Callable) -> np.ndarray:
+    """The ratio on every entry of ``data``, unchecked; scalar-only callables
+    are applied entry by entry."""
     try:
         r = np.asarray(ratio(data), dtype=float)
         if r.shape != data.shape:
             raise TypeError
     except (TypeError, ValueError):
         r = np.vectorize(ratio, otypes=[float])(data)
-    bad = ~((r >= 0.0) & (r < math.inf))
+    return r
+
+
+def _ratio_ok(r: np.ndarray) -> np.ndarray:
+    return (r >= 0.0) & (r < math.inf)
+
+
+def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
+    r = _ratio_values(data, ratio)
+    bad = ~_ratio_ok(r)
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise _ratio_error(float(r.flat[i]), float(data.flat[i]))

@@ -20,9 +20,27 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, IidRatio, lr_matrix, resolve_alternative
-from .errors import DomainError
-from .evalues import UtilitySpec, evalue_rows, utility_id
+from .alternatives import (
+    AlternativeSpec,
+    IidRatio,
+    _ratio_error,
+    _ratio_matrix,
+    _ratio_ok,
+    _ratio_values,
+    resolve_alternative,
+)
+from .errors import AllZeroRatioError, DomainError, NormalizationFailureError
+from .evalues import (
+    EXACTNESS_TOL,
+    BoundedLog,
+    ClippedLog,
+    Dampened,
+    Log,
+    NeymanPearson,
+    Power,
+    UtilitySpec,
+    utility_id,
+)
 from .orbits import TupleLike, tuple_values
 
 _REL_STEP_TOL = 1e-9
@@ -242,20 +260,164 @@ def load_confidence_set(doc: dict) -> Union[FuzzyConfidenceSet, BinaryConfidence
 # ---------------------------------------------------------------------------
 
 
+def _count_leading(holds: Callable[[np.ndarray], np.ndarray], shape: tuple, hi: int) -> np.ndarray:
+    """Per entry of ``shape``, how many leading indices j in [0, hi) satisfy
+    ``holds(j)``, which must be true and then false along j.
+
+    A binary search run on every entry at once: ``holds`` receives one int
+    array of ``shape`` per pass, O(log hi) passes. np.searchsorted would do
+    for a single row, but it is 1-D only.
+    """
+    count = np.zeros(shape, dtype=np.intp)
+    step = 1 << (hi.bit_length() - 1) if hi > 0 else 0  # largest power of two <= hi
+    while step:
+        grown = count + step
+        ok = (grown <= hi) & holds(np.minimum(grown, hi) - 1)
+        count = np.where(ok, grown, count)
+        step >>= 1
+    return count
+
+
+def _take(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return np.take_along_axis(rows, j, axis=1)
+
+
+def _np_grid(cal: np.ndarray, rz: np.ndarray, alpha: float) -> np.ndarray:
+    # exact counts on the ratios themselves, the slot at z counting once
+    n = cal.shape[1]
+    m = n + 1
+    asc = np.sort(cal, axis=1)
+    shape = (cal.shape[0], rz.shape[1])
+    below = _count_leading(lambda j: _take(asc, j) < rz, shape, n)
+    upto = _count_leading(lambda j: _take(asc, j) <= rz, shape, n)
+    gt = n - upto
+    eq = upto - below + 1
+    am = alpha * m
+    boundary = (1.0 - gt / am) * (m / eq)
+    return np.where(gt + eq < am, 1.0 / alpha, np.where(gt < am, boundary, 0.0))
+
+
+def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float) -> np.ndarray:
+    # e = m * r_z^s / sum(r^s) over the augmented row; the mean cancels, and
+    # scaling by the calibration maximum keeps each log a ratio's log
+    s = 1.0 / (1.0 - h)
+    m = cal.shape[1] + 1
+    top = cal.max(axis=1, keepdims=True)
+    scale = np.where(top > 0.0, top, 1.0)
+    mass = np.exp(s * np.log(cal / scale)).sum(axis=1, keepdims=True)  # 0 if all zero
+    b = s * np.log(rz / scale)  # -inf at zero ratios, which exp maps back to 0
+    shift = np.maximum(b, np.where(mass > 0.0, 0.0, -math.inf))
+    rest = np.where(mass > 0.0, mass * np.exp(-shift), 0.0)
+    # one final exp, so a subnormal result is rounded once
+    return np.exp(b - shift - np.log((rest + np.exp(b - shift)) / m))
+
+
+def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
+    """min(kappa * r_z, cap) or max(kappa * r_z, floor), and the exactness
+    residual, per (row, grid point).
+
+    kappa = lam / mean is the constant of ``evalues._lambda_rows`` in ratio
+    space. The augmented row's leading order (descending under the cap,
+    ascending over the floor) is the calibration's with r_z inserted at p,
+    so its slots and suffix sums come from the calibration arrays, and the
+    breakpoint count t and the at-level count behind the residual are each
+    one binary search.
+    """
+    T, n = cal.shape
+    m = n + 1
+    if cap is not None:
+        level, start, at_level, bound, shaped = cap, 0.0, np.less_equal, np.maximum, np.minimum
+        lead = np.sort(cal, axis=1)[:, ::-1]  # descending: capped slots lead
+        ahead = np.greater
+    else:
+        level, start, at_level, bound, shaped = floor, math.inf, np.greater_equal, np.minimum, np.maximum
+        lead = np.sort(cal, axis=1)  # ascending: floored slots lead
+        ahead = np.less
+    # tails[:, j] = sum of lead[:, j:], summed directly as _lambda_rows does
+    tails = np.zeros((T, m))
+    np.cumsum(lead[:, ::-1], axis=1, out=tails[:, n - 1::-1])
+    shape = (T, rz.shape[1])
+    p = _count_leading(lambda j: ahead(_take(lead, j), rz), shape, n)
+
+    def slot(j):
+        # ratio and suffix sum at index j of the augmented leading order
+        c = np.minimum(np.where(j > p, j - 1, j), n - 1)
+        s = np.where(j == p, rz, _take(lead, c))
+        tail = np.where(j <= p, _take(tails, np.minimum(j, n)) + rz, _take(tails, np.maximum(j - 1, 0)))
+        return s, tail
+
+    def reached(j):
+        # m times the shaped mean at slot j's breakpoint, against m
+        s, tail = slot(j)
+        return at_level(j * level + level / s * tail, m)
+
+    t = _count_leading(reached, shape, m)
+    near = np.where(t > 0, level / slot(np.maximum(t - 1, 0))[0], start)  # breakpoint t - 1
+    tail = slot(t)[1]
+    kappa = np.where(tail > 0.0, bound((m - t * level) / tail, near), near)
+    # the slots at the level for kappa, plus kappa times the rest
+    q = _count_leading(lambda j: at_level(level, kappa * slot(j)[0]), shape, m)
+    residual = np.abs((q * level + kappa * slot(q)[1]) / m - 1.0)
+    return shaped(kappa * rz, level), residual
+
+
+def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: UtilitySpec):
+    """(evidence, exactness residual or None), both (T, G)."""
+    if isinstance(utility, Log):
+        return rz / mean, None
+    if isinstance(utility, Power):
+        return _power_grid(cal, rz, utility.h), None
+    if isinstance(utility, NeymanPearson):
+        return _np_grid(cal, rz, utility.alpha), None
+    if isinstance(utility, BoundedLog):
+        return _level_grid(cal, rz, cap=1.0 / utility.alpha)
+    if isinstance(utility, ClippedLog):
+        return _level_grid(cal, rz, floor=utility.b)
+    if isinstance(utility, Dampened):
+        inner, residual = _grid_shaped(cal, rz, mean, utility.inner)
+        return utility.b + (1.0 - utility.b) * inner, residual
+    raise TypeError(f"unknown utility {utility!r}")
+
+
 def grid_evidence(
     calib_rows: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
 ) -> np.ndarray:
     """Evidence matrix (T, G): the fuzzy set of each calibration row over the grid.
 
     Entry (t, g) is the optimal e-value at the final slot of the tuple
-    (calib_rows[t], points[g]). One (T, n+1) matrix is formed per grid
-    point, so memory stays O(T * n) whatever the grid size.
+    (calib_rows[t], points[g]), as ``evalue_rows(lr_matrix(...))`` gives it.
+    Only that slot changes across the grid, so the ratio is evaluated once
+    on the calibration values and once on the grid, each calibration row is
+    sorted once with its suffix sums, and every grid point is placed by
+    binary search: O((n + G) log n) work per row, O(T * (n + G)) memory.
+    Comparisons are on the ratios themselves, so ties are exact.
+
+    A bad calibration ratio raises first; after that the lowest failing grid
+    point decides the error, as a per-point loop would.
     """
-    T = calib_rows.shape[0]
-    ev = np.empty((T, len(points)))
-    for gi, z in enumerate(points):
-        aug = np.column_stack([calib_rows, np.full(T, z)])
-        ev[:, gi] = evalue_rows(lr_matrix(aug, ratio), utility)
+    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
+    n = cal.shape[1]
+    if n < 1:
+        raise ValueError("calibration rows must hold at least one value")
+    z = np.asarray(points, dtype=float)
+    rz = _ratio_values(z, ratio)
+    bad = ~_ratio_ok(rz)
+    good = np.where(bad, 0.0, rz)[None, :]  # keeps the arithmetic quiet until the checks below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = (cal.sum(axis=1, keepdims=True) + good) / (n + 1)
+        ev, residual = _grid_shaped(cal, good, mean, utility)
+    zero = (mean == 0.0).any(axis=0)
+    failed = bad | zero
+    if residual is not None:
+        failed |= ~(residual <= EXACTNESS_TOL).all(axis=0)
+    if failed.any():
+        g = int(np.argmax(failed))
+        if bad[g]:
+            raise _ratio_error(float(rz[g]), float(z[g]))
+        if zero[g]:
+            raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
+        raise NormalizationFailureError(
+            f"orbit mean misses 1 by {residual[:, g].max():.3g}; the shaped e-value is infeasible")
     return ev
 
 
@@ -269,7 +431,8 @@ def fuzzy_set(
     the tuple (z_1, ..., z_n, z).
 
     The alternative is resolved once against the calibration data and must be
-    an IidRatio; one OrbitWeights mapping exact at every grid point gives flat evidence.
+    an IidRatio (or a kernel resolving to one); ``grid_evidence`` computes the
+    whole curve, evaluating the ratio on n + G values in all.
     """
     calib = tuple_values(z_n)
     if len(calib) < 1:

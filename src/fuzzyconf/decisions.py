@@ -146,28 +146,31 @@ def post_hoc_decisions(
 
     Levels must be sorted and lie in (0, 1]. Whichever rung is picked later,
     in however data-dependent a fashion, inherits the post-hoc guarantee.
-    Empty rungs are marked unavailable rather than raising.
+    Empty rungs are marked unavailable rather than raising. Each rung is the
+    as-if decision over {z : evidence(z) < 1/alpha}, scanned on arrays.
     """
-    from .confidence import sublevel_set
-
     lv = [float(a) for a in levels]
     if any(not 0.0 < a <= 1.0 for a in lv):
         raise ValueError("levels must lie in (0, 1]")
     if any(b < a for a, b in zip(lv, lv[1:])):
         raise ValueError("levels must be sorted ascending")
+    _check_grid(problem, fuzzy.grid)
 
+    e = np.asarray(fuzzy.evidence, dtype=float)
+    loss = problem.loss_matrix
+    provenance = _provenance(fuzzy)
     out = []
     for a in lv:
-        binary = sublevel_set(fuzzy, a)
-        if binary.is_empty():
+        members = e < 1.0 / a
+        if not members.any():
             out.append(LevelDecision(a, None))
-        else:
-            cert = as_if_decision(problem, binary)
-            cert = CertifiedDecision(
-                cert.decision_index, cert.decision, cert.risk_bound,
-                mode="post-hoc", alpha=a, set_provenance=cert.set_provenance,
-            )
-            out.append(LevelDecision(a, cert))
+            continue
+        risks = loss[:, members].max(axis=1)
+        d = int(np.argmin(risks))  # lowest index wins ties
+        out.append(LevelDecision(a, CertifiedDecision(
+            d, problem.decisions[d], float(risks[d]),
+            mode="post-hoc", alpha=a, set_provenance=provenance,
+        )))
     return out
 
 

@@ -12,11 +12,14 @@ Everything the library guarantees is checked here at desk scale:
   coverage, post-hoc validity, decision risk bounds) by seeded simulation,
   passing at the estimate <= bound + 3 * SE level.
 
-Trial streams come from the counter-based Philox generator, so a fixed
-(seed, trial index) pair reproduces the same draw regardless of how trials
-are batched. Validators are vectorized across trials, kernels included, and
-take every e-value from ``evalue_rows``; the suite checks them against the
-scalar per-orbit ``evalue_at``.
+Trial streams come from the seeded Philox generator: a fixed (seed,
+trials) configuration reproduces the same matrix, and for some models a
+longer run extends a shorter one (see ``sample_matrix``). The validity,
+coverage and post-hoc validators take every e-value from ``evalue_rows`` on
+one matrix of trials; kernel alternatives resolve, and form their
+likelihood ratios, trial by trial before joining it. The decision-risk
+validator inverts every trial over the support with ``grid_evidence``. The
+suite checks both against the scalar per-orbit ``evalue_at``.
 """
 
 from __future__ import annotations
@@ -131,8 +134,11 @@ def _generator(seed: int) -> np.random.Generator:
 def sample_matrix(config: McConfig, n_points: int) -> np.ndarray:
     """Draw a (trials, n_points) matrix; rows are independent trials.
 
-    Draw order is fixed per model, so row t is fully determined by
-    (seed, t) for every batch size.
+    Draw order is fixed per model, so row t is fixed for a fixed (seed,
+    trials). Only ``iid-gaussian``, ``iid-uniform``, ``iid-categorical`` and
+    ``ar1-gaussian`` draw the matrix row by row in one stream, so that the
+    first rows of a longer run equal a shorter run; the mixtures draw a
+    latent value per trial first, which shifts every later draw.
     """
     rng = _generator(config.seed)
     T, m = config.trials, n_points

@@ -1,10 +1,11 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
@@ -20,14 +21,23 @@ from fuzzyconf.confidence import (
     FuzzyConfidenceSet,
     PlugInGrid,
     fuzzy_set,
+    grid_evidence,
     load_confidence_set,
     randomized_binary,
     smallest_exclusion_level,
     sublevel_set,
 )
 from fuzzyconf.errors import DomainError, FuzzyconfError
-from fuzzyconf.evalues import Dampened, Log, NeymanPearson, evalue_at, np_threshold
-from fuzzyconf.alternatives import conditional_lr_iid
+from fuzzyconf.evalues import (
+    BoundedLog,
+    Dampened,
+    Log,
+    NeymanPearson,
+    evalue_at,
+    evalue_rows,
+    np_threshold,
+)
+from fuzzyconf.alternatives import conditional_lr_iid, lr_matrix
 
 
 def test_grid_from_spec_divisible():
@@ -121,6 +131,119 @@ def test_fuzzy_set_matches_scalar_evalue_loop(calib, alt, utility):
         assert list(got) == want
     else:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# the largest float below 2: adjacent to 2.0, and both divide by 1.5 to the
+# same float, so normalising by the row mean merges them into a tie
+BELOW_TWO = 1.9999999999999998
+ADJACENT = IidRatio(
+    lambda z: np.where(z == 1.0, 2.0, np.where(z == 0.5, BELOW_TWO, 0.5)), "adjacent")
+GRID_RATIOS = [
+    gaussian_scale_ratio(0.0, 1.0, 3.5),  # about 1e179 at z = +-30
+    gaussian_mean_shift_ratio(0.0, 1.0),
+    IidRatio(lambda z: max(z, 0.0)),  # scalar-only, with exact zeros
+    IidRatio(lambda z: np.where(z == 0.5, 1e5, 1.0 + np.abs(z)), "spike"),  # one dominant value
+    ADJACENT,
+]
+GRID_UTILITIES = [parse_utility(u) for u in (
+    "log", "np:0.01", "np:0.1", "np:0.3", "bounded-log:0.05", "bounded-log:0.5",
+    "clipped-log:0.1", "clipped-log:1", "power:-5", "power:0.5", "power:0.99",
+    "dampened:0.2:np:0.1", "dampened:0.3:clipped-log:0.1", "dampened:0.2:bounded-log:0.05",
+)]
+LATTICE = st.integers(-8, 8).map(lambda k: k / 2)
+FINE = st.integers(-256, 256).map(lambda k: k / 64)  # mostly distinct, some on the grid
+
+
+@st.composite
+def grid_cases(draw):
+    T = draw(st.sampled_from((1, 3)))
+    n = draw(st.integers(1, 10))
+    value = st.one_of(LATTICE, FINE, st.sampled_from((-30.0, 30.0)))
+    rows = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=T, max_size=T))
+    points = LATTICE_GRID.points
+    if draw(st.booleans()):
+        points = (-30.0,) + points + (30.0,)
+    m = n + 1
+    # alpha = k/m makes rows with k nonzero ratios boundary-feasible (k * cap = m)
+    level = draw(st.integers(1, m - 1)) / m
+    utility = draw(st.sampled_from(GRID_UTILITIES + [
+        BoundedLog(1.0 / m), BoundedLog(level), Dampened(0.2, BoundedLog(1.0 / m))]))
+    return rows, points, draw(st.sampled_from(GRID_RATIOS)), utility
+
+
+def _is_np(utility):
+    return isinstance(utility, NeymanPearson) or (
+        isinstance(utility, Dampened) and isinstance(utility.inner, NeymanPearson))
+
+
+def _keeps_order(raw, lr):
+    # no two distinct ratios of a row share one likelihood ratio
+    return all(len(set(r.tolist())) == len(set(x.tolist())) for r, x in zip(raw, lr))
+
+
+@given(case=grid_cases())
+@example(case=([[1.0, -1.0]], (-0.5, 0.5, 1.0), ADJACENT, NeymanPearson(0.1)))
+@settings(max_examples=600, deadline=None)
+def test_grid_evidence_matches_row_engine(case):
+    rows, points, alt, utility = case
+    rows = np.array(rows)
+    T = rows.shape[0]
+    augmented = [np.column_stack([rows, np.full(T, z)]) for z in points]
+    try:
+        want = np.column_stack([evalue_rows(lr_matrix(aug, alt.ratio), utility) for aug in augmented])
+    except FuzzyconfError as exc:
+        with pytest.raises(FuzzyconfError) as raised:
+            grid_evidence(rows, points, alt.ratio, utility)
+        assert type(raised.value) is type(exc)
+        return
+    got = grid_evidence(rows, points, alt.ratio, utility)
+    if _is_np(utility):
+        # NP compares ratios, which need no normalising: on the raw ratios the
+        # row engine counts in exact order. Dividing by the row mean can round
+        # two adjacent ratios to one value (the pinned example: 2.0 and the
+        # float below it over the mean 1.5), and the tie it makes is not in the
+        # likelihood ratio, which is r / mean in exact arithmetic.
+        raw = [np.vectorize(alt.ratio, otypes=[float])(aug) for aug in augmented]
+        exact = np.column_stack([evalue_rows(r, utility) for r in raw])
+        assert np.array_equal(got, exact)
+        if all(_keeps_order(r, lr_matrix(aug, alt.ratio)) for r, aug in zip(raw, augmented)):
+            assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_grid_evidence_counts_adjacent_ratios_in_exact_order():
+    # tuple (1.0, -1.0, 0.5) has ratios (2.0, 0.5, BELOW_TWO), mean 1.5
+    aug = np.array([[1.0, -1.0, 0.5]])
+    lr = lr_matrix(aug, ADJACENT.ratio)
+    assert lr[0, 0] == lr[0, 2]  # the division merged them
+    got = grid_evidence(aug[:, :2], (0.5,), ADJACENT.ratio, NeymanPearson(0.1))
+    # z's ratio is strictly below one other slot: gt = 1 >= alpha * m = 0.3
+    assert got[0, 0] == 0.0
+    # the merged count shares the boundary mass between the pair instead
+    assert evalue_rows(lr, NeymanPearson(0.1))[0] == 1.5
+
+
+def test_fuzzy_set_evaluates_the_ratio_once_per_value():
+    n, G = 100_000, 10_000
+    base = gaussian_scale_ratio(0.0, 1.0, 3.5).ratio
+    sizes = []
+
+    def ratio(z):
+        sizes.append(np.size(z))
+        return base(z)
+
+    calib = tuple(np.random.default_rng(0).normal(size=n).tolist())
+    grid = PlugInGrid.from_points(np.linspace(-6.0, 6.0, G).tolist())
+    tracemalloc.start()
+    try:
+        fset = fuzzy_set(calib, grid, IidRatio(ratio), BoundedLog(0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) == n + G  # a per-point loop would evaluate G * (n + 1)
+    assert peak < 32 * 2**20
+    assert len(fset.evidence) == G
 
 
 def _flat_fuzzy(evidence):

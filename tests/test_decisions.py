@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyconf.confidence import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid
+from fuzzyconf.confidence import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, sublevel_set
 from fuzzyconf.decisions import (
     CertifiedDecision,
     DecisionProblem,
@@ -114,6 +114,30 @@ def test_post_hoc_risk_monotone_in_alpha():
         ladder = post_hoc_decisions(problem, fset, (0.04, 0.1, 0.25, 0.6, 0.95))
         risks = [ld.decision.risk_bound for ld in ladder if ld.available]
         assert all(b <= a + 1e-12 for a, b in zip(risks, risks[1:]))
+
+
+def test_post_hoc_matches_as_if_on_each_sublevel_set():
+    levels = (0.04, 0.1, 0.1, 0.25, 0.5, 0.6, 0.95, 1.0)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        k = int(rng.integers(2, 8))
+        d = int(rng.integers(1, 5))
+        # small integer losses and evidence on 1/alpha boundaries make ties
+        loss = tuple(tuple(float(x) for x in rng.integers(0, 4, size=k)) for _ in range(d))
+        problem = DecisionProblem(tuple(f"d{i}" for i in range(d)),
+                                  tuple(float(i) for i in range(k)), loss)
+        evidence = rng.choice((0.0, 1.0, 2.0, 4.0, 10.0, 25.0, math.inf), size=k)
+        fset = FuzzyConfidenceSet(_grid(k), tuple(evidence.tolist()), (), "alt", "u")
+        ladder = post_hoc_decisions(problem, fset, levels)
+        for rung, a in zip(ladder, levels):
+            binary = sublevel_set(fset, a)
+            if binary.is_empty():
+                assert not rung.available
+                continue
+            cert = as_if_decision(problem, binary)
+            assert rung.decision == CertifiedDecision(
+                cert.decision_index, cert.decision, cert.risk_bound,
+                mode="post-hoc", alpha=a, set_provenance=cert.set_provenance)
 
 
 def test_post_hoc_level_validation():

@@ -136,6 +136,28 @@ def test_samplers_seed_deterministic():
         assert not np.array_equal(a, other)
 
 
+MODEL_PARAMS = {
+    "iid-gaussian": {"mu": 0.5, "sigma": 2.0},
+    "iid-uniform": {"lo": -1.0, "hi": 1.0},
+    "exchangeable-mixture": {"mu": 0.0, "between": 1.0, "within": 0.5},
+    "ar1-gaussian": {"mu": 0.0, "rho": 0.7},
+    "iid-categorical": {"support": (0.0, 1.0, 2.0), "probs": (0.5, 0.3, 0.2)},
+    "categorical-mixture": {"support": (0.0, 1.0), "component_probs": ((0.9, 0.1), (0.2, 0.8))},
+}
+
+
+def test_sampler_reproducibility_claims():
+    # a fixed (seed, trials) config gives one matrix for every model
+    for model, params in MODEL_PARAMS.items():
+        cfg = McConfig(trials=2000, seed=7, model=model, params=params)
+        assert np.array_equal(sample_matrix(cfg, 4), sample_matrix(cfg, 4))
+    # row-by-row streams: a shorter run is a prefix of a longer one
+    for model in ("iid-gaussian", "ar1-gaussian"):
+        short = sample_matrix(McConfig(trials=2000, seed=7, model=model, params=MODEL_PARAMS[model]), 4)
+        long = sample_matrix(McConfig(trials=4000, seed=7, model=model, params=MODEL_PARAMS[model]), 4)
+        assert np.array_equal(short, long[:2000])
+
+
 def test_exchangeable_mixture_is_column_correlated():
     cfg = McConfig(trials=50_000, seed=1, model="exchangeable-mixture",
                    params={"mu": 0.0, "between": 1.0, "within": 1.0})
