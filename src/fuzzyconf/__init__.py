@@ -6,10 +6,8 @@ from .alternatives import (
     IidRatio,
     KernelAlternative,
     LikelihoodRatioProfile,
-    OrbitWeights,
     ar1_kernel,
     conditional_lr_iid,
-    conditional_lr_weights,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
     gaussian_scale_ratio,

@@ -2,28 +2,26 @@
 
 An alternative is what the user wants the confidence set to be small
 against. Conditionally on the orbit of a tuple, only the law of the final
-slot matters, so an alternative reduces to either
+slot matters, so an alternative reduces to a per-observation density ratio
+``r(z)`` between the final slot's law and the base law, possibly re-fit to
+each calibration tuple by a kernel.
 
-* a per-observation density ratio ``r(z)`` between the final slot's law and
-  the base law (the independent case), or
-* explicit per-slot masses on the distinct values of the orbit.
-
-Either way the output is a likelihood-ratio profile: the density of the
-alternative's final-slot law against the uniform law on the orbit. Its
-orbit mean is 1 by construction, which is the single property every exact
-e-value built from it inherits.
+The output is a likelihood-ratio profile: the density of the alternative's
+final-slot law against the uniform law on the orbit. Its orbit mean is 1 by
+construction, which is the single property every exact e-value built from
+it inherits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import AllZeroRatioError, InvalidWeightsError
-from .orbits import Orbit, TupleLike, orbit_of, tuple_values
+from .errors import AllZeroRatioError
+from .orbits import TupleLike, orbit_of, tuple_values
 
 ORBIT_MEAN_TOL = 1e-9
 
@@ -84,18 +82,6 @@ class IidRatio:
 
 
 @dataclass(frozen=True)
-class OrbitWeights:
-    """Alternative given by explicit per-slot masses on an orbit.
-
-    ``weights[v]`` is the mass the alternative puts on each single slot
-    holding value ``v``; multiplied by multiplicities the masses sum to 1.
-    """
-
-    weights: Mapping[float, float]
-    name: str = "orbit-weights"
-
-
-@dataclass(frozen=True)
 class KernelAlternative:
     """Calibration-dependent alternative.
 
@@ -107,15 +93,15 @@ class KernelAlternative:
     is exact conditional on z^n: under a model whose conditional law of the
     target matches the resolved base (the autoregressive family, say), the
     mean evidence at the truth is 1. Unconditional exactness on permutation
-    orbits is a property of fixed ratios and orbit weights, not of kernels,
-    which re-resolve against every arrangement.
+    orbits is a property of fixed ratios, not of kernels, which re-resolve
+    against every arrangement.
     """
 
     builder: Callable[[Sequence[float]], "AlternativeSpec"]
     name: str = "kernel"
 
 
-AlternativeSpec = Union[IidRatio, OrbitWeights, KernelAlternative]
+AlternativeSpec = Union[IidRatio, KernelAlternative]
 
 
 def kernel_alternative(
@@ -125,7 +111,7 @@ def kernel_alternative(
     return KernelAlternative(builder, name)
 
 
-def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> Union[IidRatio, OrbitWeights]:
+def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> IidRatio:
     """Resolve any kernel layers against the calibration tuple z^n."""
     seen = 0
     while isinstance(alt, KernelAlternative):
@@ -133,7 +119,7 @@ def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> Union[Iid
         seen += 1
         if seen > 32:
             raise ValueError("kernel alternative did not resolve (builder loop)")
-    if not isinstance(alt, (IidRatio, OrbitWeights)):
+    if not isinstance(alt, IidRatio):
         raise TypeError(f"builder returned {type(alt).__name__}, not an alternative spec")
     return alt
 
@@ -197,52 +183,10 @@ def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
     return r
 
 
-def lr_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
-    """Row-wise conditional likelihood ratio over slots: r / mean_slots(r).
-
-    Each row of ``data`` is one tuple; row by row this is
-    ``conditional_lr_iid`` expanded to every slot.
-    """
-    r = _ratio_matrix(data, ratio)
-    means = r.mean(axis=1, keepdims=True)
-    if (means == 0).any():
-        raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
-    return r / means
-
-
-def conditional_lr_weights(
-    orbit: Orbit, weights: Union[OrbitWeights, Mapping[float, float]]
-) -> LikelihoodRatioProfile:
-    """Likelihood-ratio profile from explicit per-slot orbit masses.
-
-    lr(v) = m * w(v) where m is the orbit size and w(v) the per-slot mass.
-    Raises InvalidWeightsError when masses are negative, missing an orbit
-    value, or fail to normalize within 1e-9.
-    """
-    mapping = weights.weights if isinstance(weights, OrbitWeights) else weights
-    w = []
-    for v in orbit.values:
-        if v not in mapping:
-            raise InvalidWeightsError(f"no mass supplied for orbit value {v!r}")
-        mass = float(mapping[v])
-        if not math.isfinite(mass) or mass < 0.0:
-            raise InvalidWeightsError(f"mass at {v!r} must be finite and >= 0, got {mass!r}")
-        w.append(mass)
-    total = sum(c * x for c, x in zip(orbit.counts, w))
-    if abs(total - 1.0) > ORBIT_MEAN_TOL:
-        raise InvalidWeightsError(f"slot masses sum to {total!r}, not 1")
-    m = orbit.size
-    # renormalize the residual (< 1e-9) so the profile invariant holds exactly
-    return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(m * x / total for x in w))
-
-
 def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile:
     """Resolve an alternative against a tuple and build its LR profile."""
     vals = tuple_values(data)
-    concrete = resolve_alternative(alt, vals[:-1])
-    if isinstance(concrete, IidRatio):
-        return conditional_lr_iid(vals, concrete.ratio)
-    return conditional_lr_weights(orbit_of(vals), concrete)
+    return conditional_lr_iid(vals, resolve_alternative(alt, vals[:-1]).ratio)
 
 
 # ---------------------------------------------------------------------------

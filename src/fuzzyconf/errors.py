@@ -14,10 +14,6 @@ class AllZeroRatioError(FuzzyconfError):
     alternative puts no mass anywhere on the orbit."""
 
 
-class InvalidWeightsError(FuzzyconfError, ValueError):
-    """Orbit weights are negative, incomplete, or do not sum to one."""
-
-
 class NormalizationFailureError(FuzzyconfError):
     """No normalization constant makes the shaped e-value exact."""
 

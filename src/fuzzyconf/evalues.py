@@ -12,13 +12,18 @@ function of the likelihood ratio within a profile. Log utility returns the
 likelihood ratio itself; a power utility returns a normalized power of it;
 the linear-capped (Neyman-Pearson) utility returns the classical
 most-powerful test, taking at most three values {0, k, 1/alpha}.
+
+This per-orbit path is the API and the reference. Fuzzy sets, the command
+line and the Monte-Carlo validators take the same e-values for many tuples
+at once from the sorted-calibration core in ``confidence``, which the tests
+check against ``evalue_at``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -350,84 +355,3 @@ def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> fl
     vals = tuple_values(data)
     prof = profile_for(vals, alt)
     return optimal_evalue(prof, utility).evidence_at(vals[-1])
-
-
-# ---------------------------------------------------------------------------
-# Row engine: the same e-values for many tuples at once
-# ---------------------------------------------------------------------------
-
-
-def _lambda_rows(lr: np.ndarray, *, cap: Optional[float] = None, floor: Optional[float] = None) -> np.ndarray:
-    """Row-wise normalization constants for capped/clipped shapes, in closed form.
-
-    The shaped orbit mean is piecewise linear and monotone in lam, with a
-    breakpoint where each slot meets the cap (floor). The t breakpoints with
-    mean <= 1 (>= 1) are those of the slots at the level at the root, so
-    lam = (m - t * level) / tail[t], or the last breakpoint when no slot is
-    off the level. Infeasible rows raise NormalizationFailureError.
-    """
-    T, m = lr.shape
-    if cap is not None:
-        level, start, at_level, bound = cap, 0.0, np.less_equal, np.maximum
-        s = np.sort(lr, axis=1)[:, ::-1]  # descending: capped slots lead
-    else:
-        level, start, at_level, bound = floor, math.inf, np.greater_equal, np.minimum
-        s = np.sort(lr, axis=1)  # ascending: floored slots lead
-
-    # tails[:, t] = sum of s[:, t:], summed directly: total - prefix cancels
-    # when one slot dominates; tails[:, m] = 0
-    tails = np.zeros((T, m + 1))
-    np.cumsum(s[:, ::-1], axis=1, out=tails[:, m - 1::-1])
-    rows = np.arange(T)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        brk = np.divide(level, s, out=s)  # in place: s is not needed again
-        # m times the mean at each breakpoint; NaN at zero slots under the cap
-        t = at_level(np.arange(m) * level + brk * tails[:, :m], m).sum(axis=1)
-        tail = tails[rows, t]
-        near = np.where(t > 0, brk[rows, t - 1], start)  # breakpoint t - 1
-        # the segment's line holds t slots at the level and lets the rest pass
-        # it, so it bounds m * mean from above (cap) or below (floor): its root
-        # errs toward breakpoint t - 1, and bounding by it undoes a miscount
-        lam = np.where(tail > 0.0, bound((m - t * level) / tail, near), near)
-
-    shape = capped_shape(cap) if cap is not None else clipped_shape(floor)
-    residual = np.abs(shape(lam[:, None], lr).mean(axis=1) - 1.0)
-    if not (residual <= EXACTNESS_TOL).all():
-        raise NormalizationFailureError(
-            f"orbit mean misses 1 by {residual.max():.3g}; the shaped e-value is infeasible")
-    return lam
-
-
-def evalue_rows(lr: np.ndarray, utility: UtilitySpec) -> np.ndarray:
-    """Optimal e-value at the final slot, one value per row of ``lr``.
-
-    Row-wise identical to ``optimal_evalue`` followed by ``evidence_at`` on
-    the final element; slot-level comparisons make tie handling exact.
-    """
-    m = lr.shape[1]
-    last = lr[:, -1]
-    if isinstance(utility, Log):
-        return last.copy()
-    if isinstance(utility, Power):
-        s = 1.0 / (1.0 - utility.h)
-        with np.errstate(divide="ignore"):
-            ll = s * np.log(lr)  # -inf at zero ratios, which exp maps back to 0
-        # log-mean-exp shifted by the row maximum, finite since lr has mean 1
-        top = ll.max(axis=1, keepdims=True)
-        denom = top[:, 0] + np.log(np.exp(ll - top).mean(axis=1))
-        return np.exp(ll[:, -1] - denom)
-    if isinstance(utility, NeymanPearson):
-        alpha = utility.alpha
-        gt = (lr > last[:, None]).sum(axis=1)
-        eq = (lr == last[:, None]).sum(axis=1)
-        am = alpha * m
-        boundary = (1.0 - gt / am) * (m / eq)
-        return np.where(gt + eq < am, 1.0 / alpha, np.where(gt < am, boundary, 0.0))
-    if isinstance(utility, BoundedLog):
-        cap = 1.0 / utility.alpha
-        return np.minimum(_lambda_rows(lr, cap=cap) * last, cap)
-    if isinstance(utility, ClippedLog):
-        return np.maximum(_lambda_rows(lr, floor=utility.b) * last, utility.b)
-    if isinstance(utility, Dampened):
-        return utility.b + (1.0 - utility.b) * evalue_rows(lr, utility.inner)
-    raise TypeError(f"unknown utility {utility!r}")

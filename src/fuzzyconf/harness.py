@@ -14,12 +14,14 @@ Everything the library guarantees is checked here at desk scale:
 
 Trial streams come from the seeded Philox generator: a fixed (seed,
 trials) configuration reproduces the same matrix, and for some models a
-longer run extends a shorter one (see ``sample_matrix``). The validity,
-coverage and post-hoc validators take every e-value from ``evalue_rows`` on
-one matrix of trials; kernel alternatives resolve, and form their
-likelihood ratios, trial by trial before joining it. The decision-risk
-validator inverts every trial over the support with ``grid_evidence``. The
-suite checks both against the scalar per-orbit ``evalue_at``.
+longer run extends a shorter one (see ``sample_matrix``). Every validator
+takes its e-values from the sorted-calibration core of ``confidence``, the
+one that builds fuzzy sets: the validity, coverage and post-hoc validators
+on one matrix of ratios, each trial's final slot against its own
+calibration, and the decision-risk validator by inverting every trial over
+the support with ``grid_evidence``. Kernel alternatives resolve, and
+evaluate their ratios, trial by trial before joining the matrix. The suite
+checks both shapes against the scalar per-orbit ``evalue_at``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ import numpy as np
 from .alternatives import (
     AlternativeSpec,
     IidRatio,
-    KernelAlternative,
     LikelihoodRatioProfile,
-    lr_matrix,
+    _ratio_matrix,
     resolve_alternative,
 )
-from .confidence import grid_evidence
+from .confidence import _final_slot_evidence, grid_evidence
 from .decisions import DecisionProblem
 from .errors import ZeroDensityError
 from .evalues import (
@@ -51,7 +52,6 @@ from .evalues import (
     NeymanPearson,
     Power,
     UtilitySpec,
-    evalue_rows,
 )
 from .orbits import TupleLike, tuple_values
 
@@ -201,15 +201,20 @@ def sample_finite_matrix(config: McConfig, n_points: int) -> tuple[np.ndarray, n
 
 
 def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
-    """E-value of each row's final slot; kernels resolve against each row's calibration."""
+    """E-value of each row's final slot, the rest of the row its calibration.
+
+    The ratio is checked on the whole (T, n + 1) matrix, naming the first bad
+    entry; kernels resolve against each row's calibration and evaluate their
+    ratios row by row. One call to the sorted-calibration core then shapes
+    every row, raising AllZeroRatioError or NormalizationFailureError if any
+    row fails.
+    """
     if isinstance(alt, IidRatio):
-        return evalue_rows(lr_matrix(data, alt.ratio), utility)
-    if isinstance(alt, KernelAlternative):
+        r = _ratio_matrix(data, alt.ratio)
+    else:
         concrete = [resolve_alternative(alt, row[:-1]) for row in data]
-        if all(isinstance(c, IidRatio) for c in concrete):
-            lr = np.vstack([lr_matrix(row[None], c.ratio) for row, c in zip(data, concrete)])
-            return evalue_rows(lr, utility)
-    raise TypeError("Monte-Carlo validation needs an IidRatio, or a kernel resolving to one")
+        r = np.vstack([_ratio_matrix(row[None], c.ratio) for row, c in zip(data, concrete)])
+    return _final_slot_evidence(r[:, :-1], r[:, -1:], utility)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +251,22 @@ def mc_validate_coverage(
 
 
 def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
-    """The smallest level excluding each realization: alpha~ = 1/evidence."""
-    with np.errstate(divide="ignore"):
-        return np.where(e > 0.0, 1.0 / e, np.inf)
+    """The smallest level excluding each realization: alpha~ = 1/evidence.
+
+    The validators exclude at a level a when e >= 1/a in floats. The floats
+    a meeting that form an up-set, and 1/e can round to either side of its
+    least member, so each level walks there one float step at a time. Zero
+    evidence gets the infinite level, never excluded.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(e > 0.0, 1.0 / e, np.inf)
+        while True:
+            below = np.nextafter(a, 0.0)
+            down = (below < a) & (1.0 / below <= e)
+            up = 1.0 / a > e
+            if not (down.any() or up.any()):
+                return a
+            a = np.where(down, below, np.where(up, np.nextafter(a, np.inf), a))
 
 
 def mc_validate_posthoc(

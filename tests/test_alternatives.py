@@ -7,10 +7,8 @@ from hypothesis import given, strategies as st
 from fuzzyconf.alternatives import (
     IidRatio,
     LikelihoodRatioProfile,
-    OrbitWeights,
     ar1_kernel,
     conditional_lr_iid,
-    conditional_lr_weights,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
     gaussian_scale_ratio,
@@ -18,9 +16,8 @@ from fuzzyconf.alternatives import (
     profile_for,
     resolve_alternative,
 )
-from fuzzyconf.errors import AllZeroRatioError, InvalidWeightsError
+from fuzzyconf.errors import AllZeroRatioError
 from fuzzyconf.harness import brute_force_conditional_lr
-from fuzzyconf.orbits import orbit_of
 
 
 def test_constant_ratio_gives_unit_lr():
@@ -84,35 +81,6 @@ def test_degenerate_orbit_unit_lr():
     assert prof.lr == (1.0,)
 
 
-def test_lr_weights_uniform():
-    orb = orbit_of((1, 2, 3))
-    prof = conditional_lr_weights(orb, {1.0: 1 / 3, 2.0: 1 / 3, 3.0: 1 / 3})
-    assert prof.lr == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
-
-
-def test_lr_weights_point_mass():
-    orb = orbit_of((1, 2, 3))
-    prof = conditional_lr_weights(orb, OrbitWeights({1.0: 0.0, 2.0: 0.0, 3.0: 1.0}))
-    assert prof.lr == pytest.approx((0.0, 0.0, 3.0), abs=1e-12)
-
-
-def test_lr_weights_with_multiplicity():
-    orb = orbit_of((1, 1, 4))
-    prof = conditional_lr_weights(orb, {1.0: 1 / 6, 4.0: 2 / 3})
-    assert prof.lr == pytest.approx((0.5, 2.0), abs=1e-9)
-    assert prof.orbit_mean() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lr_weights_validation():
-    orb = orbit_of((1, 2, 3))
-    with pytest.raises(InvalidWeightsError):
-        conditional_lr_weights(orb, {1.0: 0.5, 2.0: 0.5})  # missing value
-    with pytest.raises(InvalidWeightsError):
-        conditional_lr_weights(orb, {1.0: -0.1, 2.0: 0.6, 3.0: 0.5})
-    with pytest.raises(InvalidWeightsError):
-        conditional_lr_weights(orb, {1.0: 0.5, 2.0: 0.5, 3.0: 0.5})  # sums to 1.5
-
-
 def test_profile_invariant_enforced():
     with pytest.raises(ValueError):
         LikelihoodRatioProfile((1.0, 2.0), (1, 1), (1.0, 1.5))  # mean 1.25
@@ -161,8 +129,11 @@ def test_scale_ratio_formula():
 def test_profile_for_dispatches():
     prof = profile_for((1, 2, 3), IidRatio(lambda z: z))
     assert prof.lr_at(3.0) == pytest.approx(1.5)
-    prof2 = profile_for((1, 2, 3), OrbitWeights({1.0: 0.2, 2.0: 0.3, 3.0: 0.5}))
+    kern = kernel_alternative(lambda z_n: IidRatio(lambda z, c=z_n[-1]: abs(z - c)))
+    prof2 = profile_for((1, 2, 3), kern)  # resolved against (1, 2): ratios (1, 0, 1)
     assert prof2.lr_at(3.0) == pytest.approx(1.5)
+    with pytest.raises(TypeError):
+        profile_for((1, 2, 3), {1.0: 0.2, 2.0: 0.3, 3.0: 0.5})
 
 
 def test_kernel_exactness_is_conditional_on_calibration():

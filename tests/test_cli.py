@@ -268,7 +268,8 @@ _SCALAR_PATH = ("evalue_at", "optimal_evalue", "normalization_lambda", "np_thres
 
 
 def test_cli_evidence_comes_only_from_the_row_engine(tmp_path, monkeypatch):
-    # the per-orbit functions are the reference; no command may fall back to them
+    # the per-orbit functions are the reference; every command takes its evidence
+    # from the sorted-calibration core and none may fall back to them
     def scalar_path(*args, **kwargs):
         raise AssertionError("the scalar per-orbit path ran under the command line")
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
-    OrbitWeights,
     ar1_kernel,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
@@ -27,17 +26,16 @@ from fuzzyconf.confidence import (
     smallest_exclusion_level,
     sublevel_set,
 )
-from fuzzyconf.errors import DomainError, FuzzyconfError
+from fuzzyconf.errors import AllZeroRatioError, DomainError, FuzzyconfError
 from fuzzyconf.evalues import (
     BoundedLog,
     Dampened,
     Log,
     NeymanPearson,
     evalue_at,
-    evalue_rows,
     np_threshold,
 )
-from fuzzyconf.alternatives import conditional_lr_iid, lr_matrix
+from fuzzyconf.alternatives import conditional_lr_iid
 
 
 def test_grid_from_spec_divisible():
@@ -176,37 +174,56 @@ def _is_np(utility):
         isinstance(utility, Dampened) and isinstance(utility.inner, NeymanPearson))
 
 
-def _keeps_order(raw, lr):
-    # no two distinct ratios of a row share one likelihood ratio
-    return all(len(set(r.tolist())) == len(set(x.tolist())) for r, x in zip(raw, lr))
+def _np_on_ratios(raw, utility):
+    # the NP e-value at each row's final slot, counted on the raw ratios
+    b, np_u = (utility.b, utility.inner) if isinstance(utility, Dampened) else (0.0, utility)
+    m, am, last = raw.shape[1], np_u.alpha * raw.shape[1], raw[:, -1:]
+    gt, eq = (raw > last).sum(axis=1), (raw == last).sum(axis=1)
+    boundary = (1.0 - gt / am) * (m / eq)
+    e = np.where(gt + eq < am, 1.0 / np_u.alpha, np.where(gt < am, boundary, 0.0))
+    return b + (1.0 - b) * e if b else e
+
+
+def _keeps_order(row, ratio):
+    # no two distinct ratios of the tuple share one likelihood ratio
+    prof = conditional_lr_iid(tuple(row), ratio)
+    return len(set(prof.lr)) == len({float(ratio(v)) for v in prof.values})
 
 
 @given(case=grid_cases())
 @example(case=([[1.0, -1.0]], (-0.5, 0.5, 1.0), ADJACENT, NeymanPearson(0.1)))
 @settings(max_examples=600, deadline=None)
 def test_grid_evidence_matches_row_engine(case):
+    # the core against the scalar evalue_at, point by point and row by row
     rows, points, alt, utility = case
     rows = np.array(rows)
-    T = rows.shape[0]
-    augmented = [np.column_stack([rows, np.full(T, z)]) for z in points]
-    try:
-        want = np.column_stack([evalue_rows(lr_matrix(aug, alt.ratio), utility) for aug in augmented])
-    except FuzzyconfError as exc:
-        with pytest.raises(FuzzyconfError) as raised:
-            grid_evidence(rows, points, alt.ratio, utility)
-        assert type(raised.value) is type(exc)
-        return
+    want = np.empty((rows.shape[0], len(points)))
+    for g, z in enumerate(points):
+        errors = []
+        for t, row in enumerate(rows):
+            try:
+                want[t, g] = evalue_at(tuple(row) + (z,), alt, utility)
+            except FuzzyconfError as exc:
+                errors.append(exc)
+        if errors:
+            # the lowest failing point decides; an all-zero tuple comes first
+            kinds = {type(e) for e in errors}
+            with pytest.raises(FuzzyconfError) as raised:
+                grid_evidence(rows, points, alt.ratio, utility)
+            assert type(raised.value) is (
+                AllZeroRatioError if AllZeroRatioError in kinds else type(errors[0]))
+            return
     got = grid_evidence(rows, points, alt.ratio, utility)
     if _is_np(utility):
-        # NP compares ratios, which need no normalising: on the raw ratios the
-        # row engine counts in exact order. Dividing by the row mean can round
+        # NP compares ratios, which need no normalising: the core counts on
+        # the raw ratios in exact order. Dividing by the tuple mean can round
         # two adjacent ratios to one value (the pinned example: 2.0 and the
-        # float below it over the mean 1.5), and the tie it makes is not in the
-        # likelihood ratio, which is r / mean in exact arithmetic.
+        # float below it over the mean 1.5), and the tie it makes is not in
+        # the likelihood ratio, which is r / mean in exact arithmetic.
+        augmented = [np.column_stack([rows, np.full(len(rows), z)]) for z in points]
         raw = [np.vectorize(alt.ratio, otypes=[float])(aug) for aug in augmented]
-        exact = np.column_stack([evalue_rows(r, utility) for r in raw])
-        assert np.array_equal(got, exact)
-        if all(_keeps_order(r, lr_matrix(aug, alt.ratio)) for r, aug in zip(raw, augmented)):
+        assert np.array_equal(got, np.column_stack([_np_on_ratios(r, utility) for r in raw]))
+        if all(_keeps_order(row, alt.ratio) for aug in augmented for row in aug):
             assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
@@ -214,14 +231,14 @@ def test_grid_evidence_matches_row_engine(case):
 
 def test_grid_evidence_counts_adjacent_ratios_in_exact_order():
     # tuple (1.0, -1.0, 0.5) has ratios (2.0, 0.5, BELOW_TWO), mean 1.5
-    aug = np.array([[1.0, -1.0, 0.5]])
-    lr = lr_matrix(aug, ADJACENT.ratio)
-    assert lr[0, 0] == lr[0, 2]  # the division merged them
-    got = grid_evidence(aug[:, :2], (0.5,), ADJACENT.ratio, NeymanPearson(0.1))
+    aug = (1.0, -1.0, 0.5)
+    prof = conditional_lr_iid(aug, ADJACENT.ratio)
+    assert prof.lr_at(1.0) == prof.lr_at(0.5)  # the division merged them
+    got = grid_evidence(np.array([aug[:2]]), (0.5,), ADJACENT.ratio, NeymanPearson(0.1))
     # z's ratio is strictly below one other slot: gt = 1 >= alpha * m = 0.3
     assert got[0, 0] == 0.0
     # the merged count shares the boundary mass between the pair instead
-    assert evalue_rows(lr, NeymanPearson(0.1))[0] == 1.5
+    assert evalue_at(aug, ADJACENT, NeymanPearson(0.1)) == 1.5
 
 
 def test_fuzzy_set_evaluates_the_ratio_once_per_value():
@@ -336,12 +353,3 @@ def test_fuzzy_set_rejects_empty_calibration():
     grid = PlugInGrid.from_points((0.0, 1.0))
     with pytest.raises(ValueError):
         fuzzy_set((), grid, IidRatio(lambda z: 1.0), Log())
-
-
-def test_fuzzy_set_rejects_orbit_weights():
-    # one mapping is exact on every augmented orbit only if it weighs all
-    # grid points alike, which leaves nothing to invert
-    grid = PlugInGrid.from_points((0.0, 1.0))
-    weights = OrbitWeights({0.0: 0.25, 1.0: 0.25, 2.0: 0.25})
-    with pytest.raises(TypeError):
-        fuzzy_set((2.0, 2.0), grid, weights, Log())

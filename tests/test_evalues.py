@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzyconf.alternatives import (
-    IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, lr_matrix, resolve_alternative,
-)
+from fuzzyconf.alternatives import IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid
 from fuzzyconf.confidence import PlugInGrid, fuzzy_set
 from fuzzyconf.errors import NormalizationFailureError
 from fuzzyconf.evalues import (
@@ -20,12 +18,12 @@ from fuzzyconf.evalues import (
     capped_shape,
     clipped_shape,
     evalue_at,
-    evalue_rows,
     normalization_lambda,
     np_threshold,
     optimal_evalue,
     utility_id,
 )
+from fuzzyconf.harness import evalues_for
 
 LRP = LikelihoodRatioProfile
 
@@ -240,8 +238,7 @@ def test_rows_lambda_exact_when_one_slot_dominates():
     # as total - prefix lost ~2e-12 of the small tail
     calib, z, utility = (3.5, -3.0), 0.0, BoundedLog(0.5)
     kern = ar1_kernel(0.0, 0.5, 3.5)
-    ratio = resolve_alternative(kern, calib).ratio
-    got = evalue_rows(lr_matrix(np.array([calib + (z,)]), ratio), utility)[0]
+    got = evalues_for(np.array([calib + (z,)]), kern, utility)[0]
     want = evalue_at(calib + (z,), kern, utility)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -251,7 +248,7 @@ def test_rows_bounded_log_boundary_feasible():
     # capped mean sums to 1 - 1ulp in slot order
     data = (0.0,) * 5 + (0.5,) * 6 + (0.0,)
     alt = IidRatio(lambda z: max(z, 0.0))
-    got = evalue_rows(lr_matrix(np.array([data]), alt.ratio), BoundedLog(0.5))
+    got = evalues_for(np.array([data]), alt, BoundedLog(0.5))
     assert got.tolist() == [0.0]
     assert evalue_at(data, alt, BoundedLog(0.5)) == 0.0
 
@@ -304,10 +301,12 @@ def test_rows_lambda_matches_scalar_at_breakpoints(case):
     r = np.asarray(ratios)
     lr = r / r.mean()
     prof = LRP(tuple(range(lr.size)), (1,) * lr.size, tuple(lr))
+    # the production core on the row, its ratios the likelihood ratios themselves
+    row, identity = lr[None, :], IidRatio(lambda z: z)
     try:
         want = optimal_evalue(prof, utility).evidence[-1]
     except NormalizationFailureError:
         with pytest.raises(NormalizationFailureError):
-            evalue_rows(lr[None, :], utility)
+            evalues_for(row, identity, utility)
         return
-    assert evalue_rows(lr[None, :], utility)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert evalues_for(row, identity, utility)[0] == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -5,16 +5,18 @@ import pytest
 
 from fuzzyconf.alternatives import (
     IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, gaussian_composite_kernel,
-    kernel_alternative, lr_matrix,
+    gaussian_scale_ratio, kernel_alternative,
 )
+from fuzzyconf.cli import main
 from fuzzyconf.decisions import DecisionProblem
-from fuzzyconf.errors import ZeroDensityError
+from fuzzyconf.errors import AllZeroRatioError, NormalizationFailureError, ZeroDensityError
 from fuzzyconf.evalues import (
     BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power,
-    evalue_at, evalue_rows, optimal_evalue, utility_id,
+    evalue_at, optimal_evalue, utility_id,
 )
 from fuzzyconf.harness import (
     McConfig,
+    adversarial_level_rule,
     brute_force_conditional_lr,
     classical_conformal_membership,
     conformal_pvalue,
@@ -243,6 +245,25 @@ def test_posthoc_with_fixed_level_rule():
     assert report.passed
 
 
+def test_adversarial_level_excludes_its_own_realization():
+    # 1/(1/e) rounds above e for about 6% of floats; at the level 1/e such a
+    # realization was not excluded, and its stat counted 0 instead of 1/level
+    rng = np.random.default_rng(8)
+    e = np.concatenate([rng.uniform(0.0, 30.0, 50_000), np.exp(rng.uniform(-700.0, 700.0, 50_000)),
+                        [0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 20.0, 1.7976931348623157e308]])
+    level = adversarial_level_rule(e)
+    with np.errstate(divide="ignore", over="ignore"):
+        assert (e >= 1.0 / level).all()
+        assert (1.0 / np.nextafter(level, 0.0) > e).all()  # and no smaller level does
+    assert (level[e == 0.0] == math.inf).all()
+    # so every trial is excluded at its level, and the stats average the e-values
+    cfg = McConfig(trials=20_000, seed=77, model="exchangeable-mixture", params={})
+    alt, utility = gaussian_scale_ratio(0.0, 1.0, 3.5), ClippedLog(0.1)
+    report = mc_validate_posthoc(cfg, alt, utility, 20)
+    mean_e = evalues_for(sample_matrix(cfg, 21), alt, utility).mean()
+    assert report.estimate == pytest.approx(mean_e, rel=1e-12, abs=0.0)
+
+
 def test_kernel_alternative_loops_per_trial():
     cfg = McConfig(trials=1000, seed=3, model="iid-gaussian", params={"mu": 0, "sigma": 1})
     data = sample_matrix(cfg, 4)
@@ -251,7 +272,7 @@ def test_kernel_alternative_loops_per_trial():
     got = evalues_for(data, kern, Log())
     want = np.array([evalue_at(row, kern, Log()) for row in data])
     assert np.allclose(got, want, atol=1e-12)
-    # the built-in kernels through the row engine against the scalar loop
+    # the built-in kernels through the sorted-calibration core against the scalar loop
     for kern in (ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5)):
         for utility in (Log(), NeymanPearson(0.1), BoundedLog(0.05), ClippedLog(0.1)):
             got = evalues_for(data, kern, utility)
@@ -277,7 +298,7 @@ def test_vector_scalar_np_agreement_at_integer_boundaries():
             data_row = tuple(v for v in vals if v != last) + tuple(
                 v for v in vals if v == last)
             ratio = lambda z: z
-            vec = evalue_rows(lr_matrix(np.array([data_row]), ratio), NeymanPearson(alpha))[0]
+            vec = evalues_for(np.array([data_row]), IidRatio(ratio), NeymanPearson(alpha))[0]
             scal = evalue_at(data_row, IidRatio(ratio), NeymanPearson(alpha))
             assert vec == pytest.approx(scal, abs=1e-12), (vals, alpha, last)
 
@@ -288,14 +309,41 @@ def test_vector_rows_match_scalar_with_ties_and_zeros():
     ratio = lambda z: np.maximum(z, 0.0)  # exact zeros for z <= 0
     rows_ok = np.asarray([np.maximum(row, 0).sum() > 0 for row in data])
     data = data[rows_ok]
-    alt = IidRatio(ratio)
-    utilities = [Log(), Power(-1.0), Power(0.8), NeymanPearson(0.3),
-                 BoundedLog(0.1), ClippedLog(0.4), Dampened(0.3, BoundedLog(0.2))]
-    lrm = lr_matrix(data, ratio)
-    for utility in utilities:
-        vec = evalue_rows(lrm, utility)
-        scal = np.array([evalue_at(row, alt, utility) for row in data])
-        assert np.allclose(vec, scal, atol=1e-9), utility_id(utility)
+    extreme = data.copy()  # the scale ratio is about 1e179 at +-30
+    extreme[::3, -1], extreme[1::3, 0], extreme[2::5, 2] = 30.0, -30.0, 30.0
+    cases = [(data, IidRatio(ratio)), (extreme, gaussian_scale_ratio(0.0, 1.0, 3.5)),
+             (data, ar1_kernel(0.0, 0.5, 3.5)), (data, gaussian_composite_kernel(1.0, 3.5))]
+    utilities = [Log(), Power(-1.0), Power(0.8), Power(0.99), NeymanPearson(0.3),
+                 BoundedLog(0.1), BoundedLog(1 / data.shape[1]), ClippedLog(0.4),
+                 Dampened(0.3, BoundedLog(0.2))]
+    for rows, alt in cases:
+        for utility in utilities:
+            vec = evalues_for(rows, alt, utility)
+            scal = np.array([evalue_at(row, alt, utility) for row in rows])
+            assert np.allclose(vec, scal, atol=1e-9), (alt.name, utility_id(utility))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")  # the ratio overflows by design
+def test_mc_path_error_parity(capsys):
+    # a ratio infinite on a sample is named at its first entry in row order
+    code = main(["validate", "--check", "evalue", "--model", "iid-gaussian",
+                 "--ratio", "gaussian-scale:0:0.01:1", "--utility", "log",
+                 "--n", "5", "--trials", "1000", "--seed", "7"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ratio is infinite at z=-1.7496944402112695; cap the ratio (infinite "
+        "evidence is expressed through the utility, not the alternative)\n")
+    # one positive slot of 8 capped at 2 reaches a mean of 1/4 at most
+    identity = IidRatio(lambda z: z)
+    infeasible = [0.0] * 7 + [1.0]
+    with pytest.raises(NormalizationFailureError):
+        evalues_for(np.array([infeasible]), identity, BoundedLog(0.5))
+    # an all-zero tuple is reported before an infeasible one
+    with pytest.raises(AllZeroRatioError):
+        evalues_for(np.array([infeasible, [0.0] * 8]), identity, BoundedLog(0.5))
+    # a tuple needs a calibration slot before its final one, as on a grid
+    with pytest.raises(ValueError, match="at least one value"):
+        evalues_for(np.array([[1.0], [2.0]]), identity, Log())
 
 
 # -- decision-risk validators --------------------------------------------------
