@@ -120,7 +120,9 @@ def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> IidRatio:
         if seen > 32:
             raise ValueError("kernel alternative did not resolve (builder loop)")
     if not isinstance(alt, IidRatio):
-        raise TypeError(f"builder returned {type(alt).__name__}, not an alternative spec")
+        if seen:
+            raise TypeError(f"builder returned {type(alt).__name__}, not an alternative spec")
+        raise TypeError(f"expected an IidRatio or KernelAlternative, got {type(alt).__name__}")
     return alt
 
 

@@ -16,7 +16,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -390,14 +390,52 @@ def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: Uti
     raise TypeError(f"unknown utility {utility!r}")
 
 
-def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray, utility: UtilitySpec) -> np.ndarray:
-    """Evidence (T, G) at the final slot of each tuple (calibration row, z).
+class _Failures(NamedTuple):
+    """Per grid column: does some tuple's ratio vanish on every slot, does
+    some shaped e-value miss exactness, and the largest exactness residual;
+    plus the error of a bad grid ratio, raised after the columns before it.
+
+    Summaries of row blocks merge into the summary of their union, so a run
+    that evaluates its rows in blocks raises what one call on every row
+    would.
+    """
+
+    zero: np.ndarray
+    infeasible: np.ndarray
+    residual: np.ndarray
+    after: Optional[ValueError] = None
+
+    def any(self) -> bool:
+        return bool(self.zero.any() or self.infeasible.any()) or self.after is not None
+
+    def merge(self, other: "_Failures") -> "_Failures":
+        return _Failures(self.zero | other.zero, self.infeasible | other.infeasible,
+                         np.maximum(self.residual, other.residual), self.after or other.after)
+
+    def raise_first(self) -> None:
+        """Raise for the lowest failing column, all-zero before infeasible."""
+        failed = self.zero | self.infeasible
+        if failed.any():
+            g = int(np.argmax(failed))
+            if self.zero[g]:
+                raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
+            raise NormalizationFailureError(
+                f"orbit mean misses 1 by {self.residual[g]:.3g}; the shaped e-value is infeasible")
+        if self.after is not None:
+            raise self.after
+
+
+def _final_slot_evidence(
+    cal: np.ndarray, rz: np.ndarray, utility: UtilitySpec
+) -> tuple[np.ndarray, _Failures]:
+    """Evidence (T, G) at the final slot of each tuple (calibration row, z),
+    and the failures its caller raises with ``raise_first``.
 
     ``cal`` (T, n) holds the calibration ratios; ``rz`` the final slot's, as
     (1, G) for one grid shared by every row or (T, 1) for each row's own
     final slot. Comparisons are on the ratios themselves, so ties are exact.
-    Raises for the lowest column holding a failing tuple: one whose ratio
-    vanishes on every slot, or whose shaped e-value no constant makes exact.
+    A failing tuple is one whose ratio vanishes on every slot, or whose
+    shaped e-value no constant makes exact.
     """
     if cal.shape[1] < 1:
         raise ValueError("calibration rows must hold at least one value")
@@ -405,14 +443,28 @@ def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray, utility: UtilitySpec) 
         mean = (cal.sum(axis=1, keepdims=True) + rz) / (cal.shape[1] + 1)
         ev, residual = _grid_shaped(cal, rz, mean, utility)
     zero = (mean == 0.0).any(axis=0)
-    failed = zero if residual is None else zero | ~(residual <= EXACTNESS_TOL).all(axis=0)
-    if failed.any():
-        g = int(np.argmax(failed))
-        if zero[g]:
-            raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
-        raise NormalizationFailureError(
-            f"orbit mean misses 1 by {residual[:, g].max():.3g}; the shaped e-value is infeasible")
-    return ev
+    if residual is None:
+        return ev, _Failures(zero, np.zeros_like(zero), np.zeros(zero.shape))
+    infeasible = ~(residual <= EXACTNESS_TOL).all(axis=0)
+    return ev, _Failures(zero, infeasible, residual.max(axis=0, initial=0.0))
+
+
+def _grid_evidence(
+    calib_rows: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
+) -> tuple[np.ndarray, _Failures]:
+    """``grid_evidence`` with its failures returned rather than raised; a bad
+    calibration ratio still raises at once. The evidence covers the points
+    before the first bad grid ratio."""
+    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
+    z = np.asarray(points, dtype=float)
+    rz = _ratio_values(z, ratio)
+    bad = ~_ratio_ok(rz)
+    # the points before the first bad ratio are the ones that can fail first
+    first = int(np.argmax(bad)) if bad.any() else z.size
+    ev, failures = _final_slot_evidence(cal, rz[None, :first], utility)
+    if first < z.size:
+        failures = failures._replace(after=_ratio_error(float(rz[first]), float(z[first])))
+    return ev, failures
 
 
 def grid_evidence(
@@ -430,15 +482,8 @@ def grid_evidence(
     A bad calibration ratio raises first; after that the lowest failing grid
     point decides the error, as a per-point loop would.
     """
-    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
-    z = np.asarray(points, dtype=float)
-    rz = _ratio_values(z, ratio)
-    bad = ~_ratio_ok(rz)
-    # the points before the first bad ratio are the ones that can fail first
-    first = int(np.argmax(bad)) if bad.any() else z.size
-    ev = _final_slot_evidence(cal, rz[None, :first], utility)
-    if first < z.size:
-        raise _ratio_error(float(rz[first]), float(z[first]))
+    ev, failures = _grid_evidence(calib_rows, points, ratio, utility)
+    failures.raise_first()
     return ev
 
 

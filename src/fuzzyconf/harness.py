@@ -14,14 +14,17 @@ Everything the library guarantees is checked here at desk scale:
 
 Trial streams come from the seeded Philox generator: a fixed (seed,
 trials) configuration reproduces the same matrix, and for some models a
-longer run extends a shorter one (see ``sample_matrix``). Every validator
-takes its e-values from the sorted-calibration core of ``confidence``, the
-one that builds fuzzy sets: the validity, coverage and post-hoc validators
-on one matrix of ratios, each trial's final slot against its own
-calibration, and the decision-risk validator by inverting every trial over
-the support with ``grid_evidence``. Kernel alternatives resolve, and
-evaluate their ratios, trial by trial before joining the matrix. The suite
-checks both shapes against the scalar per-orbit ``evalue_at``.
+longer run extends a shorter one (see ``sample_matrix``). The validators
+never hold that matrix: they draw the per-trial latents first, then draw and
+evaluate the trials in fixed blocks of rows, keeping one statistic per trial,
+so their memory is O(trials + block * (n + 1)) and their reports equal those
+of one pass over the whole matrix. Every validator takes its e-values from
+the sorted-calibration core of ``confidence``, the one that builds fuzzy
+sets: the validity, coverage and post-hoc validators pass each trial's final
+slot against its own calibration, and the decision-risk validator inverts
+every trial over the support as ``grid_evidence`` does. Kernel alternatives
+resolve, and evaluate their ratios, trial by trial. The suite checks both
+shapes against the scalar per-orbit ``evalue_at``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +43,7 @@ from .alternatives import (
     _ratio_matrix,
     resolve_alternative,
 )
-from .confidence import _final_slot_evidence, grid_evidence
+from .confidence import _Failures, _final_slot_evidence, _grid_evidence
 from .decisions import DecisionProblem
 from .errors import ZeroDensityError
 from .evalues import (
@@ -126,73 +129,108 @@ def _report(check: str, stats: np.ndarray, bound: float, config: McConfig, detai
 # Samplers
 # ---------------------------------------------------------------------------
 
+# Entries per block of trials. The validators hold O(trials) statistics plus
+# one block's arrays, so this bounds their memory whatever the trial count.
+_BLOCK_ELEMENTS = 1 << 17
+
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def _trial_blocks(
+    config: McConfig, n_points: int, width: int = 0
+) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
+    """The trial matrix in consecutive blocks of rows: (rows, values, support
+    indices or None).
+
+    Per-trial latents (the mixture mean, the categorical component) are drawn
+    for every trial first, then each block's noise from the same generator.
+    numpy draws each value from the bit generator's words in turn and buffers
+    nothing between calls, so consecutive blocks continue one stream: they
+    join into the same matrix whatever their size. A block holds at most
+    ``_BLOCK_ELEMENTS`` entries of rows ``max(n_points, width)`` wide, and at
+    least one row.
+    """
+    rng = _generator(config.seed)
+    T, m = config.trials, n_points
+    p = dict(config.params)
+    model = config.model
+    if model == "iid-gaussian":
+        mu, sigma = p.get("mu", 0.0), p.get("sigma", 1.0)
+        draw = lambda a, b: (rng.normal(mu, sigma, size=(b - a, m)), None)
+    elif model == "iid-uniform":
+        lo, hi = p.get("lo", 0.0), p.get("hi", 1.0)
+        draw = lambda a, b: (rng.uniform(lo, hi, size=(b - a, m)), None)
+    elif model == "exchangeable-mixture":
+        # latent per-trial mean, then i.i.d. noise: exchangeable but not i.i.d.
+        theta = rng.normal(p.get("mu", 0.0), p.get("between", 1.0), size=(T, 1))
+        within = p.get("within", 1.0)
+        draw = lambda a, b: (theta[a:b] + rng.normal(0.0, within, size=(b - a, m)), None)
+    elif model == "ar1-gaussian":
+        # unit innovation variance: the one-step conditional law is N(mu_n, 1),
+        # matching the autoregressive interval's closed form exactly
+        mu, rho = p.get("mu", 0.0), p.get("rho", 0.5)
+
+        def draw(a, b):
+            eps = rng.normal(0.0, 1.0, size=(b - a, m))
+            x = np.empty_like(eps)
+            x[:, 0] = mu + eps[:, 0]
+            for j in range(1, m):
+                x[:, j] = mu + rho * (x[:, j - 1] - mu) + eps[:, j]
+            return x, None
+    else:
+        support = np.asarray(p["support"], dtype=float)
+        top = len(support) - 1
+        if model == "iid-categorical":
+            probs = np.asarray(p["probs"], dtype=float)
+            cum = np.cumsum(probs / probs.sum())
+
+            def draw(a, b):
+                idx = np.searchsorted(cum, rng.random(size=(b - a, m)), side="right").clip(max=top)
+                return support[idx], idx
+        else:
+            # draw a latent component per trial, then i.i.d. from its pmf
+            comps = [np.asarray(c, dtype=float) for c in p["component_probs"]]
+            weights = np.asarray(p.get("weights", [1.0 / len(comps)] * len(comps)), dtype=float)
+            wcum = np.cumsum(weights / weights.sum())
+            comp = np.searchsorted(wcum, rng.random(size=T), side="right").clip(max=len(comps) - 1)
+            cums = [np.cumsum(c / c.sum()) for c in comps]
+
+            def draw(a, b):
+                u = rng.random(size=(b - a, m))
+                idx = np.empty((b - a, m), dtype=np.int64)
+                for ci, cum in enumerate(cums):
+                    rows = comp[a:b] == ci
+                    if rows.any():
+                        idx[rows] = np.searchsorted(cum, u[rows], side="right").clip(max=top)
+                return support[idx], idx
+    step = max(1, _BLOCK_ELEMENTS // max(m, width, 1))
+    for a in range(0, T, step):
+        b = min(a + step, T)
+        yield (slice(a, b), *draw(a, b))
+
+
 def sample_matrix(config: McConfig, n_points: int) -> np.ndarray:
     """Draw a (trials, n_points) matrix; rows are independent trials.
 
-    Draw order is fixed per model, so row t is fixed for a fixed (seed,
+    The matrix joins the blocks the validators draw and evaluate one at a
+    time. Draw order is fixed per model, so row t is fixed for a fixed (seed,
     trials). Only ``iid-gaussian``, ``iid-uniform``, ``iid-categorical`` and
     ``ar1-gaussian`` draw the matrix row by row in one stream, so that the
     first rows of a longer run equal a shorter run; the mixtures draw a
     latent value per trial first, which shifts every later draw.
     """
-    rng = _generator(config.seed)
-    T, m = config.trials, n_points
-    p = dict(config.params)
-    if config.model == "iid-gaussian":
-        return rng.normal(p.get("mu", 0.0), p.get("sigma", 1.0), size=(T, m))
-    if config.model == "iid-uniform":
-        return rng.uniform(p.get("lo", 0.0), p.get("hi", 1.0), size=(T, m))
-    if config.model == "exchangeable-mixture":
-        # latent per-trial mean, then i.i.d. noise: exchangeable but not i.i.d.
-        theta = rng.normal(p.get("mu", 0.0), p.get("between", 1.0), size=(T, 1))
-        return theta + rng.normal(0.0, p.get("within", 1.0), size=(T, m))
-    if config.model == "ar1-gaussian":
-        # unit innovation variance: the one-step conditional law is N(mu_n, 1),
-        # matching the autoregressive interval's closed form exactly
-        mu = p.get("mu", 0.0)
-        rho = p.get("rho", 0.5)
-        eps = rng.normal(0.0, 1.0, size=(T, m))
-        x = np.empty((T, m))
-        x[:, 0] = mu + eps[:, 0]
-        for j in range(1, m):
-            x[:, j] = mu + rho * (x[:, j - 1] - mu) + eps[:, j]
-        return x
-    values, _ = sample_finite_matrix(config, n_points)
-    return values
+    return np.concatenate([values for _, values, _ in _trial_blocks(config, n_points)])
 
 
 def sample_finite_matrix(config: McConfig, n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Finite-support models: returns (values, support indices)."""
     if config.model not in FINITE_MODELS:
         raise ValueError(f"{config.model!r} is not a finite-support model")
-    rng = _generator(config.seed)
-    T, m = config.trials, n_points
-    p = dict(config.params)
-    support = np.asarray(p["support"], dtype=float)
-    if config.model == "iid-categorical":
-        probs = np.asarray(p["probs"], dtype=float)
-        cum = np.cumsum(probs / probs.sum())
-        u = rng.random(size=(T, m))
-        idx = np.searchsorted(cum, u, side="right").clip(max=len(support) - 1)
-    else:
-        # draw a latent component per trial, then i.i.d. from its pmf
-        comps = [np.asarray(c, dtype=float) for c in p["component_probs"]]
-        weights = np.asarray(p.get("weights", [1.0 / len(comps)] * len(comps)), dtype=float)
-        wcum = np.cumsum(weights / weights.sum())
-        comp = np.searchsorted(wcum, rng.random(size=T), side="right").clip(max=len(comps) - 1)
-        u = rng.random(size=(T, m))
-        idx = np.empty((T, m), dtype=np.int64)
-        for ci, probs in enumerate(comps):
-            rows = comp == ci
-            if rows.any():
-                cum = np.cumsum(probs / probs.sum())
-                idx[rows] = np.searchsorted(cum, u[rows], side="right").clip(max=len(support) - 1)
-    return support[idx], idx
+    blocks = list(_trial_blocks(config, n_points))
+    return (np.concatenate([values for _, values, _ in blocks]),
+            np.concatenate([idx for _, _, idx in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +238,62 @@ def sample_finite_matrix(config: McConfig, n_points: int) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
-def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
-    """E-value of each row's final slot, the rest of the row its calibration.
-
-    The ratio is checked on the whole (T, n + 1) matrix, naming the first bad
-    entry; kernels resolve against each row's calibration and evaluate their
-    ratios row by row. One call to the sorted-calibration core then shapes
-    every row, raising AllZeroRatioError or NormalizationFailureError if any
-    row fails.
-    """
+def _row_evidence(
+    data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec
+) -> tuple[np.ndarray, _Failures]:
+    # the ratio is checked on every entry, naming the first bad one in row
+    # order; a kernel resolves and evaluates each row before the next
     if isinstance(alt, IidRatio):
         r = _ratio_matrix(data, alt.ratio)
     else:
-        concrete = [resolve_alternative(alt, row[:-1]) for row in data]
-        r = np.vstack([_ratio_matrix(row[None], c.ratio) for row, c in zip(data, concrete)])
-    return _final_slot_evidence(r[:, :-1], r[:, -1:], utility)[:, 0]
+        r = np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
+                       for row in data])
+    ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
+    return ev[:, 0], failures
+
+
+def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
+    """E-value of each row's final slot, the rest of the row its calibration.
+
+    A bad ratio raises naming the first bad entry in row order; kernels
+    resolve against each row's calibration and evaluate their ratios row by
+    row. One call to the sorted-calibration core then shapes every row,
+    raising AllZeroRatioError or NormalizationFailureError if any row fails.
+    The validators run the same steps on each block of trials they draw.
+    """
+    e, failures = _row_evidence(data, alt, utility)
+    failures.raise_first()
+    return e
+
+
+def _evidence_blocks(
+    config: McConfig, n: int, evaluate: Callable, width: int = 0
+) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
+    """(rows, evaluate(values), final-slot support indices or None) for each
+    block of trials with n calibration slots.
+
+    ``evaluate`` raises a bad ratio at once and returns the core's failures,
+    which are raised after the last block; so the first bad ratio in row
+    order wins, then the core's lowest failing column, as in one call on the
+    whole matrix. Blocks after a failure are evaluated but not yielded.
+    """
+    failures = None
+    for rows, values, idx in _trial_blocks(config, n + 1, width):
+        out, found = evaluate(values)
+        failures = found if failures is None else failures.merge(found)
+        if not failures.any():
+            yield rows, out, None if idx is None else idx[:, -1]
+    failures.raise_first()
+
+
+def _trial_evalues(
+    config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int
+) -> np.ndarray:
+    """E-value at every trial's final slot, drawn and evaluated block by block."""
+    e = np.empty(config.trials)
+    for rows, block, _ in _evidence_blocks(config, n, lambda v: _row_evidence(v, alt, utility)):
+        e[rows] = block
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +311,7 @@ def _require_exchangeable(config: McConfig) -> None:
 def mc_validate_evalue(config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int) -> McReport:
     """Validity: the mean e-value at the true future observation is <= 1."""
     _require_exchangeable(config)
-    data = sample_matrix(config, n + 1)
-    e = evalues_for(data, alt, utility)
+    e = _trial_evalues(config, alt, utility, n)
     return _report("evalue-validity", e, 1.0, config, detail=f"n={n}")
 
 
@@ -244,8 +322,7 @@ def mc_validate_coverage(
     _require_exchangeable(config)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    data = sample_matrix(config, n + 1)
-    e = evalues_for(data, alt, utility)
+    e = _trial_evalues(config, alt, utility, n)
     excluded = (e >= 1.0 / alpha).astype(float)
     return _report("coverage", excluded, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
@@ -269,6 +346,16 @@ def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
             a = np.where(down, below, np.where(up, np.nextafter(a, np.inf), a))
 
 
+def _selected_levels(
+    rule: Optional[Callable[[np.ndarray], np.ndarray]], e: np.ndarray
+) -> np.ndarray:
+    rule = rule if rule is not None else adversarial_level_rule
+    atil = np.asarray(rule(e), dtype=float)
+    if (atil <= 0).any():
+        raise ValueError("selection rule produced a nonpositive level")
+    return atil
+
+
 def mc_validate_posthoc(
     config: McConfig,
     alt: AlternativeSpec,
@@ -279,15 +366,12 @@ def mc_validate_posthoc(
     """Post-hoc validity: E[excluded(alpha~)/alpha~] <= 1 for any data-dependent level.
 
     The default rule is the adversarial one, picking for every trial the
-    smallest level at which the realization is excluded.
+    smallest level at which the realization is excluded. The rule sees the
+    e-values of all trials at once.
     """
     _require_exchangeable(config)
-    data = sample_matrix(config, n + 1)
-    e = evalues_for(data, alt, utility)
-    rule = selection_rule if selection_rule is not None else adversarial_level_rule
-    atil = np.asarray(rule(e), dtype=float)
-    if (atil <= 0).any():
-        raise ValueError("selection rule produced a nonpositive level")
+    e = _trial_evalues(config, alt, utility, n)
+    atil = _selected_levels(selection_rule, e)
     with np.errstate(divide="ignore"):
         thr = np.where(np.isinf(atil), 0.0, 1.0 / atil)
     excluded = e >= thr
@@ -323,6 +407,11 @@ def mc_validate_decision_risk(
     E[1{L > R(alpha~)}/alpha~] <= 1 under a data-dependent level rule
     (default adversarial). Empty sublevel sets count as exceedances, which
     only biases the check against passing.
+
+    Each block of trials is inverted over the support with the core of
+    ``grid_evidence``. The post-hoc rule sees every trial's evidence at its
+    realized outcome, so that mode draws the blocks a second time to decide
+    at the selected levels.
     """
     _require_exchangeable(config)
     if config.model not in FINITE_MODELS:
@@ -332,53 +421,52 @@ def mc_validate_decision_risk(
     support = tuple(float(v) for v in np.asarray(dict(config.params)["support"], dtype=float))
     if support != problem.outcomes:
         raise ValueError("the model support must equal the problem's outcomes")
+    if mode not in ("as-if", "weighted", "post-hoc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "as-if" and alpha is None:
+        raise ValueError("as-if mode needs alpha")
 
-    values, idx = sample_finite_matrix(config, n + 1)
-    idx_last = idx[:, -1]
     loss = problem.loss_matrix
-    ev = grid_evidence(values[:, :-1], problem.outcomes, alt.ratio, utility)
-    rows = np.arange(config.trials)
+    stats = np.empty(config.trials)
+
+    def blocks():
+        # a block's (rows, D, G) masked losses count against its budget
+        evaluate = lambda v: _grid_evidence(v[:, :-1], problem.outcomes, alt.ratio, utility)
+        return _evidence_blocks(config, n, evaluate, width=loss.size)
 
     if mode == "as-if":
-        if alpha is None:
-            raise ValueError("as-if mode needs alpha")
-        members = ev < (1.0 / alpha)
-        d, r, empty = _as_if_rows(loss, members)
-        realized = loss[d, idx_last]
-        exceed = (realized > r) | empty
-        return _report("decision-as-if", exceed.astype(float), alpha, config,
-                       detail=f"n={n} alpha={alpha:g}")
+        for rows, ev, last in blocks():
+            d, r, empty = _as_if_rows(loss, ev < (1.0 / alpha))
+            stats[rows] = (loss[d, last] > r) | empty
+        return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
     if mode == "weighted":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weighted = np.where(loss[None, :, :] == 0.0, 0.0, loss[None, :, :] / ev[:, None, :])
-        risks = weighted.max(axis=2)
-        d = np.argmin(risks, axis=1)
-        r = risks[rows, d]
-        if np.isinf(r).any():
+        infinite = False
+        for rows, ev, last in blocks():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weighted = np.where(loss[None, :, :] == 0.0, 0.0, loss[None, :, :] / ev[:, None, :])
+            risks = weighted.max(axis=2)
+            d = np.argmin(risks, axis=1)
+            r = risks[np.arange(len(d)), d]
+            infinite |= bool(np.isinf(r).any())
+            stats[rows] = np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0)
+        if infinite:
             raise ValueError(
                 "some trials have infinite weighted risk for every decision; "
                 "use a clipped or dampened utility"
             )
-        realized = loss[d, idx_last]
-        stats = np.where(r > 0, realized / np.where(r > 0, r, 1.0), 0.0)
         return _report("decision-weighted", stats, 1.0, config, detail=f"n={n}")
 
-    if mode == "post-hoc":
-        e_true = ev[rows, idx_last]
-        rule = selection_rule if selection_rule is not None else adversarial_level_rule
-        atil = np.asarray(rule(e_true), dtype=float)
-        if (atil <= 0).any():
-            raise ValueError("selection rule produced a nonpositive level")
-        thr = np.where(np.isinf(atil), 0.0, 1.0 / atil)
-        members = ev < thr[:, None]
-        d, r, empty = _as_if_rows(loss, members)
-        realized = loss[d, idx_last]
-        exceed = ((realized > r) | empty).astype(float)
-        stats = np.where(np.isinf(atil), 0.0, exceed / atil)
-        return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
-
-    raise ValueError(f"unknown mode {mode!r}")
+    e_true = np.empty(config.trials)
+    for rows, ev, last in blocks():
+        e_true[rows] = ev[np.arange(len(last)), last]
+    atil = _selected_levels(selection_rule, e_true)
+    thr = np.where(np.isinf(atil), 0.0, 1.0 / atil)
+    for rows, ev, last in blocks():
+        d, r, empty = _as_if_rows(loss, ev < thr[rows, None])
+        exceed = ((loss[d, last] > r) | empty).astype(float)
+        stats[rows] = np.where(np.isinf(atil[rows]), 0.0, exceed / atil[rows])
+    return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,10 @@ def test_profile_for_dispatches():
     kern = kernel_alternative(lambda z_n: IidRatio(lambda z, c=z_n[-1]: abs(z - c)))
     prof2 = profile_for((1, 2, 3), kern)  # resolved against (1, 2): ratios (1, 0, 1)
     assert prof2.lr_at(3.0) == pytest.approx(1.5)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^expected an IidRatio or KernelAlternative, got dict$"):
         profile_for((1, 2, 3), {1.0: 0.2, 2.0: 0.3, 3.0: 0.5})
+    with pytest.raises(TypeError, match="^builder returned dict, not an alternative spec$"):
+        profile_for((1, 2, 3), kernel_alternative(lambda z_n: {1.0: 0.2}))
 
 
 def test_kernel_exactness_is_conditional_on_calibration():

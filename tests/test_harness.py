@@ -1,8 +1,11 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fuzzyconf import cli, harness
 from fuzzyconf.alternatives import (
     IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, gaussian_composite_kernel,
     gaussian_scale_ratio, kernel_alternative,
@@ -158,6 +161,107 @@ def test_sampler_reproducibility_claims():
         short = sample_matrix(McConfig(trials=2000, seed=7, model=model, params=MODEL_PARAMS[model]), 4)
         long = sample_matrix(McConfig(trials=4000, seed=7, model=model, params=MODEL_PARAMS[model]), 4)
         assert np.array_equal(short, long[:2000])
+
+
+# sha256 of the values (and int64 support indices) of a 20_011 x 21 draw at
+# seed 2718, as drawn whole before the samplers streamed in blocks
+STREAM_DIGESTS = {
+    "iid-gaussian": ("238bafa91fbdbafd67adc1804126adc02d1291f417bc435f32db44592ac99b35",),
+    "iid-uniform": ("ee793007dee460cc107a33ff7cf4ad1aa1211905b905d56cf42a196c6b78f70a",),
+    "exchangeable-mixture": ("b5b07958336c49c91468976a9ee52e23362a15a70e90b8f5adec3cb666764758",),
+    "ar1-gaussian": ("5629d17387b9379fef62417fff6303e369c0956d58ac5baa5e0d0d350ae4d6ec",),
+    "iid-categorical": ("814dd738407284e12eefbf1cd5c4e9c5479ea85d3299c2b10d99be73d0258d72",
+                        "e049d00976f179c7d6a2a25f10724d0962fed0a02e0e0bacadc81436ba62b822"),
+    "categorical-mixture": ("11d5669d44c13500edb91b0afe134991759a51483b9dd3dc13aeaeb88b6a1845",
+                            "4458e69732b5db49417152a1e536e0c0f90427799ff47322002bed2d51075888"),
+}
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_sampler_streams_are_pinned():
+    # 20_011 is prime, so no block size divides the trial count
+    for model, params in MODEL_PARAMS.items():
+        cfg = McConfig(trials=20_011, seed=2718, model=model, params=params)
+        values = sample_matrix(cfg, 21)
+        assert values.shape == (20_011, 21) and values.dtype == np.float64
+        got = (_sha256(values),)
+        if model in harness.FINITE_MODELS:
+            finite_values, idx = sample_finite_matrix(cfg, 21)
+            assert np.array_equal(finite_values, values)
+            got += (_sha256(idx.astype(np.int64)),)
+        assert got == STREAM_DIGESTS[model], model
+
+
+def _with_block(monkeypatch, elements, run):
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", elements)
+    return run()
+
+
+def test_blocked_validators_match_whole_matrix(monkeypatch):
+    # n = 5 gives rows 6 wide; the decision problem's losses are 2 x 4 = 8 wide.
+    # Budgets: the whole matrix in one block, 2-row blocks, and blocks of 77
+    # (validators) or 57 (decision risk) rows, neither dividing 1000 trials
+    whole, budgets = 10**9, (16, 462)
+    composite = gaussian_composite_kernel(1.0, 3.5)
+    tilt = IidRatio(lambda z: np.exp(0.5 * z))
+    decision_params = {
+        "iid-categorical": {"support": PROBLEM.outcomes, "probs": (0.4, 0.3, 0.2, 0.1)},
+        "categorical-mixture": {"support": PROBLEM.outcomes,
+                                "component_probs": ((0.7, 0.1, 0.1, 0.1), (0.1, 0.2, 0.3, 0.4))},
+    }
+    for model, params in MODEL_PARAMS.items():
+        cfg = McConfig(trials=1000, seed=31, model=model, params=params)
+        if model in decision_params:
+            draw = lambda: sample_finite_matrix(cfg, 6)
+        else:
+            draw = lambda: (sample_matrix(cfg, 6),)
+        want = _with_block(monkeypatch, whole, draw)
+        for budget in budgets:
+            got = _with_block(monkeypatch, budget, draw)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), (model, budget)
+        runs = []
+        if model != "ar1-gaussian":  # the validators reject it
+            runs += [
+                lambda: mc_validate_evalue(cfg, ALT, BoundedLog(0.1), 5),
+                lambda: mc_validate_coverage(cfg, ALT, NeymanPearson(0.2), 5, 0.2),
+                lambda: mc_validate_posthoc(cfg, ALT, ClippedLog(0.1), 5),
+                # a rule that is not elementwise sees every trial's e-value
+                lambda: mc_validate_posthoc(cfg, ALT, Power(0.5), 5, selection_rule=np.sort),
+            ]
+        if model == "iid-gaussian":
+            runs.append(lambda: mc_validate_coverage(cfg, composite, Log(), 5, 0.1))
+        if model in decision_params:
+            dcfg = McConfig(trials=1000, seed=31, model=model, params=decision_params[model])
+            runs += [
+                lambda: mc_validate_decision_risk(dcfg, PROBLEM, "as-if", tilt, ClippedLog(0.1),
+                                                  5, alpha=0.2),
+                lambda: mc_validate_decision_risk(dcfg, PROBLEM, "weighted", tilt, ClippedLog(0.1),
+                                                  5),
+                lambda: mc_validate_decision_risk(dcfg, PROBLEM, "post-hoc", tilt, BoundedLog(0.2),
+                                                  5),
+            ]
+        for i, run in enumerate(runs):
+            want = _with_block(monkeypatch, whole, run)
+            for budget in budgets:
+                assert _with_block(monkeypatch, budget, run) == want, (model, i, budget)
+
+
+def test_posthoc_memory_is_bounded_by_the_block():
+    # one pass over the whole (T, 21) matrix peaks near 150 MiB here: the
+    # draw, its ratios, and the core's sorted copy and suffix sums at once
+    cfg = McConfig(trials=200_000, seed=7, model="exchangeable-mixture", params={})
+    alt, utility = gaussian_scale_ratio(0.0, 1.0, 3.5), ClippedLog(0.1)
+    tracemalloc.start()
+    try:
+        report = mc_validate_posthoc(cfg, alt, utility, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_exchangeable_mixture_is_column_correlated():
@@ -323,16 +427,46 @@ def test_vector_rows_match_scalar_with_ties_and_zeros():
             assert np.allclose(vec, scal, atol=1e-9), (alt.name, utility_id(utility))
 
 
+def _first_error(run):
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 - the test compares whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+def _whole_and_one_row_blocks(run):
+    """The error of ``run`` with the trials in one block, which must equal
+    the error with blocks of one row."""
+    whole = _first_error(run)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_BLOCK_ELEMENTS", 1)
+        assert _first_error(run) == whole
+    return whole
+
+
+def _crafted_ratio(zeros=(), infs=()):
+    # 1 everywhere but at the listed sample values; continuous draws never
+    # repeat, so each value picks out one entry of the trial matrix
+    zeros, infs = np.asarray(zeros, dtype=float), np.asarray(infs, dtype=float)
+    return IidRatio(lambda z: np.where(np.isin(z, infs), np.inf,
+                                       np.where(np.isin(z, zeros), 0.0, 1.0)))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")  # the ratio overflows by design
-def test_mc_path_error_parity(capsys):
-    # a ratio infinite on a sample is named at its first entry in row order
-    code = main(["validate", "--check", "evalue", "--model", "iid-gaussian",
-                 "--ratio", "gaussian-scale:0:0.01:1", "--utility", "log",
-                 "--n", "5", "--trials", "1000", "--seed", "7"])
-    assert code == 2
-    assert capsys.readouterr().err == (
-        "error: ratio is infinite at z=-1.7496944402112695; cap the ratio (infinite "
-        "evidence is expressed through the utility, not the alternative)\n")
+def test_mc_path_error_parity(capsys, monkeypatch):
+    # a ratio infinite on a sample is named at its first entry in row order,
+    # whether the trials form one block or blocks of one row
+    for budget in (harness._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+        code = main(["validate", "--check", "evalue", "--model", "iid-gaussian",
+                     "--ratio", "gaussian-scale:0:0.01:1", "--utility", "log",
+                     "--n", "5", "--trials", "1000", "--seed", "7"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: ratio is infinite at z=-1.7496944402112695; cap the ratio (infinite "
+            "evidence is expressed through the utility, not the alternative)\n")
+    monkeypatch.undo()
     # one positive slot of 8 capped at 2 reaches a mean of 1/4 at most
     identity = IidRatio(lambda z: z)
     infeasible = [0.0] * 7 + [1.0]
@@ -344,6 +478,79 @@ def test_mc_path_error_parity(capsys):
     # a tuple needs a calibration slot before its final one, as on a grid
     with pytest.raises(ValueError, match="at least one value"):
         evalues_for(np.array([[1.0], [2.0]]), identity, Log())
+
+    # Across blocks of one row. Rows of 8 under bounded-log:0.5 (cap 2): k of
+    # 8 positive slots reach a mean of k/4 at most, so 1 <= k <= 3 is
+    # infeasible with residual 1 - k/4.
+    cfg = McConfig(trials=1000, seed=7, model="iid-gaussian", params={})
+    data = sample_matrix(cfg, 8)
+    two_positive = data[0, :6]  # row 0, block 1: residual 0.5
+    # a bad ratio in block 3 raises at once, before block 1's infeasible row
+    alt = _crafted_ratio(zeros=two_positive, infs=[data[2, 3]])
+    monkeypatch.setattr(cli, "parse_ratio", lambda spec: alt)
+    for budget in (10**9, 1):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+        assert main(["validate", "--check", "evalue", "--model", "iid-gaussian", "--utility",
+                     "bounded-log:0.5", "--n", "7", "--trials", "1000", "--seed", "7"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ratio is infinite at z={float(data[2, 3])!r}; cap the ratio (infinite "
+            "evidence is expressed through the utility, not the alternative)\n")
+    monkeypatch.undo()
+    # an all-zero row in block 2 outranks block 1's infeasible one
+    alt = _crafted_ratio(zeros=np.concatenate([two_positive, data[1]]))
+    assert _whole_and_one_row_blocks(
+        lambda: mc_validate_evalue(cfg, alt, BoundedLog(0.5), 7)) == (
+        AllZeroRatioError, "the ratio vanishes on an entire sampled tuple")
+    # two infeasible rows: the message carries the larger residual, from block 3
+    alt = _crafted_ratio(zeros=np.concatenate([two_positive, data[2, :7]]))
+    assert _whole_and_one_row_blocks(
+        lambda: mc_validate_evalue(cfg, alt, BoundedLog(0.5), 7)) == (
+        NormalizationFailureError, "orbit mean misses 1 by 0.75; the shaped e-value is infeasible")
+
+
+def test_decision_risk_error_parity_across_blocks():
+    # Support (0, 1, 2) and a ratio table over it; n = 5, so tuples of 6. With
+    # a ratio of 0 or 1 per value, bounded-log:alpha fails a tuple of k
+    # positive slots when k < 6 * alpha: all-zero at k = 0, infeasible with
+    # residual 1 - k / (6 * alpha) otherwise. Column g adds the ratio at
+    # outcome g to the calibration's count.
+    problem = DecisionProblem(("a", "b"), (0.0, 1.0, 2.0), ((1.0, 1.0, 1.0), (0.2, 0.5, 3.0)))
+
+    def run(seed, probs, table, utility, mode="weighted"):
+        cfg = McConfig(trials=1000, seed=seed, model="iid-categorical",
+                       params={"support": problem.outcomes, "probs": probs})
+        alt = IidRatio(lambda z: np.asarray(table)[np.asarray(z, dtype=int)])
+        calib = sample_finite_matrix(cfg, 6)[0][:, :-1]
+        return calib, lambda: mc_validate_decision_risk(cfg, problem, mode, alt, utility, 5)
+
+    # the lowest failing column wins over an earlier block's higher one:
+    # 6 * 0.45 = 2.7, so a calibration with two 0s fails column 1 only (row 0,
+    # residual 0.26) and one without 0s fails column 0 (k = 1, residual 0.63)
+    calib, validate = run(3, (0.5, 0.25, 0.25), (1.0, 0.0, 0.0), BoundedLog(0.45))
+    zeros = (calib == 0.0).sum(axis=1)
+    assert zeros[0] == 2 and np.argmax(zeros <= 1) > 0 and (zeros == 0).any()
+    assert _whole_and_one_row_blocks(validate) == (
+        NormalizationFailureError, "orbit mean misses 1 by 0.63; the shaped e-value is infeasible")
+    # in the lowest column, a later all-zero tuple outranks an earlier
+    # infeasible one, and both outrank the bad grid ratio at outcome 1, which
+    # is never drawn: 6 * 0.3 = 1.8, column 0 counts the calibration's 2s
+    calib, validate = run(4, (0.5, 0.0, 0.5), (0.0, np.inf, 1.0), BoundedLog(0.3))
+    twos = (calib == 2.0).sum(axis=1)
+    assert twos[0] == 1 and np.argmax(twos == 0) > 0
+    assert _whole_and_one_row_blocks(validate) == (
+        AllZeroRatioError, "the ratio vanishes on an entire sampled tuple")
+    # with no failing tuple, the bad grid ratio is raised after the last
+    # block, before any decision is formed from the evidence short of outcome 1
+    _, validate = run(4, (0.5, 0.0, 0.5), (1.0, np.inf, 1.0), Log(), mode="post-hoc")
+    assert _whole_and_one_row_blocks(validate) == (ValueError, (
+        "ratio is infinite at z=1.0; cap the ratio (infinite evidence is expressed "
+        "through the utility, not the alternative)"))
+    # a bad calibration ratio in a later block raises before row 0's failure
+    calib, validate = run(4, (0.49, 0.02, 0.49), (0.0, np.inf, 1.0), BoundedLog(0.3))
+    assert (calib[0] == 2.0).sum() <= 1 and np.argmax((calib == 1.0).any(axis=1)) > 0
+    assert _whole_and_one_row_blocks(validate) == (ValueError, (
+        "ratio is infinite at z=1.0; cap the ratio (infinite evidence is expressed "
+        "through the utility, not the alternative)"))
 
 
 # -- decision-risk validators --------------------------------------------------
