@@ -123,13 +123,10 @@ def _gaussian_curve(args, grid: confidence.PlugInGrid) -> confidence.FuzzyConfid
         fn = lambda z: gaussian.gaussian_composite_log_fuzzy(z, zbar, sigma, tau, n)
         name = f"gaussian-log-composite(zbar={zbar:g},sigma={sigma:g},tau={tau:g},n={n})"
     elif fam == "gaussian-bounded-log":
-        boost = gaussian.bounded_log_boost(mu, sigma, tau, alpha)
-        fn = lambda z: gaussian.gaussian_bounded_log_fuzzy(z, mu, sigma, tau, alpha, boost=boost)
+        fn = lambda z: gaussian.gaussian_bounded_log_fuzzy(z, mu, sigma, tau, alpha)
         name = f"gaussian-bounded-log(mu={mu:g},sigma={sigma:g},tau={tau:g},alpha={alpha:g})"
     elif fam == "gaussian-bounded-log-composite":
-        boost = gaussian.composite_bounded_log_boost(sigma, tau, n, alpha, zbar=zbar)
-        fn = lambda z: gaussian.gaussian_composite_bounded_log_fuzzy(
-            z, zbar, sigma, tau, n, alpha, boost=boost)
+        fn = lambda z: gaussian.gaussian_composite_bounded_log_fuzzy(z, zbar, sigma, tau, n, alpha)
         name = (f"gaussian-bounded-log-composite(zbar={zbar:g},sigma={sigma:g},"
                 f"tau={tau:g},n={n},alpha={alpha:g})")
     elif fam == "gaussian-np":

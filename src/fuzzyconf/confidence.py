@@ -68,11 +68,13 @@ class PlugInGrid:
         if len(parts) != 3:
             raise ValueError(f"grid spec must be min:max:step, got {spec!r}")
         lo, hi, step = (float(p) for p in parts)
+        span = hi - lo
+        if not all(math.isfinite(x) for x in (lo, hi, step, span)):
+            raise ValueError(f"grid spec {spec!r} needs a finite min, max, step and span")
         if step <= 0:
             raise ValueError("grid step must be positive")
         if hi <= lo:
             raise ValueError("grid max must exceed min")
-        span = hi - lo
         n = round(span / step)
         if n >= 1 and abs(n * step - span) <= _REL_STEP_TOL * max(1.0, abs(span)):
             points = tuple(lo + span * i / n for i in range(n + 1))
@@ -192,9 +194,6 @@ class BinaryConfidenceSet:
             raise ValueError("membership, evidence and grid lengths differ")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-
-    def member_indices(self) -> list[int]:
-        return [i for i, m in enumerate(self.membership) if m]
 
     def is_empty(self) -> bool:
         return not any(self.membership)

@@ -8,6 +8,12 @@ the evidence and take minimax over the full grid (weighted); or bridge
 between the last two by mixing a binary set into a two-valued fuzzy set
 (gamma mixture).
 
+All of them are one rule, ``_minimax``: the decision minimizing the worst
+loss divided by the evidence. As-if and each post-hoc rung pass indicator
+evidence, 1 on the set and +inf off it, so the worst ratio is the worst
+member loss exactly; this is the gamma -> 1 end of the gamma mixture. The
+Monte-Carlo decision-risk validators in ``harness`` call the same function.
+
 Decision and outcome spaces are finite and the minimax scan exhaustive, so
 every certificate is exactly reproducible.
 """
@@ -116,27 +122,55 @@ def _provenance(conf: Union[BinaryConfidenceSet, FuzzyConfidenceSet]) -> str:
     return f"alternative={conf.alternative}; utility={conf.utility}"
 
 
+def _minimax(loss: np.ndarray, evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise minimax: for each evidence row e, argmin_d max_z L(d, z)/e(z).
+
+    ``loss`` is (D, G) and ``evidence`` (B, G); returns (decision, risk), each
+    of shape (B,). Division conventions: x/0 = +inf for x > 0, 0 divided by
+    anything is 0, x/inf = 0. The lowest decision index wins ties.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(loss == 0.0, 0.0, loss / evidence[:, None, :])
+    risks = ratios.max(axis=2)
+    d = risks.argmin(axis=1)
+    return d, risks[np.arange(len(d)), d]
+
+
+def _indicator(members) -> np.ndarray:
+    # 1 on the set, +inf off it: losses are finite and >= 0, so L/1 = L and
+    # L/inf = 0 make the worst ratio over a nonempty set its worst member loss
+    return np.where(members, 1.0, np.inf)
+
+
+def _certify(
+    problem: DecisionProblem, evidence: np.ndarray, mode: str, alpha: Optional[float],
+    conf: Union[BinaryConfidenceSet, FuzzyConfidenceSet],
+) -> CertifiedDecision:
+    d, r = _minimax(problem.loss_matrix, evidence[None, :])
+    if np.isinf(r[0]):
+        raise AllInfiniteRiskError("every decision has infinite weighted risk; clip the "
+                                   "evidence away from zero (e.g. a clipped-log utility)")
+    d = int(d[0])
+    return CertifiedDecision(
+        d, problem.decisions[d], float(r[0]),
+        mode=mode, alpha=alpha, set_provenance=_provenance(conf),
+    )
+
+
 def as_if_decision(problem: DecisionProblem, conf_set: BinaryConfidenceSet) -> CertifiedDecision:
     """Minimax decision treating the set's members as the possible outcomes.
 
     Returns the decision minimizing the worst loss over member outcomes
     (ties broken toward the lowest decision index) and that worst loss as
-    the certified risk bound. Raises EmptyConfidenceSetError on an empty
-    set: widen alpha or the grid.
+    the certified risk bound: the weighted rule over indicator evidence.
+    Raises EmptyConfidenceSetError on an empty set: widen alpha or the grid.
     """
     _check_grid(problem, conf_set.grid)
-    members = conf_set.member_indices()
-    if not members:
+    if conf_set.is_empty():
         raise EmptyConfidenceSetError(
             f"confidence set at alpha={conf_set.alpha:g} has no members"
         )
-    sub = problem.loss_matrix[:, members]
-    risks = sub.max(axis=1)
-    d = int(np.argmin(risks))
-    return CertifiedDecision(
-        d, problem.decisions[d], float(risks[d]),
-        mode="as-if", alpha=conf_set.alpha, set_provenance=_provenance(conf_set),
-    )
+    return _certify(problem, _indicator(conf_set.membership), "as-if", conf_set.alpha, conf_set)
 
 
 def post_hoc_decisions(
@@ -157,20 +191,11 @@ def post_hoc_decisions(
     _check_grid(problem, fuzzy.grid)
 
     e = np.asarray(fuzzy.evidence, dtype=float)
-    loss = problem.loss_matrix
-    provenance = _provenance(fuzzy)
     out = []
     for a in lv:
         members = e < 1.0 / a
-        if not members.any():
-            out.append(LevelDecision(a, None))
-            continue
-        risks = loss[:, members].max(axis=1)
-        d = int(np.argmin(risks))  # lowest index wins ties
-        out.append(LevelDecision(a, CertifiedDecision(
-            d, problem.decisions[d], float(risks[d]),
-            mode="post-hoc", alpha=a, set_provenance=provenance,
-        )))
+        out.append(LevelDecision(a, _certify(problem, _indicator(members), "post-hoc", a, fuzzy)
+                                 if members.any() else None))
     return out
 
 
@@ -185,21 +210,7 @@ def weighted_decision(problem: DecisionProblem, fuzzy: FuzzyConfidenceSet) -> Ce
     away from zero avoids this.
     """
     _check_grid(problem, fuzzy.grid)
-    loss = problem.loss_matrix
-    e = np.asarray(fuzzy.evidence, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weighted = np.where(loss == 0.0, 0.0, loss / e)
-    risks = weighted.max(axis=1)
-    if np.isinf(risks).all():
-        raise AllInfiniteRiskError(
-            "every decision has infinite weighted risk; clip the evidence "
-            "away from zero (e.g. a clipped-log utility)"
-        )
-    d = int(np.argmin(risks))
-    return CertifiedDecision(
-        d, problem.decisions[d], float(risks[d]),
-        mode="weighted", alpha=None, set_provenance=_provenance(fuzzy),
-    )
+    return _certify(problem, np.asarray(fuzzy.evidence, dtype=float), "weighted", None, fuzzy)
 
 
 def gamma_mixture_fuzzy(

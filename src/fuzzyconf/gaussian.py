@@ -166,10 +166,10 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
         tail = 2.0 * cap * _norm_cdf(-radius / sigma)
         return core + tail
 
-    lo, hi = 1.0, 2.0
-    if null_mean(lo) > 1.0 + _BOOST_RESIDUAL_TOL:
-        raise NormalizationFailureError("capped ratio already exceeds mean 1 at boost 1")
-    while null_mean(hi) < 1.0:
+    lo, hi = 1.0, 2.0  # every check below fails on a NaN null mean
+    if not null_mean(lo) <= 1.0 + _BOOST_RESIDUAL_TOL:
+        raise NormalizationFailureError(f"capped ratio has null mean {null_mean(lo)!r} at boost 1")
+    while not null_mean(hi) >= 1.0:
         hi *= 2.0
         if hi > 1e12:
             raise NormalizationFailureError("no boost constant brackets mean 1")
@@ -182,25 +182,23 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
         if hi - lo <= 1e-14 * hi:
             break
     b = 0.5 * (lo + hi)
-    if abs(null_mean(b) - 1.0) > _NULL_MEAN_TOL:
+    if not abs(null_mean(b) - 1.0) <= _NULL_MEAN_TOL:
         raise NormalizationFailureError("bisection on the boost constant stalled")
     return b
 
 
 def gaussian_bounded_log_fuzzy(
-    z: float, mu: float, sigma: float, tau: float, alpha: float,
-    boost: Optional[float] = None,
+    z: float, mu: float, sigma: float, tau: float, alpha: float
 ) -> float:
     """Evidence = min(b * LR(z), 1/alpha) with the boost b renormalizing the
-    null mean to 1. Pass ``boost`` to reuse a solved constant over a grid."""
+    null mean to 1; ``bounded_log_boost`` caches b, so a grid solves it once."""
     _check(sigma=sigma, tau=tau, alpha=alpha)
-    b = bounded_log_boost(mu, sigma, tau, alpha) if boost is None else boost
+    b = bounded_log_boost(mu, sigma, tau, alpha)
     return min(b * gaussian_log_fuzzy(z, mu, sigma, tau), 1.0 / alpha)
 
 
 def gaussian_composite_bounded_log_fuzzy(
-    z: float, zbar: float, sigma: float, tau: float, n: int, alpha: float,
-    boost: Optional[float] = None,
+    z: float, zbar: float, sigma: float, tau: float, n: int, alpha: float
 ) -> float:
     """Capped-and-boosted ratio in the estimated-center family.
 
@@ -210,7 +208,7 @@ def gaussian_composite_bounded_log_fuzzy(
     """
     _check(sigma=sigma, tau=tau, n=n, alpha=alpha)
     f = math.sqrt(1.0 + 1.0 / n)
-    return gaussian_bounded_log_fuzzy(z, zbar, sigma * f, tau * f, alpha, boost=boost)
+    return gaussian_bounded_log_fuzzy(z, zbar, sigma * f, tau * f, alpha)
 
 
 def composite_bounded_log_boost(sigma: float, tau: float, n: int, alpha: float, zbar: float = 0.0) -> float:
@@ -245,6 +243,11 @@ def _check(sigma: Optional[float] = None, tau: Optional[float] = None,
             raise ValueError("tau requires sigma")
         if tau <= sigma:
             raise ValueError("tau must exceed sigma")
+        s2, t2 = sigma * sigma, tau * tau
+        # the closed forms divide by sigma^2 tau^2 and tau^2 - sigma^2
+        if not all(0.0 < v < math.inf for v in (s2, t2, t2 - s2, s2 * t2)):
+            raise DomainError(f"sigma={sigma!r} and tau={tau!r} are out of range: sigma^2, tau^2, "
+                              "tau^2 - sigma^2 and sigma^2 tau^2 must be positive finite floats")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if n is not None and n < 1:

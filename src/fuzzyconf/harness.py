@@ -24,7 +24,9 @@ sets: the validity, coverage and post-hoc validators pass each trial's final
 slot against its own calibration, and the decision-risk validator inverts
 every trial over the support as ``grid_evidence`` does. Kernel alternatives
 resolve, and evaluate their ratios, trial by trial. The suite checks both
-shapes against the scalar per-orbit ``evalue_at``.
+shapes against the scalar per-orbit ``evalue_at``. The decision-risk
+validator decides with ``decisions._minimax``, the rule behind every
+certified decision, so it checks the code that ``decide`` runs.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .alternatives import (
     resolve_alternative,
 )
 from .confidence import _Failures, _final_slot_evidence, _grid_evidence
-from .decisions import DecisionProblem
-from .errors import ZeroDensityError
+from .decisions import DecisionProblem, _indicator, _minimax
+from .errors import AllInfiniteRiskError, ZeroDensityError
 from .evalues import (
     BoundedLog,
     ClippedLog,
@@ -379,16 +381,6 @@ def mc_validate_posthoc(
     return _report("posthoc-validity", stats, 1.0, config, detail=f"n={n}")
 
 
-def _as_if_rows(loss: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise minimax over member outcomes: (decision, risk, empty mask)."""
-    masked = np.where(members[:, None, :], loss[None, :, :], -np.inf)
-    risks = masked.max(axis=2)
-    d = np.argmin(risks, axis=1)
-    r = risks[np.arange(len(d)), d]
-    empty = ~members.any(axis=1)
-    return d, r, empty
-
-
 def mc_validate_decision_risk(
     config: McConfig,
     problem: DecisionProblem,
@@ -409,9 +401,14 @@ def mc_validate_decision_risk(
     only biases the check against passing.
 
     Each block of trials is inverted over the support with the core of
-    ``grid_evidence``. The post-hoc rule sees every trial's evidence at its
+    ``grid_evidence`` and decided row by row with ``decisions._minimax``:
+    the weighted mode over the evidence, the other two over indicator
+    evidence of the sublevel set, as ``as_if_decision`` and each rung of
+    ``post_hoc_decisions`` do. As-if is the post-hoc pass with every level
+    fixed at alpha. The post-hoc rule sees every trial's evidence at its
     realized outcome, so that mode draws the blocks a second time to decide
-    at the selected levels.
+    at the selected levels. Raises AllInfiniteRiskError in weighted mode
+    when some trial has infinite weighted risk under every decision.
     """
     _require_exchangeable(config)
     if config.model not in FINITE_MODELS:
@@ -423,49 +420,43 @@ def mc_validate_decision_risk(
         raise ValueError("the model support must equal the problem's outcomes")
     if mode not in ("as-if", "weighted", "post-hoc"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "as-if" and alpha is None:
-        raise ValueError("as-if mode needs alpha")
+    if mode == "as-if" and not (alpha is not None and alpha > 0.0):
+        raise ValueError("as-if mode needs a positive alpha")
 
     loss = problem.loss_matrix
     stats = np.empty(config.trials)
 
     def blocks():
-        # a block's (rows, D, G) masked losses count against its budget
+        # a block's (rows, D, G) loss ratios count against its budget
         evaluate = lambda v: _grid_evidence(v[:, :-1], problem.outcomes, alt.ratio, utility)
         return _evidence_blocks(config, n, evaluate, width=loss.size)
-
-    if mode == "as-if":
-        for rows, ev, last in blocks():
-            d, r, empty = _as_if_rows(loss, ev < (1.0 / alpha))
-            stats[rows] = (loss[d, last] > r) | empty
-        return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
     if mode == "weighted":
         infinite = False
         for rows, ev, last in blocks():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                weighted = np.where(loss[None, :, :] == 0.0, 0.0, loss[None, :, :] / ev[:, None, :])
-            risks = weighted.max(axis=2)
-            d = np.argmin(risks, axis=1)
-            r = risks[np.arange(len(d)), d]
+            d, r = _minimax(loss, ev)
             infinite |= bool(np.isinf(r).any())
             stats[rows] = np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0)
         if infinite:
-            raise ValueError(
-                "some trials have infinite weighted risk for every decision; "
-                "use a clipped or dampened utility"
-            )
+            raise AllInfiniteRiskError("some trials have infinite weighted risk for every "
+                                       "decision; clip the evidence away from zero")
         return _report("decision-weighted", stats, 1.0, config, detail=f"n={n}")
 
-    e_true = np.empty(config.trials)
+    if mode == "as-if":
+        levels = np.full(config.trials, float(alpha))
+    else:
+        e_true = np.empty(config.trials)
+        for rows, ev, last in blocks():
+            e_true[rows] = ev[np.arange(len(last)), last]
+        levels = _selected_levels(selection_rule, e_true)
+    thr = np.where(np.isinf(levels), 0.0, 1.0 / levels)
     for rows, ev, last in blocks():
-        e_true[rows] = ev[np.arange(len(last)), last]
-    atil = _selected_levels(selection_rule, e_true)
-    thr = np.where(np.isinf(atil), 0.0, 1.0 / atil)
-    for rows, ev, last in blocks():
-        d, r, empty = _as_if_rows(loss, ev < thr[rows, None])
-        exceed = ((loss[d, last] > r) | empty).astype(float)
-        stats[rows] = np.where(np.isinf(atil[rows]), 0.0, exceed / atil[rows])
+        members = ev < thr[rows, None]
+        d, r = _minimax(loss, _indicator(members))
+        stats[rows] = (loss[d, last] > r) | ~members.any(axis=1)
+    if mode == "as-if":
+        return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
+    stats = np.where(np.isinf(levels), 0.0, stats / levels)
     return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
 
 

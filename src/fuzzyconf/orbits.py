@@ -100,13 +100,6 @@ class Orbit:
         """Multiplicity of each distinct value; sums to ``size``."""
         return tuple(sum(1 for _ in grp) for _, grp in groupby(self.representative))
 
-    def index_of(self, value: float) -> int:
-        """Position of ``value`` among the distinct values (exact match)."""
-        i = bisect_left(self.values, value)
-        if i == len(self.values) or self.values[i] != value:
-            raise ValueError(f"{value!r} is not on this orbit")
-        return i
-
 
 def orbit_of(data: TupleLike) -> Orbit:
     """Canonical orbit of a tuple; invariant under any permutation of the input."""

@@ -267,15 +267,14 @@ def test_criterion_08_gaussian_closed_forms():
                        mu - 12 * sd, mu + 12 * sd, limit=400)
         return core + tail
 
-    from fuzzyconf.gaussian import bounded_log_boost, composite_bounded_log_boost
+    from fuzzyconf.gaussian import composite_bounded_log_boost
 
-    boost = bounded_log_boost(0.0, 1.0, 3.5, 0.05)
     m1 = null_mean(lambda v: fc.gaussian_log_fuzzy(v, 0.0, 1.0, 3.5), 0.0, 1.0,
                    tail=2 * (1 - Phi(12 / 3.5)))
     s = math.sqrt(4 / 3)
     m2 = null_mean(lambda v: fc.gaussian_composite_log_fuzzy(v, 1.44, 1.0, 3.5, 3), 1.44, s,
                    tail=2 * (1 - Phi(12 / 3.5)))
-    m3 = null_mean(lambda v: fc.gaussian_bounded_log_fuzzy(v, 0.0, 1.0, 3.5, 0.05, boost=boost),
+    m3 = null_mean(lambda v: fc.gaussian_bounded_log_fuzzy(v, 0.0, 1.0, 3.5, 0.05),
                    0.0, 1.0, tail=2 * 20 * (1 - Phi(12.0)))
     quad_ok = all(abs(m - 1) <= 1e-6 for m in (m1, m2, m3))
     ok &= quad_ok
@@ -287,7 +286,7 @@ def test_criterion_08_gaussian_closed_forms():
     cb = composite_bounded_log_boost(1.0, 3.5, 3, 0.05)
     raw = np.array([fc.gaussian_composite_log_fuzzy(v, 1.44, 1.0, 3.5, 3) for v in grid])
     bounded = np.array([
-        fc.gaussian_composite_bounded_log_fuzzy(v, 1.44, 1.0, 3.5, 3, 0.05, boost=cb)
+        fc.gaussian_composite_bounded_log_fuzzy(v, 1.44, 1.0, 3.5, 3, 0.05)
         for v in grid])
     cap_region = cb * raw >= 20.0
     curve_ok = bool(np.all(bounded[cap_region] == 20.0)

@@ -167,6 +167,27 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "-1e308:1e308:1e300", "nan:1:0.1"])
+def test_non_finite_grid_spec_exits_2(tmp_path, capsys, grid):
+    # an infinite end or an overflowing span once ended in an OverflowError traceback
+    assert run(["fuzzy", "--family", "gaussian-log", "--tau", 3.5, "--grid", grid,
+                "--out", tmp_path / "x.csv"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: grid spec {grid!r} needs a finite min, max, step and span"]
+
+
+@pytest.mark.parametrize("flags, code, message", [
+    (["--sigma", "1e-200", "--tau", "1e-199", "--alpha", "0.05"], 2, "out of range"),
+    (["--tau", "1e200", "--alpha", "0.05"], 2, "out of range"),
+    (["--tau", "3.5", "--alpha", "1e-320"], 3, "null mean nan"),
+])
+def test_gaussian_extreme_scales_exit_codes(tmp_path, capsys, flags, code, message):
+    assert run(["fuzzy", "--family", "gaussian-bounded-log", *flags, "--grid", "-3:3:1",
+                "--out", tmp_path / "x.csv"]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     # an np-utility fuzzy set has zero evidence inside; weighting an
     # everywhere-positive loss by it makes every decision's risk infinite

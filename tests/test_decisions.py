@@ -7,6 +7,8 @@ from fuzzyconf.confidence import BinaryConfidenceSet, FuzzyConfidenceSet, PlugIn
 from fuzzyconf.decisions import (
     CertifiedDecision,
     DecisionProblem,
+    _indicator,
+    _minimax,
     as_if_decision,
     gamma_mixture_fuzzy,
     post_hoc_decisions,
@@ -27,6 +29,54 @@ def _binary(membership, alpha=0.1, evidence=None):
     k = len(membership)
     ev = tuple(float(e) for e in evidence) if evidence else (1.0,) * k
     return BinaryConfidenceSet(_grid(k), tuple(membership), alpha, ev)
+
+
+def _member_scan(loss, members):
+    # the as-if rule as a loop: worst member loss, lowest index on ties
+    best = None
+    for d, row in enumerate(loss):
+        risk = max(x for x, m in zip(row, members) if m)
+        if best is None or risk < best[1]:
+            best = (d, risk)
+    return best
+
+
+def _weighted_scan(loss, evidence):
+    # the weighted rule as a loop over the division conventions
+    best = None
+    for d, row in enumerate(loss):
+        risk = 0.0
+        for x, e in zip(row, evidence):
+            if x == 0.0 or e == math.inf:
+                ratio = 0.0
+            elif e == 0.0:
+                ratio = math.inf
+            else:
+                ratio = x / e
+            risk = max(risk, ratio)
+        if best is None or risk < best[1]:
+            best = (d, risk)
+    return best
+
+
+def test_minimax_matches_the_per_row_scans():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        d, b, g = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        # small integers make ties and zero losses; the evidence takes 0 and inf
+        loss = rng.integers(0, 4, size=(d, g)).astype(float)
+        if rng.random() < 0.5:
+            loss = loss * rng.uniform(0.1, 3.0, size=(d, g))
+        evidence = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0, math.inf), size=(b, g))
+        members = rng.random((b, g)) < rng.uniform(0.1, 0.9)
+        members[np.arange(b), rng.integers(0, g, size=b)] = True  # nonempty
+        members[0] = False
+        members[0, rng.integers(0, g)] = True  # a single-member set
+        got_d, got_r = _minimax(loss, evidence)
+        ind_d, ind_r = _minimax(loss, _indicator(members))
+        for row in range(b):
+            assert (got_d[row], got_r[row]) == _weighted_scan(loss, evidence[row])
+            assert (ind_d[row], ind_r[row]) == _member_scan(loss, members[row])
 
 
 def test_as_if_singleton_is_oracle_decision():

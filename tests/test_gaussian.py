@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fuzzyconf.errors import DomainError
+from fuzzyconf.errors import DomainError, NormalizationFailureError
 from fuzzyconf.gaussian import (
     ar1_interval,
     bounded_log_boost,
-    composite_bounded_log_boost,
     composite_interval,
     gaussian_bounded_log_fuzzy,
     gaussian_composite_bounded_log_fuzzy,
@@ -136,9 +135,8 @@ def test_composite_log_fuzzy_null_mean_one():
 
 
 def test_bounded_log_fuzzy_null_mean_one():
-    b = bounded_log_boost(0.0, 1.0, 3.5, 0.05)
     core = _core_null_mean(
-        lambda z: gaussian_bounded_log_fuzzy(z, 0.0, 1.0, 3.5, 0.05, boost=b), 0.0, 1.0, 12.0)
+        lambda z: gaussian_bounded_log_fuzzy(z, 0.0, 1.0, 3.5, 0.05), 0.0, 1.0, 12.0)
     tail = 2.0 * 20.0 * (1.0 - _Phi(12.0))  # capped evidence times the null tail mass
     assert core + tail == pytest.approx(1.0, abs=1e-6)
 
@@ -180,19 +178,35 @@ def test_bounded_boost_tends_to_one_as_alpha_vanishes():
 
 def test_bounded_above_unbounded_at_center_below_in_tails():
     args = (0.0, 1.0, 3.5)
-    b = bounded_log_boost(*args, 0.05)
     for z in (0.0, 0.5, 1.0):
-        assert gaussian_bounded_log_fuzzy(z, *args, 0.05, boost=b) > gaussian_log_fuzzy(z, *args)
+        assert gaussian_bounded_log_fuzzy(z, *args, 0.05) > gaussian_log_fuzzy(z, *args)
     for z in (4.0, 5.0, 6.0):
-        assert gaussian_bounded_log_fuzzy(z, *args, 0.05, boost=b) == 20.0
+        assert gaussian_bounded_log_fuzzy(z, *args, 0.05) == 20.0
         assert gaussian_log_fuzzy(z, *args) > 20.0
+
+
+@pytest.mark.parametrize("sigma, tau", [(1e-200, 1e-199), (1.0, 1e200), (1e160, 1e161)])
+def test_scales_out_of_float_range_are_domain_errors(sigma, tau):
+    # sigma^2 tau^2 underflows to 0, or tau^2 overflows: the closed forms
+    # would divide by zero or take a NaN null mean
+    for call in (lambda: gaussian_log_fuzzy(0.0, 0.0, sigma, tau),
+                 lambda: bounded_log_boost(0.0, sigma, tau, 0.05),
+                 lambda: gaussian_bounded_log_fuzzy(0.0, 0.0, sigma, tau, 0.05)):
+        with pytest.raises(DomainError, match="out of range"):
+            call()
+
+
+def test_boost_with_nan_null_mean_fails():
+    # 1/alpha overflows to inf, so the capped tail is inf * 0 = NaN; every
+    # check on the null mean must fail on NaN rather than return a constant
+    with pytest.raises(NormalizationFailureError, match="nan"):
+        bounded_log_boost(0.0, 1.0, 3.5, 1e-320)
 
 
 def test_composite_bounded_null_mean_one():
     s = math.sqrt(1 + 1 / 3)
-    b = composite_bounded_log_boost(1.0, 3.5, 3, 0.05)
     core = _core_null_mean(
-        lambda z: gaussian_composite_bounded_log_fuzzy(z, 1.44, 1.0, 3.5, 3, 0.05, boost=b),
+        lambda z: gaussian_composite_bounded_log_fuzzy(z, 1.44, 1.0, 3.5, 3, 0.05),
         1.44, s, 12.0 * s)
     tail = 2.0 * 20.0 * (1.0 - _Phi(12.0))
     assert core + tail == pytest.approx(1.0, abs=1e-6)

@@ -11,8 +11,13 @@ from fuzzyconf.alternatives import (
     gaussian_scale_ratio, kernel_alternative,
 )
 from fuzzyconf.cli import main
-from fuzzyconf.decisions import DecisionProblem
-from fuzzyconf.errors import AllZeroRatioError, NormalizationFailureError, ZeroDensityError
+from fuzzyconf.confidence import FuzzyConfidenceSet, PlugInGrid, grid_evidence, sublevel_set
+from fuzzyconf.decisions import (
+    DecisionProblem, as_if_decision, post_hoc_decisions, weighted_decision,
+)
+from fuzzyconf.errors import (
+    AllInfiniteRiskError, AllZeroRatioError, NormalizationFailureError, ZeroDensityError,
+)
 from fuzzyconf.evalues import (
     BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power,
     evalue_at, optimal_evalue, utility_id,
@@ -571,6 +576,63 @@ def test_decision_validators_pass():
     assert mc_validate_decision_risk(FINITE_CFG, PROBLEM, "as-if", alt, ClippedLog(0.1), 5, alpha=0.2).passed
     assert mc_validate_decision_risk(FINITE_CFG, PROBLEM, "weighted", alt, ClippedLog(0.1), 5).passed
     assert mc_validate_decision_risk(FINITE_CFG, PROBLEM, "post-hoc", alt, ClippedLog(0.1), 5).passed
+
+
+def test_decision_risk_decides_as_the_public_rules(monkeypatch):
+    # every trial's decision and statistic equal what the public rules give on
+    # that trial's fuzzy set; post-hoc picks its level from a fixed ladder
+    cfg = McConfig(trials=1000, seed=41, model="categorical-mixture", params={
+        "support": PROBLEM.outcomes,
+        "component_probs": ((0.7, 0.1, 0.1, 0.1), (0.1, 0.2, 0.3, 0.4))})
+    alt, utility, n, alpha = IidRatio(lambda z: np.exp(0.5 * z)), ClippedLog(0.1), 5, 0.2
+    ladder = (0.05, 0.1, 0.2, 0.5, 1.0)
+    rule = lambda e: np.array([next((a for a in ladder if x >= 1.0 / a), 1.0) for x in e])
+    values, idx = sample_finite_matrix(cfg, n + 1)
+    grid = PlugInGrid.from_points(PROBLEM.outcomes)
+    sets = [FuzzyConfidenceSet(grid, tuple(row), ())
+            for row in grid_evidence(values[:, :-1], PROBLEM.outcomes, alt.ratio, utility)]
+    truth, loss = idx[:, -1], PROBLEM.loss_matrix
+
+    def exceeds(cert, z):
+        return 1.0 if cert is None else float(loss[cert.decision_index, z] > cert.risk_bound)
+
+    certs = {"as-if": [], "weighted": [], "post-hoc": []}
+    stats = {"as-if": [], "weighted": [], "post-hoc": []}
+    for fset, z in zip(sets, truth):
+        binary = sublevel_set(fset, alpha)
+        cert = None if binary.is_empty() else as_if_decision(PROBLEM, binary)
+        certs["as-if"].append(cert)
+        stats["as-if"].append(exceeds(cert, z))
+        cert = weighted_decision(PROBLEM, fset)
+        certs["weighted"].append(cert)
+        r = cert.risk_bound
+        stats["weighted"].append(loss[cert.decision_index, z] / r if r > 0 else 0.0)
+        level = rule([fset.evidence[z]])[0]
+        cert = post_hoc_decisions(PROBLEM, fset, ladder)[ladder.index(level)].decision
+        certs["post-hoc"].append(cert)
+        stats["post-hoc"].append(exceeds(cert, z) / level)
+
+    minimax = harness._minimax
+    for mode, kwargs in (("as-if", {"alpha": alpha}), ("weighted", {}),
+                         ("post-hoc", {"selection_rule": rule})):
+        seen = []
+        monkeypatch.setattr(harness, "_minimax", lambda *a: seen.append(minimax(*a)) or seen[-1])
+        report = mc_validate_decision_risk(cfg, PROBLEM, mode, alt, utility, n, **kwargs)
+        d = np.concatenate([s[0] for s in seen])
+        r = np.concatenate([s[1] for s in seen])
+        assert len(d) == cfg.trials
+        for t, cert in enumerate(certs[mode]):
+            if cert is not None:
+                assert (d[t], r[t]) == (cert.decision_index, cert.risk_bound), (mode, t)
+        assert report.estimate == np.asarray(stats[mode]).mean(), mode
+    assert None in certs["post-hoc"]  # empty rungs count as exceedances
+
+
+def test_np_weighted_decision_risk_is_all_infinite():
+    # np evidence is 0 inside its set, and every loss of PROBLEM is positive
+    alt = IidRatio(lambda z: np.exp(0.5 * z))
+    with pytest.raises(AllInfiniteRiskError):
+        mc_validate_decision_risk(FINITE_CFG, PROBLEM, "weighted", alt, NeymanPearson(0.2), 5)
 
 
 def test_decision_validator_guards():
