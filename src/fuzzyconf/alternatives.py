@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -89,6 +89,13 @@ class KernelAlternative:
     alternative for it, e.g. a scale alternative recentered at a running
     mean. Evaluated lazily, once per calibration tuple.
 
+    ``row_ratio``, when given, is the same kernel on a block of tuples: it
+    maps a (B, n + 1) array, calibration first and final slot last, to the
+    (B, n + 1) ratios that resolving the builder against each row's
+    calibration gives on that row. The Monte-Carlo validators then evaluate
+    a block of trials in one call; the built-in kernels supply it, custom
+    kernels resolve row by row.
+
     Because the ratio is re-fit to each calibration, the resulting evidence
     is exact conditional on z^n: under a model whose conditional law of the
     target matches the resolved base (the autoregressive family, say), the
@@ -99,6 +106,7 @@ class KernelAlternative:
 
     builder: Callable[[Sequence[float]], "AlternativeSpec"]
     name: str = "kernel"
+    row_ratio: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 AlternativeSpec = Union[IidRatio, KernelAlternative]
@@ -208,16 +216,39 @@ def gaussian_mean_shift_ratio(mu: float, delta: float, sigma: float = 1.0) -> Ii
     return IidRatio(ratio, name=f"gaussian-mean-shift(mu={mu:g},delta={delta:g},sigma={sigma:g})")
 
 
+def _check_scales(sigma: float, tau: float) -> None:
+    s2, t2 = sigma * sigma, tau * tau
+    # the scale ratio divides by 2 sigma^2 tau^2
+    if not all(0.0 < v < math.inf for v in (s2, t2, s2 * t2, 2.0 * sigma * sigma * tau * tau)):
+        raise ValueError(f"sigma={sigma!r} and tau={tau!r} are out of range: sigma^2, tau^2, "
+                         "sigma^2 tau^2 and 2 sigma^2 tau^2 must be positive finite floats")
+
+
+def _scale_ratio(z, mu, sigma: float, tau: float):
+    """Ratio of N(mu, tau^2) to N(mu, sigma^2) at z, with mu a scalar or an
+    array broadcasting against z.
+
+    One buffer holds z - mu and is squared, scaled, exponentiated and scaled
+    again in place. An overflowing exponent gives +inf, which the ratio
+    checks name.
+    """
+    d = np.asarray(np.subtract(z, mu, dtype=float))
+    with np.errstate(over="ignore"):
+        np.multiply(d, d, out=d)
+        d *= tau * tau - sigma * sigma
+        d /= 2.0 * sigma * sigma * tau * tau
+        np.exp(d, out=d)
+        d *= sigma / tau
+    return d if d.ndim else d[()]
+
+
 def gaussian_scale_ratio(mu: float, sigma: float, tau: float) -> IidRatio:
     """Ratio of N(mu, tau^2) to N(mu, sigma^2); tau > sigma favors wide exclusion."""
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
-
-    def ratio(z):
-        d2 = (z - mu) * (z - mu)
-        return (sigma / tau) * np.exp(d2 * (tau * tau - sigma * sigma) / (2.0 * sigma * sigma * tau * tau))
-
-    return IidRatio(ratio, name=f"gaussian-scale(mu={mu:g},sigma={sigma:g},tau={tau:g})")
+    _check_scales(sigma, tau)
+    return IidRatio(lambda z: _scale_ratio(z, mu, sigma, tau),
+                    name=f"gaussian-scale(mu={mu:g},sigma={sigma:g},tau={tau:g})")
 
 
 def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
@@ -230,12 +261,27 @@ def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
         raise ValueError("rho must lie in (-1, 1)")
     if tau <= 1.0:
         raise ValueError("tau must exceed the unit marginal scale")
+    _check_scales(1.0, tau)
+
+    def centre(last):
+        return mu + rho * (last - mu)
 
     def builder(z_n: Sequence[float]) -> IidRatio:
-        center = mu + rho * (z_n[-1] - mu)
-        return gaussian_scale_ratio(center, 1.0, tau)
+        return gaussian_scale_ratio(centre(z_n[-1]), 1.0, tau)
 
-    return KernelAlternative(builder, name=f"ar1(mu={mu:g},rho={rho:g},tau={tau:g})")
+    def row_ratio(block: np.ndarray) -> np.ndarray:
+        return _scale_ratio(block, centre(block[:, -2:-1]), 1.0, tau)
+
+    return KernelAlternative(builder, f"ar1(mu={mu:g},rho={rho:g},tau={tau:g})", row_ratio)
+
+
+def _calibration_mean(z_n):
+    """Mean over the first axis of z_n, summed left to right: a tuple's mean,
+    or the row means of a (n, B) array of calibration columns."""
+    total = 0.0
+    for z in z_n:
+        total += z
+    return total / len(z_n)
 
 
 def gaussian_composite_kernel(sigma: float, tau: float) -> KernelAlternative:
@@ -246,9 +292,12 @@ def gaussian_composite_kernel(sigma: float, tau: float) -> KernelAlternative:
     """
     if not 0 < sigma < tau:
         raise ValueError("need 0 < sigma < tau")
+    _check_scales(sigma, tau)
 
     def builder(z_n: Sequence[float]) -> IidRatio:
-        zbar = sum(z_n) / len(z_n)
-        return gaussian_scale_ratio(zbar, sigma, tau)
+        return gaussian_scale_ratio(_calibration_mean(z_n), sigma, tau)
 
-    return KernelAlternative(builder, name=f"gaussian-composite(sigma={sigma:g},tau={tau:g})")
+    def row_ratio(block: np.ndarray) -> np.ndarray:
+        return _scale_ratio(block, _calibration_mean(block[:, :-1].T)[:, None], sigma, tau)
+
+    return KernelAlternative(builder, f"gaussian-composite(sigma={sigma:g},tau={tau:g})", row_ratio)

@@ -43,6 +43,9 @@ from .evalues import (
 from .orbits import TupleLike, tuple_values
 
 _REL_STEP_TOL = 1e-9
+# A grid spec may give at most this many points, round(span / step) + 1;
+# larger specs are rejected before any point is built.
+MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,10 @@ class PlugInGrid:
             raise ValueError("grid step must be positive")
         if hi <= lo:
             raise ValueError("grid max must exceed min")
-        n = round(span / step)
+        steps = span / step
+        if steps > MAX_GRID_POINTS or round(steps) + 1 > MAX_GRID_POINTS:
+            raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
+        n = round(steps)
         if n >= 1 and abs(n * step - span) <= _REL_STEP_TOL * max(1.0, abs(span)):
             points = tuple(lo + span * i / n for i in range(n + 1))
         else:

@@ -22,11 +22,12 @@ of one pass over the whole matrix. Every validator takes its e-values from
 the sorted-calibration core of ``confidence``, the one that builds fuzzy
 sets: the validity, coverage and post-hoc validators pass each trial's final
 slot against its own calibration, and the decision-risk validator inverts
-every trial over the support as ``grid_evidence`` does. Kernel alternatives
-resolve, and evaluate their ratios, trial by trial. The suite checks both
-shapes against the scalar per-orbit ``evalue_at``. The decision-risk
-validator decides with ``decisions._minimax``, the rule behind every
-certified decision, so it checks the code that ``decide`` runs.
+every trial over the support as ``grid_evidence`` does. The built-in kernel
+alternatives evaluate each block of trials in one call of their row form;
+custom kernels resolve, and evaluate their ratios, trial by trial. The suite
+checks both shapes against the scalar per-orbit ``evalue_at``. The
+decision-risk validator decides with ``decisions._minimax``, the rule behind
+every certified decision, so it checks the code that ``decide`` runs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 from .alternatives import (
     AlternativeSpec,
     IidRatio,
+    KernelAlternative,
     LikelihoodRatioProfile,
     _ratio_matrix,
     resolve_alternative,
@@ -244,9 +246,14 @@ def _row_evidence(
     data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec
 ) -> tuple[np.ndarray, _Failures]:
     # the ratio is checked on every entry, naming the first bad one in row
-    # order; a kernel resolves and evaluates each row before the next
+    # order; a kernel's row form evaluates the whole block at once, and a
+    # kernel without one resolves and evaluates each row before the next
+    if data.shape[1] < 2:
+        raise ValueError("calibration rows must hold at least one value")
     if isinstance(alt, IidRatio):
         r = _ratio_matrix(data, alt.ratio)
+    elif isinstance(alt, KernelAlternative) and alt.row_ratio is not None:
+        r = _ratio_matrix(data, alt.row_ratio)
     else:
         r = np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
                        for row in data])
@@ -257,11 +264,12 @@ def _row_evidence(
 def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
     """E-value of each row's final slot, the rest of the row its calibration.
 
-    A bad ratio raises naming the first bad entry in row order; kernels
-    resolve against each row's calibration and evaluate their ratios row by
-    row. One call to the sorted-calibration core then shapes every row,
-    raising AllZeroRatioError or NormalizationFailureError if any row fails.
-    The validators run the same steps on each block of trials they draw.
+    A bad ratio raises naming the first bad entry in row order. A kernel
+    with a row form evaluates every row in one call; other kernels resolve
+    against each row's calibration and evaluate their ratios row by row.
+    One call to the sorted-calibration core then shapes every row, raising
+    AllZeroRatioError or NormalizationFailureError if any row fails. The
+    validators run the same steps on each block of trials they draw.
     """
     e, failures = _row_evidence(data, alt, utility)
     failures.raise_first()
@@ -303,7 +311,9 @@ def _trial_evalues(
 # ---------------------------------------------------------------------------
 
 
-def _require_exchangeable(config: McConfig) -> None:
+def _check_run(config: McConfig, n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if config.model not in EXCHANGEABLE_MODELS:
         raise ValueError(
             f"{config.model!r} is not exchangeable; conformal validators would be meaningless"
@@ -312,7 +322,7 @@ def _require_exchangeable(config: McConfig) -> None:
 
 def mc_validate_evalue(config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int) -> McReport:
     """Validity: the mean e-value at the true future observation is <= 1."""
-    _require_exchangeable(config)
+    _check_run(config, n)
     e = _trial_evalues(config, alt, utility, n)
     return _report("evalue-validity", e, 1.0, config, detail=f"n={n}")
 
@@ -321,7 +331,7 @@ def mc_validate_coverage(
     config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int, alpha: float
 ) -> McReport:
     """Coverage: the sublevel set at alpha excludes the truth at rate <= alpha."""
-    _require_exchangeable(config)
+    _check_run(config, n)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     e = _trial_evalues(config, alt, utility, n)
@@ -371,7 +381,7 @@ def mc_validate_posthoc(
     smallest level at which the realization is excluded. The rule sees the
     e-values of all trials at once.
     """
-    _require_exchangeable(config)
+    _check_run(config, n)
     e = _trial_evalues(config, alt, utility, n)
     atil = _selected_levels(selection_rule, e)
     with np.errstate(divide="ignore"):
@@ -410,7 +420,7 @@ def mc_validate_decision_risk(
     at the selected levels. Raises AllInfiniteRiskError in weighted mode
     when some trial has infinite weighted risk under every decision.
     """
-    _require_exchangeable(config)
+    _check_run(config, n)
     if config.model not in FINITE_MODELS:
         raise ValueError("decision-risk validation needs a finite-support model")
     if not isinstance(alt, IidRatio):

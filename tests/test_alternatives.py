@@ -152,3 +152,39 @@ def test_kernel_exactness_is_conditional_on_calibration():
         assert prof.orbit_mean() == pytest.approx(1.0, abs=1e-12)
         per_slot.append(prof.lr_at(last))
     assert sum(per_slot) / 3 == pytest.approx(5 / 3, abs=1e-6)
+
+
+# values with ties, signed zeros and entries near +-30, where the unit-scale
+# ratio at tau = 3.5 is about 1e179
+_KERNEL_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -1.5, 30.0, -30.0, 29.75, -29.75)),
+                           st.floats(min_value=-31.0, max_value=31.0))
+
+
+@pytest.mark.parametrize("kern", [ar1_kernel(0.0, 0.5, 3.5), ar1_kernel(0.3, -0.9, 1.2),
+                                  gaussian_composite_kernel(1.0, 3.5),
+                                  gaussian_composite_kernel(0.5, 2.0)], ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [1, 20])
+@given(data=st.data())
+def test_kernel_row_form_equals_the_builder_per_row(kern, n, data):
+    rows = data.draw(st.lists(st.lists(_KERNEL_VALUES, min_size=n + 1, max_size=n + 1),
+                              min_size=1, max_size=6))
+    block = np.array(rows, dtype=float)
+    want = np.vstack([resolve_alternative(kern, row[:-1]).ratio(row) for row in block])
+    assert np.array_equal(kern.row_ratio(block), want)
+
+
+@pytest.mark.parametrize("spec", [lambda: gaussian_scale_ratio(0.0, 1.0, 1e200),
+                                  lambda: gaussian_scale_ratio(0.0, 1e-200, 1e-199),
+                                  lambda: gaussian_scale_ratio(0.0, 1.0, math.nan),
+                                  lambda: ar1_kernel(0.0, 0.5, 1e200),
+                                  lambda: gaussian_composite_kernel(1e-200, 1e-199),
+                                  lambda: gaussian_composite_kernel(1.0, 1e160)])
+def test_scales_out_of_float_range_are_rejected_at_construction(spec):
+    with pytest.raises(ValueError, match="^sigma=.* and tau=.* are out of range"):
+        spec()
+
+
+def test_scale_ratio_keeps_tau_below_sigma_and_scalar_results():
+    r = gaussian_scale_ratio(0.0, 2.0, 1.0).ratio  # tau < sigma stays legal
+    assert r(0.0) == 2.0 and isinstance(r(0.0), np.float64)
+    assert r(np.array([0.0, 1.0])).shape == (2,)

@@ -1,16 +1,19 @@
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
 
 import fuzzyconf as fc
+from fuzzyconf import cli
 from fuzzyconf.cli import main, parse_ratio, parse_utility
-from fuzzyconf.confidence import PlugInGrid, load_confidence_set, sublevel_set
+from fuzzyconf.confidence import MAX_GRID_POINTS, PlugInGrid, load_confidence_set, sublevel_set
 
 
 def run(args):
@@ -176,6 +179,68 @@ def test_non_finite_grid_spec_exits_2(tmp_path, capsys, grid):
         f"error: grid spec {grid!r} needs a finite min, max, step and span"]
 
 
+@pytest.mark.parametrize("ratio", ["ar1:0:0.5:3.5", "gaussian-composite:1:3.5",
+                                   "gaussian-scale:0:1:3.5"])
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_validate_n_below_one_exits_2(capsys, ratio, n):
+    # these once ended in an IndexError or ZeroDivisionError traceback, or a
+    # numpy message about negative dimensions
+    assert run(["validate", "--model", "iid-gaussian", "--ratio", ratio, "--n", n,
+                "--trials", 1000]) == 2
+    assert capsys.readouterr().err == "error: n must be at least 1\n"
+
+
+@pytest.mark.parametrize("ratio", ["gaussian-scale:0:1:1e200", "gaussian-scale:0:1e-200:1e-199",
+                                   "ar1:0:0.5:1e200", "gaussian-composite:1e-200:1e-199"])
+def test_scale_ratio_out_of_float_range_exits_2(tmp_path, capsys, ratio):
+    # the scales are checked when the ratio is built, not blamed on its values
+    calib = tmp_path / "calib.csv"
+    calib.write_text("0.12\n-0.4\n0.9\n")
+    calls = [["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "log",
+              "--ratio", ratio, "--grid", "-3:3:0.25", "--out", tmp_path / "x.csv"],
+             ["validate", "--model", "iid-gaussian", "--ratio", ratio, "--n", 5,
+              "--trials", 1000]]
+    for args in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(args) == 2
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: sigma=") and "tau=" in err[0], err
+
+
+def _run_module(args, cwd, timeout=120):
+    src = str(Path(fc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "fuzzyconf", *map(str, args)], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_wide_grid_overflow_is_one_error_line(tmp_path):
+    # the scale ratio overflows to +inf past |z - mu| of about 38; that is an
+    # error naming the first such grid point, and nothing else reaches stderr
+    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    done = _run_module(["fuzzy", "--family", "conformal", "--calib", "calib.csv",
+                        "--utility", "log", "--ratio", "gaussian-scale:0:1:3.5",
+                        "--grid=-45:45:0.05", "--out", "x.csv"], tmp_path)
+    assert done.returncode == 2
+    assert done.stderr == (
+        "error: ratio is infinite at z=-45.0; cap the ratio (infinite evidence is "
+        "expressed through the utility, not the alternative)\n")
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-7", "0:1e308:1e-308"])
+def test_grid_point_count_is_capped(tmp_path, grid):
+    # the point count is checked before any point is built; 0:1:1e-300 once
+    # grew until the process was killed
+    done = _run_module(["fuzzy", "--family", "gaussian-log", "--tau", 3.5, f"--grid={grid}",
+                        "--out", "x.csv"], tmp_path, timeout=30)
+    assert MAX_GRID_POINTS == 10**7
+    assert done.returncode == 2
+    assert done.stderr == f"error: grid spec {grid!r} has more than 10000000 points\n"
+
+
 @pytest.mark.parametrize("flags, code, message", [
     (["--sigma", "1e-200", "--tau", "1e-199", "--alpha", "0.05"], 2, "out of range"),
     (["--tau", "1e200", "--alpha", "0.05"], 2, "out of range"),
@@ -314,3 +379,21 @@ def test_cli_evidence_comes_only_from_the_row_engine(tmp_path, monkeypatch):
         kernel + ["--ratio", "gaussian-composite:1:3.5", "--utility", "bounded-log:0.05"],
     ]
     assert [run(args) for args in calls] == [0] * len(calls)
+
+
+def test_cli_kernel_validators_evaluate_blocks(monkeypatch):
+    # the built-in kernels' row form serves every trial: neither a builder
+    # nor resolve_alternative may run under the validators
+    def per_trial(*args, **kwargs):
+        raise AssertionError("a kernel was resolved trial by trial")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fuzzyconf" and hasattr(module, "resolve_alternative"):
+            monkeypatch.setattr(module, "resolve_alternative", per_trial)
+    monkeypatch.setattr(cli, "parse_ratio", lambda spec, parse=parse_ratio:
+                        dataclasses.replace(parse(spec), builder=per_trial))
+    kernel = ["validate", "--check", "coverage", "--alpha", 0.1, "--model", "iid-gaussian",
+              "--n", 5, "--trials", 1000, "--seed", 7]
+    calls = [kernel + ["--ratio", "ar1:0:0.5:3.5", "--utility", "log"],
+             kernel + ["--ratio", "gaussian-composite:1:3.5", "--utility", "bounded-log:0.05"]]
+    assert [run(args) for args in calls] == [0, 0]

@@ -392,6 +392,50 @@ def test_kernel_alternative_loops_per_trial():
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (kern.name, utility)
 
 
+_BUILT_IN_KERNELS = (ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5))
+
+
+def test_kernel_row_form_reports_equal_the_per_row_loop(monkeypatch):
+    # the built-in kernels evaluate blocks through their row form; the same
+    # builder without it resolves every trial, and every report must agree
+    cfg = McConfig(trials=1000, seed=19, model="iid-gaussian", params={})
+    runs = [lambda k: mc_validate_evalue(cfg, k, Log(), 4),
+            lambda k: mc_validate_coverage(cfg, k, BoundedLog(0.05), 4, 0.1),
+            lambda k: mc_validate_posthoc(cfg, k, ClippedLog(0.1), 4)]
+    for budget in (harness._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+        for kern in _BUILT_IN_KERNELS:
+            assert kern.row_ratio is not None
+            loop = kernel_alternative(kern.builder, kern.name)
+            for validate in runs:
+                assert validate(kern) == validate(loop), (budget, kern.name)
+
+
+def test_kernel_row_form_errors_equal_the_per_row_loop():
+    # inf and NaN in a calibration or a final slot: the first bad ratio in row
+    # order is named with the same text, block at once or row by row
+    clean = np.array([[0.3, -1.2, 0.8, 1.1], [2.0, 0.5, -0.5, 0.0]])
+    cases = []
+    for row, col, value in [(1, 2, np.inf), (1, 0, -np.inf), (0, 3, np.inf),
+                            (1, 1, np.nan), (0, 3, np.nan)]:
+        block = clean.copy()
+        block[row, col] = value
+        cases.append(block)
+    both = clean.copy()
+    both[1, :2] = (np.inf, -np.inf)  # the calibration mean is NaN
+    cases.append(both)
+    with np.errstate(invalid="ignore"):
+        for kern in _BUILT_IN_KERNELS:
+            loop = kernel_alternative(kern.builder, kern.name)
+            for block in cases:
+                got = _first_error(lambda: evalues_for(block, kern, Log()))
+                assert got is not None and got[0] is ValueError and "ratio" in got[1]
+                assert got == _first_error(lambda: evalues_for(block, loop, Log())), block
+            # a tuple needs a calibration slot before its final one
+            with pytest.raises(ValueError, match="at least one value"):
+                evalues_for(np.array([[1.0], [2.0]]), kern, Log())
+
+
 def test_vector_scalar_np_agreement_at_integer_boundaries():
     # alpha * m landing exactly on an attained tail count is the sharpest
     # consistency test between the row-wise and per-tuple threshold rules
