@@ -12,6 +12,9 @@ Subcommands:
 
 Outputs are deterministic given the same flags and seed: floats render with
 17 significant digits, JSON keys are sorted, newlines are fixed.
+
+Each subcommand imports only the modules it computes with, so ``interval``
+and the closed-form ``fuzzy`` families run without numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import alternatives, confidence, decisions, evalues, gaussian, harness
 from .errors import FuzzyconfError
+
+if TYPE_CHECKING:
+    from . import alternatives, evalues, sets
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -41,6 +46,8 @@ _GAUSSIAN_FAMILIES = (
 def parse_utility(spec: str) -> evalues.UtilitySpec:
     """Parse a utility spec: log | power:H | np:A | bounded-log:A |
     clipped-log:B | dampened:B:INNER."""
+    from . import evalues
+
     head, _, rest = spec.partition(":")
     if head == "log":
         if rest:
@@ -64,6 +71,8 @@ def parse_utility(spec: str) -> evalues.UtilitySpec:
 
 def parse_ratio(spec: str) -> alternatives.AlternativeSpec:
     """Parse a named built-in alternative with numeric parameters."""
+    from . import alternatives
+
     parts = spec.split(":")
     name, args = parts[0], [float(x) for x in parts[1:]]
     if name == "gaussian-mean-shift":
@@ -113,44 +122,49 @@ def _write_json(path: Optional[str], doc: dict) -> None:
             fh.write(text)
 
 
-def _gaussian_curve(args, grid: confidence.PlugInGrid) -> confidence.FuzzyConfidenceSet:
+def _gaussian_curve(args, grid: sets.PlugInGrid) -> sets.FuzzyConfidenceSet:
+    from . import gaussian, sets
+
     fam = args.family
     mu, sigma, tau, alpha, n, zbar = args.mu, args.sigma, args.tau, args.alpha, args.n, args.zbar
+    # each family checks its parameters once and returns its per-point core
     if fam == "gaussian-log":
-        fn = lambda z: gaussian.gaussian_log_fuzzy(z, mu, sigma, tau)
+        fn = gaussian._log_curve(mu, sigma, tau)
         name = f"gaussian-log(mu={mu:g},sigma={sigma:g},tau={tau:g})"
     elif fam == "gaussian-log-composite":
-        fn = lambda z: gaussian.gaussian_composite_log_fuzzy(z, zbar, sigma, tau, n)
+        fn = gaussian._composite_log_curve(zbar, sigma, tau, n)
         name = f"gaussian-log-composite(zbar={zbar:g},sigma={sigma:g},tau={tau:g},n={n})"
     elif fam == "gaussian-bounded-log":
-        fn = lambda z: gaussian.gaussian_bounded_log_fuzzy(z, mu, sigma, tau, alpha)
+        fn = gaussian._bounded_log_curve(mu, sigma, tau, alpha)
         name = f"gaussian-bounded-log(mu={mu:g},sigma={sigma:g},tau={tau:g},alpha={alpha:g})"
     elif fam == "gaussian-bounded-log-composite":
-        fn = lambda z: gaussian.gaussian_composite_bounded_log_fuzzy(z, zbar, sigma, tau, n, alpha)
+        fn = gaussian._composite_bounded_log_curve(zbar, sigma, tau, n, alpha)
         name = (f"gaussian-bounded-log-composite(zbar={zbar:g},sigma={sigma:g},"
                 f"tau={tau:g},n={n},alpha={alpha:g})")
     elif fam == "gaussian-np":
-        fn = lambda z: gaussian.gaussian_np_evalue(z, mu, sigma, alpha)
+        fn = gaussian._np_curve(mu, sigma, alpha)
         name = f"gaussian-np(mu={mu:g},sigma={sigma:g},alpha={alpha:g})"
     elif fam == "gaussian-np-composite":
-        fn = lambda z: gaussian.gaussian_composite_np_evalue(z, zbar, sigma, n, alpha)
+        fn = gaussian._composite_np_curve(zbar, sigma, n, alpha)
         name = f"gaussian-np-composite(zbar={zbar:g},sigma={sigma:g},n={n},alpha={alpha:g})"
     else:
         raise ValueError(f"unknown family {fam!r}")
-    evidence = tuple(fn(z) for z in grid.points)
+    evidence = tuple(map(fn, grid.points))
     utility = "np" if "np" in fam else ("bounded-log" if "bounded" in fam else "log")
-    return confidence.FuzzyConfidenceSet(grid, evidence, (), name, utility)
+    return sets.FuzzyConfidenceSet(grid, evidence, (), name, utility)
 
 
 def cmd_fuzzy(args) -> int:
-    grid = confidence.PlugInGrid.from_spec(args.grid)
+    from .sets import PlugInGrid
+
+    grid = PlugInGrid.from_spec(args.grid)
     if args.family == "conformal":
         if not args.calib or not args.utility or not args.ratio:
             raise ValueError("conformal needs --calib, --utility and --ratio")
+        from .confidence import fuzzy_set
+
         calib = _read_calibration(args.calib)
-        fset = confidence.fuzzy_set(
-            calib, grid, parse_ratio(args.ratio), parse_utility(args.utility)
-        )
+        fset = fuzzy_set(calib, grid, parse_ratio(args.ratio), parse_utility(args.utility))
     else:
         _check_gaussian_args(args)
         fset = _gaussian_curve(args, grid)
@@ -174,6 +188,8 @@ def _check_gaussian_args(args) -> None:
 
 
 def cmd_interval(args) -> int:
+    from . import gaussian
+
     if args.family == "simple":
         lo, hi = gaussian.simple_interval(args.mu, args.sigma, args.alpha)
     elif args.family == "composite":
@@ -191,25 +207,27 @@ def cmd_interval(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    from . import decisions, sets
+
     with open(args.problem, "r", encoding="utf-8") as fh:
         problem = decisions.DecisionProblem.from_json_doc(json.load(fh))
     with open(args.set, "r", encoding="utf-8") as fh:
-        conf = confidence.load_confidence_set(json.load(fh))
+        conf = sets.load_confidence_set(json.load(fh))
 
     if args.mode == "as-if":
-        if isinstance(conf, confidence.FuzzyConfidenceSet):
+        if isinstance(conf, sets.FuzzyConfidenceSet):
             if args.alpha is None:
                 raise ValueError("as-if over a fuzzy set needs --alpha")
-            conf = confidence.sublevel_set(conf, args.alpha)
+            conf = sets.sublevel_set(conf, args.alpha)
         cert = decisions.as_if_decision(problem, conf)
         doc = cert.to_json_doc()
     elif args.mode == "weighted":
-        if not isinstance(conf, confidence.FuzzyConfidenceSet):
+        if not isinstance(conf, sets.FuzzyConfidenceSet):
             raise ValueError("weighted mode needs a fuzzy confidence set")
         cert = decisions.weighted_decision(problem, conf)
         doc = cert.to_json_doc()
     elif args.mode == "post-hoc":
-        if not isinstance(conf, confidence.FuzzyConfidenceSet):
+        if not isinstance(conf, sets.FuzzyConfidenceSet):
             raise ValueError("post-hoc mode needs a fuzzy confidence set")
         if not args.levels:
             raise ValueError("post-hoc mode needs --levels")
@@ -230,6 +248,8 @@ def cmd_decide(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import harness
+
     params = {}
     if args.model_args:
         for kv in args.model_args.split(","):

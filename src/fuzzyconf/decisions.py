@@ -26,8 +26,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .confidence import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid
 from .errors import AllInfiniteRiskError, EmptyConfidenceSetError
+from .sets import (
+    BinaryConfidenceSet,
+    FuzzyConfidenceSet,
+    PlugInGrid,
+    _json_floats,
+    _json_list,
+    _json_object,
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,12 @@ class DecisionProblem:
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "DecisionProblem":
+        _json_object(doc, "a decision problem")
+        rows = _json_list(doc.get("loss"), "loss")
         return cls(
-            decisions=tuple(str(d) for d in doc["decisions"]),
-            outcomes=tuple(float(z) for z in doc["outcomes"]),
-            loss=tuple(tuple(float(x) for x in row) for row in doc["loss"]),
+            decisions=tuple(str(d) for d in _json_list(doc.get("decisions"), "decisions")),
+            outcomes=_json_floats(doc.get("outcomes"), "outcomes"),
+            loss=tuple(_json_floats(row, f"loss[{d}]") for d, row in enumerate(rows)),
         )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError, NormalizationFailureError
 
@@ -90,7 +90,7 @@ def std_normal_quantile(p: float) -> float:
 
 def simple_interval(mu: float, sigma: float, alpha: float) -> tuple[float, float]:
     """Two-sided interval [mu -+ sigma * c] with c the (1 - alpha/2)-quantile."""
-    _check(sigma=sigma, alpha=alpha)
+    _check(sigma=sigma, alpha=alpha, mu=mu)
     c = std_normal_quantile(1.0 - alpha / 2.0)
     return (mu - sigma * c, mu + sigma * c)
 
@@ -98,7 +98,7 @@ def simple_interval(mu: float, sigma: float, alpha: float) -> tuple[float, float
 def composite_interval(zbar: float, sigma: float, n: int, alpha: float) -> tuple[float, float]:
     """Interval centered at the sample mean, widened by sqrt(1 + 1/n) for the
     estimation of the center."""
-    _check(sigma=sigma, alpha=alpha, n=n)
+    _check(sigma=sigma, alpha=alpha, n=n, zbar=zbar)
     c = std_normal_quantile(1.0 - alpha / 2.0)
     half = c * sigma * math.sqrt(1.0 + 1.0 / n)
     return (zbar - half, zbar + half)
@@ -107,7 +107,7 @@ def composite_interval(zbar: float, sigma: float, n: int, alpha: float) -> tuple
 def ar1_interval(mu: float, rho: float, z_last: float, alpha: float) -> tuple[float, float]:
     """Interval centered at the one-step conditional mean mu + rho*(z_n - mu);
     unit marginal variance."""
-    _check(alpha=alpha, rho=rho)
+    _check(alpha=alpha, rho=rho, mu=mu, z_last=z_last)
     c = std_normal_quantile(1.0 - alpha / 2.0)
     center = mu + rho * (z_last - mu)
     return (center - c, center + c)
@@ -118,9 +118,60 @@ def ar1_interval(mu: float, rho: float, z_last: float, alpha: float) -> tuple[fl
 # ---------------------------------------------------------------------------
 
 
-def _log_scale_lr(z: float, mu: float, sigma: float, tau: float) -> float:
-    d2 = (z - mu) * (z - mu)
-    return math.log(sigma / tau) + d2 * (tau * tau - sigma * sigma) / (2.0 * sigma * sigma * tau * tau)
+# Each family's ``_*_curve`` checks its parameters and solves its boost once,
+# then returns the unchecked per-point core z -> evidence. The public scalar
+# function evaluates the core at one point; a grid curve (``cli``) evaluates
+# it at every point, with the same arithmetic.
+
+
+def _log_curve(mu: float, sigma: float, tau: float) -> Callable[[float], float]:
+    _check(sigma=sigma, tau=tau, mu=mu)
+    log_ratio = math.log(sigma / tau)
+    spread = tau * tau - sigma * sigma
+    scale = 2.0 * sigma * sigma * tau * tau
+
+    def lr(z: float) -> float:
+        d = z - mu
+        logval = log_ratio + d * d * spread / scale
+        if logval > 709.0:
+            return math.inf
+        return math.exp(logval)
+
+    return lr
+
+
+def _composite_log_curve(zbar: float, sigma: float, tau: float, n: int) -> Callable[[float], float]:
+    _check(sigma=sigma, tau=tau, n=n, zbar=zbar)
+    f = math.sqrt(1.0 + 1.0 / n)
+    return _log_curve(zbar, sigma * f, tau * f)
+
+
+def _bounded_log_curve(mu: float, sigma: float, tau: float, alpha: float) -> Callable[[float], float]:
+    _check(sigma=sigma, tau=tau, alpha=alpha, mu=mu)
+    b = bounded_log_boost(mu, sigma, tau, alpha)
+    lr = _log_curve(mu, sigma, tau)
+    cap = 1.0 / alpha
+    return lambda z: min(b * lr(z), cap)
+
+
+def _composite_bounded_log_curve(
+    zbar: float, sigma: float, tau: float, n: int, alpha: float
+) -> Callable[[float], float]:
+    _check(sigma=sigma, tau=tau, n=n, alpha=alpha, zbar=zbar)
+    f = math.sqrt(1.0 + 1.0 / n)
+    return _bounded_log_curve(zbar, sigma * f, tau * f, alpha)
+
+
+def _np_curve(mu: float, sigma: float, alpha: float) -> Callable[[float], float]:
+    _check(sigma=sigma, alpha=alpha, mu=mu)
+    half = sigma * std_normal_quantile(1.0 - alpha / 2.0)
+    top = 1.0 / alpha
+    return lambda z: top if abs(z - mu) > half else 0.0
+
+
+def _composite_np_curve(zbar: float, sigma: float, n: int, alpha: float) -> Callable[[float], float]:
+    _check(sigma=sigma, n=n, alpha=alpha, zbar=zbar)
+    return _np_curve(zbar, sigma * math.sqrt(1.0 + 1.0 / n), alpha)
 
 
 def gaussian_log_fuzzy(z: float, mu: float, sigma: float, tau: float) -> float:
@@ -128,19 +179,13 @@ def gaussian_log_fuzzy(z: float, mu: float, sigma: float, tau: float) -> float:
 
     Grows without bound in the tails (tau > sigma); equals sigma/tau at mu.
     """
-    _check(sigma=sigma, tau=tau)
-    logval = _log_scale_lr(z, mu, sigma, tau)
-    if logval > 709.0:
-        return math.inf
-    return math.exp(logval)
+    return _log_curve(mu, sigma, tau)(z)
 
 
 def gaussian_composite_log_fuzzy(z: float, zbar: float, sigma: float, tau: float, n: int) -> float:
     """Same ratio centered at the sample mean, with both variances inflated
     by the 1/n estimation term."""
-    _check(sigma=sigma, tau=tau, n=n)
-    f = math.sqrt(1.0 + 1.0 / n)
-    return gaussian_log_fuzzy(z, zbar, sigma * f, tau * f)
+    return _composite_log_curve(zbar, sigma, tau, n)(z)
 
 
 @lru_cache(maxsize=256)
@@ -152,7 +197,7 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
     the cap does not bind, LR * N(mu, sigma^2) = N(mu, tau^2), so the core is
     b * P(|Z_tau| < radius); where it binds, the cap times the null tail mass.
     """
-    _check(sigma=sigma, tau=tau, alpha=alpha)
+    _check(sigma=sigma, tau=tau, alpha=alpha, mu=mu)
     cap = 1.0 / alpha
 
     def null_mean(b: float) -> float:
@@ -191,10 +236,8 @@ def gaussian_bounded_log_fuzzy(
     z: float, mu: float, sigma: float, tau: float, alpha: float
 ) -> float:
     """Evidence = min(b * LR(z), 1/alpha) with the boost b renormalizing the
-    null mean to 1; ``bounded_log_boost`` caches b, so a grid solves it once."""
-    _check(sigma=sigma, tau=tau, alpha=alpha)
-    b = bounded_log_boost(mu, sigma, tau, alpha)
-    return min(b * gaussian_log_fuzzy(z, mu, sigma, tau), 1.0 / alpha)
+    null mean to 1; ``bounded_log_boost`` caches b."""
+    return _bounded_log_curve(mu, sigma, tau, alpha)(z)
 
 
 def gaussian_composite_bounded_log_fuzzy(
@@ -206,9 +249,7 @@ def gaussian_composite_bounded_log_fuzzy(
     conjecture; validity (null mean 1) holds regardless and is what this
     function renormalizes.
     """
-    _check(sigma=sigma, tau=tau, n=n, alpha=alpha)
-    f = math.sqrt(1.0 + 1.0 / n)
-    return gaussian_bounded_log_fuzzy(z, zbar, sigma * f, tau * f, alpha)
+    return _composite_bounded_log_curve(zbar, sigma, tau, n, alpha)(z)
 
 
 def composite_bounded_log_boost(sigma: float, tau: float, n: int, alpha: float, zbar: float = 0.0) -> float:
@@ -222,22 +263,24 @@ def gaussian_np_evalue(z: float, mu: float, sigma: float, alpha: float) -> float
 
     Its alpha-sublevel set is exactly ``simple_interval``.
     """
-    _check(sigma=sigma, alpha=alpha)
-    c = std_normal_quantile(1.0 - alpha / 2.0)
-    return (1.0 / alpha) if abs(z - mu) > sigma * c else 0.0
+    return _np_curve(mu, sigma, alpha)(z)
 
 
 def gaussian_composite_np_evalue(z: float, zbar: float, sigma: float, n: int, alpha: float) -> float:
     """Step e-value whose sublevel set is ``composite_interval``."""
-    _check(sigma=sigma, n=n, alpha=alpha)
-    return gaussian_np_evalue(z, zbar, sigma * math.sqrt(1.0 + 1.0 / n), alpha)
+    return _composite_np_curve(zbar, sigma, n, alpha)(z)
 
 
 def _check(sigma: Optional[float] = None, tau: Optional[float] = None,
            alpha: Optional[float] = None, n: Optional[int] = None,
-           rho: Optional[float] = None) -> None:
-    if sigma is not None and sigma <= 0:
-        raise ValueError("sigma must be positive")
+           rho: Optional[float] = None, **centers: float) -> None:
+    """Validate the parameters given; ``centers`` are locations (mu, zbar,
+    z_last), each of which must be finite."""
+    for name, value in centers.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if sigma is not None and not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if tau is not None:
         if sigma is None:
             raise ValueError("tau requires sigma")

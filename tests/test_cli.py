@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -253,6 +255,90 @@ def test_gaussian_extreme_scales_exit_codes(tmp_path, capsys, flags, code, messa
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+_PROBLEM = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
+            "loss": [[1, 1, 1], [2, 0.5, 2]]}
+_SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).to_json_doc()
+
+
+@pytest.mark.parametrize("problem, conf, message", [
+    ({**_PROBLEM, "loss": 5}, _SET, "loss must be a JSON list, got 5"),
+    ([_PROBLEM], _SET, "a decision problem must be a JSON object, got a list"),
+    ({**_PROBLEM, "loss": [[1, 1, 1], [2, None, 2]]}, _SET, "loss[1][1] must be a number, got null"),
+    (_PROBLEM, {**_SET, "evidence": [2.0, None, 3.0]}, "evidence[1] must be a number, got null"),
+    (_PROBLEM, [], "a confidence set document must be a JSON object, got a list"),
+    ({**_PROBLEM, "decisions": "ab"}, _SET, "decisions must be a JSON list, got 'ab'"),
+], ids=["loss-number", "problem-list", "loss-null", "evidence-null", "set-list", "decisions-string"])
+def test_malformed_decide_documents_exit_2(tmp_path, capsys, problem, conf, message):
+    # each once ended in a TypeError or AttributeError traceback (exit 1), or,
+    # for a string of decisions, in a certificate for decisions "a" and "b"
+    (tmp_path / "prob.json").write_text(json.dumps(problem))
+    (tmp_path / "set.json").write_text(json.dumps(conf))
+    assert run(["decide", "--problem", tmp_path / "prob.json", "--set", tmp_path / "set.json",
+                "--out", tmp_path / "cert.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["fuzzy", "--family", "gaussian-np", "--alpha", "0.05", "--mu", "inf"], "mu must be finite, got inf"),
+    (["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05", "--mu", "inf"],
+     "mu must be finite, got inf"),
+    (["fuzzy", "--family", "gaussian-np-composite", "--alpha", "0.05", "--n", "5", "--zbar", "nan"],
+     "zbar must be finite, got nan"),
+    (["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--sigma", "nan"],
+     "sigma must be positive and finite, got nan"),
+    (["interval", "--family", "simple", "--alpha", "0.05", "--mu", "nan"], "mu must be finite, got nan"),
+    (["interval", "--family", "simple", "--alpha", "0.05", "--sigma", "inf"],
+     "sigma must be positive and finite, got inf"),
+    (["interval", "--family", "composite", "--alpha", "0.05", "--n", "3", "--zbar=-inf"],
+     "zbar must be finite, got -inf"),
+    (["interval", "--family", "ar1", "--alpha", "0.05", "--rho", "0.5", "--z-last", "inf"],
+     "z_last must be finite, got inf"),
+])
+def test_non_finite_gaussian_parameters_exit_2(tmp_path, capsys, args, message):
+    # the fuzzy calls once wrote a constant curve and exited 0; the interval
+    # calls blamed the output ("Out of range float values are not JSON compliant")
+    out = ["--grid=-3:3:1", "--out", tmp_path / "x.csv"] if args[0] == "fuzzy" else []
+    assert run(args + out) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+_CURVE_ARGS = {"mu": -0.2, "sigma": 1.3, "tau": 3.5, "alpha": 0.05, "n": 7, "zbar": 0.4}
+_SCALAR_FAMILIES = {
+    "gaussian-log": lambda z, a: fc.gaussian_log_fuzzy(z, a["mu"], a["sigma"], a["tau"]),
+    "gaussian-log-composite": lambda z, a: fc.gaussian_composite_log_fuzzy(
+        z, a["zbar"], a["sigma"], a["tau"], a["n"]),
+    "gaussian-bounded-log": lambda z, a: fc.gaussian_bounded_log_fuzzy(
+        z, a["mu"], a["sigma"], a["tau"], a["alpha"]),
+    "gaussian-bounded-log-composite": lambda z, a: fc.gaussian_composite_bounded_log_fuzzy(
+        z, a["zbar"], a["sigma"], a["tau"], a["n"], a["alpha"]),
+    "gaussian-np": lambda z, a: fc.gaussian_np_evalue(z, a["mu"], a["sigma"], a["alpha"]),
+    "gaussian-np-composite": lambda z, a: fc.gaussian_composite_np_evalue(
+        z, a["zbar"], a["sigma"], a["n"], a["alpha"]),
+}
+
+
+@pytest.mark.parametrize("family", cli._GAUSSIAN_FAMILIES)
+def test_closed_form_curve_checks_once_and_equals_the_scalar_functions(tmp_path, monkeypatch,
+                                                                      family):
+    # the curve checks its parameters once, not once or twice per grid point,
+    # and evaluates every point with the public scalar function's arithmetic
+    from fuzzyconf import gaussian
+
+    checks = []
+    check = gaussian._check
+    monkeypatch.setattr(gaussian, "_check", lambda *a, **k: checks.append(1) or check(*a, **k))
+    flags = [x for key, v in _CURVE_ARGS.items() for x in (f"--{key}", str(v))]
+    assert run(["fuzzy", "--family", family, *flags, "--grid=-40:40:0.1",
+                "--out", tmp_path / "x.csv", "--json", tmp_path / "x.json"]) == 0
+    assert 1 <= len(checks) <= 4
+    monkeypatch.undo()
+    doc = json.loads((tmp_path / "x.json").read_text())
+    want = [_SCALAR_FAMILIES[family](z, _CURVE_ARGS) for z in doc["grid"]]
+    assert [float(e) for e in doc["evidence"]] == want
+
+
 def test_numeric_failure_exit_3(tmp_path, capsys):
     # an np-utility fuzzy set has zero evidence inside; weighting an
     # everywhere-positive loss by it makes every decision's risk infinite
@@ -308,45 +394,124 @@ def test_infinite_evidence_is_strict_json(tmp_path):
     assert again.evidence == binary.evidence and again.membership == binary.membership
 
 
-_NO_SCIPY_SCRIPT = textwrap.dedent("""
+_CLI_SCRIPT = textwrap.dedent("""
     import json, os, sys
-    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+    blocked, workdir, calls = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+    if blocked:
+        sys.modules[blocked] = None  # any import of it now raises ImportError
     import fuzzyconf
     from fuzzyconf.cli import main
 
-    os.chdir(sys.argv[1])
-    with open("calib.csv", "w") as fh:
-        fh.write("1.2\\n0.7\\n2.1\\n")
-    with open("prob.json", "w") as fh:
-        json.dump({"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
-                   "loss": [[1, 1, 1], [2, 0.5, 2]]}, fh)
-    calls = [
-        ["interval", "--family", "simple", "--alpha", "0.05", "--out", "iv.json"],
-        ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
-         "--grid", "-3:3:0.5", "--out", "g.csv"],
-        ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
-         "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-1:1:1",
-         "--out", "c.csv", "--json", "c.json"],
-        ["decide", "--problem", "prob.json", "--set", "c.json", "--out", "cert.json"],
-        ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "2000",
-         "--seed", "3", "--out", "report.json"],
-    ]
+    os.chdir(workdir)
     codes = [main(argv) for argv in calls]
-    loaded = sorted(m for m, mod in sys.modules.items()
-                    if m.split(".")[0] == "scipy" and mod is not None)
-    print(json.dumps({"codes": codes, "scipy": loaded}))
+    loaded = sorted(m for m, mod in sys.modules.items() if mod is not None
+                    and m.split(".")[0] in ("fuzzyconf", "numpy", "scipy"))
+    print(json.dumps({"codes": codes, "modules": loaded}))
 """)
 
 
-def test_cli_runs_without_scipy(tmp_path):
+def _run_cli_script(work, calls, blocked=""):
+    """Run ``calls`` through ``cli.main`` in a fresh interpreter in ``work``,
+    with ``blocked`` made unimportable; return its stdout and the exit codes
+    and the fuzzyconf, numpy and scipy modules it loaded."""
+    work.mkdir()
+    (work / "calib.csv").write_text("1.2\n0.7\n2.1\n")
+    (work / "prob.json").write_text(json.dumps(
+        {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
+         "loss": [[1, 1, 1], [2, 0.5, 2]]}))
     src = str(Path(fc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", _CLI_SCRIPT, blocked, str(work), json.dumps(calls)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+    return done.stdout, json.loads(done.stdout.splitlines()[-1])
+
+
+_EVERY_SUBCOMMAND = [
+    ["interval", "--family", "simple", "--alpha", "0.05", "--out", "iv.json"],
+    ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
+     "--grid", "-3:3:0.5", "--out", "g.csv"],
+    ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+     "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-1:1:1",
+     "--out", "c.csv", "--json", "c.json"],
+    ["decide", "--problem", "prob.json", "--set", "c.json", "--out", "cert.json"],
+    ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "2000",
+     "--seed", "3", "--out", "report.json"],
+]
+
+# interval and the six closed-form fuzzy families compute with math alone
+_CLOSED_FORM = [
+    ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05",
+     "--out", "simple.json"],
+    ["interval", "--family", "composite", "--zbar", "1.44", "--n", "3", "--alpha", "0.1",
+     "--out", "composite.json"],
+    ["interval", "--family", "ar1", "--mu", "0.2", "--rho", "0.5", "--z-last", "1.5",
+     "--alpha", "0.05", "--out", "ar1.json"],
+] + [
+    ["fuzzy", "--family", family, "--tau", "3.5", "--alpha", "0.05", "--n", "7", "--zbar", "0.4",
+     "--mu", "-0.2", "--grid=-8:8:0.25", "--out", f"{family}.csv", "--json", f"{family}.json"]
+    for family in cli._GAUSSIAN_FAMILIES
+]
+
+
+@pytest.mark.parametrize("blocked, calls", [("scipy", _EVERY_SUBCOMMAND),
+                                            ("numpy", _CLOSED_FORM)], ids=["scipy", "numpy"])
+def test_cli_runs_without(tmp_path, blocked, calls):
+    # with the package unimportable every call still succeeds, loads none of
+    # it, and writes exactly what an unblocked run writes
+    stdout, result = _run_cli_script(tmp_path / "blocked", calls, blocked)
+    assert result["codes"] == [0] * len(calls)
+    assert [m for m in result["modules"] if m.split(".")[0] == blocked] == []
+    reference, _ = _run_cli_script(tmp_path / "reference", calls)
+    assert stdout.splitlines()[:-1] == reference.splitlines()[:-1]
+    names = sorted(p.name for p in (tmp_path / "blocked").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
+
+
+def test_conformal_fuzzy_loads_only_its_engine(tmp_path):
+    _, result = _run_cli_script(tmp_path / "work", [_EVERY_SUBCOMMAND[2]])
+    assert result["codes"] == [0]
+    modules = set(result["modules"])
+    assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
+            "fuzzyconf.orbits", "fuzzyconf.sets"} <= modules
+    assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian"}
+
+
+def test_package_namespace_resolves_names_lazily():
+    for name in fc.__all__:
+        obj = getattr(fc, name)
+        module = importlib.import_module(f"fuzzyconf.{fc._MODULE_OF[name]}")
+        assert getattr(module, name) is obj, name
+        defined_in = getattr(obj, "__module__", "")
+        if defined_in.startswith("fuzzyconf."):
+            assert defined_in == module.__name__, name  # the defining module, not a re-export
+        assert name not in vars(fc), name  # resolved on access, never cached
+    assert len(fc.__all__) == len(set(fc.__all__))
+    assert set(fc.__all__) <= set(dir(fc))
+    assert fc.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fc.no_such_name
+    star = {}
+    exec("from fuzzyconf import *", star)
+    assert all(star[name] is getattr(fc, name) for name in fc.__all__)
+    from fuzzyconf import confidence, sets
+
+    for name in ("PlugInGrid", "MAX_GRID_POINTS", "FuzzyConfidenceSet", "BinaryConfidenceSet",
+                 "load_confidence_set", "sublevel_set", "smallest_exclusion_level",
+                 "randomized_binary"):
+        assert getattr(confidence, name) is getattr(sets, name), name
+
+
+def _import_every_module():
+    # the command line imports its modules on demand; import them all so
+    # that patching every loaded module reaches each one
+    for info in pkgutil.iter_modules(fc.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"fuzzyconf.{info.name}")
 
 
 _SCALAR_PATH = ("evalue_at", "optimal_evalue", "normalization_lambda", "np_threshold",
@@ -359,6 +524,7 @@ def test_cli_evidence_comes_only_from_the_row_engine(tmp_path, monkeypatch):
     def scalar_path(*args, **kwargs):
         raise AssertionError("the scalar per-orbit path ran under the command line")
 
+    _import_every_module()
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fuzzyconf":
             for attr in _SCALAR_PATH:
@@ -387,6 +553,7 @@ def test_cli_kernel_validators_evaluate_blocks(monkeypatch):
     def per_trial(*args, **kwargs):
         raise AssertionError("a kernel was resolved trial by trial")
 
+    _import_every_module()
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fuzzyconf" and hasattr(module, "resolve_alternative"):
             monkeypatch.setattr(module, "resolve_alternative", per_trial)

@@ -288,3 +288,33 @@ def test_gaussian_params_validation():
         composite_interval(0.0, 1.0, 0, 0.05)
     with pytest.raises(ValueError):
         ar1_interval(0.0, 1.0, 0.0, 0.05)
+
+
+_LOCATED_CALLS = [
+    ("simple-mu", "mu", lambda v: simple_interval(v, 1.0, 0.05)),
+    ("simple-sigma", "sigma", lambda v: simple_interval(0.0, v, 0.05)),
+    ("composite-zbar", "zbar", lambda v: composite_interval(v, 1.0, 3, 0.05)),
+    ("composite-sigma", "sigma", lambda v: composite_interval(0.0, v, 3, 0.05)),
+    ("ar1-mu", "mu", lambda v: ar1_interval(v, 0.5, 0.0, 0.05)),
+    ("ar1-z_last", "z_last", lambda v: ar1_interval(0.0, 0.5, v, 0.05)),
+    ("log-mu", "mu", lambda v: gaussian_log_fuzzy(0.0, v, 1.0, 3.5)),
+    ("log-composite-zbar", "zbar", lambda v: gaussian_composite_log_fuzzy(0.0, v, 1.0, 3.5, 3)),
+    ("bounded-log-mu", "mu", lambda v: gaussian_bounded_log_fuzzy(0.0, v, 1.0, 3.5, 0.05)),
+    ("boost-mu", "mu", lambda v: bounded_log_boost(v, 1.0, 3.5, 0.05)),
+    ("bounded-log-composite-zbar", "zbar",
+     lambda v: gaussian_composite_bounded_log_fuzzy(0.0, v, 1.0, 3.5, 3, 0.05)),
+    ("np-mu", "mu", lambda v: gaussian_np_evalue(0.0, v, 1.0, 0.05)),
+    ("np-sigma", "sigma", lambda v: gaussian_np_evalue(0.0, 0.0, v, 0.05)),
+    ("np-composite-zbar", "zbar", lambda v: gaussian_composite_np_evalue(0.0, v, 1.0, 3, 0.05)),
+    ("np-composite-sigma", "sigma", lambda v: gaussian_composite_np_evalue(0.0, 0.0, v, 3, 0.05)),
+]
+
+
+@pytest.mark.parametrize("name, call", [c[1:] for c in _LOCATED_CALLS],
+                         ids=[c[0] for c in _LOCATED_CALLS])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_are_rejected(name, call, value):
+    # an infinite mu once gave the np family evidence 1/alpha everywhere and a
+    # NaN zbar evidence 0 everywhere; an infinite sigma an infinite interval
+    with pytest.raises(ValueError, match=rf"^{name} must be (positive and )?finite, got {value!r}$"):
+        call(value)
