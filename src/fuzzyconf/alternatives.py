@@ -207,11 +207,18 @@ def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile
 
 def gaussian_mean_shift_ratio(mu: float, delta: float, sigma: float = 1.0) -> IidRatio:
     """Ratio of N(mu + delta, sigma^2) to N(mu, sigma^2)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(mu) and math.isfinite(delta) and math.isfinite(delta * delta)):
+        raise ValueError(f"mu={mu!r} and delta={delta!r} are out of range: mu, delta and "
+                         "delta^2 must be finite floats")
+    # the ratio divides by 2 sigma^2
+    if not all(0.0 < v < math.inf for v in (sigma, sigma * sigma, 2.0 * sigma * sigma)):
+        raise ValueError(f"sigma={sigma!r} is out of range: sigma, sigma^2 and 2 sigma^2 must "
+                         "be positive finite floats")
 
     def ratio(z):
-        return np.exp((2.0 * delta * (z - mu) - delta * delta) / (2.0 * sigma * sigma))
+        # an overflow gives +inf, which the ratio checks name
+        with np.errstate(over="ignore"):
+            return np.exp((2.0 * delta * (z - mu) - delta * delta) / (2.0 * sigma * sigma))
 
     return IidRatio(ratio, name=f"gaussian-mean-shift(mu={mu:g},delta={delta:g},sigma={sigma:g})")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
@@ -30,6 +31,7 @@ if TYPE_CHECKING:
     from . import alternatives, evalues, sets
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1  # a validate run printed [FAIL]
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
@@ -273,7 +275,7 @@ def cmd_validate(args) -> int:
     print(report.summary_line())
     if args.out:
         _write_json(args.out, report.to_json_doc())
-    return EXIT_OK if report.passed else 1
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,6 +361,11 @@ def _merge_grid_flag(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # no subcommand calls a BLAS routine, so the OpenBLAS that numpy loads
+    # need not start its worker threads, which busy-wait for about 0.1 s
+    # after import; this acts only before numpy loads, and a value the user
+    # exported is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(_merge_grid_flag(list(argv if argv is not None else sys.argv[1:])))
     try:

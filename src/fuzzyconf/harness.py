@@ -66,10 +66,26 @@ CONTINUOUS_MODELS = ("iid-gaussian", "iid-uniform", "exchangeable-mixture", "ar1
 FINITE_MODELS = ("iid-categorical", "categorical-mixture")
 EXCHANGEABLE_MODELS = tuple(m for m in CONTINUOUS_MODELS if m != "ar1-gaussian") + FINITE_MODELS
 
+# each continuous model's parameters and their defaults; sigma, between and
+# within are scales
+_MODEL_DEFAULTS = {
+    "iid-gaussian": {"mu": 0.0, "sigma": 1.0},
+    "iid-uniform": {"lo": 0.0, "hi": 1.0},
+    "exchangeable-mixture": {"mu": 0.0, "between": 1.0, "within": 1.0},
+    "ar1-gaussian": {"mu": 0.0, "rho": 0.5},
+}
+_SCALES = ("sigma", "between", "within")
+# each finite model's required and optional parameters, all sequences
+_FINITE_PARAMS = {
+    "iid-categorical": (("support", "probs"), ()),
+    "categorical-mixture": (("support", "component_probs"), ("weights",)),
+}
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Seeded Monte-Carlo run: trial count, 64-bit seed, named model."""
+    """Seeded Monte-Carlo run: trial count, 64-bit seed, named model and
+    its parameters, each of which the model must read."""
 
     trials: int
     seed: int
@@ -81,6 +97,24 @@ class McConfig:
             raise ValueError("use at least 1000 trials")
         if self.model not in CONTINUOUS_MODELS + FINITE_MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        defaults = _MODEL_DEFAULTS.get(self.model, {})
+        needs, optional = _FINITE_PARAMS.get(self.model, ((), tuple(defaults)))
+        unknown = sorted(set(self.params) - set(needs + optional))
+        if unknown:
+            raise ValueError(f"model {self.model} takes no parameter {', '.join(unknown)}; "
+                             f"its parameters are {', '.join(needs + optional)}")
+        if any(key not in self.params for key in needs):
+            raise ValueError(f"model {self.model} needs the parameters {' and '.join(needs)}")
+        for key, value in self.params.items():
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"model parameter {key} must be finite, got {value!r}")
+            if key in _SCALES and value < 0:
+                raise ValueError(f"model parameter {key} is a scale and must be nonnegative, "
+                                 f"got {value!r}")
+        p = {**defaults, **self.params}
+        if self.model == "iid-uniform" and p["hi"] < p["lo"]:
+            raise ValueError(f"model parameters need lo <= hi, got lo={p['lo']!r} "
+                             f"and hi={p['hi']!r}")
 
 
 @dataclass(frozen=True)
@@ -158,23 +192,23 @@ def _trial_blocks(
     """
     rng = _generator(config.seed)
     T, m = config.trials, n_points
-    p = dict(config.params)
     model = config.model
+    p = {**_MODEL_DEFAULTS.get(model, {}), **config.params}
     if model == "iid-gaussian":
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 1.0)
+        mu, sigma = p["mu"], p["sigma"]
         draw = lambda a, b: (rng.normal(mu, sigma, size=(b - a, m)), None)
     elif model == "iid-uniform":
-        lo, hi = p.get("lo", 0.0), p.get("hi", 1.0)
+        lo, hi = p["lo"], p["hi"]
         draw = lambda a, b: (rng.uniform(lo, hi, size=(b - a, m)), None)
     elif model == "exchangeable-mixture":
         # latent per-trial mean, then i.i.d. noise: exchangeable but not i.i.d.
-        theta = rng.normal(p.get("mu", 0.0), p.get("between", 1.0), size=(T, 1))
-        within = p.get("within", 1.0)
+        theta = rng.normal(p["mu"], p["between"], size=(T, 1))
+        within = p["within"]
         draw = lambda a, b: (theta[a:b] + rng.normal(0.0, within, size=(b - a, m)), None)
     elif model == "ar1-gaussian":
         # unit innovation variance: the one-step conditional law is N(mu_n, 1),
         # matching the autoregressive interval's closed form exactly
-        mu, rho = p.get("mu", 0.0), p.get("rho", 0.5)
+        mu, rho = p["mu"], p["rho"]
 
         def draw(a, b):
             eps = rng.normal(0.0, 1.0, size=(b - a, m))

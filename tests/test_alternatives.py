@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +118,34 @@ def test_mean_shift_ratio_formula():
     # dN(1,1)/dN(0,1)(z) = exp(z - 1/2)
     for z in (-1.0, 0.0, 0.7, 2.0):
         assert r(z) == pytest.approx(math.exp(z - 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 1.0, math.inf), "sigma=inf is out of range"),
+    ((0.0, 1.0, 1e-200), "sigma=1e-200 is out of range"),
+    ((0.0, 1.0, 1e154), "sigma=1e+154 is out of range"),
+    ((0.0, 1.0, -1.0), "sigma=-1.0 is out of range"),
+    ((0.0, 1.0, 0.0), "sigma=0.0 is out of range"),
+    ((0.0, 1.0, math.nan), "sigma=nan is out of range"),
+    ((0.0, 1e200), "mu=0.0 and delta=1e+200 are out of range"),
+    ((math.inf, 1.0), "mu=inf and delta=1.0 are out of range"),
+    ((0.0, -math.inf), "mu=0.0 and delta=-inf are out of range"),
+    ((math.nan, 1.0), "mu=nan and delta=1.0 are out of range"),
+])
+def test_mean_shift_parameters_out_of_float_range_are_rejected(args, message):
+    # these once gave a constant ratio, a ratio that vanished everywhere, or
+    # numpy overflow warnings
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}: "):
+        gaussian_mean_shift_ratio(*args)
+
+
+def test_mean_shift_ratio_keeps_the_widest_legal_parameters():
+    r = gaussian_mean_shift_ratio(0.0, 1e154, 1e153).ratio  # delta^2 and 2 sigma^2 finite
+    assert r(0.0) == math.exp(-50.0)
+    tiny = gaussian_mean_shift_ratio(0.0, 1.0, 1e-160).ratio  # sigma^2 is subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tiny(1.0) == math.inf and tiny(-1.0) == 0.0
 
 
 def test_scale_ratio_formula():

@@ -160,6 +160,51 @@ def test_validate_command(tmp_path, capsys):
     assert code2 == 0
 
 
+def test_failed_check_exits_1(monkeypatch, capsys):
+    from fuzzyconf import harness
+
+    failing = harness.McReport(check="evalue-validity", estimate=1.5, se=0.01, bound=1.0,
+                               passed=False, trials=1000, seed=3, model="iid-gaussian")
+    monkeypatch.setattr(harness, "mc_validate_evalue", lambda *args, **kwargs: failing)
+    assert run(["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000]) == \
+        cli.EXIT_CHECK_FAILED == 1
+    assert capsys.readouterr().out.startswith("[FAIL] evalue-validity")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--model-args", "foo=1"], "model iid-gaussian takes no parameter foo"),
+    (["--model-args", "sigma=nan"], "model parameter sigma must be finite, got nan"),
+    (["--model-args", "sigma=-1"], "model parameter sigma is a scale and must be nonnegative"),
+    (["--model", "iid-uniform", "--model-args", "lo=1,hi=0"],
+     "model parameters need lo <= hi, got lo=1.0 and hi=0.0"),
+    (["--model", "iid-categorical"],
+     "model iid-categorical needs the parameters support and probs"),
+])
+def test_bad_model_args_exit_2(capsys, args, message):
+    argv = ["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000]
+    assert run(argv + args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+
+
+@pytest.mark.parametrize("ratio, message", [
+    ("gaussian-mean-shift:0:1:inf", "sigma=inf is out of range"),
+    ("gaussian-mean-shift:0:1e200", "mu=0.0 and delta=1e+200 are out of range"),
+    ("gaussian-mean-shift:inf:1", "mu=inf and delta=1.0 are out of range"),
+    ("gaussian-mean-shift:0:1:1e-200", "sigma=1e-200 is out of range"),
+])
+def test_mean_shift_out_of_float_range_exits_2(tmp_path, capsys, ratio, message):
+    calib = tmp_path / "calib.csv"
+    calib.write_text("0.12\n-0.4\n0.9\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "log",
+                    "--ratio", ratio, "--grid", "-3:3:0.25", "--out", tmp_path / "x.csv"]) == 2
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}: "), err
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     assert run(["fuzzy", "--family", "gaussian-log", "--grid", "0:1:0",
                 "--tau", 3.5, "--out", tmp_path / "x.csv"]) == 2
@@ -564,3 +609,84 @@ def test_cli_kernel_validators_evaluate_blocks(monkeypatch):
     calls = [kernel + ["--ratio", "ar1:0:0.5:3.5", "--utility", "log"],
              kernel + ["--ratio", "gaussian-composite:1:3.5", "--utility", "bounded-log:0.05"]]
     assert [run(args) for args in calls] == [0, 0]
+
+
+def _numpy_blas_is_openblas():
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no build dependencies
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+_THREADS_SCRIPT = textwrap.dedent("""
+    import json, os, sys
+    from fuzzyconf.cli import main
+
+    os.chdir(sys.argv[1])
+    threads = []
+    for argv in json.loads(sys.argv[2]):
+        code = main(argv)
+        status = open("/proc/self/status").read().splitlines()
+        threads.append([code, next(l.split()[1] for l in status if l.startswith("Threads:"))])
+    print(json.dumps({"threads": threads, "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
+""")
+
+_NUMPY_CALLS = [
+    ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "bounded-log:0.05",
+     "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.01", "--out", "c.csv", "--json", "c.json"],
+    ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian", "--n", "5",
+     "--trials", "2000", "--seed", "3", "--out", "report.json"],
+]
+
+_openblas_only = pytest.mark.skipif(
+    not (os.path.exists("/proc/self/status") and _numpy_blas_is_openblas()),
+    reason="needs /proc/self/status and a numpy built against OpenBLAS")
+
+
+def _run_numpy_calls(work, openblas_threads=None):
+    """Run the conformal and validate calls through ``cli.main`` in a fresh
+    interpreter whose environment sets no BLAS thread count, or sets
+    OPENBLAS_NUM_THREADS to ``openblas_threads``; return its report and the
+    bytes of each file it wrote."""
+    work.mkdir()
+    (work / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    src = str(Path(fc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(work),
+                           json.dumps(_NUMPY_CALLS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    return report, {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+
+
+@_openblas_only
+def test_numpy_calls_start_no_blas_threads(tmp_path):
+    # numpy's OpenBLAS would start a busy-waiting worker per extra CPU at
+    # import; the command line does no BLAS work and asks it for none
+    report, _ = _run_numpy_calls(tmp_path / "work")
+    assert report == {"threads": [[0, "1"], [0, "1"]], "openblas": "1"}
+
+
+@_openblas_only
+def test_exported_blas_thread_count_is_kept(tmp_path):
+    report, _ = _run_numpy_calls(tmp_path / "work", "2")
+    assert report["openblas"] == "2"
+    assert [code for code, _ in report["threads"]] == [0, 0]
+    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
+        assert [threads for _, threads in report["threads"]] == ["2", "2"]
+
+
+@_openblas_only
+def test_blas_thread_count_leaves_outputs_unchanged(tmp_path):
+    _, single = _run_numpy_calls(tmp_path / "single")
+    _, exported = _run_numpy_calls(tmp_path / "exported", "2")
+    assert sorted(single) == ["c.csv", "c.json", "calib.csv", "report.json"]
+    assert single == exported

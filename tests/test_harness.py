@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -312,6 +313,44 @@ def test_mc_config_validation():
         McConfig(trials=10, seed=0, model="iid-gaussian")
     with pytest.raises(ValueError):
         McConfig(trials=5000, seed=0, model="weibull")
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("iid-gaussian", {"foo": 1.0},
+     "model iid-gaussian takes no parameter foo; its parameters are mu, sigma"),
+    ("ar1-gaussian", {"sigma": 1.0, "lo": 0.0},
+     "model ar1-gaussian takes no parameter lo, sigma; its parameters are mu, rho"),
+    ("iid-categorical", {"support": (0.0, 1.0), "probs": (0.5, 0.5), "weights": (1.0,)},
+     "model iid-categorical takes no parameter weights; its parameters are support, probs"),
+    ("iid-gaussian", {"sigma": math.nan}, "model parameter sigma must be finite, got nan"),
+    ("exchangeable-mixture", {"mu": -math.inf}, "model parameter mu must be finite, got -inf"),
+    ("ar1-gaussian", {"rho": math.inf}, "model parameter rho must be finite, got inf"),
+    ("iid-categorical", {"support": (0.0, math.nan), "probs": (0.5, 0.5)},
+     "model parameter support must be finite, got (0.0, nan)"),
+    ("iid-gaussian", {"sigma": -1.0},
+     "model parameter sigma is a scale and must be nonnegative, got -1.0"),
+    ("exchangeable-mixture", {"between": -0.5},
+     "model parameter between is a scale and must be nonnegative, got -0.5"),
+    ("exchangeable-mixture", {"within": -2},
+     "model parameter within is a scale and must be nonnegative, got -2"),
+    ("iid-uniform", {"lo": 1.0, "hi": 0.0}, "model parameters need lo <= hi, got lo=1.0 and hi=0.0"),
+    ("iid-uniform", {"lo": 2.0}, "model parameters need lo <= hi, got lo=2.0 and hi=1.0"),
+    ("iid-categorical", {}, "model iid-categorical needs the parameters support and probs"),
+    ("categorical-mixture", {"support": (0.0, 1.0)},
+     "model categorical-mixture needs the parameters support and component_probs"),
+])
+def test_mc_config_rejects_bad_model_params(model, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        McConfig(trials=1000, seed=0, model=model, params=params)
+
+
+def test_mc_config_accepts_defaults_and_degenerate_edges():
+    for model, params in (("iid-gaussian", {}), ("iid-gaussian", {"mu": 0, "sigma": 0}),
+                          ("iid-uniform", {"lo": 0.5, "hi": 0.5}),
+                          ("categorical-mixture", {"support": (0.0, 1.0),
+                                                   "component_probs": [(0.9, 0.1), (0.1, 0.9)],
+                                                   "weights": (0.5, 0.5)})):
+        McConfig(trials=1000, seed=0, model=model, params=params)
 
 
 # -- validators --------------------------------------------------------------
