@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -63,9 +64,14 @@ class DecisionProblem:
                 if not (math.isfinite(x) and x >= 0.0):
                     raise ValueError(f"losses must be finite and >= 0, got {x!r}")
 
-    @property
+    @cached_property
     def loss_matrix(self) -> np.ndarray:
-        return np.asarray(self.loss, dtype=float)
+        """``loss`` as a read-only (D, G) float array, built on first access."""
+        # cached_property stores into the instance __dict__, which a frozen
+        # dataclass keeps; read-only, so no caller can change the cached copy
+        loss = np.array(self.loss, dtype=float)
+        loss.flags.writeable = False
+        return loss
 
     def to_json_doc(self) -> dict:
         return {

@@ -51,6 +51,7 @@ from .confidence import _Failures, _final_slot_evidence, _grid_evidence
 from .decisions import DecisionProblem, _indicator, _minimax
 from .errors import AllInfiniteRiskError, ZeroDensityError
 from .evalues import (
+    EXACTNESS_TOL,
     BoundedLog,
     ClippedLog,
     Dampened,
@@ -119,7 +120,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McReport:
-    """Outcome of one validator run; passes when estimate <= bound + 3 * SE."""
+    """Outcome of one validator run; passes when estimate <= bound + 3 * SE,
+    or when the estimate exceeds the bound by float rounding alone, at most
+    ``EXACTNESS_TOL * bound`` (a run whose trials all tie has SE 0, and the
+    mean of e-values that are each 1 can round to 1 + 1 ulp)."""
 
     check: str
     estimate: float
@@ -158,7 +162,7 @@ def _report(check: str, stats: np.ndarray, bound: float, config: McConfig, detai
     se = float(stats.std(ddof=1) / math.sqrt(stats.size))
     return McReport(
         check=check, estimate=est, se=se, bound=bound,
-        passed=est <= bound + 3.0 * se,
+        passed=est <= bound + 3.0 * se or est - bound <= EXACTNESS_TOL * bound,
         trials=config.trials, seed=config.seed, model=config.model, detail=detail,
     )
 

@@ -15,7 +15,6 @@ is ``confidence``.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from bisect import bisect_left
@@ -108,10 +107,6 @@ class PlugInGrid:
         return i
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def _json_evidence(evidence) -> list:
     # strict JSON has no infinity; "inf" matches the CSV and reads back
     # through float()
@@ -181,8 +176,8 @@ class FuzzyConfidenceSet:
         return self.evidence[self.grid.index_of(z)]
 
     def to_csv(self, path_or_file) -> None:
-        _write_csv(path_or_file, ["z", "evidence"],
-                   zip(self.grid.points, self.evidence))
+        _write_csv(path_or_file, "z,evidence", "{:.17g},{:.17g}\n",
+                   self.grid.points, self.evidence)
 
     def to_json_doc(self) -> dict:
         return {
@@ -230,8 +225,8 @@ class BinaryConfidenceSet:
         return not any(self.membership)
 
     def to_csv(self, path_or_file) -> None:
-        rows = zip(self.grid.points, self.evidence, (int(m) for m in self.membership))
-        _write_csv(path_or_file, ["z", "evidence", "membership"], rows)
+        _write_csv(path_or_file, "z,evidence,membership", "{:.17g},{:.17g},{}\n",
+                   self.grid.points, self.evidence, map(int, self.membership))
 
     def to_json_doc(self) -> dict:
         return {
@@ -261,12 +256,13 @@ class BinaryConfidenceSet:
         )
 
 
-def _write_csv(path_or_file, header: list[str], rows) -> None:
+def _write_csv(path_or_file, header: str, row: str, *columns) -> None:
+    # one format map over the columns, streamed line by line; no field it
+    # renders (a number, "inf", "nan") holds a comma, quote or newline, so the
+    # bytes are what csv.writer with lineterminator="\n" writes for the rows
     def write(fh) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) if isinstance(x, float) else str(x) for x in row])
+        fh.write(header + "\n")
+        fh.writelines(map(row.format, *columns))
 
     if isinstance(path_or_file, (str, os.PathLike)):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:

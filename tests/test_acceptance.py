@@ -178,6 +178,13 @@ def test_criterion_04_classical_conformal_equivalence():
               mismatches == 0)
 
 
+def _passed(report):
+    # McReport forgives an estimate above its bound by float rounding alone;
+    # that slack decides no run here, each verdict is the plain 3-SE rule's
+    assert report.passed == (report.estimate <= report.bound + 3.0 * report.se), report
+    return report.passed
+
+
 def _mc_grid():
     idx = 0
     for utility in UTILITIES:
@@ -193,7 +200,7 @@ def test_criterion_05_validity_mc():
     for idx, utility, model, params, n in _mc_grid():
         cfg = McConfig(trials=100_000, seed=SEED + 100 + idx, model=model, params=params)
         report = mc_validate_evalue(cfg, MC_ALT, utility, n)
-        if not report.passed:
+        if not _passed(report):
             failures.append((fc.utility_id(utility), model, n, report.estimate, report.se))
     elapsed = time.perf_counter() - t0
     _announce(5, f"validity (mean e-value <= 1 + 3SE) over 7 utilities x 3 models x "
@@ -208,7 +215,7 @@ def test_criterion_06_coverage_mc():
             cfg = McConfig(trials=100_000, seed=SEED + 500 + 2 * idx + j,
                            model=model, params=params)
             report = mc_validate_coverage(cfg, MC_ALT, utility, n, alpha)
-            if not report.passed:
+            if not _passed(report):
                 failures.append((fc.utility_id(utility), model, n, alpha, report.estimate))
     _announce(6, "coverage (exclusion frequency <= alpha + 3SE) at alpha in "
                  f"(0.05, 0.2) over the same grid: {len(failures)} failures",
@@ -220,7 +227,7 @@ def test_criterion_07_posthoc_mc():
     for idx, utility, model, params, n in _mc_grid():
         cfg = McConfig(trials=100_000, seed=SEED + 900 + idx, model=model, params=params)
         report = mc_validate_posthoc(cfg, MC_ALT, utility, n)
-        if not report.passed:
+        if not _passed(report):
             failures.append((fc.utility_id(utility), model, n, report.estimate))
     _announce(7, "post-hoc validity under the adversarial level rule over the same "
                  f"grid: {len(failures)} failures", not failures)
@@ -334,7 +341,7 @@ def test_criterion_09_decision_guarantees():
                            model=model, params=params)
             for mode, kwargs in (("as-if", {"alpha": 0.2}), ("weighted", {}), ("post-hoc", {})):
                 report = mc_validate_decision_risk(cfg, problem, mode, alt, utility, 6, **kwargs)
-                if not report.passed:
+                if not _passed(report):
                     failures.append((pi, model, mode, report.estimate))
     _announce(9, "decision risk bounds (fixed-level exceedance, weighted mean ratio, "
                  f"post-hoc exceedance) on 2 problems x 2 finite models: "

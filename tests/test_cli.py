@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import importlib
 import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -169,6 +171,20 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert run(["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000]) == \
         cli.EXIT_CHECK_FAILED == 1
     assert capsys.readouterr().out.startswith("[FAIL] evalue-validity")
+
+
+def test_tied_trials_pass_despite_float_rounding(tmp_path, capsys):
+    # sigma=0 makes every trial a tie: each e-value is exactly 1, SE is 0 and
+    # the float mean lands one ulp above the bound
+    out = tmp_path / "report.json"
+    assert run(["validate", "--model", "iid-gaussian", "--model-args", "mu=0,sigma=0",
+                "--n", 5, "--trials", 2000, "--out", out]) == 0
+    assert capsys.readouterr().out == (
+        "[PASS] evalue-validity: estimate=1.000000 bound=1.000000+3*SE(SE=0.000000) "
+        "trials=2000 model=iid-gaussian n=5\n")
+    doc = json.loads(out.read_text())
+    assert doc["estimate"] == math.nextafter(1.0, 2.0) and doc["se"] == 0.0
+    assert doc["passed"] is True
 
 
 @pytest.mark.parametrize("args, message", [
@@ -690,3 +706,146 @@ def test_blas_thread_count_leaves_outputs_unchanged(tmp_path):
     _, exported = _run_numpy_calls(tmp_path / "exported", "2")
     assert sorted(single) == ["c.csv", "c.json", "calib.csv", "report.json"]
     assert single == exported
+
+
+# The process entry: `python -m fuzzyconf` and the `fuzzyconf` command run
+# `cli.run`, which turns the cyclic collector off and freezes the heap before
+# exit; `cli.main` in process leaves the collector as it found it.
+
+_ENTRY_PROBE = textwrap.dedent("""
+    import atexit, gc, runpy, sys
+    atexit.register(lambda: print(f"gc enabled={gc.isenabled()} frozen={gc.get_freeze_count()}"))
+    sys.argv = ["fuzzyconf", *sys.argv[1:]]
+    runpy.run_module("fuzzyconf", run_name="__main__")
+""")
+
+_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+              "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.05",
+              "--out", "c.csv", "--json", "c.json"]
+_VALIDATE = ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian",
+             "--n", "5", "--trials", "2000", "--seed", "3", "--out", "report.json"]
+
+
+@pytest.mark.parametrize("args", [_CONFORMAL, _VALIDATE], ids=["fuzzy", "validate"])
+def test_module_entry_runs_without_the_collector(tmp_path, args):
+    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    src = str(Path(fc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *args], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    probe = re.fullmatch(r"gc enabled=(\w+) frozen=(\d+)", done.stdout.splitlines()[-1])
+    assert probe and probe[1] == "False" and int(probe[2]) > 0, done.stdout
+
+
+def test_in_process_main_keeps_the_gc_state(tmp_path, monkeypatch):
+    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    monkeypatch.chdir(tmp_path)
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert run(_CONFORMAL) == 0
+    assert run(_VALIDATE) == 0
+    assert run(["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
+                "--out", "x.csv"]) == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+def _cyclic_garbage(args) -> int:
+    """Objects the collector frees after one in-process ``main`` call run
+    with the collector off, as under ``cli.run``."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(args) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _validate_trials(ratio):
+    return lambda trials: ["validate", "--check", "coverage", "--alpha", 0.1, "--model",
+                           "iid-gaussian", "--ratio", ratio, "--n", 20, "--trials", trials,
+                           "--seed", 3]
+
+
+@pytest.mark.parametrize("call, small, large", [
+    (_validate_trials("gaussian-scale:0:1:3.5"), 2_000, 20_000),
+    (_validate_trials("ar1:0:0.5:3.5"), 2_000, 20_000),
+    (lambda step: ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+                   "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5",
+                   f"--grid=-6:6:{step}", "--out", "c.csv", "--json", "c.json"], 0.1, 0.001),
+    (lambda levels: ["decide", "--problem", "prob.json", "--set", "set.json", "--mode",
+                     "post-hoc", "--levels", ",".join(f"{(i + 1) / levels:.6g}"
+                                                      for i in range(levels)),
+                     "--out", "cert.json"], 3, 30),
+], ids=["validate-gaussian-scale", "validate-ar1", "fuzzy-conformal", "decide-post-hoc"])
+def test_cyclic_garbage_does_not_grow_with_the_work(tmp_path, monkeypatch, call, small, large):
+    # cli.run never collects, so the cyclic garbage of a call must stay O(1)
+    # whatever its trial count, grid size or ladder length
+    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    monkeypatch.chdir(tmp_path)
+    grid = PlugInGrid.from_spec("-1:1:0.1").points
+    (tmp_path / "prob.json").write_text(json.dumps(
+        {"decisions": ["hold", "act"], "outcomes": grid,
+         "loss": [[1.0] * len(grid), [min(z * z, 0.8) for z in grid]]}))
+    assert run(["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "log",
+                "--ratio", "gaussian-scale:0:1:3.5", "--grid=-1:1:0.1", "--out", "s.csv",
+                "--json", "set.json"]) == 0
+    _cyclic_garbage(call(small))  # imports the handler's modules first
+    few, many = _cyclic_garbage(call(small)), _cyclic_garbage(call(large))
+    assert few < 1000 and many <= few + 16, (few, many)
+
+
+_ENTRY_CALLS = [
+    (0, _CONFORMAL),
+    (0, _VALIDATE),
+    (0, ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05"]),
+    (0, ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
+         "--levels", "0.05,0.1,0.5", "--out", "cert.json"]),
+    (2, ["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
+         "--out", "x.csv"]),
+    (3, ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "1e-320",
+         "--grid=-3:3:1", "--out", "y.csv"]),
+]
+
+
+def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch):
+    # the process entry changes only the collector: every document, stream and
+    # exit code equals an in-process main call's (exit 1 is covered in process
+    # by test_failed_check_exits_1)
+    outcomes = {}
+    for side in ("module", "main"):
+        work = tmp_path / side
+        work.mkdir()
+        (work / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+        grid = PlugInGrid.from_spec("-4:4:0.05").points
+        (work / "prob.json").write_text(json.dumps(
+            {"decisions": ["hold", "act"], "outcomes": grid,
+             "loss": [[1.0] * len(grid), [min(z * z, 4.0) for z in grid]]}))
+        streams = []
+        for _, args in _ENTRY_CALLS:
+            if side == "module":
+                done = _run_module(args, work)
+                streams.append((done.returncode, done.stdout, done.stderr))
+            else:
+                monkeypatch.chdir(work)
+                code = main(list(args))
+                captured = capsys.readouterr()
+                streams.append((code, captured.out, captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        outcomes[side] = streams, files
+    assert [code for code, _, _ in outcomes["main"][0]] == [code for code, _ in _ENTRY_CALLS]
+    assert outcomes["module"] == outcomes["main"]
+    assert sorted(outcomes["main"][1]) == ["c.csv", "c.json", "calib.csv", "cert.json",
+                                           "prob.json", "report.json"]
+
+
+def test_console_script_is_the_process_entry():
+    # read with a regex: Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S)
+    assert scripts, "pyproject.toml has no [project.scripts] table"
+    assert re.findall(r'^fuzzyconf\s*=\s*"([^"]*)"', scripts[1], re.M) == ["fuzzyconf.cli:run"]
+    assert callable(cli.run)

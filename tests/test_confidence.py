@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -5,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
@@ -333,6 +334,55 @@ def test_csv_serialization():
     buf2 = io.StringIO()
     binary.to_csv(buf2)
     assert buf2.getvalue() == "z,evidence,membership\n0,1,1\n1,2.5,0\n"
+
+
+def _csv_module_oracle(header, rows):
+    # the csv.writer serializer the one-pass writer replaced, kept as reference
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
+    return buf.getvalue()
+
+
+def _assert_csv_matches_oracle(rows):
+    grid = PlugInGrid.from_points(z for z, _, _ in rows)
+    evidence = tuple(e for _, e, _ in rows)
+    membership = tuple(m for _, _, m in rows)
+    fuzzy = FuzzyConfidenceSet(grid, evidence, ())
+    binary = BinaryConfidenceSet(grid, membership, 0.1, evidence)
+    for conf, header, oracle_rows in (
+        (fuzzy, ["z", "evidence"], zip(grid.points, evidence)),
+        (binary, ["z", "evidence", "membership"],
+         zip(grid.points, evidence, map(int, membership))),
+    ):
+        buf = io.StringIO()
+        conf.to_csv(buf)
+        assert buf.getvalue() == _csv_module_oracle(header, oracle_rows)
+
+
+_CSV_EDGES = (math.inf, -0.0, 5e-324, 1e308, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_CSV_EDGES) | st.floats(min_value=0.0),
+                          st.booleans()), min_size=2, max_size=40))
+@example([(-1e308, math.inf, True), (-0.0, -0.0, False), (5e-324, 5e-324, True),
+          (0.1, 1e308, False), (1e308, 0.1, True)])
+def test_csv_writer_matches_the_csv_module(rows):
+    rows = sorted({z: (z, e, m) for z, e, m in rows}.values())  # one row per grid value
+    assume(len(rows) >= 2)
+    _assert_csv_matches_oracle(rows)
+
+
+def test_csv_writer_to_a_path_matches_the_csv_module(tmp_path):
+    evidence = tuple(_CSV_EDGES[i % 5] for i in range(10))
+    fset = FuzzyConfidenceSet(PlugInGrid.from_points(range(10)), evidence, ())
+    fset.to_csv(tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == \
+        _csv_module_oracle(["z", "evidence"], zip(fset.grid.points, fset.evidence)).encode()
 
 
 def test_json_round_trip():

@@ -373,6 +373,24 @@ def test_validator_reports_are_deterministic():
     assert r1.to_json_doc()["estimate"] == r1.estimate
 
 
+@pytest.mark.parametrize("bound", [1.0, 0.2])
+def test_report_forgives_float_rounding_only(bound):
+    # four equal stats: the mean is exact and SE is 0, so only the rounding
+    # slack of EXACTNESS_TOL * bound can pass an estimate above the bound
+    cfg = McConfig(trials=1000, seed=0, model="iid-gaussian")
+
+    def report(estimate):
+        r = harness._report("check", np.full(4, estimate), bound, cfg)
+        assert r.estimate == estimate and r.se == 0.0
+        return r
+
+    assert report(math.nextafter(bound, 2.0)).passed
+    assert report(bound * (1.0 + 1e-10)).passed
+    assert report(bound).passed
+    failed = report(bound * (1.0 + 1e-6))
+    assert not failed.passed and failed.summary_line().startswith("[FAIL] check: ")
+
+
 def test_validators_pass_across_models_and_utilities():
     models = (
         ("iid-gaussian", {"mu": 0.0, "sigma": 1.0}),
