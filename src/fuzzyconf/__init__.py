@@ -15,13 +15,10 @@ _EXPORTS = {
         "AlternativeSpec",
         "IidRatio",
         "KernelAlternative",
-        "LikelihoodRatioProfile",
         "ar1_kernel",
-        "conditional_lr_iid",
         "gaussian_composite_kernel",
         "gaussian_mean_shift_ratio",
         "gaussian_scale_ratio",
-        "kernel_alternative",
     ),
     "confidence": ("fuzzy_set",),
     "sets": (
@@ -46,15 +43,10 @@ _EXPORTS = {
         "BoundedLog",
         "ClippedLog",
         "Dampened",
-        "EValueProfile",
         "Log",
         "NeymanPearson",
         "Power",
         "UtilitySpec",
-        "evalue_at",
-        "normalization_lambda",
-        "np_threshold",
-        "optimal_evalue",
         "utility_id",
     ),
     "gaussian": (
@@ -72,14 +64,22 @@ _EXPORTS = {
     "harness": (
         "McConfig",
         "McReport",
-        "brute_force_conditional_lr",
         "mc_validate_coverage",
         "mc_validate_decision_risk",
         "mc_validate_evalue",
         "mc_validate_posthoc",
-        "numerical_utility_oracle",
     ),
-    "orbits": ("DataTuple", "Orbit", "orbit_of", "rank_of_last"),
+    "orbits": ("Orbit", "orbit_of"),
+    # the per-orbit path and the oracles; no other module imports reference
+    "reference": (
+        "EValueProfile",
+        "LikelihoodRatioProfile",
+        "brute_force_conditional_lr",
+        "conditional_lr_iid",
+        "evalue_at",
+        "numerical_utility_oracle",
+        "optimal_evalue",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,4 +1,4 @@
-"""Alternative hypotheses and orbit-conditional likelihood ratios.
+"""Alternative hypotheses and their per-observation density ratios.
 
 An alternative is what the user wants the confidence set to be small
 against. Conditionally on the orbit of a tuple, only the law of the final
@@ -6,10 +6,10 @@ slot matters, so an alternative reduces to a per-observation density ratio
 ``r(z)`` between the final slot's law and the base law, possibly re-fit to
 each calibration tuple by a kernel.
 
-The output is a likelihood-ratio profile: the density of the alternative's
-final-slot law against the uniform law on the orbit. Its orbit mean is 1 by
-construction, which is the single property every exact e-value built from
-it inherits.
+This module evaluates and checks those ratios on arrays; the
+sorted-calibration core in ``confidence`` turns them into e-values. The
+per-orbit likelihood-ratio profile, r normalized to orbit mean 1 on one
+tuple, lives with the other references in ``reference``.
 """
 
 from __future__ import annotations
@@ -19,53 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-
-from .errors import AllZeroRatioError
-from .orbits import TupleLike, orbit_of, tuple_values
-
-ORBIT_MEAN_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LikelihoodRatioProfile:
-    """Conditional likelihood ratio per distinct orbit value.
-
-    ``lr[i]`` is the ratio of the alternative's final-slot law to the
-    uniform law on the orbit, evaluated at ``values[i]``; ``counts[i]`` is
-    that value's multiplicity. The multiplicity-weighted mean of ``lr``
-    equals 1 (it is a density with respect to the uniform orbit law).
-    """
-
-    values: tuple[float, ...]
-    counts: tuple[int, ...]
-    lr: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.values) == len(self.counts) == len(self.lr)):
-            raise ValueError("values, counts and lr must have equal length")
-        if any(c < 1 for c in self.counts):
-            raise ValueError("multiplicities must be positive")
-        for x in self.lr:
-            if not (math.isfinite(x) and x >= 0.0):
-                raise ValueError(f"likelihood ratios must be finite and >= 0, got {x!r}")
-        mean = self.orbit_mean()
-        if abs(mean - 1.0) > ORBIT_MEAN_TOL:
-            raise ValueError(f"orbit mean of the likelihood ratio is {mean!r}, not 1")
-
-    @property
-    def size(self) -> int:
-        return sum(self.counts)
-
-    def orbit_mean(self) -> float:
-        m = sum(self.counts)
-        return sum(c * x for c, x in zip(self.counts, self.lr)) / m
-
-    def lr_at(self, value: float) -> float:
-        """Likelihood ratio at a value of the orbit (exact match)."""
-        for v, x in zip(self.values, self.lr):
-            if v == value:
-                return x
-        raise ValueError(f"{value!r} is not on this orbit")
 
 
 @dataclass(frozen=True)
@@ -112,13 +65,6 @@ class KernelAlternative:
 AlternativeSpec = Union[IidRatio, KernelAlternative]
 
 
-def kernel_alternative(
-    builder: Callable[[Sequence[float]], AlternativeSpec], name: str = "kernel"
-) -> KernelAlternative:
-    """Wrap a z^n -> AlternativeSpec builder as a deferred alternative."""
-    return KernelAlternative(builder, name)
-
-
 def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> IidRatio:
     """Resolve any kernel layers against the calibration tuple z^n."""
     seen = 0
@@ -141,31 +87,6 @@ def _ratio_error(r: float, z: float) -> ValueError:
             "is expressed through the utility, not the alternative)"
         )
     return ValueError(f"ratio must be nonnegative, got {r!r} at z={z!r}")
-
-
-def _eval_ratio(ratio: Callable[[float], float], z: float) -> float:
-    r = float(ratio(z))
-    if not 0.0 <= r < math.inf:
-        raise _ratio_error(r, z)
-    return r
-
-
-def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> LikelihoodRatioProfile:
-    """Likelihood-ratio profile for an independent alternative.
-
-    For a tuple (z_1, ..., z_m) and per-observation ratio r, the profile is
-    lr(v) = r(v) / mean_i r(z_i), the mean running over all m slots. Scaling
-    r by any positive constant leaves the profile unchanged.
-
-    Raises AllZeroRatioError when r vanishes on every element of the tuple.
-    """
-    orbit = orbit_of(data)
-    r = [_eval_ratio(ratio, v) for v in orbit.values]
-    total = sum(c * x for c, x in zip(orbit.counts, r))
-    if total == 0.0:
-        raise AllZeroRatioError("the ratio is zero on every element of the tuple")
-    mean = total / orbit.size
-    return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(x / mean for x in r))
 
 
 def _ratio_values(data: np.ndarray, ratio: Callable) -> np.ndarray:
@@ -191,12 +112,6 @@ def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
         i = np.flatnonzero(bad)[0]
         raise _ratio_error(float(r.flat[i]), float(data.flat[i]))
     return r
-
-
-def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile:
-    """Resolve an alternative against a tuple and build its LR profile."""
-    vals = tuple_values(data)
-    return conditional_lr_iid(vals, resolve_alternative(alt, vals[:-1]).ratio)
 
 
 # ---------------------------------------------------------------------------

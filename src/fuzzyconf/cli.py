@@ -31,7 +31,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .errors import FuzzyconfError
+from .errors import FuzzyconfError, NumericFailure
 
 if TYPE_CHECKING:
     from . import alternatives, evalues, sets
@@ -347,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_ERRORS = (
-    "AllZeroRatioError", "NormalizationFailureError", "EmptyConfidenceSetError",
-    "AllInfiniteRiskError", "ZeroDensityError",
-)
-
-
 def _merge_grid_flag(argv: list[str]) -> list[str]:
     # argparse rejects values like "-6:6:0.5" after a separate "--grid" token
     out, i = [], 0
@@ -376,13 +370,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_merge_grid_flag(list(argv if argv is not None else sys.argv[1:])))
     try:
         return args.func(args)
-    except FuzzyconfError as exc:
-        kind = type(exc).__name__
+    except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if kind in _NUMERIC_ERRORS:
-            return EXIT_NUMERIC
-        return EXIT_VALIDATION
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+        return EXIT_NUMERIC
+    except (FuzzyconfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -2,10 +2,13 @@
 
 ``grid_evidence`` computes the optimal e-value at the final slot of every
 (calibration row, grid point) tuple on arrays, and ``fuzzy_set`` turns one
-calibration sample into a ``FuzzyConfidenceSet``. The containers (grids,
-fuzzy and binary sets, their documents and sublevel operations) live in
-``sets``, which needs no numpy; they are re-exported here, so
-``confidence.PlugInGrid is sets.PlugInGrid``.
+calibration sample into a ``FuzzyConfidenceSet``. The private
+``_final_slot_evidence`` behind both is the one production implementation
+of every utility's optimal e-value: the command line, fuzzy sets and the
+Monte-Carlo validators all take their evidence from it, and the suite checks
+it against the per-orbit oracle ``reference.evalue_at``. The containers
+(grids, fuzzy and binary sets, their documents and sublevel operations) live
+in ``sets``, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -36,16 +39,7 @@ from .evalues import (
     utility_id,
 )
 from .orbits import TupleLike, tuple_values
-from .sets import (  # noqa: F401 -- re-exported: confidence.X is sets.X
-    MAX_GRID_POINTS,
-    BinaryConfidenceSet,
-    FuzzyConfidenceSet,
-    PlugInGrid,
-    load_confidence_set,
-    randomized_binary,
-    smallest_exclusion_level,
-    sublevel_set,
-)
+from .sets import FuzzyConfidenceSet, PlugInGrid
 
 
 def _count_leading(holds: Callable[[np.ndarray], np.ndarray], shape: tuple, hi: int) -> np.ndarray:
@@ -106,7 +100,7 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     """min(kappa * r_z, cap) or max(kappa * r_z, floor), and the exactness
     residual, per (row, grid point).
 
-    kappa = lam / mean is the constant of ``evalues.normalization_lambda`` in
+    kappa = lam / mean is the constant of ``reference.normalization_lambda`` in
     ratio space, in closed form. The shaped orbit mean is piecewise linear
     and monotone in kappa, with a breakpoint where each slot meets the cap
     (floor); the t breakpoints with mean <= 1 (>= 1) are those of the slots
@@ -262,7 +256,7 @@ def grid_evidence(
     """Evidence matrix (T, G): the fuzzy set of each calibration row over the grid.
 
     Entry (t, g) is the optimal e-value at the final slot of the tuple
-    (calib_rows[t], points[g]), as ``evalue_at`` gives it. Only that slot
+    (calib_rows[t], points[g]), as ``reference.evalue_at`` gives it. Only that slot
     changes across the grid, so the ratio is evaluated once on the
     calibration values and once on the grid, each calibration row is sorted
     once with its suffix sums, and every grid point is placed by binary

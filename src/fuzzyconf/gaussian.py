@@ -58,24 +58,24 @@ def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, absolute error below 1e-10.
 
     Rational initial guess refined by one Newton step on the CDF, which
-    drives the error to machine precision everywhere in (0, 1).
+    drives the error to machine precision everywhere in (0, 1). The upper
+    half is the mirror image of the lower, -std_normal_quantile(1 - p):
+    1 - p is exact there, while a Newton step on a CDF near 1 would cancel.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
+    if p > 0.5:
+        return -std_normal_quantile(1.0 - p)
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
     if p < _ACKLAM_LOW:
         q = math.sqrt(-2.0 * math.log(p))
         x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
             ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _ACKLAM_LOW:
+    else:
         q = p - 0.5
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
             (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 
     pdf = _norm_pdf(x)
     if pdf > 0.0:
@@ -89,9 +89,11 @@ def std_normal_quantile(p: float) -> float:
 
 
 def simple_interval(mu: float, sigma: float, alpha: float) -> tuple[float, float]:
-    """Two-sided interval [mu -+ sigma * c] with c the (1 - alpha/2)-quantile."""
+    """Two-sided interval [mu -+ sigma * c] with c the (1 - alpha/2)-quantile,
+    taken as -std_normal_quantile(alpha/2): forming 1 - alpha/2 would drop
+    the digits of a small alpha."""
     _check(sigma=sigma, alpha=alpha, mu=mu)
-    c = std_normal_quantile(1.0 - alpha / 2.0)
+    c = -std_normal_quantile(alpha / 2.0)
     return (mu - sigma * c, mu + sigma * c)
 
 
@@ -99,7 +101,7 @@ def composite_interval(zbar: float, sigma: float, n: int, alpha: float) -> tuple
     """Interval centered at the sample mean, widened by sqrt(1 + 1/n) for the
     estimation of the center."""
     _check(sigma=sigma, alpha=alpha, n=n, zbar=zbar)
-    c = std_normal_quantile(1.0 - alpha / 2.0)
+    c = -std_normal_quantile(alpha / 2.0)
     half = c * sigma * math.sqrt(1.0 + 1.0 / n)
     return (zbar - half, zbar + half)
 
@@ -108,7 +110,7 @@ def ar1_interval(mu: float, rho: float, z_last: float, alpha: float) -> tuple[fl
     """Interval centered at the one-step conditional mean mu + rho*(z_n - mu);
     unit marginal variance."""
     _check(alpha=alpha, rho=rho, mu=mu, z_last=z_last)
-    c = std_normal_quantile(1.0 - alpha / 2.0)
+    c = -std_normal_quantile(alpha / 2.0)
     center = mu + rho * (z_last - mu)
     return (center - c, center + c)
 
@@ -164,7 +166,7 @@ def _composite_bounded_log_curve(
 
 def _np_curve(mu: float, sigma: float, alpha: float) -> Callable[[float], float]:
     _check(sigma=sigma, alpha=alpha, mu=mu)
-    half = sigma * std_normal_quantile(1.0 - alpha / 2.0)
+    half = -sigma * std_normal_quantile(alpha / 2.0)
     top = 1.0 / alpha
     return lambda z: top if abs(z - mu) > half else 0.0
 
@@ -250,12 +252,6 @@ def gaussian_composite_bounded_log_fuzzy(
     function renormalizes.
     """
     return _composite_bounded_log_curve(zbar, sigma, tau, n, alpha)(z)
-
-
-def composite_bounded_log_boost(sigma: float, tau: float, n: int, alpha: float, zbar: float = 0.0) -> float:
-    """Boost constant for the composite capped ratio (center drops out)."""
-    f = math.sqrt(1.0 + 1.0 / n)
-    return bounded_log_boost(zbar, sigma * f, tau * f, alpha)
 
 
 def gaussian_np_evalue(z: float, mu: float, sigma: float, alpha: float) -> float:

@@ -1,41 +1,34 @@
-"""Brute-force oracles and Monte-Carlo validators.
+"""Monte-Carlo validators of every probabilistic guarantee.
 
-Everything the library guarantees is checked here at desk scale:
-
-* ``brute_force_conditional_lr`` recomputes the conditional likelihood
-  ratio by explicitly averaging joint densities over every slot the target
-  could occupy, independent of the shortcut formula;
-* ``numerical_utility_oracle`` maximizes expected utility over the
-  exactness polytope with a generic constrained optimizer (an LP for the
-  linear-capped family, SLSQP otherwise), independent of the closed forms;
-* ``mc_validate_*`` estimate every probabilistic guarantee (validity,
-  coverage, post-hoc validity, decision risk bounds) by seeded simulation,
-  passing at the estimate <= bound + 3 * SE level.
+``mc_validate_*`` estimate each guarantee the library makes (validity,
+coverage, post-hoc validity, decision risk bounds) by seeded simulation,
+passing at the estimate <= bound + 3 * SE level. The brute-force and
+numerical oracles the suite compares against live in ``reference``.
 
 Trial streams come from the seeded Philox generator: a fixed (seed,
 trials) configuration reproduces the same matrix, and for some models a
-longer run extends a shorter one (see ``sample_matrix``). The validators
-never hold that matrix: they draw the per-trial latents first, then draw and
-evaluate the trials in fixed blocks of rows, keeping one statistic per trial,
-so their memory is O(trials + block * (n + 1)) and their reports equal those
-of one pass over the whole matrix. Every validator takes its e-values from
-the sorted-calibration core of ``confidence``, the one that builds fuzzy
-sets: the validity, coverage and post-hoc validators pass each trial's final
-slot against its own calibration, and the decision-risk validator inverts
-every trial over the support as ``grid_evidence`` does. The built-in kernel
-alternatives evaluate each block of trials in one call of their row form;
-custom kernels resolve, and evaluate their ratios, trial by trial. The suite
-checks both shapes against the scalar per-orbit ``evalue_at``. The
-decision-risk validator decides with ``decisions._minimax``, the rule behind
-every certified decision, so it checks the code that ``decide`` runs.
+longer run extends a shorter one (see ``reference.sample_matrix``). The
+validators never hold that matrix: they draw the per-trial latents first,
+then draw and evaluate the trials in fixed blocks of rows, keeping one
+statistic per trial, so their memory is O(trials + block * (n + 1)) and
+their reports equal those of one pass over the whole matrix. Every validator
+takes its e-values from the sorted-calibration core of ``confidence``, the
+one that builds fuzzy sets: the validity, coverage and post-hoc validators
+pass each trial's final slot against its own calibration, and the
+decision-risk validator inverts every trial over the support as
+``grid_evidence`` does. The built-in kernel alternatives evaluate each
+block of trials in one call of their row form; custom kernels resolve, and
+evaluate their ratios, trial by trial. The suite checks both shapes against
+the per-orbit ``reference.evalue_at``. The decision-risk validator decides
+with ``decisions._minimax``, the rule behind every certified decision, so
+it checks the code that ``decide`` runs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -43,25 +36,13 @@ from .alternatives import (
     AlternativeSpec,
     IidRatio,
     KernelAlternative,
-    LikelihoodRatioProfile,
     _ratio_matrix,
     resolve_alternative,
 )
 from .confidence import _Failures, _final_slot_evidence, _grid_evidence
 from .decisions import DecisionProblem, _indicator, _minimax
-from .errors import AllInfiniteRiskError, ZeroDensityError
-from .evalues import (
-    EXACTNESS_TOL,
-    BoundedLog,
-    ClippedLog,
-    Dampened,
-    EValueProfile,
-    Log,
-    NeymanPearson,
-    Power,
-    UtilitySpec,
-)
-from .orbits import TupleLike, tuple_values
+from .errors import AllInfiniteRiskError
+from .evalues import EXACTNESS_TOL, UtilitySpec
 
 CONTINUOUS_MODELS = ("iid-gaussian", "iid-uniform", "exchangeable-mixture", "ar1-gaussian")
 FINITE_MODELS = ("iid-categorical", "categorical-mixture")
@@ -253,28 +234,6 @@ def _trial_blocks(
         yield (slice(a, b), *draw(a, b))
 
 
-def sample_matrix(config: McConfig, n_points: int) -> np.ndarray:
-    """Draw a (trials, n_points) matrix; rows are independent trials.
-
-    The matrix joins the blocks the validators draw and evaluate one at a
-    time. Draw order is fixed per model, so row t is fixed for a fixed (seed,
-    trials). Only ``iid-gaussian``, ``iid-uniform``, ``iid-categorical`` and
-    ``ar1-gaussian`` draw the matrix row by row in one stream, so that the
-    first rows of a longer run equal a shorter run; the mixtures draw a
-    latent value per trial first, which shifts every later draw.
-    """
-    return np.concatenate([values for _, values, _ in _trial_blocks(config, n_points)])
-
-
-def sample_finite_matrix(config: McConfig, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-support models: returns (values, support indices)."""
-    if config.model not in FINITE_MODELS:
-        raise ValueError(f"{config.model!r} is not a finite-support model")
-    blocks = list(_trial_blocks(config, n_points))
-    return (np.concatenate([values for _, values, _ in blocks]),
-            np.concatenate([idx for _, _, idx in blocks]))
-
-
 # ---------------------------------------------------------------------------
 # Vectorized e-values across trials
 # ---------------------------------------------------------------------------
@@ -297,21 +256,6 @@ def _row_evidence(
                        for row in data])
     ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
     return ev[:, 0], failures
-
-
-def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
-    """E-value of each row's final slot, the rest of the row its calibration.
-
-    A bad ratio raises naming the first bad entry in row order. A kernel
-    with a row form evaluates every row in one call; other kernels resolve
-    against each row's calibration and evaluate their ratios row by row.
-    One call to the sorted-calibration core then shapes every row, raising
-    AllZeroRatioError or NormalizationFailureError if any row fails. The
-    validators run the same steps on each block of trials they draw.
-    """
-    e, failures = _row_evidence(data, alt, utility)
-    failures.raise_first()
-    return e
 
 
 def _evidence_blocks(
@@ -506,209 +450,3 @@ def mc_validate_decision_risk(
         return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
     stats = np.where(np.isinf(levels), 0.0, stats / levels)
     return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-def brute_force_conditional_lr(
-    data: TupleLike,
-    q_last_density: Callable[[float], float],
-    q_base_density: Callable[[float], float],
-) -> float:
-    """Conditional likelihood ratio at the final slot, by explicit averaging.
-
-    Forms, for each position i, the full joint density of the product law
-    that puts the target's law in slot i and the base law everywhere else,
-    averages these m joints, and divides the observed arrangement's joint by
-    the average. No per-observation ratio shortcut is taken, so this is an
-    independent oracle for the shortcut formula.
-    """
-    vals = tuple_values(data)
-    m = len(vals)
-    if m > 8:
-        raise ValueError("brute force is limited to tuples of length <= 8")
-    base = [float(q_base_density(v)) for v in vals]
-    lastd = [float(q_last_density(v)) for v in vals]
-    if any(b <= 0.0 or not math.isfinite(b) for b in base):
-        raise ZeroDensityError("base density must be positive on all tuple values")
-    if any(x < 0.0 or not math.isfinite(x) for x in lastd):
-        raise ZeroDensityError("target density must be finite and nonnegative")
-
-    def joint_with_target_at(i: int) -> float:
-        prod = 1.0
-        for j in range(m):
-            prod *= lastd[j] if j == i else base[j]
-        return prod
-
-    joints = [joint_with_target_at(i) for i in range(m)]
-    avg = sum(joints) / m
-    if avg == 0.0:
-        raise ZeroDensityError("the averaged joint density is zero on this tuple")
-    return joints[m - 1] / avg
-
-
-def conformal_pvalue(scores: Sequence[float]) -> float:
-    """Permutation p-value of the final slot: fraction of slots whose score
-    is at least the final slot's score."""
-    s = [float(x) for x in scores]
-    last = s[-1]
-    return sum(1 for x in s if x >= last) / len(s)
-
-
-def classical_conformal_membership(
-    z_n: Sequence[float], grid: Sequence[float], score: Callable[[float], float], alpha: float
-) -> list[bool]:
-    """Classical conformal set over a grid: keep z when its p-value exceeds alpha.
-
-    ``score`` is a per-observation nonconformity score; higher means more
-    extreme under the alternative.
-    """
-    calib = [float(v) for v in z_n]
-    out = []
-    for z in grid:
-        scores = [score(v) for v in calib] + [score(float(z))]
-        out.append(conformal_pvalue(scores) > alpha)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Numerical expected-utility oracle
-# ---------------------------------------------------------------------------
-
-
-def _implied_problem(utility: UtilitySpec):
-    """Reduce a utility spec to (kind, payload, lo, hi) over evidence values.
-
-    kind "linear": payload (slope, intercept, cap) meaning
-    U(x) = min(slope*x + intercept, cap). kind "smooth": payload (f, fprime).
-    ``hi`` is None for an unbounded box.
-    """
-    if isinstance(utility, NeymanPearson):
-        return "linear", (1.0, 0.0, 1.0 / utility.alpha), 0.0, None
-    if isinstance(utility, Log):
-        return "smooth", (np.log, lambda x: 1.0 / x), 0.0, None
-    if isinstance(utility, Power):
-        h = utility.h
-        return "smooth", (lambda x: (x ** h - 1.0) / h, lambda x: x ** (h - 1.0)), 0.0, None
-    if isinstance(utility, BoundedLog):
-        return "smooth", (np.log, lambda x: 1.0 / x), 0.0, 1.0 / utility.alpha
-    if isinstance(utility, ClippedLog):
-        return "smooth", (np.log, lambda x: 1.0 / x), utility.b, None
-    if isinstance(utility, Dampened):
-        kind, payload, lo, hi = _implied_problem(utility.inner)
-        b, w = utility.b, 1.0 - utility.b
-        lo2 = b + w * lo
-        hi2 = None if hi is None else b + w * hi
-        if kind == "linear":
-            s, t, cap = payload
-            return "linear", (s / w, t - s * b / w, cap), lo2, hi2
-        f, fp = payload
-        return "smooth", (lambda x: f((x - b) / w), lambda x: fp((x - b) / w) / w), lo2, hi2
-    raise TypeError(f"unknown utility {utility!r}")
-
-
-def expected_utility(
-    evidence: Sequence[float], profile: LikelihoodRatioProfile, utility: UtilitySpec
-) -> float:
-    """Expected utility of an evidence profile under the alternative."""
-    e = np.asarray(evidence, dtype=float)
-    p = np.asarray(profile.counts, dtype=float)
-    p = p / p.sum()
-    q = p * np.asarray(profile.lr, dtype=float)
-    kind, payload, _, _ = _implied_problem(utility)
-    mask = q > 0
-    if not mask.any():
-        return 0.0
-    if kind == "linear":
-        s, t, cap = payload
-        vals = np.minimum(s * e[mask] + t, cap)
-    else:
-        f, _ = payload
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = f(e[mask])
-    return float(q[mask] @ vals)
-
-
-def numerical_utility_oracle(profile: LikelihoodRatioProfile, utility: UtilitySpec) -> EValueProfile:
-    """Numerically maximize expected utility over exact e-value profiles.
-
-    Maximizes sum_i q_i U(e_i) subject to the exactness constraint
-    sum_i p_i e_i = 1 and the box implied by the utility, with a generic
-    solver that shares nothing with the closed forms: an LP for the
-    linear-capped family, SLSQP with analytic gradients otherwise. Intended
-    for small profiles (a handful of distinct values); the result's expected
-    utility is within 1e-6 of the optimum there.
-    """
-    # scipy is a test-only dependency; importing it here keeps it off the
-    # import path of the library and the command line
-    from scipy.optimize import linprog, minimize
-
-    p = np.asarray(profile.counts, dtype=float)
-    p = p / p.sum()
-    lr = np.asarray(profile.lr, dtype=float)
-    q = p * lr
-    d = len(lr)
-    kind, payload, lo, hi = _implied_problem(utility)
-    lo_arr = np.full(d, lo)
-    hi_val = np.inf if hi is None else hi
-
-    if kind == "linear":
-        s, t, cap = payload
-        # variables [e_1..e_d, u_1..u_d]; maximize q @ u with u <= s*e + t, u <= cap
-        c = np.concatenate([np.zeros(d), -q])
-        a_ub = np.hstack([-s * np.eye(d), np.eye(d)])
-        b_ub = np.full(d, t)
-        a_eq = np.concatenate([p, np.zeros(d)])[None, :]
-        bounds = [(lo, None if hi is None else hi)] * d + [(None, cap)] * d
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP oracle failed: {res.message}")
-        e = np.asarray(res.x[:d])
-    else:
-        f, fp = payload
-        active = q > 0
-        # keep evaluations strictly inside where the utility or its slope blow up
-        eps = 1e-10 * max(1.0, abs(lo))
-        edge_singular = not (np.isfinite(_try_f(f, lo)) and np.isfinite(_try_f(fp, lo)))
-        lo_eval = lo + (eps if edge_singular else 0.0)
-
-        def objective(x: np.ndarray) -> float:
-            xs = np.clip(x, lo_eval, hi_val)
-            return -float(q[active] @ f(xs[active]))
-
-        def gradient(x: np.ndarray) -> np.ndarray:
-            xs = np.clip(x, lo_eval, hi_val)
-            g = np.zeros(d)
-            g[active] = -q[active] * fp(xs[active])
-            return g
-
-        x0 = np.clip(np.ones(d), lo_eval, hi_val)
-        with warnings.catch_warnings():
-            # SLSQP steps marginally outside bounds before clipping; the
-            # objective and gradient already clamp their inputs
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = minimize(
-                objective, x0, jac=gradient, method="SLSQP",
-                bounds=[(lo_eval, None if hi is None else hi)] * d,
-                constraints=[{"type": "eq", "fun": lambda x: p @ x - 1.0, "jac": lambda x: p}],
-                options={"maxiter": 2000, "ftol": 1e-16},
-            )
-        e = np.asarray(res.x)
-
-    e = np.clip(e, 0.0, None)
-    total = float(p @ e)
-    if total <= 0:
-        raise RuntimeError("oracle produced a degenerate profile")
-    e = e / total
-    return EValueProfile(profile.values, profile.counts, tuple(float(v) for v in e))
-
-
-def _try_f(f: Callable, x: float) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            return float(f(np.asarray([x], dtype=float))[0])
-        except Exception:
-            return math.nan

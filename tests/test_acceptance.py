@@ -12,17 +12,21 @@ import time
 import numpy as np
 
 import fuzzyconf as fc
-from fuzzyconf.alternatives import IidRatio, LikelihoodRatioProfile, conditional_lr_iid
+from fuzzyconf.alternatives import IidRatio
 from fuzzyconf.cli import main as cli_main
 from fuzzyconf.harness import (
     McConfig,
-    brute_force_conditional_lr,
-    classical_conformal_membership,
-    expected_utility,
     mc_validate_coverage,
     mc_validate_decision_risk,
     mc_validate_evalue,
     mc_validate_posthoc,
+)
+from fuzzyconf.reference import (
+    LikelihoodRatioProfile,
+    brute_force_conditional_lr,
+    classical_conformal_membership,
+    conditional_lr_iid,
+    expected_utility,
     numerical_utility_oracle,
 )
 
@@ -274,7 +278,7 @@ def test_criterion_08_gaussian_closed_forms():
                        mu - 12 * sd, mu + 12 * sd, limit=400)
         return core + tail
 
-    from fuzzyconf.gaussian import composite_bounded_log_boost
+    from fuzzyconf.reference import composite_bounded_log_boost
 
     m1 = null_mean(lambda v: fc.gaussian_log_fuzzy(v, 0.0, 1.0, 3.5), 0.0, 1.0,
                    tail=2 * (1 - Phi(12 / 3.5)))

@@ -8,18 +8,20 @@ from hypothesis import given, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
-    LikelihoodRatioProfile,
+    KernelAlternative,
     ar1_kernel,
-    conditional_lr_iid,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
     gaussian_scale_ratio,
-    kernel_alternative,
-    profile_for,
     resolve_alternative,
 )
 from fuzzyconf.errors import AllZeroRatioError
-from fuzzyconf.harness import brute_force_conditional_lr
+from fuzzyconf.reference import (
+    LikelihoodRatioProfile,
+    brute_force_conditional_lr,
+    conditional_lr_iid,
+    profile_for,
+)
 
 
 def test_constant_ratio_gives_unit_lr():
@@ -90,7 +92,7 @@ def test_profile_invariant_enforced():
 
 def test_kernel_constant_builder():
     fixed = IidRatio(lambda z: z + 10.0, name="shift")
-    alt = kernel_alternative(lambda z_n: fixed)
+    alt = KernelAlternative(lambda z_n: fixed)
     assert resolve_alternative(alt, (1.0, 2.0)) is fixed
 
 
@@ -159,13 +161,13 @@ def test_scale_ratio_formula():
 def test_profile_for_dispatches():
     prof = profile_for((1, 2, 3), IidRatio(lambda z: z))
     assert prof.lr_at(3.0) == pytest.approx(1.5)
-    kern = kernel_alternative(lambda z_n: IidRatio(lambda z, c=z_n[-1]: abs(z - c)))
+    kern = KernelAlternative(lambda z_n: IidRatio(lambda z, c=z_n[-1]: abs(z - c)))
     prof2 = profile_for((1, 2, 3), kern)  # resolved against (1, 2): ratios (1, 0, 1)
     assert prof2.lr_at(3.0) == pytest.approx(1.5)
     with pytest.raises(TypeError, match="^expected an IidRatio or KernelAlternative, got dict$"):
         profile_for((1, 2, 3), {1.0: 0.2, 2.0: 0.3, 3.0: 0.5})
     with pytest.raises(TypeError, match="^builder returned dict, not an alternative spec$"):
-        profile_for((1, 2, 3), kernel_alternative(lambda z_n: {1.0: 0.2}))
+        profile_for((1, 2, 3), KernelAlternative(lambda z_n: {1.0: 0.2}))
 
 
 def test_kernel_exactness_is_conditional_on_calibration():

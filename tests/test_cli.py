@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import importlib
@@ -15,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import fuzzyconf as fc
-from fuzzyconf import cli
+from fuzzyconf import cli, errors
 from fuzzyconf.cli import main, parse_ratio, parse_utility
-from fuzzyconf.confidence import MAX_GRID_POINTS, PlugInGrid, load_confidence_set, sublevel_set
+from fuzzyconf.sets import MAX_GRID_POINTS, PlugInGrid, load_confidence_set, sublevel_set
 
 
 def run(args):
@@ -417,6 +418,24 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
     assert "clip" in capsys.readouterr().err
 
 
+def test_exit_code_follows_the_error_class(monkeypatch, capsys):
+    # a numeric failure exits 3 and any other package error exits 2, by
+    # class; the documented numeric failures are the five below
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.FuzzyconfError)]
+    numeric = {c.__name__ for c in classes if issubclass(c, errors.NumericFailure)}
+    assert numeric == {"NumericFailure", "AllZeroRatioError", "NormalizationFailureError",
+                       "EmptyConfidenceSetError", "AllInfiniteRiskError", "ZeroDensityError"}
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("failed on purpose")
+
+        monkeypatch.setattr(cli, "cmd_interval", fail)
+        code = run(["interval", "--family", "simple", "--alpha", 0.05])
+        assert code == (3 if issubclass(cls, errors.NumericFailure) else 2), cls.__name__
+        assert capsys.readouterr().err == "error: failed on purpose\n"
+
+
 def test_calibration_reader(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("z\n1.0\n\n2.0\n")
@@ -497,8 +516,14 @@ _EVERY_SUBCOMMAND = [
      "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-1:1:1",
      "--out", "c.csv", "--json", "c.json"],
     ["decide", "--problem", "prob.json", "--set", "c.json", "--out", "cert.json"],
+    ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "as-if", "--alpha", "0.5",
+     "--out", "as-if.json"],
+    ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
+     "--levels", "0.1,0.5", "--out", "post-hoc.json"],
     ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "2000",
      "--seed", "3", "--out", "report.json"],
+    ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian", "--n", "5",
+     "--trials", "1000", "--seed", "7", "--ratio", "ar1:0:0.5:3.5", "--out", "kernel.json"],
 ]
 
 # interval and the six closed-form fuzzy families compute with math alone
@@ -517,13 +542,16 @@ _CLOSED_FORM = [
 
 
 @pytest.mark.parametrize("blocked, calls", [("scipy", _EVERY_SUBCOMMAND),
-                                            ("numpy", _CLOSED_FORM)], ids=["scipy", "numpy"])
+                                            ("numpy", _CLOSED_FORM),
+                                            ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
+                         ids=["scipy", "numpy", "reference"])
 def test_cli_runs_without(tmp_path, blocked, calls):
-    # with the package unimportable every call still succeeds, loads none of
-    # it, and writes exactly what an unblocked run writes
+    # with the module unimportable every call still succeeds, loads none of
+    # it, and writes exactly what an unblocked run writes; without the
+    # reference, every subcommand's evidence comes from the production core
     stdout, result = _run_cli_script(tmp_path / "blocked", calls, blocked)
     assert result["codes"] == [0] * len(calls)
-    assert [m for m in result["modules"] if m.split(".")[0] == blocked] == []
+    assert [m for m in result["modules"] if m == blocked or m.startswith(blocked + ".")] == []
     reference, _ = _run_cli_script(tmp_path / "reference", calls)
     assert stdout.splitlines()[:-1] == reference.splitlines()[:-1]
     names = sorted(p.name for p in (tmp_path / "blocked").iterdir())
@@ -559,12 +587,26 @@ def test_package_namespace_resolves_names_lazily():
     star = {}
     exec("from fuzzyconf import *", star)
     assert all(star[name] is getattr(fc, name) for name in fc.__all__)
-    from fuzzyconf import confidence, sets
+    for name in ("normalization_lambda", "np_threshold", "DataTuple", "rank_of_last",
+                 "kernel_alternative"):
+        assert not hasattr(fc, name), name
 
-    for name in ("PlugInGrid", "MAX_GRID_POINTS", "FuzzyConfidenceSet", "BinaryConfidenceSet",
-                 "load_confidence_set", "sublevel_set", "smallest_exclusion_level",
-                 "randomized_binary"):
-        assert getattr(confidence, name) is getattr(sets, name), name
+
+def test_no_module_imports_the_reference():
+    # the per-orbit path and the oracles are compared against, never run by
+    # a pipeline; only the package namespace resolves names from reference
+    for path in sorted(Path(fc.__file__).parent.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert all(name.split(".")[-1] != "reference" for name in names), (path.name, names)
 
 
 def _import_every_module():
@@ -573,39 +615,6 @@ def _import_every_module():
     for info in pkgutil.iter_modules(fc.__path__):
         if info.name != "__main__":
             importlib.import_module(f"fuzzyconf.{info.name}")
-
-
-_SCALAR_PATH = ("evalue_at", "optimal_evalue", "normalization_lambda", "np_threshold",
-                "profile_for", "conditional_lr_iid")
-
-
-def test_cli_evidence_comes_only_from_the_row_engine(tmp_path, monkeypatch):
-    # the per-orbit functions are the reference; every command takes its evidence
-    # from the sorted-calibration core and none may fall back to them
-    def scalar_path(*args, **kwargs):
-        raise AssertionError("the scalar per-orbit path ran under the command line")
-
-    _import_every_module()
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fuzzyconf":
-            for attr in _SCALAR_PATH:
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, scalar_path)
-    calib = tmp_path / "calib.csv"
-    calib.write_text("1.2\n0.7\n2.1\n-0.4\n0.3\n")
-    fuzzy = ["fuzzy", "--family", "conformal", "--calib", calib, "--grid", "-4:4:0.5",
-             "--out", tmp_path / "f.csv"]
-    kernel = ["validate", "--check", "coverage", "--alpha", 0.1, "--model", "iid-gaussian",
-              "--n", 5, "--trials", 1000, "--seed", 7]
-    calls = [
-        fuzzy + ["--utility", "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5"],
-        fuzzy + ["--utility", "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5"],
-        fuzzy + ["--utility", "np:0.1", "--ratio", "gaussian-scale:0:1:3.5"],
-        fuzzy + ["--utility", "bounded-log:0.05", "--ratio", "gaussian-composite:1:3.5"],
-        kernel + ["--ratio", "ar1:0:0.5:3.5", "--utility", "log"],
-        kernel + ["--ratio", "gaussian-composite:1:3.5", "--utility", "bounded-log:0.05"],
-    ]
-    assert [run(args) for args in calls] == [0] * len(calls)
 
 
 def test_cli_kernel_validators_evaluate_blocks(monkeypatch):

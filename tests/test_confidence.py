@@ -16,27 +16,19 @@ from fuzzyconf.alternatives import (
     gaussian_scale_ratio,
 )
 from fuzzyconf.cli import parse_utility
-from fuzzyconf.confidence import (
+from fuzzyconf.confidence import fuzzy_set, grid_evidence
+from fuzzyconf.errors import AllZeroRatioError, DomainError, FuzzyconfError
+from fuzzyconf.evalues import BoundedLog, Dampened, Log, NeymanPearson
+from fuzzyconf.reference import conditional_lr_iid, evalue_at, np_threshold
+from fuzzyconf.sets import (
     BinaryConfidenceSet,
     FuzzyConfidenceSet,
     PlugInGrid,
-    fuzzy_set,
-    grid_evidence,
     load_confidence_set,
     randomized_binary,
     smallest_exclusion_level,
     sublevel_set,
 )
-from fuzzyconf.errors import AllZeroRatioError, DomainError, FuzzyconfError
-from fuzzyconf.evalues import (
-    BoundedLog,
-    Dampened,
-    Log,
-    NeymanPearson,
-    evalue_at,
-    np_threshold,
-)
-from fuzzyconf.alternatives import conditional_lr_iid
 
 
 def test_grid_from_spec_divisible():
@@ -96,8 +88,9 @@ def test_fuzzy_set_names_the_grid_point_of_an_infinite_ratio():
 
 
 ENGINE_UTILITIES = [parse_utility(u) for u in (
-    "log", "np:0.01", "np:0.3", "bounded-log:0.05", "bounded-log:0.5", "clipped-log:0.1",
-    "clipped-log:1", "power:0.99", "power:-50", "power:0.5", "dampened:0.2:np:0.1",
+    "log", "np:0.01", "np:0.3", "np:1e-6", "bounded-log:0.05", "bounded-log:0.5",
+    "bounded-log:1e-6", "clipped-log:0.1", "clipped-log:1", "clipped-log:1e-9", "power:0.99",
+    "power:0.999999", "power:-50", "power:0.5", "dampened:0.2:np:0.1",
 )]
 ENGINE_RATIOS = [
     gaussian_scale_ratio(0.0, 1.0, 3.5),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzyconf.cli import main
-from fuzzyconf.confidence import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, sublevel_set
+from fuzzyconf.sets import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, sublevel_set
 from fuzzyconf.decisions import (
     CertifiedDecision,
     DecisionProblem,

@@ -4,26 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzyconf.alternatives import IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid
-from fuzzyconf.confidence import PlugInGrid, fuzzy_set
+from fuzzyconf.alternatives import IidRatio, ar1_kernel
+from fuzzyconf.confidence import fuzzy_set
 from fuzzyconf.errors import NormalizationFailureError
 from fuzzyconf.evalues import (
     BoundedLog,
     ClippedLog,
     Dampened,
-    EValueProfile,
     Log,
     NeymanPearson,
     Power,
+    utility_id,
+)
+from fuzzyconf.reference import (
+    EValueProfile,
+    LikelihoodRatioProfile,
     capped_shape,
     clipped_shape,
+    conditional_lr_iid,
     evalue_at,
+    evalues_for,
     normalization_lambda,
     np_threshold,
     optimal_evalue,
-    utility_id,
 )
-from fuzzyconf.harness import evalues_for
+from fuzzyconf.sets import PlugInGrid
 
 LRP = LikelihoodRatioProfile
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from fuzzyconf.errors import DomainError, NormalizationFailureError
 from fuzzyconf.gaussian import (
@@ -49,6 +50,31 @@ def test_quantile_dense_sweep():
     for p in np.linspace(1e-6, 1 - 1e-6, 4001):
         x = std_normal_quantile(float(p))
         assert abs(_Phi(x) - p) <= 1e-12 * max(1.0, abs(x))
+
+
+def test_quantile_upper_half_mirrors_the_lower():
+    # 1 - p is exact for p >= 0.5, so the upper half is the lower half
+    # negated bit for bit, and keeps its accuracy where the CDF nears 1
+    sweep = [0.5, 0.5 + 1e-12, 0.6, 0.975, 0.99, 1 - 1e-6, 1 - 1e-10, 1 - 1e-15,
+             float(np.nextafter(1.0, 0.0))]
+    sweep += [float(p) for p in 1.0 - np.logspace(-16, math.log10(0.5), 400)]
+    for p in sweep:
+        x = std_normal_quantile(p)
+        assert x == -std_normal_quantile(1.0 - p), p
+        assert abs(x - ndtri(p)) <= 1e-13 * max(1.0, abs(x)), p
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-9, 1e-12])
+def test_critical_values_keep_the_digits_of_small_alpha(alpha):
+    # each half-width is the alpha/2 lower quantile negated; 1 - alpha/2
+    # would round alpha's digits away
+    want = -ndtri(alpha / 2.0)
+    assert simple_interval(0.0, 1.0, alpha)[1] == pytest.approx(want, rel=1e-13)
+    assert ar1_interval(0.0, 0.5, 0.0, alpha)[1] == pytest.approx(want, rel=1e-13)
+    hi = composite_interval(0.0, 1.0, 3, alpha)[1]
+    assert hi / math.sqrt(4.0 / 3.0) == pytest.approx(want, rel=1e-13)
+    assert gaussian_np_evalue(want * (1.0 + 1e-12), 0.0, 1.0, alpha) == 1.0 / alpha
+    assert gaussian_np_evalue(want * (1.0 - 1e-12), 0.0, 1.0, alpha) == 0.0
 
 
 def test_quantile_domain():

@@ -8,11 +8,10 @@ import pytest
 
 from fuzzyconf import cli, harness
 from fuzzyconf.alternatives import (
-    IidRatio, LikelihoodRatioProfile, ar1_kernel, conditional_lr_iid, gaussian_composite_kernel,
-    gaussian_scale_ratio, kernel_alternative,
+    IidRatio, KernelAlternative, ar1_kernel, gaussian_composite_kernel, gaussian_scale_ratio,
 )
 from fuzzyconf.cli import main
-from fuzzyconf.confidence import FuzzyConfidenceSet, PlugInGrid, grid_evidence, sublevel_set
+from fuzzyconf.confidence import grid_evidence
 from fuzzyconf.decisions import (
     DecisionProblem, as_if_decision, post_hoc_decisions, weighted_decision,
 )
@@ -20,25 +19,31 @@ from fuzzyconf.errors import (
     AllInfiniteRiskError, AllZeroRatioError, NormalizationFailureError, ZeroDensityError,
 )
 from fuzzyconf.evalues import (
-    BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power,
-    evalue_at, optimal_evalue, utility_id,
+    BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power, utility_id,
 )
 from fuzzyconf.harness import (
     McConfig,
     adversarial_level_rule,
-    brute_force_conditional_lr,
-    classical_conformal_membership,
-    conformal_pvalue,
-    evalues_for,
-    expected_utility,
     mc_validate_coverage,
     mc_validate_decision_risk,
     mc_validate_evalue,
     mc_validate_posthoc,
+)
+from fuzzyconf.reference import (
+    LikelihoodRatioProfile,
+    brute_force_conditional_lr,
+    classical_conformal_membership,
+    conditional_lr_iid,
+    conformal_pvalue,
+    evalue_at,
+    evalues_for,
+    expected_utility,
     numerical_utility_oracle,
+    optimal_evalue,
     sample_finite_matrix,
     sample_matrix,
 )
+from fuzzyconf.sets import FuzzyConfidenceSet, PlugInGrid, sublevel_set
 
 LRP = LikelihoodRatioProfile
 
@@ -433,7 +438,7 @@ def test_adversarial_level_excludes_its_own_realization():
 def test_kernel_alternative_loops_per_trial():
     cfg = McConfig(trials=1000, seed=3, model="iid-gaussian", params={"mu": 0, "sigma": 1})
     data = sample_matrix(cfg, 4)
-    kern = kernel_alternative(
+    kern = KernelAlternative(
         lambda z_n: IidRatio(lambda z, c=float(np.mean(z_n)): np.exp(0.5 * (z - c))))
     got = evalues_for(data, kern, Log())
     want = np.array([evalue_at(row, kern, Log()) for row in data])
@@ -463,7 +468,7 @@ def test_kernel_row_form_reports_equal_the_per_row_loop(monkeypatch):
         monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
         for kern in _BUILT_IN_KERNELS:
             assert kern.row_ratio is not None
-            loop = kernel_alternative(kern.builder, kern.name)
+            loop = KernelAlternative(kern.builder, kern.name)
             for validate in runs:
                 assert validate(kern) == validate(loop), (budget, kern.name)
 
@@ -483,7 +488,7 @@ def test_kernel_row_form_errors_equal_the_per_row_loop():
     cases.append(both)
     with np.errstate(invalid="ignore"):
         for kern in _BUILT_IN_KERNELS:
-            loop = kernel_alternative(kern.builder, kern.name)
+            loop = KernelAlternative(kern.builder, kern.name)
             for block in cases:
                 got = _first_error(lambda: evalues_for(block, kern, Log()))
                 assert got is not None and got[0] is ValueError and "ratio" in got[1]
