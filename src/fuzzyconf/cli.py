@@ -41,14 +41,26 @@ EXIT_CHECK_FAILED = 1  # a validate run printed [FAIL]
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-_GAUSSIAN_FAMILIES = (
-    "gaussian-log",
-    "gaussian-log-composite",
-    "gaussian-bounded-log",
-    "gaussian-bounded-log-composite",
-    "gaussian-np",
-    "gaussian-np-composite",
-)
+# closed-form fuzzy family -> (its ``gaussian`` curve builder, the flags the
+# builder takes in argument order, the utility its e-value is optimal for);
+# the provenance name lists the flags in the same order
+_FUZZY_FAMILIES = {
+    "gaussian-log": ("_log_curve", ("mu", "sigma", "tau"), "log"),
+    "gaussian-log-composite": ("_composite_log_curve", ("zbar", "sigma", "tau", "n"), "log"),
+    "gaussian-bounded-log": ("_bounded_log_curve", ("mu", "sigma", "tau", "alpha"), "bounded-log"),
+    "gaussian-bounded-log-composite": (
+        "_composite_bounded_log_curve", ("zbar", "sigma", "tau", "n", "alpha"), "bounded-log"),
+    "gaussian-np": ("_np_curve", ("mu", "sigma", "alpha"), "np"),
+    "gaussian-np-composite": ("_composite_np_curve", ("zbar", "sigma", "n", "alpha"), "np"),
+}
+_GAUSSIAN_FAMILIES = tuple(_FUZZY_FAMILIES)
+
+# interval family -> (its ``gaussian`` function, the flags it takes in order)
+_INTERVAL_FAMILIES = {
+    "simple": ("simple_interval", ("mu", "sigma", "alpha")),
+    "composite": ("composite_interval", ("zbar", "sigma", "n", "alpha")),
+    "ar1": ("ar1_interval", ("mu", "rho", "z_last", "alpha")),
+}
 
 
 def parse_utility(spec: str) -> evalues.UtilitySpec:
@@ -130,36 +142,27 @@ def _write_json(path: Optional[str], doc: dict) -> None:
             fh.write(text)
 
 
+def _family_args(args, flags: tuple[str, ...]) -> list:
+    """The values of ``flags`` in order; raises naming every flag not given."""
+    values = [getattr(args, flag) for flag in flags]
+    missing = [f"--{flag.replace('_', '-')}" for flag, v in zip(flags, values) if v is None]
+    if missing:
+        listed = missing[0] if len(missing) == 1 else f"{', '.join(missing[:-1])} and {missing[-1]}"
+        raise ValueError(f"{args.family} needs {listed}")
+    return values
+
+
 def _gaussian_curve(args, grid: sets.PlugInGrid) -> sets.FuzzyConfidenceSet:
     from . import gaussian, sets
 
-    fam = args.family
-    mu, sigma, tau, alpha, n, zbar = args.mu, args.sigma, args.tau, args.alpha, args.n, args.zbar
-    # each family checks its parameters once and returns its per-point core
-    if fam == "gaussian-log":
-        fn = gaussian._log_curve(mu, sigma, tau)
-        name = f"gaussian-log(mu={mu:g},sigma={sigma:g},tau={tau:g})"
-    elif fam == "gaussian-log-composite":
-        fn = gaussian._composite_log_curve(zbar, sigma, tau, n)
-        name = f"gaussian-log-composite(zbar={zbar:g},sigma={sigma:g},tau={tau:g},n={n})"
-    elif fam == "gaussian-bounded-log":
-        fn = gaussian._bounded_log_curve(mu, sigma, tau, alpha)
-        name = f"gaussian-bounded-log(mu={mu:g},sigma={sigma:g},tau={tau:g},alpha={alpha:g})"
-    elif fam == "gaussian-bounded-log-composite":
-        fn = gaussian._composite_bounded_log_curve(zbar, sigma, tau, n, alpha)
-        name = (f"gaussian-bounded-log-composite(zbar={zbar:g},sigma={sigma:g},"
-                f"tau={tau:g},n={n},alpha={alpha:g})")
-    elif fam == "gaussian-np":
-        fn = gaussian._np_curve(mu, sigma, alpha)
-        name = f"gaussian-np(mu={mu:g},sigma={sigma:g},alpha={alpha:g})"
-    elif fam == "gaussian-np-composite":
-        fn = gaussian._composite_np_curve(zbar, sigma, n, alpha)
-        name = f"gaussian-np-composite(zbar={zbar:g},sigma={sigma:g},n={n},alpha={alpha:g})"
-    else:
-        raise ValueError(f"unknown family {fam!r}")
+    builder, flags, utility = _FUZZY_FAMILIES[args.family]
+    values = _family_args(args, flags)
+    # the builder checks its parameters once and returns its per-point core
+    fn = getattr(gaussian, builder)(*values)
+    # n is an integer and prints in full, where {n:g} would round n >= 10**6
+    params = ",".join(f"{f}={v}" if f == "n" else f"{f}={v:g}" for f, v in zip(flags, values))
     evidence = tuple(map(fn, grid.points))
-    utility = "np" if "np" in fam else ("bounded-log" if "bounded" in fam else "log")
-    return sets.FuzzyConfidenceSet(grid, evidence, (), name, utility)
+    return sets.FuzzyConfidenceSet(grid, evidence, (), f"{args.family}({params})", utility)
 
 
 def cmd_fuzzy(args) -> int:
@@ -167,14 +170,11 @@ def cmd_fuzzy(args) -> int:
 
     grid = PlugInGrid.from_spec(args.grid)
     if args.family == "conformal":
-        if not args.calib or not args.utility or not args.ratio:
-            raise ValueError("conformal needs --calib, --utility and --ratio")
+        calib, utility, ratio = _family_args(args, ("calib", "utility", "ratio"))
         from .confidence import fuzzy_set
 
-        calib = _read_calibration(args.calib)
-        fset = fuzzy_set(calib, grid, parse_ratio(args.ratio), parse_utility(args.utility))
+        fset = fuzzy_set(_read_calibration(calib), grid, parse_ratio(ratio), parse_utility(utility))
     else:
-        _check_gaussian_args(args)
         fset = _gaussian_curve(args, grid)
     fset.to_csv(args.out)
     if args.json:
@@ -182,34 +182,11 @@ def cmd_fuzzy(args) -> int:
     return EXIT_OK
 
 
-def _check_gaussian_args(args) -> None:
-    fam = args.family
-    needs_tau = "log" in fam
-    needs_alpha = "np" in fam or "bounded" in fam
-    composite = "composite" in fam
-    if needs_tau and args.tau is None:
-        raise ValueError(f"{fam} needs --tau")
-    if needs_alpha and args.alpha is None:
-        raise ValueError(f"{fam} needs --alpha")
-    if composite and (args.n is None or args.zbar is None):
-        raise ValueError(f"{fam} needs --n and --zbar")
-
-
 def cmd_interval(args) -> int:
     from . import gaussian
 
-    if args.family == "simple":
-        lo, hi = gaussian.simple_interval(args.mu, args.sigma, args.alpha)
-    elif args.family == "composite":
-        if args.n is None or args.zbar is None:
-            raise ValueError("composite needs --n and --zbar")
-        lo, hi = gaussian.composite_interval(args.zbar, args.sigma, args.n, args.alpha)
-    elif args.family == "ar1":
-        if args.rho is None or args.z_last is None:
-            raise ValueError("ar1 needs --rho and --z-last")
-        lo, hi = gaussian.ar1_interval(args.mu, args.rho, args.z_last, args.alpha)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    function, flags = _INTERVAL_FAMILIES[args.family]
+    lo, hi = getattr(gaussian, function)(*_family_args(args, flags))
     _write_json(args.out, {"family": args.family, "lo": lo, "hi": hi, "alpha": args.alpha})
     return EXIT_OK
 
@@ -311,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzzy.set_defaults(func=cmd_fuzzy)
 
     p_int = sub.add_parser("interval", help="closed-form Gaussian prediction interval")
-    p_int.add_argument("--family", required=True, choices=("simple", "composite", "ar1"))
+    p_int.add_argument("--family", required=True, choices=tuple(_INTERVAL_FAMILIES))
     p_int.add_argument("--mu", type=float, default=0.0)
     p_int.add_argument("--sigma", type=float, default=1.0)
     p_int.add_argument("--alpha", type=float, required=True)

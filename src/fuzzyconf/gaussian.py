@@ -100,9 +100,9 @@ def simple_interval(mu: float, sigma: float, alpha: float) -> tuple[float, float
 def composite_interval(zbar: float, sigma: float, n: int, alpha: float) -> tuple[float, float]:
     """Interval centered at the sample mean, widened by sqrt(1 + 1/n) for the
     estimation of the center."""
-    _check(sigma=sigma, alpha=alpha, n=n, zbar=zbar)
+    _check(sigma=sigma, alpha=alpha, zbar=zbar)
     c = -std_normal_quantile(alpha / 2.0)
-    half = c * sigma * math.sqrt(1.0 + 1.0 / n)
+    half = c * sigma * _widening(n)
     return (zbar - half, zbar + half)
 
 
@@ -143,8 +143,8 @@ def _log_curve(mu: float, sigma: float, tau: float) -> Callable[[float], float]:
 
 
 def _composite_log_curve(zbar: float, sigma: float, tau: float, n: int) -> Callable[[float], float]:
-    _check(sigma=sigma, tau=tau, n=n, zbar=zbar)
-    f = math.sqrt(1.0 + 1.0 / n)
+    _check(sigma=sigma, tau=tau, zbar=zbar)
+    f = _widening(n)
     return _log_curve(zbar, sigma * f, tau * f)
 
 
@@ -159,8 +159,8 @@ def _bounded_log_curve(mu: float, sigma: float, tau: float, alpha: float) -> Cal
 def _composite_bounded_log_curve(
     zbar: float, sigma: float, tau: float, n: int, alpha: float
 ) -> Callable[[float], float]:
-    _check(sigma=sigma, tau=tau, n=n, alpha=alpha, zbar=zbar)
-    f = math.sqrt(1.0 + 1.0 / n)
+    _check(sigma=sigma, tau=tau, alpha=alpha, zbar=zbar)
+    f = _widening(n)
     return _bounded_log_curve(zbar, sigma * f, tau * f, alpha)
 
 
@@ -172,8 +172,8 @@ def _np_curve(mu: float, sigma: float, alpha: float) -> Callable[[float], float]
 
 
 def _composite_np_curve(zbar: float, sigma: float, n: int, alpha: float) -> Callable[[float], float]:
-    _check(sigma=sigma, n=n, alpha=alpha, zbar=zbar)
-    return _np_curve(zbar, sigma * math.sqrt(1.0 + 1.0 / n), alpha)
+    _check(sigma=sigma, alpha=alpha, zbar=zbar)
+    return _np_curve(zbar, sigma * _widening(n), alpha)
 
 
 def gaussian_log_fuzzy(z: float, mu: float, sigma: float, tau: float) -> float:
@@ -267,9 +267,17 @@ def gaussian_composite_np_evalue(z: float, zbar: float, sigma: float, n: int, al
     return _composite_np_curve(zbar, sigma, n, alpha)(z)
 
 
+def _widening(n: int) -> float:
+    """sqrt(1 + 1/n), the factor by which estimating the center from n
+    values widens every scale of a composite family."""
+    if not n >= 1:  # NaN too
+        raise ValueError("n must be at least 1")
+    return math.sqrt(1.0 + 1.0 / n)
+
+
 def _check(sigma: Optional[float] = None, tau: Optional[float] = None,
-           alpha: Optional[float] = None, n: Optional[int] = None,
-           rho: Optional[float] = None, **centers: float) -> None:
+           alpha: Optional[float] = None, rho: Optional[float] = None,
+           **centers: float) -> None:
     """Validate the parameters given; ``centers`` are locations (mu, zbar,
     z_last), each of which must be finite."""
     for name, value in centers.items():
@@ -283,13 +291,15 @@ def _check(sigma: Optional[float] = None, tau: Optional[float] = None,
         if tau <= sigma:
             raise ValueError("tau must exceed sigma")
         s2, t2 = sigma * sigma, tau * tau
-        # the closed forms divide by sigma^2 tau^2 and tau^2 - sigma^2
-        if not all(0.0 < v < math.inf for v in (s2, t2, t2 - s2, s2 * t2)):
+        # the closed forms divide by 2 sigma^2 tau^2 and tau^2 - sigma^2;
+        # alternatives._check_scales keeps the same bounds for the conformal
+        # scale ratio, whose calls must not load this module
+        if not all(0.0 < v < math.inf for v in (s2, t2, t2 - s2, s2 * t2,
+                                                 2.0 * sigma * sigma * tau * tau)):
             raise DomainError(f"sigma={sigma!r} and tau={tau!r} are out of range: sigma^2, tau^2, "
-                              "tau^2 - sigma^2 and sigma^2 tau^2 must be positive finite floats")
+                              "tau^2 - sigma^2, sigma^2 tau^2 and 2 sigma^2 tau^2 must be "
+                              "positive finite floats")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if n is not None and n < 1:
-        raise ValueError("n must be at least 1")
     if rho is not None and not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")

@@ -27,7 +27,7 @@ it checks the code that ``decide`` runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -125,17 +125,7 @@ class McReport:
         )
 
     def to_json_doc(self) -> dict:
-        return {
-            "check": self.check,
-            "estimate": self.estimate,
-            "se": self.se,
-            "bound": self.bound,
-            "passed": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-            "model": self.model,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _report(check: str, stats: np.ndarray, bound: float, config: McConfig, detail: str = "") -> McReport:
@@ -366,11 +356,8 @@ def mc_validate_posthoc(
     _check_run(config, n)
     e = _trial_evalues(config, alt, utility, n)
     atil = _selected_levels(selection_rule, e)
-    with np.errstate(divide="ignore"):
-        thr = np.where(np.isinf(atil), 0.0, 1.0 / atil)
-    excluded = e >= thr
-    stats = np.where(np.isinf(atil), 0.0, excluded / atil)
-    return _report("posthoc-validity", stats, 1.0, config, detail=f"n={n}")
+    excluded = e >= 1.0 / atil
+    return _report("posthoc-validity", excluded / atil, 1.0, config, detail=f"n={n}")
 
 
 def mc_validate_decision_risk(
@@ -441,12 +428,11 @@ def mc_validate_decision_risk(
         for rows, ev, last in blocks():
             e_true[rows] = ev[np.arange(len(last)), last]
         levels = _selected_levels(selection_rule, e_true)
-    thr = np.where(np.isinf(levels), 0.0, 1.0 / levels)
+    thr = 1.0 / levels
     for rows, ev, last in blocks():
         members = ev < thr[rows, None]
         d, r = _minimax(loss, _indicator(members))
         stats[rows] = (loss[d, last] > r) | ~members.any(axis=1)
     if mode == "as-if":
         return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
-    stats = np.where(np.isinf(levels), 0.0, stats / levels)
-    return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
+    return _report("decision-post-hoc", stats / levels, 1.0, config, detail=f"n={n}")

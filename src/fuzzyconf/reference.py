@@ -47,7 +47,7 @@ from .evalues import (
     Power,
     UtilitySpec,
 )
-from .gaussian import bounded_log_boost
+from .gaussian import _widening, bounded_log_boost
 from .orbits import TupleLike, orbit_of, tuple_values
 
 if TYPE_CHECKING:
@@ -338,7 +338,7 @@ def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> fl
 
 def composite_bounded_log_boost(sigma: float, tau: float, n: int, alpha: float, zbar: float = 0.0) -> float:
     """Boost constant for the composite capped ratio (center drops out)."""
-    f = math.sqrt(1.0 + 1.0 / n)
+    f = _widening(n)
     return bounded_log_boost(zbar, sigma * f, tau * f, alpha)
 
 

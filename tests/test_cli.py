@@ -317,6 +317,48 @@ def test_gaussian_extreme_scales_exit_codes(tmp_path, capsys, flags, code, messa
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+@pytest.mark.parametrize("family", ["gaussian-log", "gaussian-bounded-log"])
+def test_gaussian_scales_whose_product_overflows_exit_2(tmp_path, capsys, family):
+    # 2 sigma^2 tau^2 overflows although sigma^2 tau^2 does not: the curve was
+    # NaN, and the call blamed the evidence ("evidence must be nonnegative")
+    assert run(["fuzzy", "--family", family, "--sigma", "1e77", "--tau", "1.1e77",
+                "--alpha", "0.05", "--grid=-1e200:1e200:1e199", "--out", tmp_path / "x.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: sigma=1e+77 and tau=1.1e+77 are out of range")
+    assert not (tmp_path / "x.csv").exists()
+
+
+# every flag a closed-form family needs that has no default, in flag order
+_MISSING_FLAGS = {
+    ("fuzzy", "gaussian-log"): "--tau",
+    ("fuzzy", "gaussian-log-composite"): "--zbar, --tau and --n",
+    ("fuzzy", "gaussian-bounded-log"): "--tau and --alpha",
+    ("fuzzy", "gaussian-bounded-log-composite"): "--zbar, --tau, --n and --alpha",
+    ("fuzzy", "gaussian-np"): "--alpha",
+    ("fuzzy", "gaussian-np-composite"): "--zbar, --n and --alpha",
+    ("interval", "composite"): "--zbar and --n",
+    ("interval", "ar1"): "--rho and --z-last",
+}
+
+
+@pytest.mark.parametrize("command, family", _MISSING_FLAGS, ids=[f for _, f in _MISSING_FLAGS])
+def test_closed_form_family_names_every_missing_flag(tmp_path, capsys, command, family):
+    assert {f for c, f in _MISSING_FLAGS if c == "fuzzy"} == set(cli._GAUSSIAN_FAMILIES)
+    rest = ["--grid=-1:1:1", "--out", tmp_path / "x.csv"] if command == "fuzzy" else ["--alpha", 0.05]
+    assert run([command, "--family", family, *rest]) == 2
+    assert capsys.readouterr() == ("", f"error: {family} needs {_MISSING_FLAGS[command, family]}\n")
+
+
+def test_composite_provenance_prints_n_in_full(tmp_path):
+    # {n:g} would print 1.23457e+06
+    assert run(["fuzzy", "--family", "gaussian-np-composite", "--zbar", 0.5, "--n", 1234567,
+                "--alpha", 0.05, "--grid=-1:1:1", "--out", tmp_path / "x.csv",
+                "--json", tmp_path / "x.json"]) == 0
+    doc = json.loads((tmp_path / "x.json").read_text())
+    assert doc["provenance"] == {
+        "alternative": "gaussian-np-composite(zbar=0.5,sigma=1,n=1234567,alpha=0.05)",
+        "utility": "np"}
+
+
 _PROBLEM = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
             "loss": [[1, 1, 1], [2, 0.5, 2]]}
 _SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).to_json_doc()

@@ -187,7 +187,7 @@ def _keeps_order(row, ratio):
 @given(case=grid_cases())
 @example(case=([[1.0, -1.0]], (-0.5, 0.5, 1.0), ADJACENT, NeymanPearson(0.1)))
 @settings(max_examples=600, deadline=None)
-def test_grid_evidence_matches_row_engine(case):
+def test_grid_evidence_matches_evalue_at(case):
     # the core against the scalar evalue_at, point by point and row by row
     rows, points, alt, utility = case
     rows = np.array(rows)

@@ -9,6 +9,7 @@ from fuzzyconf.sets import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, 
 from fuzzyconf.decisions import (
     CertifiedDecision,
     DecisionProblem,
+    LevelDecision,
     _indicator,
     _minimax,
     as_if_decision,
@@ -186,10 +187,12 @@ def test_post_hoc_full_grid_level():
 def test_post_hoc_marks_empty_levels_unavailable():
     problem = DecisionProblem(("a",), (0.0, 1.0), ((1.0, 2.0),))
     fset = _fuzzy((1.5, 2.0))
-    ladder = post_hoc_decisions(problem, fset, (0.05, 0.9))
-    assert ladder[0].available
+    first, empty = post_hoc_decisions(problem, fset, (0.05, 0.9))
+    assert isinstance(first, LevelDecision) and first.available and first.alpha == 0.05
+    assert (first.decision.decision, first.decision.risk_bound, first.decision.alpha) == \
+        ("a", 2.0, 0.05)
     # sublevel sets shrink as alpha grows: 1/0.9 = 1.11 excludes everything
-    assert not ladder[1].available
+    assert empty == LevelDecision(0.9, None) and not empty.available
 
 
 def test_post_hoc_risk_monotone_in_alpha():

@@ -19,6 +19,7 @@ from fuzzyconf.gaussian import (
     simple_interval,
     std_normal_quantile,
 )
+from fuzzyconf.reference import composite_bounded_log_boost
 
 # frozen from a 40-digit arbitrary-precision evaluation of sqrt(2)*erfinv(2p-1)
 QUANTILE_ORACLE = {
@@ -211,14 +212,16 @@ def test_bounded_above_unbounded_at_center_below_in_tails():
         assert gaussian_log_fuzzy(z, *args) > 20.0
 
 
-@pytest.mark.parametrize("sigma, tau", [(1e-200, 1e-199), (1.0, 1e200), (1e160, 1e161)])
+@pytest.mark.parametrize("sigma, tau", [(1e-200, 1e-199), (1.0, 1e200), (1e160, 1e161),
+                                        (1e77, 1.1e77)])
 def test_scales_out_of_float_range_are_domain_errors(sigma, tau):
-    # sigma^2 tau^2 underflows to 0, or tau^2 overflows: the closed forms
-    # would divide by zero or take a NaN null mean
-    for call in (lambda: gaussian_log_fuzzy(0.0, 0.0, sigma, tau),
+    # sigma^2 tau^2 underflows to 0, or tau^2 or 2 sigma^2 tau^2 overflows:
+    # the closed forms would divide by zero or return NaN (the last pair once
+    # gave NaN at z = 1e200)
+    for call in (lambda: gaussian_log_fuzzy(1e200, 0.0, sigma, tau),
                  lambda: bounded_log_boost(0.0, sigma, tau, 0.05),
-                 lambda: gaussian_bounded_log_fuzzy(0.0, 0.0, sigma, tau, 0.05)):
-        with pytest.raises(DomainError, match="out of range"):
+                 lambda: gaussian_bounded_log_fuzzy(1e200, 0.0, sigma, tau, 0.05)):
+        with pytest.raises(DomainError, match=r"^sigma=.* and tau=.* are out of range"):
             call()
 
 
@@ -314,6 +317,21 @@ def test_gaussian_params_validation():
         composite_interval(0.0, 1.0, 0, 0.05)
     with pytest.raises(ValueError):
         ar1_interval(0.0, 1.0, 0.0, 0.05)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: composite_interval(0.0, 1.0, n, 0.05),
+    lambda n: gaussian_composite_log_fuzzy(0.0, 0.0, 1.0, 3.5, n),
+    lambda n: gaussian_composite_bounded_log_fuzzy(0.0, 0.0, 1.0, 3.5, n, 0.05),
+    lambda n: gaussian_composite_np_evalue(0.0, 0.0, 1.0, n, 0.05),
+    lambda n: composite_bounded_log_boost(1.0, 3.5, n, 0.05),
+], ids=["interval", "log", "bounded-log", "np", "boost"])
+def test_composite_families_need_n_at_least_one(call):
+    # the boost once divided by zero at n = 0 and accepted a negative n; the
+    # interval once returned (nan, nan) for a NaN n
+    for n in (0, -3, math.nan):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            call(n)
 
 
 _LOCATED_CALLS = [
