@@ -133,13 +133,51 @@ def _read_calibration(path: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, its
+    nested lines starting at ``newline``.
+
+    The indenting encoder is pure Python, and each of its calls leaves cyclic
+    garbage; the C encoder writes every scalar, and every list of scalars
+    whole, its item separator carrying the newline and indent. Non-finite
+    floats raise ``ValueError`` on either path.
+    """
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if any(issubclass(t, (dict, list, tuple)) for t in set(map(type, value))):
+            return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in value) \
+                + newline + "]"
+        flat = json.dumps(value, allow_nan=False, separators=("," + inner, ": "))
+        return "[" + inner + flat[1:-1] + newline + "]"
+    if not isinstance(value, dict):
+        return json.dumps(value, allow_nan=False)  # a scalar spans one line
+    if not value:
+        return "{}"
+    if all(isinstance(k, str) for k in value):
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # keys that JSON turns into strings; a JSON string holds no raw newline,
+    # so only the indent's newlines are replaced
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", newline)
+
+
 def _write_json(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(doc) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _read_json(path: str, flag: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{flag} {path} is not JSON: {exc}") from None
 
 
 def _family_args(args, flags: tuple[str, ...]) -> list:
@@ -194,10 +232,8 @@ def cmd_interval(args) -> int:
 def cmd_decide(args) -> int:
     from . import decisions, sets
 
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        problem = decisions.DecisionProblem.from_json_doc(json.load(fh))
-    with open(args.set, "r", encoding="utf-8") as fh:
-        conf = sets.load_confidence_set(json.load(fh))
+    problem = decisions.DecisionProblem.from_json_doc(_read_json(args.problem, "--problem"))
+    conf = sets.load_confidence_set(_read_json(args.set, "--set"))
 
     if args.mode == "as-if":
         if isinstance(conf, sets.FuzzyConfidenceSet):
@@ -216,7 +252,11 @@ def cmd_decide(args) -> int:
             raise ValueError("post-hoc mode needs a fuzzy confidence set")
         if not args.levels:
             raise ValueError("post-hoc mode needs --levels")
-        levels = [float(x) for x in args.levels.split(",")]
+        try:
+            levels = [float(x) for x in args.levels.split(",")]
+        except ValueError:
+            raise ValueError(f"--levels must be comma-separated numbers, "
+                             f"got {args.levels!r}") from None
         ladder = decisions.post_hoc_decisions(problem, conf, levels)
         doc = {
             "mode": "post-hoc",
@@ -241,7 +281,11 @@ def cmd_validate(args) -> int:
             key, _, val = kv.partition("=")
             if not val:
                 raise ValueError(f"model args must be key=value, got {kv!r}")
-            params[key.strip()] = float(val)
+            key = key.strip()
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ValueError(f"model arg {key} must be a number, got {val!r}") from None
     config = harness.McConfig(trials=args.trials, seed=args.seed, model=args.model, params=params)
     alt = parse_ratio(args.ratio)
     utility = parse_utility(args.utility)

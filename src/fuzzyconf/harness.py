@@ -66,8 +66,9 @@ _FINITE_PARAMS = {
 
 @dataclass(frozen=True)
 class McConfig:
-    """Seeded Monte-Carlo run: trial count, 64-bit seed, named model and
-    its parameters, each of which the model must read."""
+    """Seeded Monte-Carlo run: trial count, seed (the Philox key, an integer
+    in [0, 2**128)), named model and its parameters, each of which the model
+    must read."""
 
     trials: int
     seed: int
@@ -77,6 +78,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.trials < 1000:
             raise ValueError("use at least 1000 trials")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must lie in [0, 2**128), the Philox key range, got {self.seed}")
         if self.model not in CONTINUOUS_MODELS + FINITE_MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         defaults = _MODEL_DEFAULTS.get(self.model, {})

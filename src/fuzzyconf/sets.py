@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DomainError
@@ -29,8 +28,62 @@ _REL_STEP_TOL = 1e-9
 MAX_GRID_POINTS = 10**7
 
 
-@dataclass(frozen=True)
-class PlugInGrid:
+class _Frozen:
+    """Frozen record base of the containers below. It is written out rather
+    than generated by the standard library's record decorator, whose import
+    and code generation would dominate the start-up of the closed-form calls.
+
+    A subclass declares its fields once, as class annotations in order, each
+    default as the class attribute of that name. It gets an ``__init__``
+    taking the fields positionally or by keyword, then calling
+    ``__post_init__``; equality within one class; a hash of the field tuple;
+    a ``Name(field=value, ...)`` repr; and assignment or deletion raising
+    ``AttributeError``. Fields live in the instance ``__dict__``, so copy and
+    pickle restore them without calling ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__annotations__:  # a subclass that declares no field keeps its parent's
+            cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+            cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}; "
+                            f"got {len(args)} positional and the keywords {sorted(kwargs)}")
+        self.__dict__.update((f, values[f]) for f in fields)
+        self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PlugInGrid(_Frozen):
     """Strictly increasing grid of plug-in values for the prediction target."""
 
     points: tuple[float, ...]
@@ -51,7 +104,10 @@ class PlugInGrid:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid spec must be min:max:step, got {spec!r}")
-        lo, hi, step = (float(p) for p in parts)
+        try:
+            lo, hi, step = map(float, parts)
+        except ValueError:
+            raise ValueError(f"grid spec {spec!r} must be min:max:step numbers") from None
         span = hi - lo
         if not all(math.isfinite(x) for x in (lo, hi, step, span)):
             raise ValueError(f"grid spec {spec!r} needs a finite min, max, step and span")
@@ -155,8 +211,7 @@ def _json_floats(value, name: str) -> tuple[float, ...]:
         raise
 
 
-@dataclass(frozen=True)
-class FuzzyConfidenceSet:
+class FuzzyConfidenceSet(_Frozen):
     """Evidence against each grid point, with the calibration data and the
     alternative/utility that produced it."""
 
@@ -203,8 +258,7 @@ class FuzzyConfidenceSet:
         )
 
 
-@dataclass(frozen=True)
-class BinaryConfidenceSet:
+class BinaryConfidenceSet(_Frozen):
     """Level-alpha membership per grid point, with the evidence it came from."""
 
     grid: PlugInGrid

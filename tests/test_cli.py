@@ -14,6 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fuzzyconf as fc
 from fuzzyconf import cli, errors
@@ -384,6 +385,37 @@ def test_malformed_decide_documents_exit_2(tmp_path, capsys, problem, conf, mess
 
 
 @pytest.mark.parametrize("args, message", [
+    (["decide", "--problem", "prob.json", "--set", "set.json", "--mode", "post-hoc",
+      "--levels", "0.1,,0.2"], "--levels must be comma-separated numbers, got '0.1,,0.2'"),
+    (["validate", "--model", "iid-gaussian", "--model-args", "mu=abc"],
+     "model arg mu must be a number, got 'abc'"),
+    (["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=1e16:1e16+8:1", "--out", "x.csv"],
+     "grid spec '1e16:1e16+8:1' must be min:max:step numbers"),
+    (["decide", "--problem", "notes.txt", "--set", "set.json"],
+     "--problem notes.txt is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["decide", "--problem", "prob.json", "--set", "notes.txt"],
+     "--set notes.txt is not JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["levels", "model-args", "grid", "problem-file", "set-file"])
+def test_parse_errors_name_what_they_parse(tmp_path, capsys, monkeypatch, args, message):
+    # each once printed only the parser's message, such as
+    # "could not convert string to float: ''", naming no flag or file
+    (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
+    (tmp_path / "set.json").write_text(json.dumps(_SET))
+    (tmp_path / "notes.txt").write_text("not json\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_seed_outside_the_philox_key_range_exits_2(capsys, seed):
+    assert run(["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000,
+                "--seed", seed]) == 2
+    assert capsys.readouterr().err == \
+        f"error: seed must lie in [0, 2**128), the Philox key range, got {seed}\n"
+
+
+@pytest.mark.parametrize("args, message", [
     (["fuzzy", "--family", "gaussian-np", "--alpha", "0.05", "--mu", "inf"], "mu must be finite, got inf"),
     (["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05", "--mu", "inf"],
      "mu must be finite, got inf"),
@@ -516,6 +548,43 @@ def test_infinite_evidence_is_strict_json(tmp_path):
     assert again.evidence == binary.evidence and again.membership == binary.membership
 
 
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308, "inf", "-inf"]), st.text(),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+                   | st.dictionaries(st.integers(), inner, max_size=3)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+@example({"evidence": ["inf", 0.5, -0.0], "grid": [-1.0, 5e-324, 1e308], "kind": "fuzzy",
+          "provenance": {"alternative": "gaussian-log(\u03c3=1)", "utility": "log"},
+          "levels": [{"alpha": 0.1, "unavailable": True}, {}, []], "calibration": []})
+def test_json_writer_matches_the_indenting_encoder(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("doc", [{"a": [1.0, math.inf]}, {"a": [[-math.inf]]}, [math.nan],
+                                 {"b": {"c": math.inf}}, {"d": {1: [math.nan]}}])
+def test_json_writer_rejects_non_finite_floats(tmp_path, doc):
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        cli._write_json(str(tmp_path / "doc.json"), doc)
+
+
+def test_json_writer_writes_the_text_and_a_newline(tmp_path):
+    doc = fc.FuzzyConfidenceSet(PlugInGrid.from_spec("-6:6:0.01"), (1.0,) * 1201, (0.5,),
+                                "alt", "log").to_json_doc()
+    cli._write_json(str(tmp_path / "doc.json"), doc)
+    assert (tmp_path / "doc.json").read_bytes() == \
+        (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
 _CLI_SCRIPT = textwrap.dedent("""
     import json, os, sys
     blocked, workdir, calls = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
@@ -527,7 +596,7 @@ _CLI_SCRIPT = textwrap.dedent("""
     os.chdir(workdir)
     codes = [main(argv) for argv in calls]
     loaded = sorted(m for m, mod in sys.modules.items() if mod is not None
-                    and m.split(".")[0] in ("fuzzyconf", "numpy", "scipy"))
+                    and m.split(".")[0] in ("fuzzyconf", "numpy", "scipy", blocked))
     print(json.dumps({"codes": codes, "modules": loaded}))
 """)
 
@@ -535,7 +604,7 @@ _CLI_SCRIPT = textwrap.dedent("""
 def _run_cli_script(work, calls, blocked=""):
     """Run ``calls`` through ``cli.main`` in a fresh interpreter in ``work``,
     with ``blocked`` made unimportable; return its stdout and the exit codes
-    and the fuzzyconf, numpy and scipy modules it loaded."""
+    and the fuzzyconf, numpy, scipy and ``blocked`` modules it loaded."""
     work.mkdir()
     (work / "calib.csv").write_text("1.2\n0.7\n2.1\n")
     (work / "prob.json").write_text(json.dumps(
@@ -585,8 +654,9 @@ _CLOSED_FORM = [
 
 @pytest.mark.parametrize("blocked, calls", [("scipy", _EVERY_SUBCOMMAND),
                                             ("numpy", _CLOSED_FORM),
+                                            ("dataclasses", _CLOSED_FORM),
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
-                         ids=["scipy", "numpy", "reference"])
+                         ids=["scipy", "numpy", "dataclasses", "reference"])
 def test_cli_runs_without(tmp_path, blocked, calls):
     # with the module unimportable every call still succeeds, loads none of
     # it, and writes exactly what an unblocked run writes; without the

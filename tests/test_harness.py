@@ -320,6 +320,15 @@ def test_mc_config_validation():
         McConfig(trials=5000, seed=0, model="weibull")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128, -(2**200)])
+def test_mc_config_rejects_seeds_outside_the_philox_key_range(seed):
+    # a seed Philox cannot take once failed with numpy's "key must be positive
+    # and less than 2**128.", naming no seed
+    with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*128\), .*got {seed}$"):
+        McConfig(trials=1000, seed=seed, model="iid-gaussian")
+    McConfig(trials=1000, seed=2**128 - 1, model="iid-gaussian")
+
+
 @pytest.mark.parametrize("model, params, message", [
     ("iid-gaussian", {"foo": 1.0},
      "model iid-gaussian takes no parameter foo; its parameters are mu, sigma"),
