@@ -63,6 +63,13 @@ _INTERVAL_FAMILIES = {
 }
 
 
+def _spec_number(flag: str, spec: str, part: str) -> float:
+    try:
+        return float(part)
+    except ValueError:
+        raise ValueError(f"{flag} {spec!r}: {part!r} is not a number") from None
+
+
 def parse_utility(spec: str) -> evalues.UtilitySpec:
     """Parse a utility spec: log | power:H | np:A | bounded-log:A |
     clipped-log:B | dampened:B:INNER."""
@@ -73,19 +80,15 @@ def parse_utility(spec: str) -> evalues.UtilitySpec:
         if rest:
             raise ValueError("log takes no parameters")
         return evalues.Log()
-    if head == "power":
-        return evalues.Power(h=float(rest))
-    if head == "np":
-        return evalues.NeymanPearson(alpha=float(rest))
-    if head == "bounded-log":
-        return evalues.BoundedLog(alpha=float(rest))
-    if head == "clipped-log":
-        return evalues.ClippedLog(b=float(rest))
     if head == "dampened":
         b, _, inner = rest.partition(":")
         if not inner:
             raise ValueError("dampened needs an inner utility, e.g. dampened:0.1:log")
-        return evalues.Dampened(b=float(b), inner=parse_utility(inner))
+        return evalues.Dampened(b=_spec_number("--utility", spec, b), inner=parse_utility(inner))
+    families = {"power": evalues.Power, "np": evalues.NeymanPearson,
+                "bounded-log": evalues.BoundedLog, "clipped-log": evalues.ClippedLog}
+    if head in families:
+        return families[head](_spec_number("--utility", spec, rest))
     raise ValueError(f"unknown utility {spec!r}")
 
 
@@ -94,7 +97,7 @@ def parse_ratio(spec: str) -> alternatives.AlternativeSpec:
     from . import alternatives
 
     parts = spec.split(":")
-    name, args = parts[0], [float(x) for x in parts[1:]]
+    name, args = parts[0], [_spec_number("--ratio", spec, x) for x in parts[1:]]
     if name == "gaussian-mean-shift":
         if len(args) not in (2, 3):
             raise ValueError("gaussian-mean-shift:MU:DELTA[:SIGMA]")

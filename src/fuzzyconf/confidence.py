@@ -66,14 +66,56 @@ def _take(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     return rows.ravel().take(j + np.arange(0, rows.size, rows.shape[1])[:, None])
 
 
+class _Scratch:
+    """Uninitialised (rows, ...) arrays by name, each a view of one buffer
+    that later requests of the same width reuse.
+
+    A run of blocks through the core passes one scratch, so every block
+    after the first allocates none of its (rows, n) working arrays; a
+    shorter block (the last of a run) takes the leading rows. A fresh
+    scratch per call allocates as ``np.empty`` would.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+
+    def empty(self, name: str, shape: tuple) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
+            buf = self._buffers[name] = np.empty(shape)
+        return buf[:shape[0]]
+
+
+# entries per chunk of rows that ``_reverse_rows`` moves at once
+_REVERSE_ENTRIES = 1 << 14
+
+
+def _reverse_rows(a: np.ndarray) -> None:
+    """a[:, ::-1] in place. numpy copies each overlapping chunk of rows
+    first, so the copies stay chunk-sized; the values only move, so the
+    order is exactly the reversal of ``a``'s."""
+    step = max(1, _REVERSE_ENTRIES // a.shape[1])
+    for i in range(0, a.shape[0], step):
+        a[i:i + step] = a[i:i + step, ::-1]
+
+
+def _count_where(op: Callable, cal: np.ndarray, rz: np.ndarray) -> np.ndarray:
+    # per row, how many calibration ratios satisfy op(ratio, the row's own
+    # final slot): one comparison of the block, no sort and no search
+    return np.count_nonzero(op(cal, rz), axis=1, keepdims=True)
+
+
 def _np_grid(cal: np.ndarray, rz: np.ndarray, alpha: float) -> np.ndarray:
     # exact counts on the ratios themselves, the slot at z counting once
     n = cal.shape[1]
     m = n + 1
-    asc = np.sort(cal, axis=1)
-    shape = (cal.shape[0], rz.shape[1])
-    below = _count_leading(lambda j: _take(asc, j) < rz, shape, n)
-    upto = _count_leading(lambda j: _take(asc, j) <= rz, shape, n)
+    if rz.shape[1] == 1:
+        below, upto = _count_where(np.less, cal, rz), _count_where(np.less_equal, cal, rz)
+    else:
+        asc = np.sort(cal, axis=1)
+        shape = (cal.shape[0], rz.shape[1])
+        below = _count_leading(lambda j: _take(asc, j) < rz, shape, n)
+        upto = _count_leading(lambda j: _take(asc, j) <= rz, shape, n)
     gt = n - upto
     eq = upto - below + 1
     am = alpha * m
@@ -81,14 +123,18 @@ def _np_grid(cal: np.ndarray, rz: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(gt + eq < am, 1.0 / alpha, np.where(gt < am, boundary, 0.0))
 
 
-def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float) -> np.ndarray:
+def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float, scratch: _Scratch) -> np.ndarray:
     # e = m * r_z^s / sum(r^s) over the augmented row; the mean cancels, and
     # scaling by the calibration maximum keeps each log a ratio's log
     s = 1.0 / (1.0 - h)
     m = cal.shape[1] + 1
     top = cal.max(axis=1, keepdims=True)
     scale = np.where(top > 0.0, top, 1.0)
-    mass = np.exp(s * np.log(cal / scale)).sum(axis=1, keepdims=True)  # 0 if all zero
+    chain = np.divide(cal, scale, out=scratch.empty("power", cal.shape))  # worked in place
+    np.log(chain, out=chain)
+    chain *= s
+    np.exp(chain, out=chain)
+    mass = chain.sum(axis=1, keepdims=True)  # 0 if all zero
     b = s * np.log(rz / scale)  # -inf at zero ratios, which exp maps back to 0
     shift = np.maximum(b, np.where(mass > 0.0, 0.0, -math.inf))
     rest = np.where(mass > 0.0, mass * np.exp(-shift), 0.0)
@@ -96,7 +142,7 @@ def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float) -> np.ndarray:
     return np.exp(b - shift - np.log((rest + np.exp(b - shift)) / m))
 
 
-def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
+def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None, floor=None):
     """min(kappa * r_z, cap) or max(kappa * r_z, floor), and the exactness
     residual, per (row, grid point).
 
@@ -109,24 +155,36 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     leading order (descending under the cap, ascending over the floor) is
     the calibration's with r_z inserted at p, so its slots and suffix sums
     come from the calibration arrays, and the breakpoint count t and the
-    at-level count behind the residual are each one binary search.
+    at-level count behind the residual are each one binary search. The rank
+    p is a binary search on the grid shape and a count by comparison when
+    each row has its own final slot.
     """
     T, n = cal.shape
     m = n + 1
+    lead = scratch.empty("lead", (T, n))
+    np.copyto(lead, cal)
+    lead.sort(axis=1)  # np.sort's copy and sort: ascending, floored slots lead
+    # every slot comes from lead or rz; adding 0.0 turns -0.0 into 0.0 and
+    # changes nothing else, so level / slot is never -inf
+    lead += 0.0
+    rz = rz + 0.0
     if cap is not None:
         level, start, at_level, bound, shaped = cap, 0.0, np.less_equal, np.maximum, np.minimum
-        lead = np.ascontiguousarray(np.sort(cal, axis=1)[:, ::-1])  # descending: capped slots lead
+        _reverse_rows(lead)  # descending: capped slots lead
         ahead = np.greater
     else:
         level, start, at_level, bound, shaped = floor, math.inf, np.greater_equal, np.minimum, np.maximum
-        lead = np.sort(cal, axis=1)  # ascending: floored slots lead
         ahead = np.less
     # tails[:, j] = sum of lead[:, j:], summed directly: total - prefix
     # cancels when one slot dominates
-    tails = np.zeros((T, m))
+    tails = scratch.empty("tails", (T, m))
+    tails[:, n] = 0.0
     np.cumsum(lead[:, ::-1], axis=1, out=tails[:, n - 1::-1])
     shape = (T, rz.shape[1])
-    p = _count_leading(lambda j: ahead(_take(lead, j), rz), shape, n)
+    if rz.shape[1] == 1:
+        p = _count_where(ahead, cal, rz)
+    else:
+        p = _count_leading(lambda j: ahead(_take(lead, j), rz), shape, n)
 
     def slot(j):
         # ratio and suffix sum at index j of the augmented leading order,
@@ -155,20 +213,21 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     return shaped(kappa * rz, level), residual
 
 
-def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: UtilitySpec):
+def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: UtilitySpec,
+                 scratch: _Scratch):
     """(evidence, exactness residual or None), both (T, G)."""
     if isinstance(utility, Log):
         return rz / mean, None
     if isinstance(utility, Power):
-        return _power_grid(cal, rz, utility.h), None
+        return _power_grid(cal, rz, utility.h, scratch), None
     if isinstance(utility, NeymanPearson):
         return _np_grid(cal, rz, utility.alpha), None
     if isinstance(utility, BoundedLog):
-        return _level_grid(cal, rz, cap=1.0 / utility.alpha)
+        return _level_grid(cal, rz, scratch, cap=1.0 / utility.alpha)
     if isinstance(utility, ClippedLog):
-        return _level_grid(cal, rz, floor=utility.b)
+        return _level_grid(cal, rz, scratch, floor=utility.b)
     if isinstance(utility, Dampened):
-        inner, residual = _grid_shaped(cal, rz, mean, utility.inner)
+        inner, residual = _grid_shaped(cal, rz, mean, utility.inner, scratch)
         return utility.b + (1.0 - utility.b) * inner, residual
     raise TypeError(f"unknown utility {utility!r}")
 
@@ -209,7 +268,7 @@ class _Failures(NamedTuple):
 
 
 def _final_slot_evidence(
-    cal: np.ndarray, rz: np.ndarray, utility: UtilitySpec
+    cal: np.ndarray, rz: np.ndarray, utility: UtilitySpec, scratch: Optional[_Scratch] = None
 ) -> tuple[np.ndarray, _Failures]:
     """Evidence (T, G) at the final slot of each tuple (calibration row, z),
     and the failures its caller raises with ``raise_first``.
@@ -218,13 +277,16 @@ def _final_slot_evidence(
     (1, G) for one grid shared by every row or (T, 1) for each row's own
     final slot. Comparisons are on the ratios themselves, so ties are exact.
     A failing tuple is one whose ratio vanishes on every slot, or whose
-    shaped e-value no constant makes exact.
+    shaped e-value no constant makes exact. A caller evaluating a run of
+    blocks passes one ``scratch`` to every call, and the working arrays are
+    then allocated once for the run.
     """
     if cal.shape[1] < 1:
         raise ValueError("calibration rows must hold at least one value")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mean = (cal.sum(axis=1, keepdims=True) + rz) / (cal.shape[1] + 1)
-        ev, residual = _grid_shaped(cal, rz, mean, utility)
+        ev, residual = _grid_shaped(cal, rz, mean, utility,
+                                    scratch if scratch is not None else _Scratch())
     zero = (mean == 0.0).any(axis=0)
     if residual is None:
         return ev, _Failures(zero, np.zeros_like(zero), np.zeros(zero.shape))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -39,10 +39,12 @@ from .alternatives import (
     _ratio_matrix,
     resolve_alternative,
 )
-from .confidence import _Failures, _final_slot_evidence, _grid_evidence
-from .decisions import DecisionProblem, _indicator, _minimax
+from .confidence import _Failures, _final_slot_evidence, _grid_evidence, _Scratch
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
+
+if TYPE_CHECKING:
+    from .decisions import DecisionProblem
 
 CONTINUOUS_MODELS = ("iid-gaussian", "iid-uniform", "exchangeable-mixture", "ar1-gaussian")
 FINITE_MODELS = ("iid-categorical", "categorical-mixture")
@@ -147,7 +149,7 @@ def _report(check: str, stats: np.ndarray, bound: float, config: McConfig, detai
 
 # Entries per block of trials. The validators hold O(trials) statistics plus
 # one block's arrays, so this bounds their memory whatever the trial count.
-_BLOCK_ELEMENTS = 1 << 17
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -182,7 +184,11 @@ def _trial_blocks(
         # latent per-trial mean, then i.i.d. noise: exchangeable but not i.i.d.
         theta = rng.normal(p["mu"], p["between"], size=(T, 1))
         within = p["within"]
-        draw = lambda a, b: (theta[a:b] + rng.normal(0.0, within, size=(b - a, m)), None)
+
+        def draw(a, b):
+            x = rng.normal(0.0, within, size=(b - a, m))
+            x += theta[a:b]  # in place; the sum is theta + x bit for bit
+            return x, None
     elif model == "ar1-gaussian":
         # unit innovation variance: the one-step conditional law is N(mu_n, 1),
         # matching the autoregressive interval's closed form exactly
@@ -233,7 +239,8 @@ def _trial_blocks(
 
 
 def _row_evidence(
-    data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec
+    data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec,
+    scratch: Optional[_Scratch] = None,
 ) -> tuple[np.ndarray, _Failures]:
     # the ratio is checked on every entry, naming the first bad one in row
     # order; a kernel's row form evaluates the whole block at once, and a
@@ -247,7 +254,7 @@ def _row_evidence(
     else:
         r = np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
                        for row in data])
-    ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
+    ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility, scratch)
     return ev[:, 0], failures
 
 
@@ -276,7 +283,9 @@ def _trial_evalues(
 ) -> np.ndarray:
     """E-value at every trial's final slot, drawn and evaluated block by block."""
     e = np.empty(config.trials)
-    for rows, block, _ in _evidence_blocks(config, n, lambda v: _row_evidence(v, alt, utility)):
+    scratch = _Scratch()  # the core's working arrays, shared by every block
+    evaluate = lambda v: _row_evidence(v, alt, utility, scratch)
+    for rows, block, _ in _evidence_blocks(config, n, evaluate):
         e[rows] = block
     return e
 
@@ -310,7 +319,7 @@ def mc_validate_coverage(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     e = _trial_evalues(config, alt, utility, n)
-    excluded = (e >= 1.0 / alpha).astype(float)
+    excluded = np.greater_equal(e, 1.0 / alpha, out=e)  # 1.0 or 0.0, in e's place
     return _report("coverage", excluded, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
 
@@ -320,8 +329,18 @@ def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
     The validators exclude at a level a when e >= 1/a in floats. The floats
     a meeting that form an up-set, and 1/e can round to either side of its
     least member, so each level walks there one float step at a time. Zero
-    evidence gets the infinite level, never excluded.
+    evidence gets the infinite level, never excluded. Each level depends on
+    its own e-value alone, so the walk runs on chunks of ``_BLOCK_ELEMENTS``
+    and its temporaries stay block-sized.
     """
+    levels = np.empty(np.shape(e), dtype=np.result_type(e, 1.0))
+    flat_e, flat_levels = np.reshape(e, -1), levels.reshape(-1)
+    for i in range(0, flat_e.size, _BLOCK_ELEMENTS):
+        flat_levels[i:i + _BLOCK_ELEMENTS] = _least_levels(flat_e[i:i + _BLOCK_ELEMENTS])
+    return levels
+
+
+def _least_levels(e: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         a = np.where(e > 0.0, 1.0 / e, np.inf)
         while True:
@@ -358,9 +377,15 @@ def mc_validate_posthoc(
     """
     _check_run(config, n)
     e = _trial_evalues(config, alt, utility, n)
-    atil = _selected_levels(selection_rule, e)
-    excluded = e >= 1.0 / atil
-    return _report("posthoc-validity", excluded / atil, 1.0, config, detail=f"n={n}")
+    atil = np.broadcast_to(_selected_levels(selection_rule, e), e.shape)
+    if np.may_share_memory(atil, e):
+        atil = atil.copy()
+    # the statistic excluded / atil, written over the e-values block by block
+    for i in range(0, e.size, _BLOCK_ELEMENTS):
+        rows = slice(i, i + _BLOCK_ELEMENTS)
+        e[rows] = (e[rows] >= 1.0 / atil[rows]) / atil[rows]
+    del atil
+    return _report("posthoc-validity", e, 1.0, config, detail=f"n={n}")
 
 
 def mc_validate_decision_risk(
@@ -392,6 +417,8 @@ def mc_validate_decision_risk(
     at the selected levels. Raises AllInfiniteRiskError in weighted mode
     when some trial has infinite weighted risk under every decision.
     """
+    from .decisions import _indicator, _minimax  # only this validator decides
+
     _check_run(config, n)
     if config.model not in FINITE_MODELS:
         raise ValueError("decision-risk validation needs a finite-support model")

@@ -395,13 +395,26 @@ def test_malformed_decide_documents_exit_2(tmp_path, capsys, problem, conf, mess
      "--problem notes.txt is not JSON: Expecting value: line 1 column 1 (char 0)"),
     (["decide", "--problem", "prob.json", "--set", "notes.txt"],
      "--set notes.txt is not JSON: Expecting value: line 1 column 1 (char 0)"),
-], ids=["levels", "model-args", "grid", "problem-file", "set-file"])
+    (["validate", "--model", "iid-gaussian", "--utility", "power:abc"],
+     "--utility 'power:abc': 'abc' is not a number"),
+    (["validate", "--model", "iid-gaussian", "--utility", "dampened:x:log"],
+     "--utility 'dampened:x:log': 'x' is not a number"),
+    (["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "np:",
+      "--ratio", "gaussian-scale:0:1:3.5", "--grid=-1:1:1", "--out", "x.csv"], "--utility 'np:': '' is not a number"),
+    (["validate", "--model", "iid-gaussian", "--ratio", "gaussian-scale:a:1:2"],
+     "--ratio 'gaussian-scale:a:1:2': 'a' is not a number"),
+    (["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "log",
+      "--ratio", "ar1:0:0.5:", "--grid=-1:1:1", "--out", "x.csv"],
+     "--ratio 'ar1:0:0.5:': '' is not a number"),
+], ids=["levels", "model-args", "grid", "problem-file", "set-file", "utility", "dampened",
+        "utility-empty", "ratio", "ratio-empty"])
 def test_parse_errors_name_what_they_parse(tmp_path, capsys, monkeypatch, args, message):
     # each once printed only the parser's message, such as
     # "could not convert string to float: ''", naming no flag or file
     (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
     (tmp_path / "set.json").write_text(json.dumps(_SET))
     (tmp_path / "notes.txt").write_text("not json\n")
+    (tmp_path / "calib.csv").write_text("0.5\n1.5\n")
     monkeypatch.chdir(tmp_path)
     assert run(args) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -680,6 +693,19 @@ def test_conformal_fuzzy_loads_only_its_engine(tmp_path):
     assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
             "fuzzyconf.orbits", "fuzzyconf.sets"} <= modules
     assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian"}
+
+
+def test_validity_coverage_and_posthoc_checks_load_no_decisions(tmp_path):
+    # only the decision-risk validator decides, and it imports decisions itself
+    common = ["--model", "exchangeable-mixture", "--n", "5", "--trials", "1000", "--seed", "5"]
+    calls = [["validate", "--check", "evalue", "--utility", "bounded-log:0.1", *common],
+             ["validate", "--check", "coverage", "--alpha", "0.1", "--utility", "np:0.1", *common],
+             ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", *common]]
+    _, result = _run_cli_script(tmp_path / "work", calls)
+    assert result["codes"] == [0, 0, 0]
+    modules = set(result["modules"])
+    assert {"fuzzyconf.harness", "fuzzyconf.confidence"} <= modules
+    assert "fuzzyconf.decisions" not in modules
 
 
 def test_package_namespace_resolves_names_lazily():

@@ -16,9 +16,11 @@ from fuzzyconf.alternatives import (
     gaussian_scale_ratio,
 )
 from fuzzyconf.cli import parse_utility
-from fuzzyconf.confidence import fuzzy_set, grid_evidence
-from fuzzyconf.errors import AllZeroRatioError, DomainError, FuzzyconfError
-from fuzzyconf.evalues import BoundedLog, Dampened, Log, NeymanPearson
+from fuzzyconf.confidence import _final_slot_evidence, fuzzy_set, grid_evidence
+from fuzzyconf.errors import (
+    AllZeroRatioError, DomainError, FuzzyconfError, NormalizationFailureError,
+)
+from fuzzyconf.evalues import BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power
 from fuzzyconf.reference import conditional_lr_iid, evalue_at, np_threshold
 from fuzzyconf.sets import (
     BinaryConfidenceSet,
@@ -233,6 +235,87 @@ def test_grid_evidence_counts_adjacent_ratios_in_exact_order():
     assert got[0, 0] == 0.0
     # the merged count shares the boundary mass between the pair instead
     assert evalue_at(aug, ADJACENT, NeymanPearson(0.1)) == 1.5
+
+
+ROW_UTILITIES = [parse_utility(u) for u in (
+    "log", "np:1e-6", "np:0.1", "np:0.3", "bounded-log:1e-6", "bounded-log:0.05",
+    "bounded-log:0.5", "clipped-log:1e-9", "clipped-log:0.1", "clipped-log:1", "power:-50",
+    "power:0.5", "power:0.99", "power:0.999999", "dampened:0.2:np:0.1",
+    "dampened:0.3:clipped-log:0.1", "dampened:0.2:bounded-log:0.05",
+)]
+# ratios on a quarter lattice with exact zeros of both signs, the float
+# below 2 and a dominant spike: ties within a row and with its final slot
+ROW_RATIO = st.one_of(st.integers(0, 12).map(lambda k: k / 4),
+                      st.sampled_from((0.0, -0.0, BELOW_TWO, 1e5)))
+
+
+@st.composite
+def row_cases(draw):
+    T = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 10))
+    cal = draw(st.lists(st.lists(ROW_RATIO, min_size=n, max_size=n), min_size=T, max_size=T))
+    last = draw(st.lists(ROW_RATIO, min_size=T, max_size=T))
+    m = n + 1
+    level = draw(st.integers(1, m - 1)) / m  # alpha = k/m: boundary-feasible rows
+    utility = draw(st.sampled_from(ROW_UTILITIES + [BoundedLog(1.0 / m), BoundedLog(level)]))
+    return np.array(cal), np.array(last), utility
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@given(case=row_cases())
+@example(case=(np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0]]), np.array([0.0, -0.0]), Log()))
+@example(case=(np.array([[2.0, 0.5]]), np.array([BELOW_TWO]), NeymanPearson(0.1)))
+# a -0.0 ratio once gave the floor path a slot at -inf: an infeasible error
+# for the final slot, a miscount for a calibration slot
+@example(case=(np.array([[0.25]]), np.array([-0.0]), ClippedLog(0.1)))
+@example(case=(np.array([[-0.0]]), np.array([0.25]), ClippedLog(1e-9)))
+@settings(max_examples=600, deadline=None)
+def test_row_shape_equals_grid_shape_and_evalue_at(case):
+    # each row's own final slot, (T, 1), counts by comparison where the grid
+    # shape searches; both must give the same bits. Each row is also run as
+    # a one-row grid whose first point is its final slot, and checked
+    # against the per-orbit oracle with the identity ratio
+    cal, last, utility = case
+    ev, failures = _final_slot_evidence(cal, last[:, None], utility)
+    zero, infeasible, residual = False, False, 0.0
+    for t in range(len(cal)):
+        grid = np.array([[last[t], last[t] + 1.0]])
+        row_ev, row_failures = _final_slot_evidence(cal[t:t + 1], grid, utility)
+        assert np.array_equal(_bits(ev[t]), _bits(row_ev[0, :1])), t
+        zero |= bool(row_failures.zero[0])
+        infeasible |= bool(row_failures.infeasible[0])
+        residual = np.maximum(residual, row_failures.residual[0])
+    assert (bool(failures.zero[0]), bool(failures.infeasible[0])) == (zero, infeasible)
+    assert _bits(failures.residual[0]) == _bits(residual)
+
+    identity = IidRatio(lambda z: z)
+    kinds = set()
+    want = np.empty(len(cal))
+    for t, row in enumerate(cal):
+        try:
+            want[t] = evalue_at(tuple(row) + (last[t],), identity, utility)
+        except FuzzyconfError as exc:
+            kinds.add(type(exc))
+    if kinds:
+        with pytest.raises((AllZeroRatioError, NormalizationFailureError)) as raised:
+            failures.raise_first()
+        assert type(raised.value) is (
+            AllZeroRatioError if AllZeroRatioError in kinds else NormalizationFailureError)
+        return
+    failures.raise_first()
+    raw = np.column_stack([cal, last])
+    if _is_np(utility):
+        assert np.array_equal(ev[:, 0], _np_on_ratios(raw, utility))
+        if all(_keeps_order(row, identity.ratio) for row in raw):
+            assert np.array_equal(ev[:, 0], want)
+    else:
+        # r^s with s = 1 / (1 - h) moves by s ulps when r moves by one, and
+        # both paths round r / max(r) once (the oracle merges adjacent floats)
+        s = 1.0 / (1.0 - utility.h) if isinstance(utility, Power) else 1.0
+        np.testing.assert_allclose(ev[:, 0], want, rtol=max(1e-12, 8.0 * s * 2.0**-52), atol=0.0)
 
 
 def test_fuzzy_set_evaluates_the_ratio_once_per_value():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fuzzyconf import cli, harness
+from fuzzyconf import cli, decisions, harness
 from fuzzyconf.alternatives import (
     IidRatio, KernelAlternative, ar1_kernel, gaussian_composite_kernel, gaussian_scale_ratio,
 )
@@ -273,6 +273,31 @@ def test_posthoc_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert report.passed
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("check, utility", [
+    ("evalue", Log()), ("evalue", BoundedLog(0.05)), ("evalue", Power(0.5)),
+    ("coverage", NeymanPearson(0.1)), ("posthoc", ClippedLog(0.1)),
+], ids=["log", "bounded-log", "power", "np-coverage", "clipped-log-posthoc"])
+def test_validators_hold_two_trial_vectors_and_one_block(check, utility):
+    # the benchmark's 200k-trial mixture runs: the latent means and the
+    # e-values (1.5 MiB each), whose place the statistic takes, plus one
+    # block of 2**16 entries; a statistic beside the e-values, the
+    # adversarial rule's trial-length temporaries, or a second sorted copy in
+    # each block took these to 6.5-8.1 MiB
+    cfg = McConfig(trials=200_000, seed=11, model="exchangeable-mixture", params={})
+    alt = gaussian_scale_ratio(0.0, 1.0, 3.5)
+    run = {"evalue": lambda: mc_validate_evalue(cfg, alt, utility, 20),
+           "coverage": lambda: mc_validate_coverage(cfg, alt, utility, 20, 0.1),
+           "posthoc": lambda: mc_validate_posthoc(cfg, alt, utility, 20)}[check]
+    tracemalloc.start()
+    try:
+        report = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_exchangeable_mixture_is_column_correlated():
@@ -727,11 +752,11 @@ def test_decision_risk_decides_as_the_public_rules(monkeypatch):
         certs["post-hoc"].append(cert)
         stats["post-hoc"].append(exceeds(cert, z) / level)
 
-    minimax = harness._minimax
+    minimax = decisions._minimax
     for mode, kwargs in (("as-if", {"alpha": alpha}), ("weighted", {}),
                          ("post-hoc", {"selection_rule": rule})):
         seen = []
-        monkeypatch.setattr(harness, "_minimax", lambda *a: seen.append(minimax(*a)) or seen[-1])
+        monkeypatch.setattr(decisions, "_minimax", lambda *a: seen.append(minimax(*a)) or seen[-1])
         report = mc_validate_decision_risk(cfg, PROBLEM, mode, alt, utility, n, **kwargs)
         d = np.concatenate([s[0] for s in seen])
         r = np.concatenate([s[1] for s in seen])
