@@ -86,19 +86,6 @@ class _Scratch:
         return buf[:shape[0]]
 
 
-# entries per chunk of rows that ``_reverse_rows`` moves at once
-_REVERSE_ENTRIES = 1 << 14
-
-
-def _reverse_rows(a: np.ndarray) -> None:
-    """a[:, ::-1] in place. numpy copies each overlapping chunk of rows
-    first, so the copies stay chunk-sized; the values only move, so the
-    order is exactly the reversal of ``a``'s."""
-    step = max(1, _REVERSE_ENTRIES // a.shape[1])
-    for i in range(0, a.shape[0], step):
-        a[i:i + step] = a[i:i + step, ::-1]
-
-
 def _count_where(op: Callable, cal: np.ndarray, rz: np.ndarray) -> np.ndarray:
     # per row, how many calibration ratios satisfy op(ratio, the row's own
     # final slot): one comparison of the block, no sort and no search
@@ -154,37 +141,35 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None,
     last breakpoint when no slot is off the level. The augmented row's
     leading order (descending under the cap, ascending over the floor) is
     the calibration's with r_z inserted at p, so its slots and suffix sums
-    come from the calibration arrays, and the breakpoint count t and the
-    at-level count behind the residual are each one binary search. The rank
-    p is a binary search on the grid shape and a count by comparison when
-    each row has its own final slot.
+    come from the calibration arrays, and p, the breakpoint count t and the
+    at-level count behind the residual are each one binary search.
     """
     T, n = cal.shape
     m = n + 1
     lead = scratch.empty("lead", (T, n))
-    np.copyto(lead, cal)
-    lead.sort(axis=1)  # np.sort's copy and sort: ascending, floored slots lead
-    # every slot comes from lead or rz; adding 0.0 turns -0.0 into 0.0 and
-    # changes nothing else, so level / slot is never -inf
-    lead += 0.0
-    rz = rz + 0.0
     if cap is not None:
         level, start, at_level, bound, shaped = cap, 0.0, np.less_equal, np.maximum, np.minimum
-        _reverse_rows(lead)  # descending: capped slots lead
         ahead = np.greater
+        np.negative(cal, out=lead)
+        lead.sort(axis=1)
+        np.negative(lead, out=lead)  # descending: capped slots lead
     else:
         level, start, at_level, bound, shaped = floor, math.inf, np.greater_equal, np.minimum, np.maximum
         ahead = np.less
+        np.copyto(lead, cal)
+        lead.sort(axis=1)  # ascending: floored slots lead
+    # every slot comes from lead or rz; adding 0.0 turns -0.0 into 0.0 and
+    # changes nothing else, so level / slot is never -inf and the order of
+    # tied zeros leaves no trace (ratios are never NaN, see _ratio_ok)
+    lead += 0.0
+    rz = rz + 0.0
     # tails[:, j] = sum of lead[:, j:], summed directly: total - prefix
     # cancels when one slot dominates
     tails = scratch.empty("tails", (T, m))
     tails[:, n] = 0.0
     np.cumsum(lead[:, ::-1], axis=1, out=tails[:, n - 1::-1])
     shape = (T, rz.shape[1])
-    if rz.shape[1] == 1:
-        p = _count_where(ahead, cal, rz)
-    else:
-        p = _count_leading(lambda j: ahead(_take(lead, j), rz), shape, n)
+    p = _count_leading(lambda j: ahead(_take(lead, j), rz), shape, n)
 
     def slot(j):
         # ratio and suffix sum at index j of the augmented leading order,

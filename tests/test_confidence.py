@@ -274,8 +274,9 @@ def _bits(a):
 @example(case=(np.array([[-0.0]]), np.array([0.25]), ClippedLog(1e-9)))
 @settings(max_examples=600, deadline=None)
 def test_row_shape_equals_grid_shape_and_evalue_at(case):
-    # each row's own final slot, (T, 1), counts by comparison where the grid
-    # shape searches; both must give the same bits. Each row is also run as
+    # each row's own final slot, (T, 1), counts the Neyman-Pearson ranks by
+    # comparison where the grid shape searches, and every shape works on
+    # whole blocks; both must give the same bits. Each row is also run as
     # a one-row grid whose first point is its final slot, and checked
     # against the per-orbit oracle with the identity ratio
     cal, last, utility = case
