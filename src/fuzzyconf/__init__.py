@@ -69,16 +69,17 @@ _EXPORTS = {
         "mc_validate_evalue",
         "mc_validate_posthoc",
     ),
-    "orbits": ("Orbit", "orbit_of"),
     # the per-orbit path and the oracles; no other module imports reference
     "reference": (
         "EValueProfile",
         "LikelihoodRatioProfile",
+        "Orbit",
         "brute_force_conditional_lr",
         "conditional_lr_iid",
         "evalue_at",
         "numerical_utility_oracle",
         "optimal_evalue",
+        "orbit_of",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -38,8 +38,21 @@ from .evalues import (
     UtilitySpec,
     utility_id,
 )
-from .orbits import TupleLike, tuple_values
 from .sets import FuzzyConfidenceSet, PlugInGrid
+
+TupleLike = Sequence[float]
+
+
+def tuple_values(data: TupleLike) -> tuple[float, ...]:
+    """Validate a sequence of observations as a tuple of finite floats."""
+    out = []
+    for v in data:
+        x = float(v)
+        if not math.isfinite(x):
+            raise ValueError(f"observations must be finite, got {v!r}")
+        # +0.0 collapses -0.0 onto 0.0 so == agrees with bit equality
+        out.append(x + 0.0)
+    return tuple(out)
 
 
 def _count_leading(holds: Callable[[np.ndarray], np.ndarray], shape: tuple, hi: int) -> np.ndarray:
@@ -133,8 +146,9 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None,
     """min(kappa * r_z, cap) or max(kappa * r_z, floor), and the exactness
     residual, per (row, grid point).
 
-    kappa = lam / mean is the constant of ``reference.normalization_lambda`` in
-    ratio space, in closed form. The shaped orbit mean is piecewise linear
+    kappa is the constant ``reference.optimal_evalue`` finds by an exact
+    walk over the likelihood ratios, divided by the ratios' mean; here it is
+    found on floats in closed form. The shaped orbit mean is piecewise linear
     and monotone in kappa, with a breakpoint where each slot meets the cap
     (floor); the t breakpoints with mean <= 1 (>= 1) are those of the slots
     at the level at the root, so kappa = (m - t * level) / tail[t], or the

@@ -6,11 +6,13 @@ validators take their e-values from the sorted-calibration core in
 ``confidence``, and the suite and the benchmark check that core against the
 functions below.
 
-* The per-orbit scalar path: ``profile_for`` builds the likelihood-ratio
-  profile of one tuple, ``optimal_evalue`` shapes it for a utility (a
-  bisection for the capped and clipped constants, ``np_threshold`` for the
-  Neyman-Pearson form), and ``evalue_at`` reads the e-value at the final
-  slot. It is also the API for profiles given directly, as per-slot masses.
+* The per-orbit scalar path: ``orbit_of`` reduces a tuple to its
+  permutation orbit, ``profile_for`` builds the likelihood-ratio profile of
+  one tuple, ``optimal_evalue`` shapes it for a utility (an exact walk over
+  the breakpoints, in rationals, for the capped and clipped constants;
+  ``np_threshold`` for the Neyman-Pearson form), and ``evalue_at`` reads the
+  e-value at the final slot. It is also the API for profiles given
+  directly, as per-slot masses.
 * ``brute_force_conditional_lr`` recomputes the conditional likelihood
   ratio by explicitly averaging joint densities over every slot the target
   could occupy, independent of the shortcut formula.
@@ -31,11 +33,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .alternatives import AlternativeSpec, _ratio_error, resolve_alternative
+from .confidence import TupleLike, tuple_values
 from .errors import AllZeroRatioError, NormalizationFailureError, ZeroDensityError
 from .evalues import (
     EXACTNESS_TOL,
@@ -48,20 +54,57 @@ from .evalues import (
     UtilitySpec,
 )
 from .gaussian import _widening, bounded_log_boost
-from .orbits import TupleLike, orbit_of, tuple_values
 
 if TYPE_CHECKING:
     from .harness import McConfig
 
-ORBIT_MEAN_TOL = 1e-9
-
-_BRACKET_LO = 1e-12
-_MAX_BISECT = 200
-
 
 # ---------------------------------------------------------------------------
-# Likelihood-ratio profiles
+# Permutation orbits and likelihood-ratio profiles
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """Canonical representative (ascending sort) of a permutation orbit.
+
+    Exchangeable laws are uniform on each orbit, so the per-orbit path only
+    needs the representative and the multiplicities of its distinct values.
+    Two tuples with equal multisets of values produce equal orbits. Ties are
+    detected by exact floating-point equality: approximate tie detection
+    would silently change the orbit structure.
+    """
+
+    representative: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.representative:
+            raise ValueError("orbit representative must be nonempty")
+        rep = self.representative
+        if any(b < a for a, b in zip(rep, rep[1:])):
+            raise ValueError("orbit representative must be sorted ascending")
+
+    @property
+    def size(self) -> int:
+        return len(self.representative)
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        """Distinct values in ascending order."""
+        return tuple(v for v, _ in groupby(self.representative))
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        """Multiplicity of each distinct value; sums to ``size``."""
+        return tuple(sum(1 for _ in grp) for _, grp in groupby(self.representative))
+
+
+def orbit_of(data: TupleLike) -> Orbit:
+    """Canonical orbit of a tuple; invariant under any permutation of the input."""
+    vals = tuple_values(data)
+    if not vals:
+        raise ValueError("cannot form the orbit of an empty tuple")
+    return Orbit(tuple(sorted(vals)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +130,7 @@ class LikelihoodRatioProfile:
             if not (math.isfinite(x) and x >= 0.0):
                 raise ValueError(f"likelihood ratios must be finite and >= 0, got {x!r}")
         mean = self.orbit_mean()
-        if abs(mean - 1.0) > ORBIT_MEAN_TOL:
+        if abs(mean - 1.0) > EXACTNESS_TOL:
             raise ValueError(f"orbit mean of the likelihood ratio is {mean!r}, not 1")
 
     @property
@@ -172,70 +215,41 @@ class EValueProfile:
         raise ValueError(f"{value!r} is not on this orbit")
 
 
-def capped_shape(cap: float) -> Callable[[float, np.ndarray], np.ndarray]:
-    """lam -> min(lam * lr, cap), the bounded-log family of shapes."""
+def _level_evidence(profile: LikelihoodRatioProfile, level: float, capped: bool) -> list[float]:
+    """min(kappa * lr, level) (``capped``) or max(kappa * lr, level), with
+    kappa solving the exactness equation in rationals.
 
-    def shape(lam: float, lr: np.ndarray) -> np.ndarray:
-        return np.minimum(lam * lr, cap)
-
-    return shape
-
-
-def clipped_shape(floor: float) -> Callable[[float, np.ndarray], np.ndarray]:
-    """lam -> max(lam * lr, floor), the clipped-log family of shapes."""
-
-    def shape(lam: float, lr: np.ndarray) -> np.ndarray:
-        return np.maximum(lam * lr, floor)
-
-    return shape
-
-
-def normalization_lambda(
-    profile: LikelihoodRatioProfile,
-    shape: Callable[[float, np.ndarray], np.ndarray],
-) -> float:
-    """Constant making a monotone-shaped profile an exact e-value.
-
-    Bisects lam until the multiplicity-weighted orbit mean of
-    ``shape(lam, lr)`` equals 1 within 1e-9. The shape's orbit mean must be
-    continuous and non-decreasing in lam. Raises NormalizationFailureError
-    when the mean exceeds 1 at lam = 1e-12 or stops growing short of 1.
+    The multiplicity-weighted sum of the shaped profile is piecewise linear
+    and non-decreasing in kappa, with a breakpoint where each positive slot
+    meets the level. The walk takes the positive slots in the order they
+    reach it, descending under the cap and ascending over the floor; a zero
+    slot sits at the floor throughout. With ``at`` slots at the level and
+    ``rest`` the sum of c * lr over the others, the segment's root is
+    kappa = (m - at * level) / rest, and the first root on its own segment
+    is the answer. Once every positive slot is capped no root remains: the
+    last breakpoint serves if the capped sum is within EXACTNESS_TOL of m,
+    and NormalizationFailureError is raised otherwise. Each value is
+    rounded once.
     """
-    lr = np.asarray(profile.lr, dtype=float)
-    w = np.asarray(profile.counts, dtype=float)
-    w = w / w.sum()
-
-    def mean_at(lam: float) -> float:
-        return float(w @ shape(lam, lr))
-
-    lo = _BRACKET_LO
-    if mean_at(lo) > 1.0 + EXACTNESS_TOL:
-        raise NormalizationFailureError("orbit mean exceeds 1 at the smallest bracket")
-    if abs(mean_at(lo) - 1.0) <= EXACTNESS_TOL:
-        return lo
-
-    hi, at_hi = 1.0, shape(1.0, lr)
-    # boundary-feasible shapes reach 1 only within roundoff; NaN keeps looping
-    while not w @ at_hi >= 1.0 - EXACTNESS_TOL:
-        hi *= 2.0
-        before, at_hi = at_hi, shape(hi, lr)
-        if np.array_equal(at_hi, before) or not math.isfinite(hi):  # past every breakpoint
-            raise NormalizationFailureError(
-                "orbit mean never reaches 1; the shaped e-value is infeasible"
-            )
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
+    m = sum(profile.counts)
+    bar = Fraction(level)
+    slots = [(Fraction(x), c) for x, c in sorted(zip(profile.lr, profile.counts), reverse=capped)
+             if x > 0.0]
+    at = 0 if capped else m - sum(c for _, c in slots)
+    rest = sum(c * x for x, c in slots)
+    for x, c in slots:
+        kappa = (m - at * bar) / rest
+        if (kappa * x <= bar) if capped else (kappa * x >= bar):
             break
-    lam = 0.5 * (lo + hi)
-    if abs(mean_at(lam) - 1.0) > EXACTNESS_TOL:
-        raise NormalizationFailureError(f"bisection stalled at residual {mean_at(lam) - 1.0!r}")
-    return lam
+        at += c
+        rest -= c * x
+    else:
+        if at * bar < m * (1 - Fraction(EXACTNESS_TOL)):
+            raise NormalizationFailureError(
+                "orbit mean never reaches 1; the shaped e-value is infeasible")
+        kappa = bar / x
+    shape = min if capped else max
+    return [float(shape(kappa * Fraction(x), bar)) for x in profile.lr]
 
 
 def np_threshold(profile: LikelihoodRatioProfile, alpha: float) -> tuple[float, float]:
@@ -290,9 +304,9 @@ def optimal_evalue(profile: LikelihoodRatioProfile, utility: UtilitySpec) -> EVa
     * ``Power(h)`` -- lr^(1/(1-h)) normalized to orbit mean 1;
     * ``NeymanPearson(alpha)`` -- 1/alpha above the threshold from
       ``np_threshold``, k on it, 0 below;
-    * ``BoundedLog(alpha)`` -- min(lam * lr, 1/alpha) with lam from
-      ``normalization_lambda``;
-    * ``ClippedLog(b)`` -- max(lam * lr, b), likewise;
+    * ``BoundedLog(alpha)`` -- min(kappa * lr, 1/alpha), kappa solved exactly
+      by ``_level_evidence``;
+    * ``ClippedLog(b)`` -- max(kappa * lr, b), likewise;
     * ``Dampened(b, inner)`` -- b + (1 - b) * (inner optimal e-value).
 
     Every returned profile is exact (orbit mean 1 within 1e-9).
@@ -310,11 +324,9 @@ def optimal_evalue(profile: LikelihoodRatioProfile, utility: UtilitySpec) -> EVa
         inv_alpha = 1.0 / utility.alpha
         evidence = np.where(lr > c, inv_alpha, np.where(lr == c, k, 0.0))
     elif isinstance(utility, BoundedLog):
-        shape = capped_shape(1.0 / utility.alpha)
-        evidence = shape(normalization_lambda(profile, shape), lr)
+        evidence = _level_evidence(profile, 1.0 / utility.alpha, capped=True)
     elif isinstance(utility, ClippedLog):
-        shape = clipped_shape(utility.b)
-        evidence = shape(normalization_lambda(profile, shape), lr)
+        evidence = _level_evidence(profile, utility.b, capped=False)
     elif isinstance(utility, Dampened):
         inner = optimal_evalue(profile, utility.inner)
         evidence = utility.b + (1.0 - utility.b) * np.asarray(inner.evidence)

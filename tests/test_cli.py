@@ -691,7 +691,7 @@ def test_conformal_fuzzy_loads_only_its_engine(tmp_path):
     assert result["codes"] == [0]
     modules = set(result["modules"])
     assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
-            "fuzzyconf.orbits", "fuzzyconf.sets"} <= modules
+            "fuzzyconf.sets"} <= modules
     assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian"}
 
 

@@ -19,12 +19,9 @@ from fuzzyconf.evalues import (
 from fuzzyconf.reference import (
     EValueProfile,
     LikelihoodRatioProfile,
-    capped_shape,
-    clipped_shape,
     conditional_lr_iid,
     evalue_at,
     evalues_for,
-    normalization_lambda,
     np_threshold,
     optimal_evalue,
 )
@@ -121,27 +118,21 @@ def test_np_threshold_interior_k():
     assert prof.evidence == pytest.approx((0.0, 1.0, 1.0, 2.0), abs=1e-12)
 
 
-def test_normalization_lambda_flat_bounded():
-    lam = normalization_lambda(UNIT, capped_shape(1 / 0.05))
-    assert lam == pytest.approx(1.0, abs=1e-9)
+def test_level_walk_flat_bounded():
+    # 3 * min(kappa, 20) = 3 -> kappa = 1
+    assert optimal_evalue(UNIT, BoundedLog(alpha=0.05)).evidence == (1.0, 1.0, 1.0)
 
 
-def test_normalization_lambda_clipped_hand_example():
-    # mean(max(2*lam, 0.1), max(0, 0.1)) = 1  ->  (0.1 + 2*lam)/2 = 1  ->  lam = 0.95
+def test_level_walk_clipped_hand_example():
+    # mean(max(2*kappa, 0.1), max(0, 0.1)) = 1  ->  (0.1 + 2*kappa)/2 = 1  ->  kappa = 0.95
     lrp = LRP((1.0, 2.0), (1, 1), (0.0, 2.0))
-    lam = normalization_lambda(lrp, clipped_shape(0.1))
-    assert lam == pytest.approx(0.95, abs=1e-9)
-    prof = optimal_evalue(lrp, ClippedLog(b=0.1))
-    assert prof.evidence == pytest.approx((0.1, 1.9), abs=1e-9)
+    assert optimal_evalue(lrp, ClippedLog(b=0.1)).evidence == (0.1, 1.9)
 
 
-def test_normalization_lambda_bounded_unsaturated():
-    # mean(min(lam/2, 2), min(3*lam/2, 2)) = 1 -> lam = 1, both branches below the cap
+def test_level_walk_bounded_unsaturated():
+    # mean(min(kappa/2, 2), min(3*kappa/2, 2)) = 1 -> kappa = 1, both branches below the cap
     lrp = LRP((1.0, 2.0), (1, 1), (0.5, 1.5))
-    lam = normalization_lambda(lrp, capped_shape(1 / 0.5))
-    assert lam == pytest.approx(1.0, abs=1e-9)
-    prof = optimal_evalue(lrp, BoundedLog(alpha=0.5))
-    assert prof.evidence == pytest.approx((0.5, 1.5), abs=1e-9)
+    assert optimal_evalue(lrp, BoundedLog(alpha=0.5)).evidence == (0.5, 1.5)
 
 
 def test_bounded_binding_cap():
@@ -274,6 +265,11 @@ def test_boundary_feasible_root_past_the_old_bracket():
         evalue_at(infeasible + (1.0,), alt, utility)
 
 
+# the core against the exact walk: at most 7 ulps over 20 000 hypothesis draws
+# and a seeded sweep of 20 000 rows with m up to 40; the bound is 4x that
+BREAKPOINT_ULPS = 28
+
+
 def _breakpoint_utilities(m):
     shaped = [BoundedLog(a) for a in (1 / m, 0.05, 0.5)] + [ClippedLog(0.1), ClippedLog(1.0)]
     return shaped + [Dampened(0.3, u) for u in shaped]
@@ -300,6 +296,8 @@ def _breakpoint_cases(draw):
 @example(((0.0, 1e5, 1e5, 0.0, 0.0, 2.0, 0.0, 1e-8), BoundedLog(0.5)))  # root lam ~ 5e12
 @example(((4e16, 4e16, 4e16, 1.0, 0.0, 0.0, 0.0, 4e16), BoundedLog(0.5)))  # tail below roundoff
 @example(((0.0,) * 19 + (7.0,), BoundedLog(0.05)))  # one slot capped at 20 = m
+@example(((0.0,) * 92 + (1.0,), BoundedLog(1 / 93)))  # cap fl(1/fl(1/93)) < 93: within tolerance
+@example(((0.0,) * 184 + (3.0, 1.0), BoundedLog(1 / 93)))  # likewise, the smaller slot last
 @settings(max_examples=400, deadline=None)
 def test_rows_lambda_matches_scalar_at_breakpoints(case):
     ratios, utility = case
@@ -314,4 +312,5 @@ def test_rows_lambda_matches_scalar_at_breakpoints(case):
         with pytest.raises(NormalizationFailureError):
             evalues_for(row, identity, utility)
         return
-    assert evalues_for(row, identity, utility)[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    got = evalues_for(row, identity, utility)[0]
+    assert abs(got - want) <= BREAKPOINT_ULPS * math.ulp(want), (got, want)

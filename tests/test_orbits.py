@@ -4,7 +4,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzyconf.orbits import Orbit, orbit_of, tuple_values
+from fuzzyconf.confidence import tuple_values
+from fuzzyconf.reference import Orbit, orbit_of
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9)
 
