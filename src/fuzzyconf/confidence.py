@@ -79,26 +79,6 @@ def _take(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     return rows.ravel().take(j + np.arange(0, rows.size, rows.shape[1])[:, None])
 
 
-class _Scratch:
-    """Uninitialised (rows, ...) arrays by name, each a view of one buffer
-    that later requests of the same width reuse.
-
-    A run of blocks through the core passes one scratch, so every block
-    after the first allocates none of its (rows, n) working arrays; a
-    shorter block (the last of a run) takes the leading rows. A fresh
-    scratch per call allocates as ``np.empty`` would.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict = {}
-
-    def empty(self, name: str, shape: tuple) -> np.ndarray:
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape[1:] != shape[1:] or len(buf) < shape[0]:
-            buf = self._buffers[name] = np.empty(shape)
-        return buf[:shape[0]]
-
-
 def _count_where(op: Callable, cal: np.ndarray, rz: np.ndarray) -> np.ndarray:
     # per row, how many calibration ratios satisfy op(ratio, the row's own
     # final slot): one comparison of the block, no sort and no search
@@ -123,14 +103,14 @@ def _np_grid(cal: np.ndarray, rz: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(gt + eq < am, 1.0 / alpha, np.where(gt < am, boundary, 0.0))
 
 
-def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float, scratch: _Scratch) -> np.ndarray:
+def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float) -> np.ndarray:
     # e = m * r_z^s / sum(r^s) over the augmented row; the mean cancels, and
     # scaling by the calibration maximum keeps each log a ratio's log
     s = 1.0 / (1.0 - h)
     m = cal.shape[1] + 1
     top = cal.max(axis=1, keepdims=True)
     scale = np.where(top > 0.0, top, 1.0)
-    chain = np.divide(cal, scale, out=scratch.empty("power", cal.shape))  # worked in place
+    chain = np.divide(cal, scale)  # worked in place
     np.log(chain, out=chain)
     chain *= s
     np.exp(chain, out=chain)
@@ -142,7 +122,7 @@ def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float, scratch: _Scratch) ->
     return np.exp(b - shift - np.log((rest + np.exp(b - shift)) / m))
 
 
-def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None, floor=None):
+def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     """min(kappa * r_z, cap) or max(kappa * r_z, floor), and the exactness
     residual, per (row, grid point).
 
@@ -160,18 +140,16 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None,
     """
     T, n = cal.shape
     m = n + 1
-    lead = scratch.empty("lead", (T, n))
     if cap is not None:
         level, start, at_level, bound, shaped = cap, 0.0, np.less_equal, np.maximum, np.minimum
         ahead = np.greater
-        np.negative(cal, out=lead)
+        lead = np.negative(cal)
         lead.sort(axis=1)
         np.negative(lead, out=lead)  # descending: capped slots lead
     else:
         level, start, at_level, bound, shaped = floor, math.inf, np.greater_equal, np.minimum, np.maximum
         ahead = np.less
-        np.copyto(lead, cal)
-        lead.sort(axis=1)  # ascending: floored slots lead
+        lead = np.sort(cal, axis=1)  # ascending: floored slots lead
     # every slot comes from lead or rz; adding 0.0 turns -0.0 into 0.0 and
     # changes nothing else, so level / slot is never -inf and the order of
     # tied zeros leaves no trace (ratios are never NaN, see _ratio_ok)
@@ -179,7 +157,7 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None,
     rz = rz + 0.0
     # tails[:, j] = sum of lead[:, j:], summed directly: total - prefix
     # cancels when one slot dominates
-    tails = scratch.empty("tails", (T, m))
+    tails = np.empty((T, m))
     tails[:, n] = 0.0
     np.cumsum(lead[:, ::-1], axis=1, out=tails[:, n - 1::-1])
     shape = (T, rz.shape[1])
@@ -212,21 +190,20 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, scratch: _Scratch, *, cap=None,
     return shaped(kappa * rz, level), residual
 
 
-def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: UtilitySpec,
-                 scratch: _Scratch):
+def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: UtilitySpec):
     """(evidence, exactness residual or None), both (T, G)."""
     if isinstance(utility, Log):
         return rz / mean, None
     if isinstance(utility, Power):
-        return _power_grid(cal, rz, utility.h, scratch), None
+        return _power_grid(cal, rz, utility.h), None
     if isinstance(utility, NeymanPearson):
         return _np_grid(cal, rz, utility.alpha), None
     if isinstance(utility, BoundedLog):
-        return _level_grid(cal, rz, scratch, cap=1.0 / utility.alpha)
+        return _level_grid(cal, rz, cap=1.0 / utility.alpha)
     if isinstance(utility, ClippedLog):
-        return _level_grid(cal, rz, scratch, floor=utility.b)
+        return _level_grid(cal, rz, floor=utility.b)
     if isinstance(utility, Dampened):
-        inner, residual = _grid_shaped(cal, rz, mean, utility.inner, scratch)
+        inner, residual = _grid_shaped(cal, rz, mean, utility.inner)
         return utility.b + (1.0 - utility.b) * inner, residual
     raise TypeError(f"unknown utility {utility!r}")
 
@@ -266,9 +243,8 @@ class _Failures(NamedTuple):
             raise self.after
 
 
-def _final_slot_evidence(
-    cal: np.ndarray, rz: np.ndarray, utility: UtilitySpec, scratch: Optional[_Scratch] = None
-) -> tuple[np.ndarray, _Failures]:
+def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray,
+                         utility: UtilitySpec) -> tuple[np.ndarray, _Failures]:
     """Evidence (T, G) at the final slot of each tuple (calibration row, z),
     and the failures its caller raises with ``raise_first``.
 
@@ -276,16 +252,13 @@ def _final_slot_evidence(
     (1, G) for one grid shared by every row or (T, 1) for each row's own
     final slot. Comparisons are on the ratios themselves, so ties are exact.
     A failing tuple is one whose ratio vanishes on every slot, or whose
-    shaped e-value no constant makes exact. A caller evaluating a run of
-    blocks passes one ``scratch`` to every call, and the working arrays are
-    then allocated once for the run.
+    shaped e-value no constant makes exact.
     """
     if cal.shape[1] < 1:
         raise ValueError("calibration rows must hold at least one value")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         mean = (cal.sum(axis=1, keepdims=True) + rz) / (cal.shape[1] + 1)
-        ev, residual = _grid_shaped(cal, rz, mean, utility,
-                                    scratch if scratch is not None else _Scratch())
+        ev, residual = _grid_shaped(cal, rz, mean, utility)
     zero = (mean == 0.0).any(axis=0)
     if residual is None:
         return ev, _Failures(zero, np.zeros_like(zero), np.zeros(zero.shape))

@@ -27,6 +27,7 @@ it checks the code that ``decide`` runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
@@ -39,7 +40,7 @@ from .alternatives import (
     _ratio_matrix,
     resolve_alternative,
 )
-from .confidence import _Failures, _final_slot_evidence, _grid_evidence, _Scratch
+from .confidence import _Failures, _final_slot_evidence, _grid_evidence
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
 
@@ -93,15 +94,51 @@ class McConfig:
         if any(key not in self.params for key in needs):
             raise ValueError(f"model {self.model} needs the parameters {' and '.join(needs)}")
         for key, value in self.params.items():
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
+            if key not in defaults:
+                continue  # a finite model's sequences, checked below
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"model parameter {key} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"model parameter {key} must be finite, got {value!r}")
             if key in _SCALES and value < 0:
                 raise ValueError(f"model parameter {key} is a scale and must be nonnegative, "
                                  f"got {value!r}")
+        if self.model in FINITE_MODELS:
+            _check_finite_model(self.params)
         p = {**defaults, **self.params}
         if self.model == "iid-uniform" and p["hi"] < p["lo"]:
             raise ValueError(f"model parameters need lo <= hi, got lo={p['lo']!r} "
                              f"and hi={p['hi']!r}")
+
+
+@np.errstate(over="ignore")  # a sum past the float range is an error below
+def _check_finite_model(params: Mapping[str, object]) -> None:
+    # the support, then each pmf, which the sampler normalizes row by row:
+    # finite float arrays of the right shape, each pmf row nonnegative with a
+    # positive finite sum
+    sizes = {}
+    for key, ndim, per in (("support", 1, ""), ("probs", 1, "support point"),
+                           ("component_probs", 2, "support point"), ("weights", 1, "component")):
+        if key not in params:
+            continue
+        value, rows = params[key], " per row" if ndim == 2 else ""
+        try:
+            a = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            a = np.empty(0)
+        if a.ndim != ndim or 0 in a.shape:
+            problem = f"be a nonempty {ndim}-D sequence of numbers"
+        elif per and a.shape[-1] != sizes[per]:
+            problem = f"hold {sizes[per]} values{rows}, one per {per}"
+        elif not np.isfinite(a).all():
+            problem = "be finite"
+        elif per and not ((a >= 0).all() and (a.sum(axis=-1) > 0).all()
+                          and np.isfinite(a.sum(axis=-1)).all()):
+            problem = f"be nonnegative with a positive finite sum{rows}"
+        else:
+            sizes["support point" if key == "support" else "component"] = len(a)  # one per row
+            continue
+        raise ValueError(f"model parameter {key} must {problem}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -238,10 +275,8 @@ def _trial_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _row_evidence(
-    data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec,
-    scratch: Optional[_Scratch] = None,
-) -> tuple[np.ndarray, _Failures]:
+def _row_evidence(data: np.ndarray, alt: AlternativeSpec,
+                  utility: UtilitySpec) -> tuple[np.ndarray, _Failures]:
     # the ratio is checked on every entry, naming the first bad one in row
     # order; a kernel's row form evaluates the whole block at once, and a
     # kernel without one resolves and evaluates each row before the next
@@ -254,7 +289,7 @@ def _row_evidence(
     else:
         r = np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
                        for row in data])
-    ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility, scratch)
+    ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
     return ev[:, 0], failures
 
 
@@ -283,9 +318,7 @@ def _trial_evalues(
 ) -> np.ndarray:
     """E-value at every trial's final slot, drawn and evaluated block by block."""
     e = np.empty(config.trials)
-    scratch = _Scratch()  # the core's working arrays, shared by every block
-    evaluate = lambda v: _row_evidence(v, alt, utility, scratch)
-    for rows, block, _ in _evidence_blocks(config, n, evaluate):
+    for rows, block, _ in _evidence_blocks(config, n, lambda v: _row_evidence(v, alt, utility)):
         e[rows] = block
     return e
 

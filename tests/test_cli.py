@@ -197,6 +197,9 @@ def test_tied_trials_pass_despite_float_rounding(tmp_path, capsys):
      "model parameters need lo <= hi, got lo=1.0 and hi=0.0"),
     (["--model", "iid-categorical"],
      "model iid-categorical needs the parameters support and probs"),
+    # once a TypeError traceback from the sampler, exit 1
+    (["--model", "iid-categorical", "--model-args", "support=1,probs=1"],
+     "model parameter support must be a nonempty 1-D sequence of numbers, got 1.0"),
 ])
 def test_bad_model_args_exit_2(capsys, args, message):
     argv = ["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000]

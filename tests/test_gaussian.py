@@ -176,8 +176,26 @@ def test_bounded_boost_closed_form_cross_check():
     b = bounded_log_boost(mu, sigma, tau, alpha)
     r = math.sqrt(2 * sigma**2 * tau**2 * math.log(cap * tau / (b * sigma)) / (tau**2 - sigma**2))
     closed = b * (2 * _Phi(r / tau) - 1) + 2 * cap * (1 - _Phi(r / sigma))
-    assert closed == pytest.approx(1.0, abs=1e-6)
+    # 1 - Phi cancels near 1, so this form checks the solver to about 1e-15
+    assert closed == pytest.approx(1.0, abs=1e-14)
     assert b > 1.0
+
+
+def test_bounded_boost_meets_null_mean_one_to_ulps():
+    # a seeded sweep over scales, scale ratios and levels: the null mean at
+    # the returned boost, in erf/erfc, is 1 within 4 ulps of 1
+    rng = np.random.default_rng(20260)
+    worst = 0.0
+    for _ in range(2000):
+        sigma = 10.0 ** rng.uniform(-3.0, 3.0)
+        tau = sigma * (1.0 + 10.0 ** rng.uniform(-3.0, 2.0))
+        alpha = 10.0 ** rng.uniform(-12.0, math.log10(0.98))
+        cap = 1.0 / alpha
+        b = bounded_log_boost(0.0, sigma, tau, alpha)
+        r = math.sqrt(2 * sigma**2 * tau**2 * math.log(cap * tau / (b * sigma)) / (tau**2 - sigma**2))
+        mean = b * math.erf(r / (tau * math.sqrt(2))) + cap * math.erfc(r / (sigma * math.sqrt(2)))
+        worst = max(worst, abs(mean - 1.0))
+    assert worst <= 4 * math.ulp(1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 1e-4, 1e-8, 1e-12])

@@ -377,6 +377,52 @@ def test_mc_config_rejects_seeds_outside_the_philox_key_range(seed):
     ("iid-categorical", {}, "model iid-categorical needs the parameters support and probs"),
     ("categorical-mixture", {"support": (0.0, 1.0)},
      "model categorical-mixture needs the parameters support and component_probs"),
+    # continuous parameters are real scalars: a vector mu once drew columns
+    # of different means, and a vector sigma raised TypeError
+    ("iid-gaussian", {"mu": [0.0, 100.0]}, "model parameter mu must be a real number, got [0.0, 100.0]"),
+    ("iid-gaussian", {"sigma": [1, 2]}, "model parameter sigma must be a real number, got [1, 2]"),
+    ("ar1-gaussian", {"rho": "0.5"}, "model parameter rho must be a real number, got '0.5'"),
+    # finite models: malformed supports and pmfs once reached the sampler,
+    # which failed or drew some other model
+    ("iid-categorical", {"support": 1.0, "probs": 1.0},
+     "model parameter support must be a nonempty 1-D sequence of numbers, got 1.0"),
+    ("iid-categorical", {"support": ((0.0, 1.0), (2.0, 3.0)), "probs": (0.5, 0.5)},
+     "model parameter support must be a nonempty 1-D sequence of numbers, "
+     "got ((0.0, 1.0), (2.0, 3.0))"),
+    ("iid-categorical", {"support": (), "probs": ()},
+     "model parameter support must be a nonempty 1-D sequence of numbers, got ()"),
+    ("iid-categorical", {"support": (0.0, 1.0), "probs": (0.5,)},
+     "model parameter probs must hold 2 values, one per support point, got (0.5,)"),
+    ("iid-categorical", {"support": (0.0, 1.0), "probs": (-1, 2)},
+     "model parameter probs must be nonnegative with a positive finite sum, got (-1, 2)"),
+    ("iid-categorical", {"support": (0.0, 1.0), "probs": (0, 0)},
+     "model parameter probs must be nonnegative with a positive finite sum, got (0, 0)"),
+    ("iid-categorical", {"support": (0.0, 1.0), "probs": (1e308, 1e308)},
+     "model parameter probs must be nonnegative with a positive finite sum, "
+     "got (1e+308, 1e+308)"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.1,)]},
+     "model parameter component_probs must be a nonempty 2-D sequence of numbers, "
+     "got [(0.9, 0.1), (0.1,)]"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": (0.9, 0.1)},
+     "model parameter component_probs must be a nonempty 2-D sequence of numbers, got (0.9, 0.1)"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.5, 0.3, 0.2)]},
+     "model parameter component_probs must hold 2 values per row, one per support point, "
+     "got [(0.5, 0.3, 0.2)]"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (-0.1, 1.1)]},
+     "model parameter component_probs must be nonnegative with a positive finite sum per row, "
+     "got [(0.9, 0.1), (-0.1, 1.1)]"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.0, 0.0)]},
+     "model parameter component_probs must be nonnegative with a positive finite sum per row, "
+     "got [(0.9, 0.1), (0.0, 0.0)]"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.1, 0.9)],
+                             "weights": (1.0,)},
+     "model parameter weights must hold 2 values, one per component, got (1.0,)"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.1, 0.9)],
+                             "weights": ((0.5, 0.5),)},
+     "model parameter weights must be a nonempty 1-D sequence of numbers, got ((0.5, 0.5),)"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.1, 0.9)],
+                             "weights": (0.0, 0.0)},
+     "model parameter weights must be nonnegative with a positive finite sum, got (0.0, 0.0)"),
 ])
 def test_mc_config_rejects_bad_model_params(model, params, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
