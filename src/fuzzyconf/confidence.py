@@ -115,11 +115,29 @@ def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float) -> np.ndarray:
     chain *= s
     np.exp(chain, out=chain)
     mass = chain.sum(axis=1, keepdims=True)  # 0 if all zero
-    b = s * np.log(rz / scale)  # -inf at zero ratios, which exp maps back to 0
+    quotient = rz / scale
+    b = s * np.log(quotient)  # -inf at zero ratios, which exp maps back to 0
+    over = np.isinf(quotient)
+    if over.any():  # r_z past the float range of the scale: subtract the logs
+        b = np.where(over, s * (np.log(rz) - np.log(scale)), b)
     shift = np.maximum(b, np.where(mass > 0.0, 0.0, -math.inf))
     rest = np.where(mass > 0.0, mass * np.exp(-shift), 0.0)
     # one final exp, so a subnormal result is rounded once
     return np.exp(b - shift - np.log((rest + np.exp(b - shift)) / m))
+
+
+def _log_grid(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    # r_z / mean; where the ratios' sum overflows, m * r_z / sum with every
+    # ratio first divided by the tuple's largest, which leaves it unchanged
+    ev = rz / mean
+    wide = np.isinf(mean)
+    if wide.any():
+        top = cal.max(axis=1, keepdims=True)
+        largest = np.maximum(top, rz)
+        q = rz / largest
+        total = (cal / top).sum(axis=1, keepdims=True) * (top / largest) + q
+        ev = np.where(wide, (cal.shape[1] + 1) * q / total, ev)
+    return ev
 
 
 def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
@@ -193,7 +211,7 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
 def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: UtilitySpec):
     """(evidence, exactness residual or None), both (T, G)."""
     if isinstance(utility, Log):
-        return rz / mean, None
+        return _log_grid(cal, rz, mean), None
     if isinstance(utility, Power):
         return _power_grid(cal, rz, utility.h), None
     if isinstance(utility, NeymanPearson):

@@ -21,7 +21,6 @@ every certificate is exactly reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -32,14 +31,14 @@ from .sets import (
     BinaryConfidenceSet,
     FuzzyConfidenceSet,
     PlugInGrid,
+    _Frozen,
     _json_floats,
     _json_list,
     _json_object,
 )
 
 
-@dataclass(frozen=True)
-class DecisionProblem:
+class DecisionProblem(_Frozen):
     """Finite decision problem: labeled decisions, outcome grid, loss matrix.
 
     ``loss[d][z]`` is the nonnegative finite loss of decision d when the
@@ -67,8 +66,8 @@ class DecisionProblem:
     @cached_property
     def loss_matrix(self) -> np.ndarray:
         """``loss`` as a read-only (D, G) float array, built on first access."""
-        # cached_property stores into the instance __dict__, which a frozen
-        # dataclass keeps; read-only, so no caller can change the cached copy
+        # cached_property writes the instance __dict__, not __setattr__, which
+        # _Frozen forbids; read-only, so no caller can change the cached copy
         loss = np.array(self.loss, dtype=float)
         loss.flags.writeable = False
         return loss
@@ -91,8 +90,7 @@ class DecisionProblem:
         )
 
 
-@dataclass(frozen=True)
-class CertifiedDecision:
+class CertifiedDecision(_Frozen):
     """A decision together with the exact risk bound certifying it."""
 
     decision_index: int
@@ -115,8 +113,7 @@ class CertifiedDecision:
         return doc
 
 
-@dataclass(frozen=True)
-class LevelDecision:
+class LevelDecision(_Frozen):
     """One rung of a post-hoc ladder; ``decision`` is None when the sublevel
     set at this alpha is empty (unavailable)."""
 

@@ -21,8 +21,9 @@ and ``evalue_at`` in ``reference`` are the oracle it is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
+
+from .sets import _Frozen
 
 EXACTNESS_TOL = 1e-9
 
@@ -32,8 +33,7 @@ EXACTNESS_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NeymanPearson:
+class NeymanPearson(_Frozen):
     """Linear utility capped at 1/alpha: value evidence up to a rejection
     at level alpha and not beyond."""
 
@@ -44,13 +44,11 @@ class NeymanPearson:
             raise ValueError("alpha must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class Log:
+class Log(_Frozen):
     """Logarithmic utility; the optimal e-value is the likelihood ratio."""
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(_Frozen):
     """Power utility x -> (x^h - 1)/h with h < 1, h != 0.
 
     h close to 1 concentrates evidence on the likeliest value (risky);
@@ -64,8 +62,7 @@ class Power:
             raise ValueError("h must satisfy h < 1 and h != 0")
 
 
-@dataclass(frozen=True)
-class BoundedLog:
+class BoundedLog(_Frozen):
     """Log utility of evidence capped at 1/alpha: the likelihood ratio is
     boosted by a constant and capped so the orbit mean stays 1."""
 
@@ -76,8 +73,7 @@ class BoundedLog:
             raise ValueError("alpha must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class ClippedLog:
+class ClippedLog(_Frozen):
     """Log-optimal evidence clipped from below at b, shrunk to stay exact.
 
     A floor keeps a single zero-evidence value from dominating downstream
@@ -91,8 +87,7 @@ class ClippedLog:
             raise ValueError("b must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Dampened:
+class Dampened(_Frozen):
     """b-mixture of an inner optimal e-value with the constant 1."""
 
     b: float

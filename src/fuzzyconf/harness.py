@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -43,6 +42,7 @@ from .alternatives import (
 from .confidence import _Failures, _final_slot_evidence, _grid_evidence
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
+from .sets import _Frozen
 
 if TYPE_CHECKING:
     from .decisions import DecisionProblem
@@ -67,8 +67,7 @@ _FINITE_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(_Frozen):
     """Seeded Monte-Carlo run: trial count, seed (the Philox key, an integer
     in [0, 2**128)), named model and its parameters, each of which the model
     must read."""
@@ -76,7 +75,7 @@ class McConfig:
     trials: int
     seed: int
     model: str
-    params: Mapping[str, object] = field(default_factory=dict)
+    params: Mapping[str, object] = {}  # each config stores its own copy
 
     def __post_init__(self) -> None:
         if self.trials < 1000:
@@ -109,6 +108,7 @@ class McConfig:
         if self.model == "iid-uniform" and p["hi"] < p["lo"]:
             raise ValueError(f"model parameters need lo <= hi, got lo={p['lo']!r} "
                              f"and hi={p['hi']!r}")
+        object.__setattr__(self, "params", dict(self.params))
 
 
 @np.errstate(over="ignore")  # a sum past the float range is an error below
@@ -141,8 +141,7 @@ def _check_finite_model(params: Mapping[str, object]) -> None:
         raise ValueError(f"model parameter {key} must {problem}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class McReport:
+class McReport(_Frozen):
     """Outcome of one validator run; passes when estimate <= bound + 3 * SE,
     or when the estimate exceeds the bound by float rounding alone, at most
     ``EXACTNESS_TOL * bound`` (a run whose trials all tie has SE 0, and the
@@ -167,7 +166,7 @@ class McReport:
         )
 
     def to_json_doc(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def _report(check: str, stats: np.ndarray, bound: float, config: McConfig, detail: str = "") -> McReport:

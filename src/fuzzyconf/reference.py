@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -54,6 +53,7 @@ from .evalues import (
     UtilitySpec,
 )
 from .gaussian import _widening, bounded_log_boost
+from .sets import _Frozen
 
 if TYPE_CHECKING:
     from .harness import McConfig
@@ -64,8 +64,7 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(_Frozen):
     """Canonical representative (ascending sort) of a permutation orbit.
 
     Exchangeable laws are uniform on each orbit, so the per-orbit path only
@@ -107,8 +106,7 @@ def orbit_of(data: TupleLike) -> Orbit:
     return Orbit(tuple(sorted(vals)))
 
 
-@dataclass(frozen=True)
-class LikelihoodRatioProfile:
+class LikelihoodRatioProfile(_Frozen):
     """Conditional likelihood ratio per distinct orbit value.
 
     ``lr[i]`` is the ratio of the alternative's final-slot law to the
@@ -185,8 +183,7 @@ def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EValueProfile:
+class EValueProfile(_Frozen):
     """Evidence per distinct orbit value, exact on the orbit."""
 
     values: tuple[float, ...]
@@ -228,9 +225,13 @@ def _level_evidence(profile: LikelihoodRatioProfile, level: float, capped: bool)
     kappa = (m - at * level) / rest, and the first root on its own segment
     is the answer. Once every positive slot is capped no root remains: the
     last breakpoint serves if the capped sum is within EXACTNESS_TOL of m,
-    and NormalizationFailureError is raised otherwise. Each value is
+    and NormalizationFailureError is raised otherwise, as it is for a level
+    past the float range (a cap 1/alpha that overflows). Each value is
     rounded once.
     """
+    if not math.isfinite(level):
+        raise NormalizationFailureError(
+            f"the level {level!r} is past the float range; the shaped e-value is infeasible")
     m = sum(profile.counts)
     bar = Fraction(level)
     slots = [(Fraction(x), c) for x, c in sorted(zip(profile.lr, profile.counts), reverse=capped)

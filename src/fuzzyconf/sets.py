@@ -29,17 +29,21 @@ MAX_GRID_POINTS = 10**7
 
 
 class _Frozen:
-    """Frozen record base of the containers below. It is written out rather
-    than generated by the standard library's record decorator, whose import
-    and code generation would dominate the start-up of the closed-form calls.
+    """Frozen record base of the containers below and of every other record
+    the package defines, bar ``alternatives.IidRatio`` and
+    ``KernelAlternative``, which callers copy with the standard library's
+    ``replace``. It is written out rather than generated by the standard
+    library's record decorator, whose import and code generation would
+    dominate the start-up of the closed-form calls and of ``decide``.
 
     A subclass declares its fields once, as class annotations in order, each
     default as the class attribute of that name. It gets an ``__init__``
     taking the fields positionally or by keyword, then calling
-    ``__post_init__``; equality within one class; a hash of the field tuple;
-    a ``Name(field=value, ...)`` repr; and assignment or deletion raising
-    ``AttributeError``. Fields live in the instance ``__dict__``, so copy and
-    pickle restore them without calling ``__setattr__``.
+    ``__post_init__`` (a no-op unless overridden); equality within one
+    class; a hash of the field tuple; a ``Name(field=value, ...)`` repr; and
+    assignment or deletion raising ``AttributeError``. Fields live in the
+    instance ``__dict__``, so copy and pickle restore them without calling
+    ``__setattr__``, and a ``functools.cached_property`` caches there too.
     """
 
     _fields: tuple[str, ...] = ()
@@ -60,6 +64,9 @@ class _Frozen:
                             f"got {len(args)} positional and the keywords {sorted(kwargs)}")
         self.__dict__.update((f, values[f]) for f in fields)
         self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
 
     def _values(self) -> tuple:
         return tuple(self.__dict__[f] for f in self._fields)
@@ -211,6 +218,32 @@ def _json_floats(value, name: str) -> tuple[float, ...]:
         raise
 
 
+def _set_doc(conf, kind: str, **extra) -> dict:
+    """Either set's document; a binary set's own fields follow the evidence."""
+    return {
+        "kind": kind,
+        "grid": list(conf.grid.points),
+        "evidence": _json_evidence(conf.evidence),
+        **extra,
+        "calibration": list(conf.calibration),
+        "provenance": {"alternative": conf.alternative, "utility": conf.utility},
+    }
+
+
+def _set_fields(doc, kind: str, noun: str) -> dict:
+    """Either set's shared fields, read from a ``kind`` document, as
+    constructor keywords."""
+    _json_object(doc, "a confidence set document")
+    if doc.get("kind") != kind:
+        raise ValueError(f"not a {noun} confidence set document: {doc.get('kind')!r}")
+    prov = _json_object(doc.get("provenance", {}), "provenance")
+    return dict(grid=PlugInGrid.from_points(_json_floats(doc.get("grid"), "grid")),
+                evidence=_json_floats(doc.get("evidence"), "evidence"),
+                calibration=_json_floats(doc.get("calibration", []), "calibration"),
+                alternative=prov.get("alternative", "unspecified"),
+                utility=prov.get("utility", "unspecified"))
+
+
 class FuzzyConfidenceSet(_Frozen):
     """Evidence against each grid point, with the calibration data and the
     alternative/utility that produced it."""
@@ -235,27 +268,11 @@ class FuzzyConfidenceSet(_Frozen):
                    self.grid.points, self.evidence)
 
     def to_json_doc(self) -> dict:
-        return {
-            "kind": "fuzzy-confidence-set",
-            "grid": list(self.grid.points),
-            "evidence": _json_evidence(self.evidence),
-            "calibration": list(self.calibration),
-            "provenance": {"alternative": self.alternative, "utility": self.utility},
-        }
+        return _set_doc(self, "fuzzy-confidence-set")
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "FuzzyConfidenceSet":
-        _json_object(doc, "a confidence set document")
-        if doc.get("kind") != "fuzzy-confidence-set":
-            raise ValueError(f"not a fuzzy confidence set document: {doc.get('kind')!r}")
-        prov = _json_object(doc.get("provenance", {}), "provenance")
-        return cls(
-            grid=PlugInGrid.from_points(_json_floats(doc.get("grid"), "grid")),
-            evidence=_json_floats(doc.get("evidence"), "evidence"),
-            calibration=_json_floats(doc.get("calibration", []), "calibration"),
-            alternative=prov.get("alternative", "unspecified"),
-            utility=prov.get("utility", "unspecified"),
-        )
+        return cls(**_set_fields(doc, "fuzzy-confidence-set", "fuzzy"))
 
 
 class BinaryConfidenceSet(_Frozen):
@@ -283,31 +300,15 @@ class BinaryConfidenceSet(_Frozen):
                    self.grid.points, self.evidence, map(int, self.membership))
 
     def to_json_doc(self) -> dict:
-        return {
-            "kind": "binary-confidence-set",
-            "grid": list(self.grid.points),
-            "evidence": _json_evidence(self.evidence),
-            "membership": [bool(m) for m in self.membership],
-            "alpha": self.alpha,
-            "calibration": list(self.calibration),
-            "provenance": {"alternative": self.alternative, "utility": self.utility},
-        }
+        return _set_doc(self, "binary-confidence-set",
+                        membership=[bool(m) for m in self.membership], alpha=self.alpha)
 
     @classmethod
     def from_json_doc(cls, doc: dict) -> "BinaryConfidenceSet":
-        _json_object(doc, "a confidence set document")
-        if doc.get("kind") != "binary-confidence-set":
-            raise ValueError(f"not a binary confidence set document: {doc.get('kind')!r}")
-        prov = _json_object(doc.get("provenance", {}), "provenance")
-        return cls(
-            grid=PlugInGrid.from_points(_json_floats(doc.get("grid"), "grid")),
-            membership=tuple(bool(m) for m in _json_list(doc.get("membership"), "membership")),
-            alpha=_json_number(doc.get("alpha"), "alpha"),
-            evidence=_json_floats(doc.get("evidence"), "evidence"),
-            calibration=_json_floats(doc.get("calibration", []), "calibration"),
-            alternative=prov.get("alternative", "unspecified"),
-            utility=prov.get("utility", "unspecified"),
-        )
+        fields = _set_fields(doc, "binary-confidence-set", "binary")
+        membership = _json_list(doc.get("membership"), "membership")
+        return cls(membership=tuple(map(bool, membership)),
+                   alpha=_json_number(doc.get("alpha"), "alpha"), **fields)
 
 
 def _write_csv(path_or_file, header: str, row: str, *columns) -> None:

@@ -321,6 +321,25 @@ def test_gaussian_extreme_scales_exit_codes(tmp_path, capsys, flags, code, messa
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+@pytest.mark.parametrize("calib, flags, rows", [
+    # ten calibration ratios whose sum overflows: the evidence read 0, 0, 0
+    ("39.3\n" * 10, ["--utility", "log", "--ratio", "gaussian-scale:0:1:3.5",
+                     "--grid=39.1:39.3:0.1"],
+     ["39.100000000000001,0.00082118308085107243", "39.200000000000003,0.029837245430473058",
+      "39.299999999999997,1"]),
+    # r_z over the calibration maximum overflows: the curve was NaN (exit 2)
+    ("-5\n-5.1\n", ["--utility", "power:0.5", "--ratio", "gaussian-mean-shift:0:30",
+                    "--grid=37:38:1"],
+     ["37,3.0000000000000004", "38,3.0000000000000004"]),
+])
+def test_conformal_ratios_past_the_float_range_exit_0(tmp_path, capsys, calib, flags, rows):
+    (tmp_path / "calib.csv").write_text(calib)
+    assert run(["fuzzy", "--family", "conformal", "--calib", tmp_path / "calib.csv", *flags,
+                "--out", tmp_path / "x.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "x.csv").read_text().splitlines() == ["z,evidence", *rows]
+
+
 @pytest.mark.parametrize("family", ["gaussian-log", "gaussian-bounded-log"])
 def test_gaussian_scales_whose_product_overflows_exit_2(tmp_path, capsys, family):
     # 2 sigma^2 tau^2 overflows although sigma^2 tau^2 does not: the curve was
@@ -668,11 +687,24 @@ _CLOSED_FORM = [
 ]
 
 
+# a closed-form set on prob.json's outcomes, then every decide mode on it
+_DECIDE = [
+    ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
+     "--grid=-1:1:1", "--out", "g.csv", "--json", "g.json"],
+] + [
+    ["decide", "--problem", "prob.json", "--set", "g.json", *flags, "--out", f"{name}.json"]
+    for name, flags in (("weighted", ["--mode", "weighted"]),
+                        ("as-if", ["--mode", "as-if", "--alpha", "0.5"]),
+                        ("post-hoc", ["--mode", "post-hoc", "--levels", "0.1,0.5"]))
+]
+
+
 @pytest.mark.parametrize("blocked, calls", [("scipy", _EVERY_SUBCOMMAND),
                                             ("numpy", _CLOSED_FORM),
                                             ("dataclasses", _CLOSED_FORM),
+                                            ("dataclasses", _DECIDE),
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
-                         ids=["scipy", "numpy", "dataclasses", "reference"])
+                         ids=["scipy", "numpy", "dataclasses", "dataclasses-decide", "reference"])
 def test_cli_runs_without(tmp_path, blocked, calls):
     # with the module unimportable every call still succeeds, loads none of
     # it, and writes exactly what an unblocked run writes; without the
@@ -958,6 +990,9 @@ _ENTRY_CALLS = [
          "--out", "x.csv"]),
     (3, ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "1e-320",
          "--grid=-3:3:1", "--out", "y.csv"]),
+    (3, ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+         "bounded-log:1e-320", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-3:3:1",
+         "--out", "z.csv"]),
 ]
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,18 @@ def test_fuzzy_set_names_the_grid_point_of_an_infinite_ratio():
     alt = IidRatio(lambda z: math.inf if z == 2.0 else 1.0)
     with pytest.raises(ValueError, match=r"ratio is infinite at z=2\.0"):
         fuzzy_set((0.5, 1.5), grid, alt, Log())
+
+
+def test_log_evidence_when_the_ratios_sum_overflows():
+    # ten calibration ratios near the float maximum: their sum overflowed and
+    # r_z / mean read 0 at every point; the exact values are rationals, and
+    # all eleven slots tie at 39.3
+    alt, grid = gaussian_scale_ratio(0.0, 1.0, 3.5), PlugInGrid.from_spec("39.1:39.3:0.1")
+    top = Fraction(alt.ratio(39.3))
+    exact = [float(11 * Fraction(alt.ratio(z)) / (10 * top + Fraction(alt.ratio(z))))
+             for z in grid]
+    assert exact == [0.0008211830808510724, 0.02983724543047306, 1.0]
+    assert list(fuzzy_set([39.3] * 10, grid, alt, Log()).evidence) == exact
 
 
 ENGINE_UTILITIES = [parse_utility(u) for u in (
@@ -188,6 +201,8 @@ def _keeps_order(row, ratio):
 
 @given(case=grid_cases())
 @example(case=([[1.0, -1.0]], (-0.5, 0.5, 1.0), ADJACENT, NeymanPearson(0.1)))
+# r_z / (calibration maximum) overflows: about 1e286 / 1e-261
+@example(case=([[-5.0, -5.1]], (37.0, 38.0), gaussian_mean_shift_ratio(0.0, 30.0), Power(0.5)))
 @settings(max_examples=600, deadline=None)
 def test_grid_evidence_matches_evalue_at(case):
     # the core against the scalar evalue_at, point by point and row by row

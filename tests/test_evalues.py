@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzyconf.alternatives import IidRatio, ar1_kernel
+from fuzzyconf.alternatives import IidRatio, ar1_kernel, gaussian_mean_shift_ratio
 from fuzzyconf.confidence import fuzzy_set
 from fuzzyconf.errors import NormalizationFailureError
 from fuzzyconf.evalues import (
@@ -146,6 +146,16 @@ def test_bounded_infeasible_raises():
     lrp = LRP((0.0, 9.0), (2, 1), (0.0, 3.0))
     with pytest.raises(NormalizationFailureError):
         optimal_evalue(lrp, BoundedLog(alpha=0.5))  # cap 2 on 1/3 of the mass < 1
+
+
+def test_bounded_cap_past_the_float_range_is_a_normalization_failure():
+    # 1/alpha overflows to inf, which no rational holds; the exact walk fails
+    # as the core and the Gaussian boost do, not with an OverflowError
+    alt, utility = gaussian_mean_shift_ratio(0.0, 1.0), BoundedLog(1e-320)
+    with pytest.raises(NormalizationFailureError, match="past the float range"):
+        evalue_at((0.1, 0.5, -0.3, 1.2), alt, utility)
+    with pytest.raises(NormalizationFailureError):
+        fuzzy_set((0.1, 0.5, -0.3), PlugInGrid((1.2, 2.0)), alt, utility)
 
 
 def test_clipped_log_zero_lr_gets_floor():

@@ -1,11 +1,16 @@
-"""The frozen containers of ``fuzzyconf.sets``: construction, equality,
-hashing, repr, immutability and copy/pickle round trips."""
+"""The frozen records on ``fuzzyconf.sets._Frozen``: construction, equality,
+hashing, repr, immutability and copy/pickle round trips, for the containers
+of ``sets`` and for records of the other modules."""
 
 import copy
 import pickle
 
 import pytest
 
+from fuzzyconf.decisions import CertifiedDecision, DecisionProblem, LevelDecision
+from fuzzyconf.evalues import BoundedLog, Dampened, Log, NeymanPearson
+from fuzzyconf.harness import McConfig, McReport
+from fuzzyconf.reference import orbit_of
 from fuzzyconf.sets import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid
 
 GRID = PlugInGrid((0.0, 0.5, 1.0))
@@ -22,6 +27,33 @@ def _binary(**changes):
                   evidence=(0.5, 1.0, 4.0), calibration=(0.1, 0.2), alternative="alt",
                   utility="log")
     return BinaryConfidenceSet(**{**fields, **changes})
+
+
+def _problem():
+    problem = DecisionProblem(("hold", "act"), (0.0, 1.0), ((1.0, 1.0), (0.0, 2.0)))
+    problem.loss_matrix  # cached in the instance __dict__, beside the fields
+    return problem
+
+
+# records of the other modules, each built anew by its factory
+RECORDS = [
+    Log,
+    lambda: Dampened(0.5, NeymanPearson(0.1)),
+    lambda: McConfig(1000, 0, "iid-gaussian"),
+    lambda: McReport("evalue", 1.0, 0.01, 1.0, True, 1000, 0, "iid-gaussian"),
+    lambda: CertifiedDecision(1, "act", 0.5, "as-if", alpha=0.1, set_provenance="p"),
+    lambda: LevelDecision(0.1, None),
+    _problem,
+    lambda: orbit_of((2.0, 1.0, 2.0)),
+]
+
+
+def _same_hash(a, b) -> bool:
+    if isinstance(a, McConfig):  # its params dict makes it unhashable
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(a)
+        return True
+    return hash(a) == hash(b)
 
 
 def test_fields_bind_positionally_and_by_keyword_with_defaults():
@@ -78,6 +110,12 @@ def test_equality_and_hash_follow_the_fields_within_one_class():
     assert GRID != GRID.points and GRID.points != GRID
     # same field values under another class are not equal
     assert PlugInGrid((0.0, 1.0)) != _FakeGrid((0.0, 1.0))
+    for make in RECORDS:
+        assert make() == make() and _same_hash(make(), make()), make()
+        assert make() != _fuzzy()
+    assert NeymanPearson(0.1) != BoundedLog(0.1)
+    # each default config owns its params dict, as a default factory gave
+    assert McConfig(1000, 0, "iid-gaussian").params is not McConfig(1000, 0, "iid-gaussian").params
 
 
 class _FakeGrid(PlugInGrid):
@@ -95,8 +133,10 @@ def test_repr_lists_every_field():
         "calibration=(0.1, 0.2), alternative='alt', utility='log')")
 
 
-@pytest.mark.parametrize("obj", [GRID, _fuzzy(), _binary()], ids=lambda obj: type(obj).__name__)
-@pytest.mark.parametrize("name", ["grid", "points", "evidence", "alpha", "extra"])
+@pytest.mark.parametrize("obj", [GRID, _fuzzy(), _binary(), *(make() for make in RECORDS)],
+                         ids=lambda obj: type(obj).__name__)
+@pytest.mark.parametrize("name", ["grid", "points", "evidence", "alpha", "extra", "params",
+                                  "loss", "representative"])
 def test_assignment_and_deletion_raise(obj, name):
     with pytest.raises(AttributeError):
         setattr(obj, name, None)
@@ -105,7 +145,8 @@ def test_assignment_and_deletion_raise(obj, name):
             delattr(obj, name)
 
 
-@pytest.mark.parametrize("obj", [GRID, _fuzzy(), _binary()], ids=lambda obj: type(obj).__name__)
+@pytest.mark.parametrize("obj", [GRID, _fuzzy(), _binary(), *(make() for make in RECORDS)],
+                         ids=lambda obj: type(obj).__name__)
 @pytest.mark.parametrize("clone", [
     copy.copy, copy.deepcopy,
     *(lambda o, p=p: pickle.loads(pickle.dumps(o, protocol=p))
@@ -113,7 +154,7 @@ def test_assignment_and_deletion_raise(obj, name):
 ])
 def test_copy_and_pickle_round_trip(obj, clone):
     again = clone(obj)
-    assert type(again) is type(obj) and again == obj and hash(again) == hash(obj)
+    assert type(again) is type(obj) and again == obj and _same_hash(again, obj)
     assert repr(again) == repr(obj)
     with pytest.raises(AttributeError):
         again.alternative = "changed"
