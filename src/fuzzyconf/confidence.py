@@ -110,20 +110,37 @@ def _power_grid(cal: np.ndarray, rz: np.ndarray, h: float) -> np.ndarray:
     m = cal.shape[1] + 1
     top = cal.max(axis=1, keepdims=True)
     scale = np.where(top > 0.0, top, 1.0)
-    chain = np.divide(cal, scale)  # worked in place
-    np.log(chain, out=chain)
+    chain = _log_quotient(np.divide(cal, scale), cal, scale)  # worked in place
     chain *= s
     np.exp(chain, out=chain)
     mass = chain.sum(axis=1, keepdims=True)  # 0 if all zero
-    quotient = rz / scale
-    b = s * np.log(quotient)  # -inf at zero ratios, which exp maps back to 0
-    over = np.isinf(quotient)
+    b = rz / scale
+    over = np.isinf(b)
+    _log_quotient(b, rz, scale)  # -inf at zero ratios, which exp maps back to 0
     if over.any():  # r_z past the float range of the scale: subtract the logs
-        b = np.where(over, s * (np.log(rz) - np.log(scale)), b)
+        b = np.where(over, np.log(rz) - np.log(scale), b)
+    b *= s
     shift = np.maximum(b, np.where(mass > 0.0, 0.0, -math.inf))
     rest = np.where(mass > 0.0, mass * np.exp(-shift), 0.0)
     # one final exp, so a subnormal result is rounded once
     return np.exp(b - shift - np.log((rest + np.exp(b - shift)) / m))
+
+
+def _log_quotient(q: np.ndarray, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """log(r / scale), written over ``q``, which holds r / scale.
+
+    Where q is within a factor 2 of 1, r - scale is exact, so
+    log1p((r - scale) / scale) keeps the log's relative precision; log(q)
+    would turn q's rounding into an absolute error, which the power's s =
+    1 / (1 - h) then multiplies. Both are taken on every entry: numpy's
+    masked arithmetic costs more than the second pass.
+    """
+    near = (q >= 0.5) & (q <= 2.0)
+    d = np.subtract(r, scale)
+    d /= scale
+    np.log(q, out=q)
+    np.copyto(q, np.log1p(d, out=d), where=near)
+    return q
 
 
 def _log_grid(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -285,12 +302,11 @@ def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray,
 
 
 def _grid_evidence(
-    calib_rows: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
+    cal: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
 ) -> tuple[np.ndarray, _Failures]:
-    """``grid_evidence`` with its failures returned rather than raised; a bad
-    calibration ratio still raises at once. The evidence covers the points
-    before the first bad grid ratio."""
-    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
+    """``grid_evidence`` on the calibration ratios ``cal``, with its failures
+    returned rather than raised. The evidence covers the points before the
+    first bad grid ratio."""
     z = np.asarray(points, dtype=float)
     rz = _ratio_values(z, ratio)
     bad = ~_ratio_ok(rz)
@@ -317,7 +333,8 @@ def grid_evidence(
     A bad calibration ratio raises first; after that the lowest failing grid
     point decides the error, as a per-point loop would.
     """
-    ev, failures = _grid_evidence(calib_rows, points, ratio, utility)
+    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
+    ev, failures = _grid_evidence(cal, points, ratio, utility)
     failures.raise_first()
     return ev
 

@@ -8,20 +8,22 @@ numerical oracles the suite compares against live in ``reference``.
 Trial streams come from the seeded Philox generator: a fixed (seed,
 trials) configuration reproduces the same matrix, and for some models a
 longer run extends a shorter one (see ``reference.sample_matrix``). The
-validators never hold that matrix: they draw the per-trial latents first,
-then draw and evaluate the trials in fixed blocks of rows, keeping one
-statistic per trial, so their memory is O(trials + block * (n + 1)) and
-their reports equal those of one pass over the whole matrix. Every validator
-takes its e-values from the sorted-calibration core of ``confidence``, the
-one that builds fuzzy sets: the validity, coverage and post-hoc validators
-pass each trial's final slot against its own calibration, and the
-decision-risk validator inverts every trial over the support as
-``grid_evidence`` does. The built-in kernel alternatives evaluate each
-block of trials in one call of their row form; custom kernels resolve, and
-evaluate their ratios, trial by trial. The suite checks both shapes against
-the per-orbit ``reference.evalue_at``. The decision-risk validator decides
-with ``decisions._minimax``, the rule behind every certified decision, so
-it checks the code that ``decide`` runs.
+validators never hold that matrix: they draw and evaluate the trials in
+fixed blocks of rows, a mixture's per-trial latents redrawn for each block
+from a second generator on the same key. The validity, coverage and
+post-hoc validators hold one trial-length vector, the statistic their
+report averages, plus one block, so their memory is O(trials + block *
+(n + 1)); every report equals that of one pass over the whole matrix.
+Every validator takes its e-values from the sorted-calibration core of
+``confidence``, the one that builds fuzzy sets: the validity, coverage and
+post-hoc validators pass each trial's final slot against its own
+calibration, and the decision-risk validator inverts every trial over the
+support as ``grid_evidence`` does. The built-in kernel alternatives
+evaluate each block of trials in one call of their row form; custom kernels
+resolve, and evaluate their ratios, trial by trial. The suite checks both
+shapes against the per-orbit ``reference.evalue_at``. The decision-risk
+validator decides with ``decisions._minimax``, the rule behind every
+certified decision, so it checks the code that ``decide`` runs.
 """
 
 from __future__ import annotations
@@ -193,23 +195,37 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _trial_blocks(
-    config: McConfig, n_points: int, width: int = 0
+    config: McConfig, n_points: int, width: int = 0,
+    apply: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
     """The trial matrix in consecutive blocks of rows: (rows, values, support
-    indices or None).
+    indices or None), with ``apply(values)`` in place of the values if given.
 
-    Per-trial latents (the mixture mean, the categorical component) are drawn
-    for every trial first, then each block's noise from the same generator.
-    numpy draws each value from the bit generator's words in turn and buffers
-    nothing between calls, so consecutive blocks continue one stream: they
-    join into the same matrix whatever their size. A block holds at most
-    ``_BLOCK_ELEMENTS`` entries of rows ``max(n_points, width)`` wide, and at
-    least one row.
+    The stream draws the per-trial latents (the mixture mean, the categorical
+    component) for every trial first, then each block's noise. The sampler
+    moves its generator past the latents by drawing them in chunks and
+    dropping them, and redraws each block's latents from a second generator
+    on the same key, in step with the blocks. numpy draws each value from the
+    bit generator's words in turn and buffers nothing between calls, so
+    chunks and blocks continue one stream: they join into the same matrix
+    whatever their size. A block holds at most ``_BLOCK_ELEMENTS`` entries of
+    rows ``max(n_points, width)`` wide, and at least one row. The stream
+    keeps no block while its consumer runs, so each draw is freed once
+    ``apply`` returns.
     """
     rng = _generator(config.seed)
     T, m = config.trials, n_points
     model = config.model
     p = {**_MODEL_DEFAULTS.get(model, {}), **config.params}
+
+    def latents(draw_latent):
+        # draw_latent(generator, k) draws k trials' latents; the function
+        # returned gives rows a:b's, for blocks taken in order
+        for a in range(0, T, _BLOCK_ELEMENTS):
+            draw_latent(rng, min(_BLOCK_ELEMENTS, T - a))
+        redraw = _generator(config.seed)
+        return lambda a, b: draw_latent(redraw, b - a)
+
     if model == "iid-gaussian":
         mu, sigma = p["mu"], p["sigma"]
         draw = lambda a, b: (rng.normal(mu, sigma, size=(b - a, m)), None)
@@ -218,12 +234,12 @@ def _trial_blocks(
         draw = lambda a, b: (rng.uniform(lo, hi, size=(b - a, m)), None)
     elif model == "exchangeable-mixture":
         # latent per-trial mean, then i.i.d. noise: exchangeable but not i.i.d.
-        theta = rng.normal(p["mu"], p["between"], size=(T, 1))
-        within = p["within"]
+        mu, between, within = p["mu"], p["between"], p["within"]
+        theta = latents(lambda gen, k: gen.normal(mu, between, size=(k, 1)))
 
         def draw(a, b):
             x = rng.normal(0.0, within, size=(b - a, m))
-            x += theta[a:b]  # in place; the sum is theta + x bit for bit
+            x += theta(a, b)  # in place; the sum is theta + x bit for bit
             return x, None
     elif model == "ar1-gaussian":
         # unit innovation variance: the one-step conditional law is N(mu_n, 1),
@@ -252,21 +268,27 @@ def _trial_blocks(
             comps = [np.asarray(c, dtype=float) for c in p["component_probs"]]
             weights = np.asarray(p.get("weights", [1.0 / len(comps)] * len(comps)), dtype=float)
             wcum = np.cumsum(weights / weights.sum())
-            comp = np.searchsorted(wcum, rng.random(size=T), side="right").clip(max=len(comps) - 1)
+            comp = latents(lambda gen, k: gen.random(size=k))
             cums = [np.cumsum(c / c.sum()) for c in comps]
 
             def draw(a, b):
+                of_row = np.searchsorted(wcum, comp(a, b), side="right").clip(max=len(comps) - 1)
                 u = rng.random(size=(b - a, m))
                 idx = np.empty((b - a, m), dtype=np.int64)
                 for ci, cum in enumerate(cums):
-                    rows = comp[a:b] == ci
+                    rows = of_row == ci
                     if rows.any():
                         idx[rows] = np.searchsorted(cum, u[rows], side="right").clip(max=top)
                 return support[idx], idx
+
+    def block(a, b):
+        # a call, so that no name in the generator holds the draw
+        values, idx = draw(a, b)
+        return slice(a, b), values if apply is None else apply(values), idx
+
     step = max(1, _BLOCK_ELEMENTS // max(m, width, 1))
     for a in range(0, T, step):
-        b = min(a + step, T)
-        yield (slice(a, b), *draw(a, b))
+        yield block(a, min(a + step, T))
 
 
 # ---------------------------------------------------------------------------
@@ -274,38 +296,45 @@ def _trial_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _row_evidence(data: np.ndarray, alt: AlternativeSpec,
-                  utility: UtilitySpec) -> tuple[np.ndarray, _Failures]:
+def _row_ratios(data: np.ndarray, alt: AlternativeSpec) -> np.ndarray:
     # the ratio is checked on every entry, naming the first bad one in row
     # order; a kernel's row form evaluates the whole block at once, and a
     # kernel without one resolves and evaluates each row before the next
     if data.shape[1] < 2:
         raise ValueError("calibration rows must hold at least one value")
     if isinstance(alt, IidRatio):
-        r = _ratio_matrix(data, alt.ratio)
-    elif isinstance(alt, KernelAlternative) and alt.row_ratio is not None:
-        r = _ratio_matrix(data, alt.row_ratio)
-    else:
-        r = np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
-                       for row in data])
+        return _ratio_matrix(data, alt.ratio)
+    if isinstance(alt, KernelAlternative) and alt.row_ratio is not None:
+        return _ratio_matrix(data, alt.row_ratio)
+    return np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
+                      for row in data])
+
+
+def _row_evidence(r: np.ndarray, utility: UtilitySpec) -> tuple[np.ndarray, _Failures]:
+    # each row's final slot against the rest of its row's ratios
     ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
     return ev[:, 0], failures
 
 
 def _evidence_blocks(
-    config: McConfig, n: int, evaluate: Callable, width: int = 0
+    config: McConfig, n: int, ratios: Callable, evaluate: Callable, width: int = 0
 ) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
-    """(rows, evaluate(values), final-slot support indices or None) for each
-    block of trials with n calibration slots.
+    """(rows, evaluate(ratios(values)), final-slot support indices or None)
+    for each block of trials with n calibration slots.
 
-    ``evaluate`` raises a bad ratio at once and returns the core's failures,
-    which are raised after the last block; so the first bad ratio in row
-    order wins, then the core's lowest failing column, as in one call on the
-    whole matrix. Blocks after a failure are evaluated but not yielded.
+    The block stream applies ``ratios``, so each draw is freed before
+    ``evaluate`` runs on its ratios. ``ratios`` raises a bad ratio at once
+    and ``evaluate`` returns the core's failures, which are raised after
+    the last block; so the first bad ratio in row order wins, then the
+    core's lowest failing column, as in one call on the whole matrix.
+    Blocks after a failure are evaluated but not yielded.
     """
     failures = None
-    for rows, values, idx in _trial_blocks(config, n + 1, width):
-        out, found = evaluate(values)
+    # r stays bound while the next block is drawn: freeing it first lets
+    # malloc trim the heap after every block and fault it back in, which
+    # tripled the page faults of a 200k-trial run
+    for rows, r, idx in _trial_blocks(config, n + 1, width, ratios):
+        out, found = evaluate(r)
         failures = found if failures is None else failures.merge(found)
         if not failures.any():
             yield rows, out, None if idx is None else idx[:, -1]
@@ -317,7 +346,9 @@ def _trial_evalues(
 ) -> np.ndarray:
     """E-value at every trial's final slot, drawn and evaluated block by block."""
     e = np.empty(config.trials)
-    for rows, block, _ in _evidence_blocks(config, n, lambda v: _row_evidence(v, alt, utility)):
+    blocks = _evidence_blocks(config, n, lambda v: _row_ratios(v, alt),
+                              lambda r: _row_evidence(r, utility))
+    for rows, block, _ in blocks:
         e[rows] = block
     return e
 
@@ -362,14 +393,22 @@ def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
     a meeting that form an up-set, and 1/e can round to either side of its
     least member, so each level walks there one float step at a time. Zero
     evidence gets the infinite level, never excluded. Each level depends on
-    its own e-value alone, so the walk runs on chunks of ``_BLOCK_ELEMENTS``
-    and its temporaries stay block-sized.
+    its own e-value alone, so the walk runs on chunks of e-values and its
+    temporaries stay well under one block. ``mc_validate_posthoc`` applies it
+    chunk by chunk, writing each chunk's statistic over its e-values.
     """
     levels = np.empty(np.shape(e), dtype=np.result_type(e, 1.0))
     flat_e, flat_levels = np.reshape(e, -1), levels.reshape(-1)
-    for i in range(0, flat_e.size, _BLOCK_ELEMENTS):
-        flat_levels[i:i + _BLOCK_ELEMENTS] = _least_levels(flat_e[i:i + _BLOCK_ELEMENTS])
+    step = _level_chunk()
+    for i in range(0, flat_e.size, step):
+        flat_levels[i:i + step] = _least_levels(flat_e[i:i + step])
     return levels
+
+
+def _level_chunk() -> int:
+    # the level walk holds about eight arrays of its chunk's length at once,
+    # so a chunk is a sixteenth of a block
+    return max(1, _BLOCK_ELEMENTS // 16)
 
 
 def _least_levels(e: np.ndarray) -> np.ndarray:
@@ -404,19 +443,25 @@ def mc_validate_posthoc(
     """Post-hoc validity: E[excluded(alpha~)/alpha~] <= 1 for any data-dependent level.
 
     The default rule is the adversarial one, picking for every trial the
-    smallest level at which the realization is excluded. The rule sees the
-    e-values of all trials at once.
+    smallest level at which the realization is excluded. It is elementwise,
+    so it runs on chunks of the e-values and each chunk's statistic is
+    written over them: the run holds one trial-length vector. A custom rule
+    sees the e-values of all trials at once.
     """
     _check_run(config, n)
     e = _trial_evalues(config, alt, utility, n)
-    atil = np.broadcast_to(_selected_levels(selection_rule, e), e.shape)
-    if np.may_share_memory(atil, e):
-        atil = atil.copy()
-    # the statistic excluded / atil, written over the e-values block by block
-    for i in range(0, e.size, _BLOCK_ELEMENTS):
-        rows = slice(i, i + _BLOCK_ELEMENTS)
-        e[rows] = (e[rows] >= 1.0 / atil[rows]) / atil[rows]
-    del atil
+    levels = None
+    if selection_rule is not None:
+        levels = np.broadcast_to(_selected_levels(selection_rule, e), e.shape)
+        if np.may_share_memory(levels, e):
+            levels = levels.copy()
+    # the statistic excluded / alpha~, written over the e-values chunk by chunk
+    step = _level_chunk()
+    for i in range(0, e.size, step):
+        part = e[i:i + step]
+        atil = _selected_levels(None, part) if levels is None else levels[i:i + step]
+        part[...] = (part >= 1.0 / atil) / atil
+    del levels
     return _report("posthoc-validity", e, 1.0, config, detail=f"n={n}")
 
 
@@ -469,8 +514,9 @@ def mc_validate_decision_risk(
 
     def blocks():
         # a block's (rows, D, G) loss ratios count against its budget
-        evaluate = lambda v: _grid_evidence(v[:, :-1], problem.outcomes, alt.ratio, utility)
-        return _evidence_blocks(config, n, evaluate, width=loss.size)
+        ratios = lambda v: _ratio_matrix(v[:, :-1], alt.ratio)
+        evaluate = lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility)
+        return _evidence_blocks(config, n, ratios, evaluate, width=loss.size)
 
     if mode == "weighted":
         infinite = False

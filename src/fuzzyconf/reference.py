@@ -577,9 +577,9 @@ def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) ->
     AllZeroRatioError or NormalizationFailureError if any row fails. The
     validators run the same steps on each block of trials they draw.
     """
-    from .harness import _row_evidence
+    from .harness import _row_evidence, _row_ratios
 
-    e, failures = _row_evidence(data, alt, utility)
+    e, failures = _row_evidence(_row_ratios(data, alt), utility)
     failures.raise_first()
     return e
 

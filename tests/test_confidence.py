@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -332,6 +333,42 @@ def test_row_shape_equals_grid_shape_and_evalue_at(case):
         # both paths round r / max(r) once (the oracle merges adjacent floats)
         s = 1.0 / (1.0 - utility.h) if isinstance(utility, Power) else 1.0
         np.testing.assert_allclose(ev[:, 0], want, rtol=max(1e-12, 8.0 * s * 2.0**-52), atol=0.0)
+
+
+def _power_at_50_digits(row, h: float) -> float:
+    # m * r_z^s / sum(r^s) over the augmented row, each power taken relative
+    # to the calibration maximum, with the ratios and h read exactly
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = 1 / (1 - Decimal(h))
+        top = max(Decimal(r) for r in row[:-1]) or Decimal(1)
+        w = [(s * (Decimal(r) / top).ln()).exp() if r > 0 else Decimal(0) for r in row]
+        return float(len(row) * w[-1] / sum(w))
+
+
+def test_power_evidence_near_h_one_matches_50_digit_arithmetic():
+    # r / max(r) rounded once and raised to s = 1 / (1 - h) turned one
+    # rounding into s of them: this case gave 1.5000000001665335
+    ev, _ = _final_slot_evidence(np.array([[0.0, 1.9999999999999998]]), np.array([[2.0]]),
+                                 Power(0.999999))
+    assert ev[0, 0] == _power_at_50_digits([0.0, 1.9999999999999998, 2.0], 0.999999) \
+        == 1.5000000000832667
+    # rows whose ratios lie within a few 1/s of the largest, some zero, and a
+    # final slot on either side of the calibration maximum
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        h = float(rng.uniform(0.999, 1.0))
+        s = 1.0 / (1.0 - h)
+        n = int(rng.integers(1, 30))
+        row = 10.0 ** rng.uniform(-2, 2) * np.exp(
+            -np.concatenate([rng.uniform(0.0, 3.0, n), rng.uniform(-3.0, 3.0, 1)]) / s)
+        row[:-1][rng.random(n) < 0.1] = 0.0
+        if not row[:-1].any():
+            continue
+        ev, failures = _final_slot_evidence(row[None, :-1], row[None, -1:], Power(h))
+        failures.raise_first()
+        want = _power_at_50_digits(row.tolist(), h)
+        assert ev[0, 0] == pytest.approx(want, rel=8 * 2.0**-52, abs=0.0), (row.tolist(), h)
 
 
 def test_fuzzy_set_evaluates_the_ratio_once_per_value():
