@@ -10,10 +10,11 @@ trials) configuration reproduces the same matrix, and for some models a
 longer run extends a shorter one (see ``reference.sample_matrix``). The
 validators never hold that matrix: they draw and evaluate the trials in
 fixed blocks of rows, a mixture's per-trial latents redrawn for each block
-from a second generator on the same key. The validity, coverage and
-post-hoc validators hold one trial-length vector, the statistic their
-report averages, plus one block, so their memory is O(trials + block *
-(n + 1)); every report equals that of one pass over the whole matrix.
+from a second generator on the same key. Every validator computes its
+per-trial statistic inside the block, a post-hoc level rule included (it
+maps each trial's evidence to that trial's level), and writes it into one
+trial-length vector, so its memory is O(trials + block * (n + 1)); every
+report equals that of one pass over the whole matrix.
 Every validator takes its e-values from the sorted-calibration core of
 ``confidence``, the one that builds fuzzy sets: the validity, coverage and
 post-hoc validators pass each trial's final slot against its own
@@ -256,13 +257,18 @@ def _trial_blocks(
     else:
         support = np.asarray(p["support"], dtype=float)
         top = len(support) - 1
+        # indices clipped in place and values gathered into the uniforms
+        # (mode="clip" writes there unbuffered): with fewer block arrays,
+        # malloc does not trim and refault the heap after every block
         if model == "iid-categorical":
             probs = np.asarray(p["probs"], dtype=float)
             cum = np.cumsum(probs / probs.sum())
 
             def draw(a, b):
-                idx = np.searchsorted(cum, rng.random(size=(b - a, m)), side="right").clip(max=top)
-                return support[idx], idx
+                u = rng.random(size=(b - a, m))
+                idx = np.searchsorted(cum, u, side="right")
+                np.minimum(idx, top, out=idx)
+                return np.take(support, idx, out=u, mode="clip"), idx
         else:
             # draw a latent component per trial, then i.i.d. from its pmf
             comps = [np.asarray(c, dtype=float) for c in p["component_probs"]]
@@ -278,8 +284,9 @@ def _trial_blocks(
                 for ci, cum in enumerate(cums):
                     rows = of_row == ci
                     if rows.any():
-                        idx[rows] = np.searchsorted(cum, u[rows], side="right").clip(max=top)
-                return support[idx], idx
+                        idx[rows] = np.searchsorted(cum, u[rows], side="right")
+                np.minimum(idx, top, out=idx)
+                return np.take(support, idx, out=u, mode="clip"), idx
 
     def block(a, b):
         # a call, so that no name in the generator holds the draw
@@ -334,23 +341,27 @@ def _evidence_blocks(
     # malloc trim the heap after every block and fault it back in, which
     # tripled the page faults of a 200k-trial run
     for rows, r, idx in _trial_blocks(config, n + 1, width, ratios):
+        # a copy, so that no name holds the block's full support indices
+        last = None if idx is None else idx[:, -1].copy()
+        del idx
         out, found = evaluate(r)
         failures = found if failures is None else failures.merge(found)
         if not failures.any():
-            yield rows, out, None if idx is None else idx[:, -1]
+            yield rows, out, last
     failures.raise_first()
 
 
-def _trial_evalues(
-    config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int
+def _trial_statistics(
+    config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int,
+    statistic: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """E-value at every trial's final slot, drawn and evaluated block by block."""
-    e = np.empty(config.trials)
+    """``statistic`` of each block's final-slot e-values, in one trial-length vector."""
+    stats = np.empty(config.trials)
     blocks = _evidence_blocks(config, n, lambda v: _row_ratios(v, alt),
                               lambda r: _row_evidence(r, utility))
-    for rows, block, _ in blocks:
-        e[rows] = block
-    return e
+    for rows, e, _ in blocks:
+        stats[rows] = statistic(e)
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +381,7 @@ def _check_run(config: McConfig, n: int) -> None:
 def mc_validate_evalue(config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int) -> McReport:
     """Validity: the mean e-value at the true future observation is <= 1."""
     _check_run(config, n)
-    e = _trial_evalues(config, alt, utility, n)
+    e = _trial_statistics(config, alt, utility, n, lambda e: e)
     return _report("evalue-validity", e, 1.0, config, detail=f"n={n}")
 
 
@@ -381,8 +392,7 @@ def mc_validate_coverage(
     _check_run(config, n)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    e = _trial_evalues(config, alt, utility, n)
-    excluded = np.greater_equal(e, 1.0 / alpha, out=e)  # 1.0 or 0.0, in e's place
+    excluded = _trial_statistics(config, alt, utility, n, lambda e: e >= 1.0 / alpha)
     return _report("coverage", excluded, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
 
@@ -393,25 +403,10 @@ def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
     a meeting that form an up-set, and 1/e can round to either side of its
     least member, so each level walks there one float step at a time. Zero
     evidence gets the infinite level, never excluded. Each level depends on
-    its own e-value alone, so the walk runs on chunks of e-values and its
-    temporaries stay well under one block. ``mc_validate_posthoc`` applies it
-    chunk by chunk, writing each chunk's statistic over its e-values.
+    its own e-value alone, as every level rule's must: the validators apply
+    the rule to one block of trials at a time.
     """
-    levels = np.empty(np.shape(e), dtype=np.result_type(e, 1.0))
-    flat_e, flat_levels = np.reshape(e, -1), levels.reshape(-1)
-    step = _level_chunk()
-    for i in range(0, flat_e.size, step):
-        flat_levels[i:i + step] = _least_levels(flat_e[i:i + step])
-    return levels
-
-
-def _level_chunk() -> int:
-    # the level walk holds about eight arrays of its chunk's length at once,
-    # so a chunk is a sixteenth of a block
-    return max(1, _BLOCK_ELEMENTS // 16)
-
-
-def _least_levels(e: np.ndarray) -> np.ndarray:
+    e = np.asarray(e, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         a = np.where(e > 0.0, 1.0 / e, np.inf)
         while True:
@@ -423,13 +418,11 @@ def _least_levels(e: np.ndarray) -> np.ndarray:
             a = np.where(down, below, np.where(up, np.nextafter(a, np.inf), a))
 
 
-def _selected_levels(
-    rule: Optional[Callable[[np.ndarray], np.ndarray]], e: np.ndarray
-) -> np.ndarray:
-    rule = rule if rule is not None else adversarial_level_rule
-    atil = np.asarray(rule(e), dtype=float)
-    if (atil <= 0).any():
-        raise ValueError("selection rule produced a nonpositive level")
+def _selected_levels(rule: Callable[[np.ndarray], np.ndarray], e: np.ndarray) -> np.ndarray:
+    # one level per e-value of the block; a scalar applies to all of them
+    atil = np.broadcast_to(np.asarray(rule(e), dtype=float), e.shape)
+    if not (atil > 0).all():  # NaN included
+        raise ValueError("selection rule produced a level that is not positive")
     return atil
 
 
@@ -438,31 +431,23 @@ def mc_validate_posthoc(
     alt: AlternativeSpec,
     utility: UtilitySpec,
     n: int,
-    selection_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    selection_rule: Callable[[np.ndarray], np.ndarray] = adversarial_level_rule,
 ) -> McReport:
     """Post-hoc validity: E[excluded(alpha~)/alpha~] <= 1 for any data-dependent level.
 
-    The default rule is the adversarial one, picking for every trial the
-    smallest level at which the realization is excluded. It is elementwise,
-    so it runs on chunks of the e-values and each chunk's statistic is
-    written over them: the run holds one trial-length vector. A custom rule
-    sees the e-values of all trials at once.
+    The level rule is elementwise: called on each block's e-values, it
+    returns each trial's level alpha~, or one level for all of them. The
+    default, the adversarial rule, picks for every trial the smallest level
+    at which the realization is excluded.
     """
     _check_run(config, n)
-    e = _trial_evalues(config, alt, utility, n)
-    levels = None
-    if selection_rule is not None:
-        levels = np.broadcast_to(_selected_levels(selection_rule, e), e.shape)
-        if np.may_share_memory(levels, e):
-            levels = levels.copy()
-    # the statistic excluded / alpha~, written over the e-values chunk by chunk
-    step = _level_chunk()
-    for i in range(0, e.size, step):
-        part = e[i:i + step]
-        atil = _selected_levels(None, part) if levels is None else levels[i:i + step]
-        part[...] = (part >= 1.0 / atil) / atil
-    del levels
-    return _report("posthoc-validity", e, 1.0, config, detail=f"n={n}")
+
+    def excluded_over_level(e):
+        atil = _selected_levels(selection_rule, e)
+        return (e >= 1.0 / atil) / atil
+
+    stats = _trial_statistics(config, alt, utility, n, excluded_over_level)
+    return _report("posthoc-validity", stats, 1.0, config, detail=f"n={n}")
 
 
 def mc_validate_decision_risk(
@@ -473,7 +458,7 @@ def mc_validate_decision_risk(
     utility: UtilitySpec,
     n: int,
     alpha: Optional[float] = None,
-    selection_rule: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    selection_rule: Callable[[np.ndarray], np.ndarray] = adversarial_level_rule,
 ) -> McReport:
     """Decision-risk guarantees under a finite-support exchangeable model.
 
@@ -488,11 +473,11 @@ def mc_validate_decision_risk(
     ``grid_evidence`` and decided row by row with ``decisions._minimax``:
     the weighted mode over the evidence, the other two over indicator
     evidence of the sublevel set, as ``as_if_decision`` and each rung of
-    ``post_hoc_decisions`` do. As-if is the post-hoc pass with every level
-    fixed at alpha. The post-hoc rule sees every trial's evidence at its
-    realized outcome, so that mode draws the blocks a second time to decide
-    at the selected levels. Raises AllInfiniteRiskError in weighted mode
-    when some trial has infinite weighted risk under every decision.
+    ``post_hoc_decisions`` do. As-if is post-hoc with every level fixed at
+    alpha; post-hoc's level rule, elementwise as in ``mc_validate_posthoc``,
+    reads each trial's evidence at its realized outcome within the block.
+    Raises AllInfiniteRiskError in weighted mode when some trial has
+    infinite weighted risk under every decision.
     """
     from .decisions import _indicator, _minimax  # only this validator decides
 
@@ -511,16 +496,14 @@ def mc_validate_decision_risk(
 
     loss = problem.loss_matrix
     stats = np.empty(config.trials)
-
-    def blocks():
-        # a block's (rows, D, G) loss ratios count against its budget
-        ratios = lambda v: _ratio_matrix(v[:, :-1], alt.ratio)
-        evaluate = lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility)
-        return _evidence_blocks(config, n, ratios, evaluate, width=loss.size)
+    # a block's (rows, D, G) loss ratios count against its budget
+    blocks = _evidence_blocks(config, n, lambda v: _ratio_matrix(v[:, :-1], alt.ratio),
+                              lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility),
+                              width=loss.size)
 
     if mode == "weighted":
         infinite = False
-        for rows, ev, last in blocks():
+        for rows, ev, last in blocks:
             d, r = _minimax(loss, ev)
             infinite |= bool(np.isinf(r).any())
             stats[rows] = np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0)
@@ -529,18 +512,13 @@ def mc_validate_decision_risk(
                                        "decision; clip the evidence away from zero")
         return _report("decision-weighted", stats, 1.0, config, detail=f"n={n}")
 
-    if mode == "as-if":
-        levels = np.full(config.trials, float(alpha))
-    else:
-        e_true = np.empty(config.trials)
-        for rows, ev, last in blocks():
-            e_true[rows] = ev[np.arange(len(last)), last]
-        levels = _selected_levels(selection_rule, e_true)
-    thr = 1.0 / levels
-    for rows, ev, last in blocks():
-        members = ev < thr[rows, None]
+    posthoc = mode == "post-hoc"
+    for rows, ev, last in blocks:
+        level = _selected_levels(selection_rule, ev[np.arange(len(last)), last]) if posthoc else alpha
+        members = ev < 1.0 / np.reshape(level, (-1, 1))
         d, r = _minimax(loss, _indicator(members))
-        stats[rows] = (loss[d, last] > r) | ~members.any(axis=1)
-    if mode == "as-if":
-        return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
-    return _report("decision-post-hoc", stats / levels, 1.0, config, detail=f"n={n}")
+        exceeded = (loss[d, last] > r) | ~members.any(axis=1)
+        stats[rows] = exceeded / level if posthoc else exceeded
+    if posthoc:
+        return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
+    return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")

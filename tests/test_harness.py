@@ -239,8 +239,6 @@ def test_blocked_validators_match_whole_matrix(monkeypatch):
                 lambda: mc_validate_evalue(cfg, ALT, BoundedLog(0.1), 5),
                 lambda: mc_validate_coverage(cfg, ALT, NeymanPearson(0.2), 5, 0.2),
                 lambda: mc_validate_posthoc(cfg, ALT, ClippedLog(0.1), 5),
-                # a rule that is not elementwise sees every trial's e-value
-                lambda: mc_validate_posthoc(cfg, ALT, Power(0.5), 5, selection_rule=np.sort),
             ]
         if model == "iid-gaussian":
             runs.append(lambda: mc_validate_coverage(cfg, composite, Log(), 5, 0.1))
@@ -261,9 +259,8 @@ def test_blocked_validators_match_whole_matrix(monkeypatch):
 
 
 def test_default_posthoc_rule_equals_the_rule_on_every_e_value(monkeypatch):
-    # by default the adversarial rule runs on chunks of the e-values, a
-    # sixteenth of a block each, and writes the statistic over them; passed
-    # as a custom rule it sees every trial's e-value at once
+    # the default rule and the same rule passed explicitly both run on each
+    # block's e-values, whatever the block size
     for model in ("exchangeable-mixture", "categorical-mixture"):
         cfg = McConfig(trials=1000, seed=31, model=model, params=MODEL_PARAMS[model])
         for budget in (10**9, 16, 462):  # test_blocked_validators_match_whole_matrix's
@@ -276,11 +273,12 @@ def test_default_posthoc_rule_equals_the_rule_on_every_e_value(monkeypatch):
 
 
 # tracemalloc peaks of the 200k-trial validators (Python 3.11, numpy 2.4):
-# 3.2-3.4 MiB for the exchangeable mixture and 4.24 MiB for the categorical
-# one, whose blocks also carry support indices. That is one trial-length
+# 3.2-3.4 MiB for the exchangeable mixture and 3.77 MiB for the categorical
+# one, whose draws also carry support indices. That is one trial-length
 # statistic vector (1.5 MiB) and the arrays of a block and the last block's
-# ratios
-VALIDATOR_PEAK_BOUND = 4.5 * 2**20
+# ratios; the categorical mixture read 4.24 MiB while each block's full
+# support indices stayed alive through the next draw
+VALIDATOR_PEAK_BOUND = 4.0 * 2**20
 
 
 def _traced_peak(run):
@@ -524,6 +522,66 @@ def test_posthoc_with_fixed_level_rule():
     fixed = lambda e: np.full_like(e, 0.25)
     report = mc_validate_posthoc(cfg, ALT, Log(), 5, selection_rule=fixed)
     assert report.passed
+    # a rule may return one level for the whole block
+    scalar = lambda e: 0.25
+    assert mc_validate_posthoc(cfg, ALT, Log(), 5, selection_rule=scalar) == report
+    alt = IidRatio(lambda z: np.exp(0.5 * z))
+    fixed_risk, scalar_risk, as_if = (
+        mc_validate_decision_risk(FINITE_CFG, PROBLEM, mode, alt, ClippedLog(0.1), 5, **kwargs)
+        for mode, kwargs in (("post-hoc", {"selection_rule": fixed}),
+                             ("post-hoc", {"selection_rule": scalar}),
+                             ("as-if", {"alpha": 0.25})))
+    assert scalar_risk == fixed_risk and fixed_risk.passed
+    # as-if is post-hoc at the fixed level, with the statistic not divided by it
+    assert fixed_risk.estimate == 4.0 * as_if.estimate
+
+
+def test_level_rules_must_give_positive_levels():
+    # NaN compares false with 0 as well as with 1/e, so a NaN level once
+    # passed the check and the report's estimate read nan
+    cfg = McConfig(trials=1000, seed=6, model="iid-gaussian", params={})
+    alt = IidRatio(lambda z: np.exp(0.5 * z))
+    for bad in (lambda e: np.full(e.shape, np.nan), lambda e: 0.0, lambda e: -np.ones_like(e)):
+        with pytest.raises(ValueError, match="^selection rule produced a level that is not positive$"):
+            mc_validate_posthoc(cfg, ALT, Log(), 5, selection_rule=bad)
+        with pytest.raises(ValueError, match="^selection rule produced a level that is not positive$"):
+            mc_validate_decision_risk(FINITE_CFG, PROBLEM, "post-hoc", alt, ClippedLog(0.1), 5,
+                                      selection_rule=bad)
+
+
+def test_level_rule_runs_on_each_block(monkeypatch):
+    # one call per block, with that block's e-values in trial order: 77 rows
+    # of 6 for the validator and 57 rows of 8 loss entries for decision risk
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 462)
+    seen = []
+    rule = lambda e: seen.append(e.copy()) or adversarial_level_rule(e)
+    cfg = McConfig(trials=1000, seed=31, model="exchangeable-mixture", params={})
+    report = mc_validate_posthoc(cfg, ALT, Power(0.5), 5, selection_rule=rule)
+    assert [len(e) for e in seen] == [77] * 12 + [76]
+    assert np.array_equal(np.concatenate(seen), evalues_for(sample_matrix(cfg, 6), ALT, Power(0.5)))
+    assert report == mc_validate_posthoc(cfg, ALT, Power(0.5), 5)
+    seen.clear()
+    dcfg = McConfig(trials=1000, seed=31, model="iid-categorical",
+                    params={"support": PROBLEM.outcomes, "probs": (0.4, 0.3, 0.2, 0.1)})
+    alt, utility = IidRatio(lambda z: np.exp(0.5 * z)), BoundedLog(0.2)
+    mc_validate_decision_risk(dcfg, PROBLEM, "post-hoc", alt, utility, 5, selection_rule=rule)
+    assert [len(e) for e in seen] == [57] * 17 + [31]
+    values, idx = sample_finite_matrix(dcfg, 6)
+    ev = grid_evidence(values[:, :-1], PROBLEM.outcomes, alt.ratio, utility)
+    assert np.array_equal(np.concatenate(seen), ev[np.arange(1000), idx[:, -1]])
+
+
+def test_decision_risk_draws_the_trial_stream_once(monkeypatch):
+    # post-hoc decides in the same pass that finds each trial's level
+    draws = []
+    blocks = harness._trial_blocks
+    monkeypatch.setattr(harness, "_trial_blocks", lambda *a: draws.append(a) or blocks(*a))
+    alt = IidRatio(lambda z: np.exp(0.5 * z))
+    for mode, kwargs in (("as-if", {"alpha": 0.2}), ("weighted", {}), ("post-hoc", {})):
+        draws.clear()
+        assert mc_validate_decision_risk(FINITE_CFG, PROBLEM, mode, alt, ClippedLog(0.1), 5,
+                                         **kwargs).passed
+        assert len(draws) == 1, mode
 
 
 def test_adversarial_level_excludes_its_own_realization():
