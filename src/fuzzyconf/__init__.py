@@ -69,15 +69,14 @@ _EXPORTS = {
         "mc_validate_evalue",
         "mc_validate_posthoc",
     ),
-    # the per-orbit path and the oracles; no other module imports reference
+    # the per-orbit path; no other module imports reference, and its
+    # test-only oracles are imported from fuzzyconf.reference itself
     "reference": (
         "EValueProfile",
         "LikelihoodRatioProfile",
         "Orbit",
-        "brute_force_conditional_lr",
         "conditional_lr_iid",
         "evalue_at",
-        "numerical_utility_oracle",
         "optimal_evalue",
         "orbit_of",
     ),

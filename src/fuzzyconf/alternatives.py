@@ -46,8 +46,9 @@ class KernelAlternative:
     maps a (B, n + 1) array, calibration first and final slot last, to the
     (B, n + 1) ratios that resolving the builder against each row's
     calibration gives on that row. The Monte-Carlo validators then evaluate
-    a block of trials in one call; the built-in kernels supply it, custom
-    kernels resolve row by row.
+    a block of trials in one call. The built-in kernels supply it, deriving
+    both forms from one centre function of the calibration; custom kernels
+    resolve row by row.
 
     Because the ratio is re-fit to each calibration, the resulting evidence
     is exact conditional on z^n: under a model whose conditional law of the
@@ -173,6 +174,21 @@ def gaussian_scale_ratio(mu: float, sigma: float, tau: float) -> IidRatio:
                     name=f"gaussian-scale(mu={mu:g},sigma={sigma:g},tau={tau:g})")
 
 
+def _centred_kernel(centre: Callable, sigma: float, tau: float, name: str) -> KernelAlternative:
+    """The scale ratio of ``gaussian_scale_ratio(centre(z_n), sigma, tau)``
+    as a kernel: ``centre`` maps a calibration tuple's values to its centre,
+    or a block's (n, B) calibration columns to the B rows' centres, with the
+    same arithmetic, so the builder and the row form agree bit for bit."""
+
+    def builder(z_n: Sequence[float]) -> IidRatio:
+        return gaussian_scale_ratio(centre(z_n), sigma, tau)
+
+    def row_ratio(block: np.ndarray) -> np.ndarray:
+        return _scale_ratio(block, centre(block[:, :-1].T)[:, None], sigma, tau)
+
+    return KernelAlternative(builder, name, row_ratio)
+
+
 def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
     """First-order autoregressive preference with unit marginal variance.
 
@@ -184,17 +200,8 @@ def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
     if tau <= 1.0:
         raise ValueError("tau must exceed the unit marginal scale")
     _check_scales(1.0, tau)
-
-    def centre(last):
-        return mu + rho * (last - mu)
-
-    def builder(z_n: Sequence[float]) -> IidRatio:
-        return gaussian_scale_ratio(centre(z_n[-1]), 1.0, tau)
-
-    def row_ratio(block: np.ndarray) -> np.ndarray:
-        return _scale_ratio(block, centre(block[:, -2:-1]), 1.0, tau)
-
-    return KernelAlternative(builder, f"ar1(mu={mu:g},rho={rho:g},tau={tau:g})", row_ratio)
+    return _centred_kernel(lambda z_n: mu + rho * (z_n[-1] - mu), 1.0, tau,
+                           f"ar1(mu={mu:g},rho={rho:g},tau={tau:g})")
 
 
 def _calibration_mean(z_n):
@@ -215,11 +222,5 @@ def gaussian_composite_kernel(sigma: float, tau: float) -> KernelAlternative:
     if not 0 < sigma < tau:
         raise ValueError("need 0 < sigma < tau")
     _check_scales(sigma, tau)
-
-    def builder(z_n: Sequence[float]) -> IidRatio:
-        return gaussian_scale_ratio(_calibration_mean(z_n), sigma, tau)
-
-    def row_ratio(block: np.ndarray) -> np.ndarray:
-        return _scale_ratio(block, _calibration_mean(block[:, :-1].T)[:, None], sigma, tau)
-
-    return KernelAlternative(builder, f"gaussian-composite(sigma={sigma:g},tau={tau:g})", row_ratio)
+    return _centred_kernel(_calibration_mean, sigma, tau,
+                           f"gaussian-composite(sigma={sigma:g},tau={tau:g})")

@@ -133,10 +133,10 @@ def _log_curve(mu: float, sigma: float, tau: float) -> Callable[[float], float]:
 
     def lr(z: float) -> float:
         d = z - mu
-        logval = log_ratio + d * d * spread / scale
-        if logval > 709.0:
+        try:
+            return math.exp(log_ratio + d * d * spread / scale)
+        except OverflowError:  # the ratio is past the float range
             return math.inf
-        return math.exp(logval)
 
     return lr
 

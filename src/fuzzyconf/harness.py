@@ -10,11 +10,13 @@ trials) configuration reproduces the same matrix, and for some models a
 longer run extends a shorter one (see ``reference.sample_matrix``). The
 validators never hold that matrix: they draw and evaluate the trials in
 fixed blocks of rows, a mixture's per-trial latents redrawn for each block
-from a second generator on the same key. Every validator computes its
-per-trial statistic inside the block, a post-hoc level rule included (it
-maps each trial's evidence to that trial's level), and writes it into one
-trial-length vector, so its memory is O(trials + block * (n + 1)); every
-report equals that of one pass over the whole matrix.
+from a second generator on the same key. One block loop,
+``_trial_statistics``, serves every validator, decision risk included: each
+passes its ratios, its evidence and its per-trial statistic (a post-hoc
+level rule maps each trial's evidence to that trial's level), and the loop
+writes the statistic into one trial-length vector, so memory is
+O(trials + block * (n + 1)); every report equals that of one pass over the
+whole matrix.
 Every validator takes its e-values from the sorted-calibration core of
 ``confidence``, the one that builds fuzzy sets: the validity, coverage and
 post-hoc validators pass each trial's final slot against its own
@@ -196,11 +198,10 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _trial_blocks(
-    config: McConfig, n_points: int, width: int = 0,
-    apply: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    config: McConfig, n_points: int, width: int = 0
 ) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
     """The trial matrix in consecutive blocks of rows: (rows, values, support
-    indices or None), with ``apply(values)`` in place of the values if given.
+    indices or None).
 
     The stream draws the per-trial latents (the mixture mean, the categorical
     component) for every trial first, then each block's noise. The sampler
@@ -211,8 +212,8 @@ def _trial_blocks(
     chunks and blocks continue one stream: they join into the same matrix
     whatever their size. A block holds at most ``_BLOCK_ELEMENTS`` entries of
     rows ``max(n_points, width)`` wide, and at least one row. The stream
-    keeps no block while its consumer runs, so each draw is freed once
-    ``apply`` returns.
+    keeps no name on a block while its consumer runs, so the consumer
+    decides when each draw is freed.
     """
     rng = _generator(config.seed)
     T, m = config.trials, n_points
@@ -288,14 +289,10 @@ def _trial_blocks(
                 np.minimum(idx, top, out=idx)
                 return np.take(support, idx, out=u, mode="clip"), idx
 
-    def block(a, b):
-        # a call, so that no name in the generator holds the draw
-        values, idx = draw(a, b)
-        return slice(a, b), values if apply is None else apply(values), idx
-
     step = max(1, _BLOCK_ELEMENTS // max(m, width, 1))
     for a in range(0, T, step):
-        yield block(a, min(a + step, T))
+        b = min(a + step, T)
+        yield (slice(a, b), *draw(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -323,44 +320,36 @@ def _row_evidence(r: np.ndarray, utility: UtilitySpec) -> tuple[np.ndarray, _Fai
     return ev[:, 0], failures
 
 
-def _evidence_blocks(
-    config: McConfig, n: int, ratios: Callable, evaluate: Callable, width: int = 0
-) -> Iterator[tuple[slice, np.ndarray, Optional[np.ndarray]]]:
-    """(rows, evaluate(ratios(values)), final-slot support indices or None)
-    for each block of trials with n calibration slots.
+def _trial_statistics(
+    config: McConfig, n: int, ratios: Callable, evaluate: Callable,
+    statistic: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray], width: int = 0,
+) -> np.ndarray:
+    """``statistic(evaluate(ratios(values)), last)`` of each block of trials
+    with n calibration slots, in one trial-length vector; ``last`` holds the
+    block's final-slot support indices, or is None for a continuous model.
 
-    The block stream applies ``ratios``, so each draw is freed before
+    This is the validators' one block loop. Each draw is freed before
     ``evaluate`` runs on its ratios. ``ratios`` raises a bad ratio at once
     and ``evaluate`` returns the core's failures, which are raised after
     the last block; so the first bad ratio in row order wins, then the
     core's lowest failing column, as in one call on the whole matrix.
-    Blocks after a failure are evaluated but not yielded.
+    Blocks after a failure are evaluated, but no statistic is taken of them.
     """
+    stats = np.empty(config.trials)
     failures = None
     # r stays bound while the next block is drawn: freeing it first lets
     # malloc trim the heap after every block and fault it back in, which
     # tripled the page faults of a 200k-trial run
-    for rows, r, idx in _trial_blocks(config, n + 1, width, ratios):
+    for rows, values, idx in _trial_blocks(config, n + 1, width):
+        r = ratios(values)
         # a copy, so that no name holds the block's full support indices
         last = None if idx is None else idx[:, -1].copy()
-        del idx
+        del values, idx
         out, found = evaluate(r)
         failures = found if failures is None else failures.merge(found)
         if not failures.any():
-            yield rows, out, last
+            stats[rows] = statistic(out, last)
     failures.raise_first()
-
-
-def _trial_statistics(
-    config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int,
-    statistic: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """``statistic`` of each block's final-slot e-values, in one trial-length vector."""
-    stats = np.empty(config.trials)
-    blocks = _evidence_blocks(config, n, lambda v: _row_ratios(v, alt),
-                              lambda r: _row_evidence(r, utility))
-    for rows, e, _ in blocks:
-        stats[rows] = statistic(e)
     return stats
 
 
@@ -381,7 +370,8 @@ def _check_run(config: McConfig, n: int) -> None:
 def mc_validate_evalue(config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int) -> McReport:
     """Validity: the mean e-value at the true future observation is <= 1."""
     _check_run(config, n)
-    e = _trial_statistics(config, alt, utility, n, lambda e: e)
+    e = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
+                          lambda r: _row_evidence(r, utility), lambda e, _: e)
     return _report("evalue-validity", e, 1.0, config, detail=f"n={n}")
 
 
@@ -392,7 +382,8 @@ def mc_validate_coverage(
     _check_run(config, n)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    excluded = _trial_statistics(config, alt, utility, n, lambda e: e >= 1.0 / alpha)
+    excluded = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
+                                 lambda r: _row_evidence(r, utility), lambda e, _: e >= 1.0 / alpha)
     return _report("coverage", excluded, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
 
@@ -442,11 +433,12 @@ def mc_validate_posthoc(
     """
     _check_run(config, n)
 
-    def excluded_over_level(e):
+    def excluded_over_level(e, _):
         atil = _selected_levels(selection_rule, e)
         return (e >= 1.0 / atil) / atil
 
-    stats = _trial_statistics(config, alt, utility, n, excluded_over_level)
+    stats = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
+                              lambda r: _row_evidence(r, utility), excluded_over_level)
     return _report("posthoc-validity", stats, 1.0, config, detail=f"n={n}")
 
 
@@ -469,15 +461,17 @@ def mc_validate_decision_risk(
     (default adversarial). Empty sublevel sets count as exceedances, which
     only biases the check against passing.
 
-    Each block of trials is inverted over the support with the core of
-    ``grid_evidence`` and decided row by row with ``decisions._minimax``:
-    the weighted mode over the evidence, the other two over indicator
-    evidence of the sublevel set, as ``as_if_decision`` and each rung of
-    ``post_hoc_decisions`` do. As-if is post-hoc with every level fixed at
-    alpha; post-hoc's level rule, elementwise as in ``mc_validate_posthoc``,
-    reads each trial's evidence at its realized outcome within the block.
-    Raises AllInfiniteRiskError in weighted mode when some trial has
-    infinite weighted risk under every decision.
+    ``_trial_statistics`` inverts each block of trials over the support with
+    the core of ``grid_evidence``; each mode's statistic decides it row by
+    row with ``decisions._minimax``: the weighted mode over the evidence, the
+    other two over indicator evidence of the sublevel set, as
+    ``as_if_decision`` and each rung of ``post_hoc_decisions`` do. As-if is
+    post-hoc with every level fixed at alpha; post-hoc's level rule,
+    elementwise as in ``mc_validate_posthoc``, reads each trial's evidence
+    at its realized outcome within the block. Raises AllInfiniteRiskError in
+    weighted mode when some trial has infinite weighted risk under every
+    decision, once every block is evaluated, so a core failure in any block
+    is raised first.
     """
     from .decisions import _indicator, _minimax  # only this validator decides
 
@@ -495,30 +489,30 @@ def mc_validate_decision_risk(
         raise ValueError("as-if mode needs a positive alpha")
 
     loss = problem.loss_matrix
-    stats = np.empty(config.trials)
-    # a block's (rows, D, G) loss ratios count against its budget
-    blocks = _evidence_blocks(config, n, lambda v: _ratio_matrix(v[:, :-1], alt.ratio),
-                              lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility),
-                              width=loss.size)
-
-    if mode == "weighted":
-        infinite = False
-        for rows, ev, last in blocks:
-            d, r = _minimax(loss, ev)
-            infinite |= bool(np.isinf(r).any())
-            stats[rows] = np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0)
-        if infinite:
-            raise AllInfiniteRiskError("some trials have infinite weighted risk for every "
-                                       "decision; clip the evidence away from zero")
-        return _report("decision-weighted", stats, 1.0, config, detail=f"n={n}")
-
     posthoc = mode == "post-hoc"
-    for rows, ev, last in blocks:
+
+    def weighted(ev, last):
+        # a trial with infinite risk under every decision reads NaN, raised below
+        d, r = _minimax(loss, ev)
+        return np.where(np.isinf(r), np.nan,
+                        np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0))
+
+    def exceedance(ev, last):
         level = _selected_levels(selection_rule, ev[np.arange(len(last)), last]) if posthoc else alpha
         members = ev < 1.0 / np.reshape(level, (-1, 1))
         d, r = _minimax(loss, _indicator(members))
         exceeded = (loss[d, last] > r) | ~members.any(axis=1)
-        stats[rows] = exceeded / level if posthoc else exceeded
+        return exceeded / level if posthoc else exceeded
+
+    # a block's (rows, D, G) loss ratios count against its budget
+    stats = _trial_statistics(config, n, lambda v: _ratio_matrix(v[:, :-1], alt.ratio),
+                              lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility),
+                              weighted if mode == "weighted" else exceedance, width=loss.size)
+    if mode == "weighted":
+        if np.isnan(stats).any():
+            raise AllInfiniteRiskError("some trials have infinite weighted risk for every "
+                                       "decision; clip the evidence away from zero")
+        return _report("decision-weighted", stats, 1.0, config, detail=f"n={n}")
     if posthoc:
         return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
     return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")

@@ -349,12 +349,26 @@ def sublevel_set(fuzzy: FuzzyConfidenceSet, alpha: float) -> BinaryConfidenceSet
 
 
 def smallest_exclusion_level(fuzzy: FuzzyConfidenceSet, z: float) -> float:
-    """Smallest data-dependent level at which z is excluded: 1/evidence(z).
+    """Smallest data-dependent level at which z is excluded: the least float
+    alpha with evidence(z) >= 1/alpha, which is 1/evidence(z) up to rounding.
 
-    Returns +inf when the evidence is zero (z is never excluded).
+    1/evidence can round to either side of that least level, so the level
+    walks there one float step at a time, as the Monte-Carlo validators'
+    ``harness.adversarial_level_rule`` does. Returns +inf when the evidence
+    is zero (z is never excluded) and 0 when it is infinite.
     """
     e = fuzzy.evidence_at(z)
-    return math.inf if e == 0.0 else 1.0 / e
+    if e == 0.0:
+        return math.inf
+    if e == math.inf:
+        return 0.0
+    a = 1.0 / e  # +inf when e is subnormal; 1/inf = 0 never exceeds e
+    while 1.0 / a > e:
+        a = math.nextafter(a, math.inf)
+    # a finite e stops the walk above the least positive float
+    while 1.0 / math.nextafter(a, 0.0) <= e:
+        a = math.nextafter(a, 0.0)
+    return a
 
 
 def randomized_binary(fuzzy: FuzzyConfidenceSet, alpha: float, u: float) -> BinaryConfidenceSet:

@@ -761,7 +761,7 @@ def test_package_namespace_resolves_names_lazily():
     exec("from fuzzyconf import *", star)
     assert all(star[name] is getattr(fc, name) for name in fc.__all__)
     for name in ("normalization_lambda", "np_threshold", "DataTuple", "rank_of_last",
-                 "kernel_alternative"):
+                 "kernel_alternative", "numerical_utility_oracle", "brute_force_conditional_lr"):
         assert not hasattr(fc, name), name
 
 

@@ -23,6 +23,7 @@ from fuzzyconf.errors import (
     AllZeroRatioError, DomainError, FuzzyconfError, NormalizationFailureError,
 )
 from fuzzyconf.evalues import BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power
+from fuzzyconf.harness import adversarial_level_rule
 from fuzzyconf.reference import conditional_lr_iid, evalue_at, np_threshold
 from fuzzyconf.sets import (
     BinaryConfidenceSet,
@@ -434,6 +435,30 @@ def test_smallest_exclusion_level():
     assert smallest_exclusion_level(fset, 2.0) == math.inf
     with pytest.raises(ValueError):
         smallest_exclusion_level(fset, 7.7)  # off grid
+
+
+def test_smallest_exclusion_level_excludes_at_the_least_level():
+    # 1/(1/e) exceeds e for about 6% of uniform e in [1, 50], and 1/e was
+    # returned: at e = 15.199299114933792 the level 0.06579250743328476 kept z
+    # in the sublevel set. The level is the Monte-Carlo adversarial rule's
+    rng = np.random.default_rng(26)
+    e = np.concatenate([rng.uniform(1.0, 50.0, 2000), rng.uniform(0.0, 1.0, 500),
+                        np.exp(rng.uniform(-700.0, 700.0, 500)),
+                        [15.199299114933792, 0.0, math.inf, 5e-324, 1e-310, 0.5,
+                         1.7976931348623157e308]])
+    fset = _flat_fuzzy(e.tolist())
+    levels = np.array([smallest_exclusion_level(fset, z) for z in fset.grid.points])
+    assert np.array_equal(levels, adversarial_level_rule(e))
+    below = np.nextafter(levels, 0.0)[levels > 0.0]  # infinite evidence takes level 0
+    with np.errstate(divide="ignore", over="ignore"):
+        assert (e >= 1.0 / levels).all()  # excluded at its level
+        assert not (e[levels > 0.0] >= 1.0 / below).any()  # and at no smaller one
+    assert levels[e == 0.0] == math.inf and levels[e == math.inf] == 0.0
+    z = 3000.0  # e = 15.199299114933792
+    level = smallest_exclusion_level(fset, z)
+    assert level == math.nextafter(0.06579250743328476, 1.0)
+    assert not sublevel_set(fset, level).membership[int(z)]
+    assert sublevel_set(fset, math.nextafter(level, 0.0)).membership[int(z)]
 
 
 def test_randomized_binary_edges():

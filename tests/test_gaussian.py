@@ -122,6 +122,26 @@ def test_gaussian_log_fuzzy_values():
         gaussian_log_fuzzy(0.0, 0.0, 1.0, 0.9)
 
 
+def test_log_curves_are_infinite_only_past_the_float_range():
+    # with tau = 3.5 the log-ratio passes 709 at |z - mu| = 39.33, but exp
+    # overflows only past about 709.78: the ratio is finite up to 39.35
+    # (1.75e308 there) and infinite from 39.36 on, on both sides of the centre.
+    # The composite family is the same curve, its scales widened by sqrt(1 + 1/n)
+    widen = math.sqrt(1 + 1 / 3)
+    log_ratio = lambda d: math.log(1 / 3.5) + d * d * (3.5**2 - 1) / (2 * 3.5**2)
+    for d, finite in ((39.33, True), (39.34, True), (39.35, True), (39.36, False), (40.0, False)):
+        assert log_ratio(d) > 709.0
+        for sign in (1.0, -1.0):
+            values = (gaussian_log_fuzzy(0.5 + sign * d, 0.5, 1.0, 3.5),
+                      gaussian_composite_log_fuzzy(0.5 + sign * d * widen, 0.5, 1.0, 3.5, 3))
+            for value in values:
+                assert value > 0.0 and math.isfinite(value) == finite, (d, sign, value)
+                if finite:
+                    assert value == pytest.approx(math.exp(log_ratio(d)), rel=1e-12)
+                else:
+                    assert value == math.inf
+
+
 def test_gaussian_log_fuzzy_is_density_ratio():
     for z in (-3.0, -0.5, 0.0, 1.7, 4.0):
         num = _phi((z - 0.2) / 3.5) / 3.5

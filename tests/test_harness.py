@@ -832,6 +832,30 @@ def test_decision_risk_error_parity_across_blocks():
         "through the utility, not the alternative)"))
 
 
+def test_weighted_decision_risk_raises_a_later_core_failure_first(monkeypatch):
+    # Log evidence is 0 at outcome 0, where the ratio is 0 and every loss is
+    # positive, so every trial has infinite weighted risk under every decision;
+    # a later trial whose calibration is all 0s is an all-zero tuple at that
+    # outcome. The core's failure wins, in the same block as row 0 or blocks
+    # after it, and no report is built from the trials' NaN or inf statistics
+    problem = DecisionProblem(("a", "b"), (0.0, 1.0, 2.0), ((1.0, 1.0, 1.0), (0.2, 0.5, 3.0)))
+    cfg = McConfig(trials=1000, seed=5, model="iid-categorical",
+                   params={"support": problem.outcomes, "probs": (0.5, 0.25, 0.25)})
+    alt = IidRatio(lambda z: np.asarray((0.0, 1.0, 1.0))[np.asarray(z, dtype=int)])
+    all_zero = (sample_finite_matrix(cfg, 6)[0][:, :-1] == 0.0).all(axis=1)
+    assert not all_zero[0] and all_zero.any()
+    report = harness._report
+
+    def finite_report(check, stats, *args, **kwargs):
+        assert np.isfinite(stats).all(), check
+        return report(check, stats, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "_report", finite_report)
+    assert _whole_and_one_row_blocks(
+        lambda: mc_validate_decision_risk(cfg, problem, "weighted", alt, Log(), 5)) == (
+        AllZeroRatioError, "the ratio vanishes on an entire sampled tuple")
+
+
 # -- decision-risk validators --------------------------------------------------
 
 PROBLEM = DecisionProblem(
