@@ -118,9 +118,10 @@ def parse_ratio(spec: str) -> alternatives.AlternativeSpec:
 
 
 def _read_calibration(path: str) -> tuple[float, ...]:
-    """Single-column CSV of reals; a non-numeric first line is a header."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
+    """Single-column CSV of reals; a non-numeric first non-blank line is a
+    header. A leading UTF-8 byte order mark is dropped."""
+    values, first = [], True
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh):
             text = line.strip()
             if not text:
@@ -128,9 +129,9 @@ def _read_calibration(path: str) -> tuple[float, ...]:
             try:
                 values.append(float(text))
             except ValueError:
-                if lineno == 0:
-                    continue  # header
-                raise ValueError(f"{path}:{lineno + 1}: not a number: {text!r}")
+                if not first:
+                    raise ValueError(f"{path}:{lineno + 1}: not a number: {text!r}")
+            first = False
     if not values:
         raise ValueError(f"{path}: no calibration values")
     return tuple(values)

@@ -13,6 +13,8 @@ loss divided by the evidence. As-if and each post-hoc rung pass indicator
 evidence, 1 on the set and +inf off it, so the worst ratio is the worst
 member loss exactly; this is the gamma -> 1 end of the gamma mixture. The
 Monte-Carlo decision-risk validators in ``harness`` call the same function.
+Each rung's set, like the validators', excludes by ``sets._excludes``, the
+rule of ``sets.sublevel_set``.
 
 Decision and outcome spaces are finite and the minimax scan exhaustive, so
 every certificate is exactly reproducible.
@@ -32,6 +34,7 @@ from .sets import (
     FuzzyConfidenceSet,
     PlugInGrid,
     _Frozen,
+    _excludes,
     _json_floats,
     _json_list,
     _json_object,
@@ -205,7 +208,7 @@ def post_hoc_decisions(
     e = np.asarray(fuzzy.evidence, dtype=float)
     out = []
     for a in lv:
-        members = e < 1.0 / a
+        members = ~_excludes(e, a)
         out.append(LevelDecision(a, _certify(problem, _indicator(members), "post-hoc", a, fuzzy)
                                  if members.any() else None))
     return out

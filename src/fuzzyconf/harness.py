@@ -47,7 +47,7 @@ from .alternatives import (
 from .confidence import _Failures, _final_slot_evidence, _grid_evidence
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
-from .sets import _Frozen
+from .sets import _Frozen, _excludes, _least_levels
 
 if TYPE_CHECKING:
     from .decisions import DecisionProblem
@@ -83,6 +83,10 @@ class McConfig(_Frozen):
     params: Mapping[str, object] = {}  # each config stores its own copy
 
     def __post_init__(self) -> None:
+        for key in ("trials", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.trials < 1000:
             raise ValueError("use at least 1000 trials")
         if not 0 <= self.seed < 2**128:
@@ -383,30 +387,17 @@ def mc_validate_coverage(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     excluded = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
-                                 lambda r: _row_evidence(r, utility), lambda e, _: e >= 1.0 / alpha)
+                                 lambda r: _row_evidence(r, utility), lambda e, _: _excludes(e, alpha))
     return _report("coverage", excluded, alpha, config, detail=f"n={n} alpha={alpha:g}")
 
 
 def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
-    """The smallest level excluding each realization: alpha~ = 1/evidence.
-
-    The validators exclude at a level a when e >= 1/a in floats. The floats
-    a meeting that form an up-set, and 1/e can round to either side of its
-    least member, so each level walks there one float step at a time. Zero
-    evidence gets the infinite level, never excluded. Each level depends on
-    its own e-value alone, as every level rule's must: the validators apply
-    the rule to one block of trials at a time.
+    """The smallest level excluding each realization: alpha~ = 1/evidence,
+    walked to the least float level as ``sets.smallest_exclusion_level``
+    does. Each level depends on its own e-value alone, as every level rule's
+    must: the validators apply the rule to one block of trials at a time.
     """
-    e = np.asarray(e, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(e > 0.0, 1.0 / e, np.inf)
-        while True:
-            below = np.nextafter(a, 0.0)
-            down = (below < a) & (1.0 / below <= e)
-            up = 1.0 / a > e
-            if not (down.any() or up.any()):
-                return a
-            a = np.where(down, below, np.where(up, np.nextafter(a, np.inf), a))
+    return _least_levels(e)
 
 
 def _selected_levels(rule: Callable[[np.ndarray], np.ndarray], e: np.ndarray) -> np.ndarray:
@@ -435,7 +426,7 @@ def mc_validate_posthoc(
 
     def excluded_over_level(e, _):
         atil = _selected_levels(selection_rule, e)
-        return (e >= 1.0 / atil) / atil
+        return _excludes(e, atil) / atil
 
     stats = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
                               lambda r: _row_evidence(r, utility), excluded_over_level)
@@ -499,7 +490,7 @@ def mc_validate_decision_risk(
 
     def exceedance(ev, last):
         level = _selected_levels(selection_rule, ev[np.arange(len(last)), last]) if posthoc else alpha
-        members = ev < 1.0 / np.reshape(level, (-1, 1))
+        members = ~_excludes(ev, np.reshape(level, (-1, 1)))
         d, r = _minimax(loss, _indicator(members))
         exceeded = (loss[d, last] > r) | ~members.any(axis=1)
         return exceeded / level if posthoc else exceeded

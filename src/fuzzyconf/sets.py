@@ -2,15 +2,17 @@
 
 A fuzzy confidence set maps each plug-in value z to nonnegative evidence
 against it: the reciprocal of the smallest significance level at which z is
-excluded. Binary sets are recovered as strict sublevel sets
-{z : evidence(z) < 1/alpha}, or by randomizing the exclusion degree.
+excluded. Evidence e excludes z at level alpha when e >= 1/alpha, 1/alpha
+rounded once: ``_excludes`` is the package's one exclusion rule and
+``_least_levels`` its inverse. Binary sets are recovered as strict sublevel
+sets {z : evidence(z) < 1/alpha}, or by randomizing the exclusion degree.
 
 Grids are explicit and fixed; membership between grid points is deliberately
 undefined rather than interpolated, so outputs are reproducible bit for bit.
 
 This module imports no numpy, so the closed-form Gaussian curves and the
-set documents load without it; the engine that computes conformal evidence
-is ``confidence``.
+set documents load without it (the least-level walk imports it when called);
+the engine that computes conformal evidence is ``confidence``.
 """
 
 from __future__ import annotations
@@ -336,44 +338,58 @@ def load_confidence_set(doc: dict) -> Union[FuzzyConfidenceSet, BinaryConfidence
     raise ValueError(f"unknown confidence set kind {kind!r}")
 
 
+def _excludes(evidence, alpha, u=1.0):
+    """The one exclusion rule, on floats or numpy arrays: evidence excludes
+    its point at level alpha (with the randomized set's draw u) when
+    evidence >= u / alpha."""
+    return evidence >= u / alpha
+
+
+def _binary(fuzzy: FuzzyConfidenceSet, alpha: float, u: float, utility: str) -> BinaryConfidenceSet:
+    membership = tuple(not _excludes(e, alpha, u) for e in fuzzy.evidence)
+    return BinaryConfidenceSet(fuzzy.grid, membership, alpha, fuzzy.evidence,
+                               fuzzy.calibration, fuzzy.alternative, utility)
+
+
 def sublevel_set(fuzzy: FuzzyConfidenceSet, alpha: float) -> BinaryConfidenceSet:
     """Binary set {z : evidence(z) < 1/alpha}; the inequality is strict."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha must lie in (0, 1]")
-    thr = 1.0 / alpha
-    membership = tuple(e < thr for e in fuzzy.evidence)
-    return BinaryConfidenceSet(
-        fuzzy.grid, membership, alpha, fuzzy.evidence,
-        fuzzy.calibration, fuzzy.alternative, fuzzy.utility,
-    )
+    return _binary(fuzzy, alpha, 1.0, fuzzy.utility)
+
+
+def _least_levels(e):
+    """The least float level excluding each evidence value, walked there one
+    float step at a time from 1/e, which can round to either side of it:
+    +inf for zero or NaN evidence (never excluded), 0 for infinite."""
+    import numpy as np  # only here, so that this module loads without numpy
+
+    e = np.asarray(e, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(e > 0.0, 1.0 / e, np.inf)
+        while True:
+            below = np.nextafter(a, 0.0)
+            down = (below < a) & _excludes(e, below)
+            up = 1.0 / a > e  # not ~_excludes(e, a): NaN would step up forever
+            if not (down.any() or up.any()):
+                return a
+            a = np.where(down, below, np.where(up, np.nextafter(a, np.inf), a))
 
 
 def smallest_exclusion_level(fuzzy: FuzzyConfidenceSet, z: float) -> float:
     """Smallest data-dependent level at which z is excluded: the least float
     alpha with evidence(z) >= 1/alpha, which is 1/evidence(z) up to rounding.
 
-    1/evidence can round to either side of that least level, so the level
-    walks there one float step at a time, as the Monte-Carlo validators'
-    ``harness.adversarial_level_rule`` does. Returns +inf when the evidence
-    is zero (z is never excluded) and 0 when it is infinite.
+    The walk is the Monte-Carlo validators' ``harness.adversarial_level_rule``
+    and loads numpy: +inf for zero evidence (never excluded), 0 for infinite.
     """
-    e = fuzzy.evidence_at(z)
-    if e == 0.0:
-        return math.inf
-    if e == math.inf:
-        return 0.0
-    a = 1.0 / e  # +inf when e is subnormal; 1/inf = 0 never exceeds e
-    while 1.0 / a > e:
-        a = math.nextafter(a, math.inf)
-    # a finite e stops the walk above the least positive float
-    while 1.0 / math.nextafter(a, 0.0) <= e:
-        a = math.nextafter(a, 0.0)
-    return a
+    return float(_least_levels(fuzzy.evidence_at(z)))
 
 
 def randomized_binary(fuzzy: FuzzyConfidenceSet, alpha: float, u: float) -> BinaryConfidenceSet:
-    """Randomized binary set: exclude z when its exclusion degree
-    min(alpha * evidence(z), 1) reaches the uniform draw u.
+    """Randomized binary set: exclude z when its exclusion degree, alpha *
+    evidence(z) capped at 1, reaches the uniform draw u, by the sublevel
+    set's rule evidence(z) >= u/alpha; at u = 1 it is the sublevel set.
 
     Marginally over u this recovers classical level-alpha coverage.
     """
@@ -381,8 +397,4 @@ def randomized_binary(fuzzy: FuzzyConfidenceSet, alpha: float, u: float) -> Bina
         raise DomainError("alpha must lie in (0, 1)")
     if not 0.0 <= u <= 1.0:
         raise DomainError("u must lie in [0, 1]")
-    membership = tuple(not (min(alpha * e, 1.0) >= u) for e in fuzzy.evidence)
-    return BinaryConfidenceSet(
-        fuzzy.grid, membership, alpha, fuzzy.evidence,
-        fuzzy.calibration, fuzzy.alternative, fuzzy.utility + "+randomized",
-    )
+    return _binary(fuzzy, alpha, u, fuzzy.utility + "+randomized")

@@ -561,6 +561,28 @@ def test_calibration_reader(tmp_path):
         _read_calibration(str(empty))
 
 
+def test_calibration_reader_keeps_the_first_value_after_a_byte_order_mark(tmp_path):
+    # float("\ufeff5.0") fails, and the first value was dropped as a header
+    from fuzzyconf.cli import _read_calibration
+
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf5.0\n0.1\n-0.3\n")
+    assert _read_calibration(str(path)) == (5.0, 0.1, -0.3)
+    path.write_bytes(b"\xef\xbb\xbfz\n0.1\n")
+    assert _read_calibration(str(path)) == (0.1,)
+
+
+def test_calibration_header_is_the_first_non_blank_line(tmp_path):
+    from fuzzyconf.cli import _read_calibration
+
+    path = tmp_path / "c.csv"
+    path.write_text("\n  \nz\n1.0\n2.0\n")
+    assert _read_calibration(str(path)) == (1.0, 2.0)
+    path.write_text("\nz\n1.0\nw\n")
+    with pytest.raises(ValueError, match=r":4: not a number: 'w'$"):
+        _read_calibration(str(path))
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 

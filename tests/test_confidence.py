@@ -461,6 +461,39 @@ def test_smallest_exclusion_level_excludes_at_the_least_level():
     assert sublevel_set(fset, math.nextafter(level, 0.0)).membership[int(z)]
 
 
+def test_randomized_binary_at_its_top_draw_is_the_sublevel_set():
+    # evidence exactly 1/alpha was kept by the randomized set at u = 1, which
+    # compared alpha * e with u, while the sublevel set excluded it
+    rng = np.random.default_rng(27)
+    for a in rng.uniform(0.0, 1.0, 2000):
+        a = float(a)
+        if a == 0.0:
+            continue
+        thr = 1.0 / a
+        fset = _flat_fuzzy([math.nextafter(thr, 0.0), thr, math.nextafter(thr, math.inf),
+                            0.0, math.inf])
+        assert randomized_binary(fset, a, 1.0).membership == sublevel_set(fset, a).membership, a
+
+
+def test_least_levels_agree_at_the_edges_of_the_float_range():
+    # the scalar and the elementwise least level are one walk; NaN evidence
+    # ends it at +inf rather than stepping up forever
+    edges = [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072009e-308, 1e-310,
+             2.2250738585072014e-308, math.inf]
+    fset = _flat_fuzzy(edges)
+    levels = [smallest_exclusion_level(fset, z) for z in fset.grid.points]
+    assert np.array_equal(levels, adversarial_level_rule(np.array(edges)))
+    assert levels[0] == levels[1] == math.inf and levels[-1] == 0.0
+
+    class NanSet:  # a fuzzy set rejects NaN evidence; the walk must still end
+        def evidence_at(self, z):
+            return math.nan
+
+    assert smallest_exclusion_level(NanSet(), 0.0) == math.inf
+    nan_levels = adversarial_level_rule(np.array([math.nan, 2.0, math.nan]))
+    assert nan_levels[0] == nan_levels[2] == math.inf and nan_levels[1] == 0.5
+
+
 def test_randomized_binary_edges():
     zero = _flat_fuzzy([0.0, 0.0])
     for u in (0.01, 0.5, 1.0):

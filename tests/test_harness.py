@@ -382,6 +382,17 @@ def test_mc_config_rejects_seeds_outside_the_philox_key_range(seed):
     McConfig(trials=1000, seed=2**128 - 1, model="iid-gaussian")
 
 
+@pytest.mark.parametrize("field, value", [("seed", 3.7), ("seed", 3.0), ("seed", True),
+                                          ("trials", 2000.0), ("trials", True)])
+def test_mc_config_requires_integer_trials_and_seed(field, value):
+    # seed 3.7 ran seed 3 and reported 3.7; 2000.0 trials passed validation,
+    # then failed with a bare TypeError from the sampler
+    kwargs = {"trials": 1000, "seed": 3, "model": "iid-gaussian", field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer, got {value!r}$"):
+        McConfig(**kwargs)
+    McConfig(**{**kwargs, field: np.int64(1000)})
+
+
 @pytest.mark.parametrize("model, params, message", [
     ("iid-gaussian", {"foo": 1.0},
      "model iid-gaussian takes no parameter foo; its parameters are mu, sigma"),
