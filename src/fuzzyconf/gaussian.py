@@ -6,6 +6,13 @@ counterparts: the raw scale likelihood ratio, its capped-and-boosted
 version whose null mean is renormalized to 1, and the two-valued
 step e-value matching the classical interval.
 
+``simple_interval`` is the one interval rule: the only place that forms the
+critical value and the endpoints. The composite interval is a simple
+interval at the widened scale, the AR(1) interval one at the conditional
+mean with unit scale, and each NP step e-value is 1/alpha exactly off its
+interval's endpoints: its alpha-sublevel set is its interval family's
+output, endpoints included, float for float.
+
 These double as analytic ground truth for the conformal machinery.
 """
 
@@ -98,20 +105,20 @@ def simple_interval(mu: float, sigma: float, alpha: float) -> tuple[float, float
 
 def composite_interval(zbar: float, sigma: float, n: int, alpha: float) -> tuple[float, float]:
     """Interval centered at the sample mean, widened by sqrt(1 + 1/n) for the
-    estimation of the center."""
+    estimation of the center: ``simple_interval`` at the scale
+    sigma * sqrt(1 + 1/n)."""
     _check(sigma=sigma, alpha=alpha, zbar=zbar)
-    c = -std_normal_quantile(alpha / 2.0)
-    half = c * sigma * _widening(n)
-    return (zbar - half, zbar + half)
+    return simple_interval(zbar, sigma * _widening(n), alpha)
 
 
 def ar1_interval(mu: float, rho: float, z_last: float, alpha: float) -> tuple[float, float]:
     """Interval centered at the one-step conditional mean mu + rho*(z_n - mu);
-    unit marginal variance."""
+    unit marginal variance: ``simple_interval`` there with sigma 1."""
     _check(alpha=alpha, rho=rho, mu=mu, z_last=z_last)
-    c = -std_normal_quantile(alpha / 2.0)
     center = mu + rho * (z_last - mu)
-    return (center - c, center + c)
+    if not math.isfinite(center):  # finite inputs far apart overflow it
+        raise DomainError(f"the conditional mean mu + rho*(z_last - mu) overflows, got {center!r}")
+    return simple_interval(center, 1.0, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +171,9 @@ def _composite_bounded_log_curve(
 
 
 def _np_curve(mu: float, sigma: float, alpha: float) -> Callable[[float], float]:
-    _check(sigma=sigma, alpha=alpha, mu=mu)
-    half = -sigma * std_normal_quantile(alpha / 2.0)
+    lo, hi = simple_interval(mu, sigma, alpha)
     top = 1.0 / alpha
-    return lambda z: top if abs(z - mu) > half else 0.0
+    return lambda z: top if z < lo or z > hi else 0.0
 
 
 def _composite_np_curve(zbar: float, sigma: float, n: int, alpha: float) -> Callable[[float], float]:
@@ -247,15 +253,19 @@ def gaussian_composite_bounded_log_fuzzy(
 
 
 def gaussian_np_evalue(z: float, mu: float, sigma: float, alpha: float) -> float:
-    """Two-valued step e-value: 1/alpha outside [mu -+ sigma*c], else 0.
+    """Two-valued step e-value: 1/alpha outside ``simple_interval(mu, sigma,
+    alpha)``, else 0 (NaN too).
 
-    Its alpha-sublevel set is exactly ``simple_interval``.
+    The step is the interval's complement, tested against the interval's own
+    endpoints, so its alpha-sublevel set is exactly ``simple_interval``: each
+    endpoint is kept, each float past it excluded.
     """
     return _np_curve(mu, sigma, alpha)(z)
 
 
 def gaussian_composite_np_evalue(z: float, zbar: float, sigma: float, n: int, alpha: float) -> float:
-    """Step e-value whose sublevel set is ``composite_interval``."""
+    """Step e-value whose alpha-sublevel set is exactly ``composite_interval``:
+    the simple step at the widened scale."""
     return _composite_np_curve(zbar, sigma, n, alpha)(z)
 
 

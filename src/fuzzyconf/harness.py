@@ -104,7 +104,7 @@ class McConfig(_Frozen):
         for key, value in self.params.items():
             if key not in defaults:
                 continue  # a finite model's sequences, checked below
-            if not isinstance(value, numbers.Real):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"model parameter {key} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"model parameter {key} must be finite, got {value!r}")
@@ -120,11 +120,21 @@ class McConfig(_Frozen):
         object.__setattr__(self, "params", dict(self.params))
 
 
+def _holds_bool_or_str(value) -> bool:
+    """Whether a bool or a string sits at any depth of ``value``, which a
+    float cast would read as a number."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()  # numpy scalars become Python bools, strs and numbers
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool_or_str, value))
+    return isinstance(value, (bool, np.bool_, str, bytes))
+
+
 @np.errstate(over="ignore")  # a sum past the float range is an error below
 def _check_finite_model(params: Mapping[str, object]) -> None:
     # the support, then each pmf, which the sampler normalizes row by row:
-    # finite float arrays of the right shape, each pmf row nonnegative with a
-    # positive finite sum
+    # finite float arrays of the right shape, holding no bool or string, each
+    # pmf row nonnegative with a positive finite sum
     sizes = {}
     for key, ndim, per in (("support", 1, ""), ("probs", 1, "support point"),
                            ("component_probs", 2, "support point"), ("weights", 1, "component")):
@@ -132,7 +142,7 @@ def _check_finite_model(params: Mapping[str, object]) -> None:
             continue
         value, rows = params[key], " per row" if ndim == 2 else ""
         try:
-            a = np.asarray(value, dtype=float)
+            a = np.empty(0) if _holds_bool_or_str(value) else np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             a = np.empty(0)
         if a.ndim != ndim or 0 in a.shape:

@@ -129,7 +129,9 @@ class PlugInGrid(_Frozen):
             raise ValueError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
         n = round(steps)
         if n >= 1 and abs(n * step - span) <= _REL_STEP_TOL * max(1.0, abs(span)):
-            points = tuple(lo + span * i / n for i in range(n + 1))
+            # the last point is the inclusive max itself; lo + span * n / n
+            # can round past it
+            points = tuple(lo + span * i / n for i in range(n)) + (hi,)
         else:
             # step does not divide the span; include every lo + i*step <= max
             points, i = [], 0
@@ -183,6 +185,8 @@ def _json_evidence(evidence) -> list:
 
 
 def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, dict):
         return "an object"
     if isinstance(value, list):
@@ -203,21 +207,25 @@ def _json_list(value, name: str) -> list:
 
 
 def _json_number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {_json_kind(value)}") from None
+    """A JSON number (or "inf") as a float; a boolean is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {_json_kind(value)}")
 
 
 def _json_floats(value, name: str) -> tuple[float, ...]:
     """A JSON list of numbers (or "inf") as floats."""
     values = _json_list(value, name)
-    try:
-        return tuple(map(float, values))
-    except (TypeError, ValueError):
-        for i, x in enumerate(values):
-            _json_number(x, f"{name}[{i}]")
-        raise
+    if bool not in set(map(type, values)):
+        try:
+            return tuple(map(float, values))
+        except (TypeError, ValueError):
+            pass
+    # a boolean, or an entry float() rejects: name it by its index
+    return tuple(_json_number(x, f"{name}[{i}]") for i, x in enumerate(values))
 
 
 def _set_doc(conf, kind: str, **extra) -> dict:
@@ -309,7 +317,10 @@ class BinaryConfidenceSet(_Frozen):
     def from_json_doc(cls, doc: dict) -> "BinaryConfidenceSet":
         fields = _set_fields(doc, "binary-confidence-set", "binary")
         membership = _json_list(doc.get("membership"), "membership")
-        return cls(membership=tuple(map(bool, membership)),
+        for i, m in enumerate(membership):
+            if not isinstance(m, bool):
+                raise ValueError(f"membership[{i}] must be true or false, got {_json_kind(m)}")
+        return cls(membership=tuple(membership),
                    alpha=_json_number(doc.get("alpha"), "alpha"), **fields)
 
 

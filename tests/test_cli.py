@@ -406,6 +406,49 @@ def test_malformed_decide_documents_exit_2(tmp_path, capsys, problem, conf, mess
     assert not (tmp_path / "cert.json").exists()
 
 
+_BINARY_SET = fc.BinaryConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (False, True, True), 0.25,
+                                     (5.0, 0.5, 3.0), ()).to_json_doc()
+
+
+@pytest.mark.parametrize("problem, conf, message", [
+    (_PROBLEM, {**_BINARY_SET, "alpha": True}, "alpha must be a number, got true"),
+    ({**_PROBLEM, "loss": [[1, 1, 1], [True, 0.5, 2]]}, _BINARY_SET,
+     "loss[1][0] must be a number, got true"),
+    (_PROBLEM, {**_BINARY_SET, "evidence": [5.0, False, 3.0]}, "evidence[1] must be a number, got false"),
+    (_PROBLEM, {**_BINARY_SET, "membership": ["no", "no", "no"]},
+     "membership[0] must be true or false, got 'no'"),
+    (_PROBLEM, {**_BINARY_SET, "membership": [0, 1, 1]}, "membership[0] must be true or false, got 0"),
+], ids=["number", "loss-entry", "evidence-entry", "membership-string", "membership-number"])
+def test_decide_documents_reject_booleans_as_numbers_and_non_booleans_as_membership(
+        tmp_path, capsys, problem, conf, message):
+    # each once decided, exit 0: JSON true read as the number 1 (an alpha of
+    # 1.0, a loss of 1.0), and any truthy value, even "no", as a member
+    (tmp_path / "prob.json").write_text(json.dumps(problem))
+    (tmp_path / "set.json").write_text(json.dumps(conf))
+    assert run(["decide", "--mode", "as-if", "--problem", tmp_path / "prob.json",
+                "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("family, flags, edge", [
+    ("simple", ["--mu=-0.4", "--sigma", "0.5", "--alpha", "0.05"], "lo"),
+    ("simple", ["--mu=-0.4", "--sigma", "0.5", "--alpha", "0.05"], "hi"),
+    ("composite", ["--zbar=-0.4", "--sigma", "1", "--n", "3", "--alpha", "0.1"], "lo"),
+    ("composite", ["--zbar=-0.4", "--sigma", "1", "--n", "3", "--alpha", "0.1"], "hi"),
+])
+def test_np_curve_keeps_its_interval_endpoint(tmp_path, capsys, family, flags, edge):
+    # the printed endpoint is a grid point of the NP family's curve, with
+    # evidence 0; at lo the step once read 1/alpha (20 and 10)
+    assert run(["interval", "--family", family, *flags]) == 0
+    z = json.loads(capsys.readouterr().out)[edge]
+    np_family = {"simple": "gaussian-np", "composite": "gaussian-np-composite"}[family]
+    grid = f"--grid={z}:{z + 1}:0.5" if edge == "lo" else f"--grid={z - 1}:{z}:0.5"
+    assert run(["fuzzy", "--family", np_family, *flags, grid, "--out", tmp_path / "x.csv"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
+    assert {float(x): e for x, e in rows}[z] == "0"
+
+
 @pytest.mark.parametrize("args, message", [
     (["decide", "--problem", "prob.json", "--set", "set.json", "--mode", "post-hoc",
       "--levels", "0.1,,0.2"], "--levels must be comma-separated numbers, got '0.1,,0.2'"),
@@ -465,6 +508,9 @@ def test_seed_outside_the_philox_key_range_exits_2(capsys, seed):
      "zbar must be finite, got -inf"),
     (["interval", "--family", "ar1", "--alpha", "0.05", "--rho", "0.5", "--z-last", "inf"],
      "z_last must be finite, got inf"),
+    # finite inputs whose conditional mean overflows: mu is not to blame
+    (["interval", "--family", "ar1", "--alpha", "0.05", "--mu=-1e308", "--rho", "0.5",
+      "--z-last", "1e308"], "the conditional mean mu + rho*(z_last - mu) overflows, got inf"),
 ])
 def test_non_finite_gaussian_parameters_exit_2(tmp_path, capsys, args, message):
     # the fuzzy calls once wrote a constant curve and exited 0; the interval

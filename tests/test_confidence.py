@@ -48,6 +48,19 @@ def test_grid_from_spec_non_divisible():
     assert np.allclose(grid.points, (0.0, 0.3, 0.6, 0.9))
 
 
+def test_grid_from_spec_ends_at_its_inclusive_max():
+    # the last point was lo + span * n / n, which can round past the max:
+    # -2.101:11.899:0.2 once ended at 11.899000000000001
+    assert PlugInGrid.from_spec("-2.101:11.899:0.2").hi == 11.899
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        lo = round(float(rng.uniform(-100.0, 100.0)), 3)
+        step = round(float(rng.choice((0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.5))), 3)
+        hi = round(lo + step * int(rng.integers(1, 2000)), 3)
+        spec = f"{lo}:{hi}:{step}"
+        assert PlugInGrid.from_spec(spec).hi == float(hi), spec
+
+
 def test_grid_validation():
     for bad in ("1:2", "2:1:0.1", "0:1:0", "0:1:-1", "a:b:c"):
         with pytest.raises(ValueError):

@@ -114,6 +114,53 @@ def test_ar1_interval():
     assert (lo2 + hi2) / 2 == pytest.approx(3.0, abs=1e-9)
 
 
+def _floats_around(x, k=2):
+    """x and its k float neighbours on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_np_steps_are_their_intervals_complements():
+    # each step once formed its own half-width and tested |z - mu| > half,
+    # which disagreed with its interval near the edges: simple_interval(-0.4,
+    # 0.5, 0.05) has lo = -1.3799819922700274, where the step read 20
+    rng = np.random.default_rng(29)
+    draws = 2500
+    for i in range(draws):
+        mu = float(rng.uniform(-20.0, 20.0))
+        sigma = 1.0 if i % 5 == 0 else float(np.exp(rng.uniform(-6.0, 6.0)))
+        alpha = float(np.exp(rng.uniform(np.log(1e-9), np.log(0.9))))
+        n = int(rng.integers(1, 10**6))
+        families = (
+            (simple_interval(mu, sigma, alpha), lambda z: gaussian_np_evalue(z, mu, sigma, alpha)),
+            (composite_interval(mu, sigma, n, alpha),
+             lambda z: gaussian_composite_np_evalue(z, mu, sigma, n, alpha)),
+        )
+        for (lo, hi), evidence in families:
+            for z in _floats_around(lo) + _floats_around(hi):
+                assert (evidence(z) < 1.0 / alpha) == (lo <= z <= hi), (mu, sigma, alpha, n, z)
+    assert gaussian_np_evalue(-1.3799819922700274, -0.4, 0.5, 0.05) == 0.0
+    assert gaussian_composite_np_evalue(-2.2993133685959304, -0.4, 1.0, 3, 0.1) == 0.0
+    assert gaussian_np_evalue(math.nan, 0.0, 1.0, 0.05) == 0.0
+
+
+def test_composite_and_ar1_intervals_are_simple_intervals():
+    rng = np.random.default_rng(2929)
+    for _ in range(2000):
+        center = float(rng.uniform(-50.0, 50.0))
+        sigma = float(np.exp(rng.uniform(-6.0, 6.0)))
+        alpha = float(rng.uniform(1e-6, 0.9))
+        n = int(rng.integers(1, 10**6))
+        rho, z_last = float(rng.uniform(-0.999, 0.999)), float(rng.uniform(-50.0, 50.0))
+        assert composite_interval(center, sigma, n, alpha) == \
+            simple_interval(center, sigma * math.sqrt(1.0 + 1.0 / n), alpha)
+        assert ar1_interval(center, rho, z_last, alpha) == \
+            simple_interval(center + rho * (z_last - center), 1.0, alpha)
+
+
 def test_gaussian_log_fuzzy_values():
     assert gaussian_log_fuzzy(0.0, 0.0, 1.0, 3.5) == pytest.approx(1 / 3.5, rel=1e-12)
     assert gaussian_log_fuzzy(2.0, 2.0, 0.5, 4.0) == pytest.approx(0.125, rel=1e-12)

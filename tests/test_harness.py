@@ -462,6 +462,18 @@ def test_mc_config_requires_integer_trials_and_seed(field, value):
     ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.1, 0.9)],
                              "weights": (0.0, 0.0)},
      "model parameter weights must be nonnegative with a positive finite sum, got (0.0, 0.0)"),
+    # a float cast reads True as 1 and "2" as 2.0: mu=True, sigma=False once
+    # printed [PASS] with SE 0, and string supports with boolean pmfs ran
+    ("iid-gaussian", {"mu": True, "sigma": False}, "model parameter mu must be a real number, got True"),
+    ("iid-categorical", {"support": ["1", "2", "3"], "probs": (0.2, 0.3, 0.5)},
+     "model parameter support must be a nonempty 1-D sequence of numbers, got ['1', '2', '3']"),
+    ("iid-categorical", {"support": (1.0, 2.0, 3.0), "probs": [True, True, False]},
+     "model parameter probs must be a nonempty 1-D sequence of numbers, got [True, True, False]"),
+    ("iid-categorical", {"support": (1.0, 2.0), "probs": np.array([True, False])},
+     "model parameter probs must be a nonempty 1-D sequence of numbers, got array([ True, False])"),
+    ("categorical-mixture", {"support": (0.0, 1.0), "component_probs": [(0.9, 0.1), (0.1, "0.9")]},
+     "model parameter component_probs must be a nonempty 2-D sequence of numbers, "
+     "got [(0.9, 0.1), (0.1, '0.9')]"),
 ])
 def test_mc_config_rejects_bad_model_params(model, params, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
