@@ -13,8 +13,9 @@ Subcommands:
 Outputs are deterministic given the same flags and seed: floats render with
 17 significant digits, JSON keys are sorted, newlines are fixed.
 
-Each subcommand imports only the modules it computes with, so ``interval``
-and the closed-form ``fuzzy`` families run without numpy.
+Each subcommand imports only the modules it computes with, so ``interval``,
+the closed-form ``fuzzy`` families and ``decide``, whose minimax rule runs
+on Python floats, run without numpy.
 
 ``main`` parses and runs one call and returns its exit code; library callers
 and tests use it in process. ``run`` is the process entry of the

@@ -9,13 +9,19 @@ between the last two by mixing a binary set into a two-valued fuzzy set
 (gamma mixture).
 
 All of them are one rule, ``_minimax``: the decision minimizing the worst
-loss divided by the evidence. As-if and each post-hoc rung pass indicator
-evidence, 1 on the set and +inf off it, so the worst ratio is the worst
-member loss exactly; this is the gamma -> 1 end of the gamma mixture. The
-Monte-Carlo decision-risk validators in ``harness`` call the same function.
-Each rung's set, like the validators', excludes by ``sets._excludes``, the
-rule of ``sets.sublevel_set``.
+loss divided by the evidence. As-if passes indicator evidence, 1 on the set
+and +inf off it, so the worst ratio is the worst member loss exactly; this
+is the gamma -> 1 end of the gamma mixture. The Monte-Carlo decision-risk
+validators in ``harness`` call the same function. The post-hoc ladder is
+that rule on every rung at once: each rung's set, like the validators',
+excludes by ``sets._excludes``, the rule of ``sets.sublevel_set``, so in
+ascending evidence order it is a prefix, and each decision's worst member
+loss is a running maximum read at the rung's member count. One stable sort
+of the evidence serves every rung, in O(G log G + D*G + L*(D + log G)) for
+G outcomes, D decisions and L levels.
 
+The rule runs on Python floats, so this module loads no numpy; only
+``DecisionProblem.loss_matrix``, which the validator reads, imports it.
 Decision and outcome spaces are finite and the minimax scan exhaustive, so
 every certificate is exactly reproducible.
 """
@@ -23,10 +29,11 @@ every certificate is exactly reproducible.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from itertools import accumulate
+from operator import itemgetter
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .errors import AllInfiniteRiskError, EmptyConfidenceSetError
 from .sets import (
@@ -36,9 +43,13 @@ from .sets import (
     _Frozen,
     _excludes,
     _json_floats,
+    _json_kind,
     _json_list,
     _json_object,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DecisionProblem(_Frozen):
@@ -69,6 +80,8 @@ class DecisionProblem(_Frozen):
     @cached_property
     def loss_matrix(self) -> np.ndarray:
         """``loss`` as a read-only (D, G) float array, built on first access."""
+        import numpy as np  # only here: the decisions themselves run on floats
+
         # cached_property writes the instance __dict__, not __setattr__, which
         # _Frozen forbids; read-only, so no caller can change the cached copy
         loss = np.array(self.loss, dtype=float)
@@ -86,8 +99,12 @@ class DecisionProblem(_Frozen):
     def from_json_doc(cls, doc: dict) -> "DecisionProblem":
         _json_object(doc, "a decision problem")
         rows = _json_list(doc.get("loss"), "loss")
+        decisions = _json_list(doc.get("decisions"), "decisions")
+        for i, d in enumerate(decisions):
+            if not isinstance(d, str):
+                raise ValueError(f"decisions[{i}] must be a string, got {_json_kind(d)}")
         return cls(
-            decisions=tuple(str(d) for d in _json_list(doc.get("decisions"), "decisions")),
+            decisions=tuple(decisions),
             outcomes=_json_floats(doc.get("outcomes"), "outcomes"),
             loss=tuple(_json_floats(row, f"loss[{d}]") for d, row in enumerate(rows)),
         )
@@ -137,37 +154,47 @@ def _provenance(conf: Union[BinaryConfidenceSet, FuzzyConfidenceSet]) -> str:
     return f"alternative={conf.alternative}; utility={conf.utility}"
 
 
-def _minimax(loss: np.ndarray, evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _minimax(loss, evidence) -> tuple[list[int], list[float]]:
     """Row-wise minimax: for each evidence row e, argmin_d max_z L(d, z)/e(z).
 
-    ``loss`` is (D, G) and ``evidence`` (B, G); returns (decision, risk), each
-    of shape (B,). Division conventions: x/0 = +inf for x > 0, 0 divided by
-    anything is 0, x/inf = 0. The lowest decision index wins ties.
+    ``loss`` holds D rows and ``evidence`` B rows, each over the G outcomes;
+    returns (decision, risk), each a list of B. Division conventions: x/0 =
+    +inf for x > 0, -0.0 evidence being zero evidence; 0 divided by anything
+    is 0; x/inf = 0. The lowest decision index wins ties.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(loss == 0.0, 0.0, loss / evidence[:, None, :])
-    risks = ratios.max(axis=2)
-    d = risks.argmin(axis=1)
-    return d, risks[np.arange(len(d)), d]
+    decisions, risks = [], []
+    for e in evidence:
+        zero = [z for z, ez in enumerate(e) if ez == 0.0]
+        best, worst = 0, math.inf
+        for d, row in enumerate(loss):
+            # a positive loss where the evidence is zero is an infinite ratio;
+            # zero losses, and the zero-evidence outcomes they cover, add 0
+            risk = math.inf if any(row[z] for z in zero) else \
+                max([x / ez for x, ez in zip(row, e) if x and ez], default=0.0)
+            if risk < worst:
+                best, worst = d, risk
+        decisions.append(best)
+        risks.append(worst)
+    return decisions, risks
 
 
-def _indicator(members) -> np.ndarray:
-    # 1 on the set, +inf off it: losses are finite and >= 0, so L/1 = L and
-    # L/inf = 0 make the worst ratio over a nonempty set its worst member loss
-    return np.where(members, 1.0, np.inf)
+def _indicator(members) -> list[list[float]]:
+    # rows of 1 on the set and +inf off it: losses are finite and >= 0, so
+    # L/1 = L and L/inf = 0 make the worst ratio over a nonempty set its
+    # worst member loss
+    return [[1.0 if m else math.inf for m in row] for row in members]
 
 
 def _certify(
-    problem: DecisionProblem, evidence: np.ndarray, mode: str, alpha: Optional[float],
+    problem: DecisionProblem, evidence: Sequence[float], mode: str, alpha: Optional[float],
     conf: Union[BinaryConfidenceSet, FuzzyConfidenceSet],
 ) -> CertifiedDecision:
-    d, r = _minimax(problem.loss_matrix, evidence[None, :])
-    if np.isinf(r[0]):
+    (d,), (r,) = _minimax(problem.loss, [evidence])
+    if r == math.inf:
         raise AllInfiniteRiskError("every decision has infinite weighted risk; clip the "
                                    "evidence away from zero (e.g. a clipped-log utility)")
-    d = int(d[0])
     return CertifiedDecision(
-        d, problem.decisions[d], float(r[0]),
+        d, problem.decisions[d], float(r),
         mode=mode, alpha=alpha, set_provenance=_provenance(conf),
     )
 
@@ -185,7 +212,8 @@ def as_if_decision(problem: DecisionProblem, conf_set: BinaryConfidenceSet) -> C
         raise EmptyConfidenceSetError(
             f"confidence set at alpha={conf_set.alpha:g} has no members"
         )
-    return _certify(problem, _indicator(conf_set.membership), "as-if", conf_set.alpha, conf_set)
+    (evidence,) = _indicator([conf_set.membership])
+    return _certify(problem, evidence, "as-if", conf_set.alpha, conf_set)
 
 
 def post_hoc_decisions(
@@ -196,7 +224,9 @@ def post_hoc_decisions(
     Levels must be sorted and lie in (0, 1]. Whichever rung is picked later,
     in however data-dependent a fashion, inherits the post-hoc guarantee.
     Empty rungs are marked unavailable rather than raising. Each rung is the
-    as-if decision over {z : evidence(z) < 1/alpha}, scanned on arrays.
+    as-if decision over {z : evidence(z) < 1/alpha}: its members are the
+    first ones in a stable ascending sort of the evidence, so its risks are
+    running maxima of the loss rows in that order, read at its member count.
     """
     lv = [float(a) for a in levels]
     if any(not 0.0 < a <= 1.0 for a in lv):
@@ -205,12 +235,25 @@ def post_hoc_decisions(
         raise ValueError("levels must be sorted ascending")
     _check_grid(problem, fuzzy.grid)
 
-    e = np.asarray(fuzzy.evidence, dtype=float)
+    e = fuzzy.evidence
+    order = sorted(range(len(e)), key=e.__getitem__)
+    ranked = [e[z] for z in order]
+    # each decision's worst loss over the first k outcomes in that order; a
+    # zero loss reads as +0.0, as the indicator rule's L/inf = 0 gives it
+    worst = [list(accumulate([row[z] or 0.0 for z in order], max)) for row in problem.loss]
+    provenance = _provenance(fuzzy)
     out = []
     for a in lv:
-        members = ~_excludes(e, a)
-        out.append(LevelDecision(a, _certify(problem, _indicator(members), "post-hoc", a, fuzzy)
-                                 if members.any() else None))
+        # the rung keeps what the exclusion rule does not exclude: a prefix
+        count = bisect_left(ranked, True, key=lambda x: _excludes(x, a))
+        if count == 0:
+            out.append(LevelDecision(a, None))
+            continue
+        # min keeps the first of equal risks: the lowest decision index
+        d, r = min(enumerate(w[count - 1] for w in worst), key=itemgetter(1))
+        out.append(LevelDecision(a, CertifiedDecision(
+            d, problem.decisions[d], float(r),
+            mode="post-hoc", alpha=a, set_provenance=provenance)))
     return out
 
 
@@ -225,7 +268,7 @@ def weighted_decision(problem: DecisionProblem, fuzzy: FuzzyConfidenceSet) -> Ce
     away from zero avoids this.
     """
     _check_grid(problem, fuzzy.grid)
-    return _certify(problem, np.asarray(fuzzy.evidence, dtype=float), "weighted", None, fuzzy)
+    return _certify(problem, fuzzy.evidence, "weighted", None, fuzzy)
 
 
 def gamma_mixture_fuzzy(

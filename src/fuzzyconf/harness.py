@@ -26,7 +26,8 @@ evaluate each block of trials in one call of their row form; custom kernels
 resolve, and evaluate their ratios, trial by trial. The suite checks both
 shapes against the per-orbit ``reference.evalue_at``. The decision-risk
 validator decides with ``decisions._minimax``, the rule behind every
-certified decision, so it checks the code that ``decide`` runs.
+certified decision, so it checks the code that ``decide`` runs; the rule
+runs on Python floats, so each block's evidence rows go to it as lists.
 """
 
 from __future__ import annotations
@@ -464,9 +465,10 @@ def mc_validate_decision_risk(
 
     ``_trial_statistics`` inverts each block of trials over the support with
     the core of ``grid_evidence``; each mode's statistic decides it row by
-    row with ``decisions._minimax``: the weighted mode over the evidence, the
-    other two over indicator evidence of the sublevel set, as
-    ``as_if_decision`` and each rung of ``post_hoc_decisions`` do. As-if is
+    row with ``decisions._minimax``, on the block's rows made Python floats
+    by ``tolist``: the weighted mode over the evidence, the other two over
+    indicator evidence of the sublevel set, as ``as_if_decision`` does and
+    each rung of ``post_hoc_decisions`` equals. As-if is
     post-hoc with every level fixed at alpha; post-hoc's level rule,
     elementwise as in ``mc_validate_posthoc``, reads each trial's evidence
     at its realized outcome within the block. Raises AllInfiniteRiskError in
@@ -492,16 +494,21 @@ def mc_validate_decision_risk(
     loss = problem.loss_matrix
     posthoc = mode == "post-hoc"
 
+    def decide(rows):
+        # the rule runs on the block's evidence rows as lists of Python floats
+        d, r = _minimax(problem.loss, rows)
+        return np.array(d, dtype=np.intp), np.array(r, dtype=float)
+
     def weighted(ev, last):
         # a trial with infinite risk under every decision reads NaN, raised below
-        d, r = _minimax(loss, ev)
+        d, r = decide(ev.tolist())
         return np.where(np.isinf(r), np.nan,
                         np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0))
 
     def exceedance(ev, last):
         level = _selected_levels(selection_rule, ev[np.arange(len(last)), last]) if posthoc else alpha
         members = ~_excludes(ev, np.reshape(level, (-1, 1)))
-        d, r = _minimax(loss, _indicator(members))
+        d, r = decide(_indicator(members.tolist()))
         exceeded = (loss[d, last] > r) | ~members.any(axis=1)
         return exceeded / level if posthoc else exceeded
 

@@ -10,9 +10,11 @@ sets {z : evidence(z) < 1/alpha}, or by randomizing the exclusion degree.
 Grids are explicit and fixed; membership between grid points is deliberately
 undefined rather than interpolated, so outputs are reproducible bit for bit.
 
-This module imports no numpy, so the closed-form Gaussian curves and the
-set documents load without it (the least-level walk imports it when called);
-the engine that computes conformal evidence is ``confidence``.
+This module imports no numpy, so the closed-form Gaussian curves, the set
+documents and ``decide`` load without it (the least-level walk imports it
+when called); the engine that computes conformal evidence is
+``confidence``. The document readers take JSON numbers, and of strings
+only the "inf" the writers emit.
 """
 
 from __future__ import annotations
@@ -175,8 +177,8 @@ class PlugInGrid(_Frozen):
 
 
 def _json_evidence(evidence) -> list:
-    # strict JSON has no infinity; "inf" matches the CSV and reads back
-    # through float()
+    # strict JSON has no infinity; "inf" matches the CSV and is the one
+    # string the readers below take for a number
     return ["inf" if e == math.inf else e for e in evidence]
 
 
@@ -207,24 +209,30 @@ def _json_list(value, name: str) -> list:
 
 
 def _json_number(value, name: str) -> float:
-    """A JSON number (or "inf") as a float; a boolean is not a number."""
-    if not isinstance(value, bool):
+    """A JSON number, or the string "inf" the writers emit, as a float; a
+    boolean is not a number, nor is any other string."""
+    if value == "inf":
+        return math.inf
+    if type(value) in (int, float):
         try:
             return float(value)
-        except (TypeError, ValueError):
-            pass
+        except OverflowError:  # a JSON integer has no size limit
+            raise ValueError(f"{name} is an integer beyond the float range") from None
     raise ValueError(f"{name} must be a number, got {_json_kind(value)}")
 
 
 def _json_floats(value, name: str) -> tuple[float, ...]:
     """A JSON list of numbers (or "inf") as floats."""
     values = _json_list(value, name)
-    if bool not in set(map(type, values)):
+    kinds = set(map(type, values))
+    if kinds <= {int, float} or (kinds <= {int, float, str}
+                                 and {x for x in values if type(x) is str} == {"inf"}):
         try:
             return tuple(map(float, values))
-        except (TypeError, ValueError):
+        except OverflowError:
             pass
-    # a boolean, or an entry float() rejects: name it by its index
+    # a boolean, another string, another value or an integer float() cannot
+    # take: name it by its index
     return tuple(_json_number(x, f"{name}[{i}]") for i, x in enumerate(values))
 
 

@@ -431,6 +431,50 @@ def test_decide_documents_reject_booleans_as_numbers_and_non_booleans_as_members
     assert not (tmp_path / "cert.json").exists()
 
 
+@pytest.mark.parametrize("problem, conf, message", [
+    ({**_PROBLEM, "decisions": ["hold", None]}, _BINARY_SET,
+     "decisions[1] must be a string, got null"),
+    ({**_PROBLEM, "decisions": [1, None]}, _BINARY_SET, "decisions[0] must be a string, got 1"),
+    (_PROBLEM, {**_BINARY_SET, "alpha": "0.25"}, "alpha must be a number, got '0.25'"),
+    ({**_PROBLEM, "loss": [[1, 1, 1], [2, "0.5", 2]]}, _BINARY_SET,
+     "loss[1][1] must be a number, got '0.5'"),
+    ({**_PROBLEM, "outcomes": ["-1", 0.0, 1.0]}, _BINARY_SET,
+     "outcomes[0] must be a number, got '-1'"),
+    (_PROBLEM, {**_BINARY_SET, "evidence": [5.0, "inf", "Infinity"]},
+     "evidence[2] must be a number, got 'Infinity'"),
+    ({**_PROBLEM, "loss": [[1, 1, 1], [2, 10**400, 2]]}, _BINARY_SET,
+     "loss[1][1] is an integer beyond the float range"),
+    (_PROBLEM, {**_BINARY_SET, "alpha": -10**400}, "alpha is an integer beyond the float range"),
+], ids=["decision-null", "decision-number", "alpha-string", "loss-string", "outcome-string",
+        "evidence-infinity", "loss-huge-integer", "alpha-huge-integer"])
+def test_decide_documents_take_string_decisions_and_numbers_or_inf(
+        tmp_path, capsys, problem, conf, message):
+    # each once decided, exit 0: str() named a decision "1" or "None", and
+    # float() read any numeric string; the writers emit only the string "inf".
+    # An integer beyond the float range once ended in an OverflowError traceback
+    (tmp_path / "prob.json").write_text(json.dumps(problem))
+    (tmp_path / "set.json").write_text(json.dumps(conf))
+    assert run(["decide", "--mode", "as-if", "--problem", tmp_path / "prob.json",
+                "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cert.json").exists()
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+def test_negative_zero_evidence_is_zero_evidence(tmp_path, capsys, zero):
+    # outcome 0.0 has zero evidence and a positive loss under both decisions,
+    # so every weighted risk is infinite; -0.0 evidence once certified "a"
+    # with risk bound 1.0, its ratio 5/-0.0 read as -inf
+    problem = {"decisions": ["a", "b"], "outcomes": [0.0, 1.0], "loss": [[5.0, 1.0], [1.0, 2.0]]}
+    conf = fc.FuzzyConfidenceSet(PlugInGrid((0.0, 1.0)), (zero, 1.0), ()).to_json_doc()
+    (tmp_path / "prob.json").write_text(json.dumps(problem))
+    (tmp_path / "set.json").write_text(json.dumps(conf))
+    assert run(["decide", "--mode", "weighted", "--problem", tmp_path / "prob.json",
+                "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 3
+    assert capsys.readouterr().err.startswith("error: every decision has infinite weighted risk")
+    assert not (tmp_path / "cert.json").exists()
+
+
 @pytest.mark.parametrize("family, flags, edge", [
     ("simple", ["--mu=-0.4", "--sigma", "0.5", "--alpha", "0.05"], "lo"),
     ("simple", ["--mu=-0.4", "--sigma", "0.5", "--alpha", "0.05"], "hi"),
@@ -771,8 +815,10 @@ _DECIDE = [
                                             ("numpy", _CLOSED_FORM),
                                             ("dataclasses", _CLOSED_FORM),
                                             ("dataclasses", _DECIDE),
+                                            ("numpy", _DECIDE),
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
-                         ids=["scipy", "numpy", "dataclasses", "dataclasses-decide", "reference"])
+                         ids=["scipy", "numpy", "dataclasses", "dataclasses-decide", "numpy-decide",
+                              "reference"])
 def test_cli_runs_without(tmp_path, blocked, calls):
     # with the module unimportable every call still succeeds, loads none of
     # it, and writes exactly what an unblocked run writes; without the

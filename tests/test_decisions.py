@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fuzzyconf.cli import main
-from fuzzyconf.sets import BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, sublevel_set
+from fuzzyconf.sets import (
+    BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, _excludes, sublevel_set,
+)
 from fuzzyconf.decisions import (
     CertifiedDecision,
     DecisionProblem,
@@ -66,11 +68,11 @@ def test_minimax_matches_the_per_row_scans():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         d, b, g = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(2, 7))
-        # small integers make ties and zero losses; the evidence takes 0 and inf
+        # small integers make ties and zero losses; the evidence takes 0, -0.0 and inf
         loss = rng.integers(0, 4, size=(d, g)).astype(float)
         if rng.random() < 0.5:
             loss = loss * rng.uniform(0.1, 3.0, size=(d, g))
-        evidence = rng.choice((0.0, 0.5, 1.0, 2.0, 3.0, math.inf), size=(b, g))
+        evidence = rng.choice((0.0, -0.0, 0.5, 1.0, 2.0, 3.0, math.inf), size=(b, g))
         members = rng.random((b, g)) < rng.uniform(0.1, 0.9)
         members[np.arange(b), rng.integers(0, g, size=b)] = True  # nonempty
         members[0] = False
@@ -233,6 +235,41 @@ def test_post_hoc_matches_as_if_on_each_sublevel_set():
             assert rung.decision == CertifiedDecision(
                 cert.decision_index, cert.decision, cert.risk_bound,
                 mode="post-hoc", alpha=a, set_provenance=cert.set_provenance)
+
+
+def test_post_hoc_ladder_is_the_minimax_rule_on_every_rung():
+    # the sorted-evidence ladder against _minimax over each rung's indicator
+    # evidence, its members those sets._excludes keeps; levels sit exactly on
+    # and one float beside 1/e for evidence values e on the grid, and go down
+    # to tiny alpha, where only infinite evidence is excluded
+    rng = np.random.default_rng(30)
+    choices = (0.0, -0.0, 0.5, 1.0, 1.0 / 3.0, 3.0, 7.0, 20.0, 1e300, math.inf)
+    for _ in range(400):
+        d, g = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        loss = rng.integers(0, 4, size=(d, g)).astype(float)  # ties and zero losses
+        if rng.random() < 0.5:
+            loss = loss * rng.uniform(0.1, 3.0, size=(d, g))
+        loss[rng.random((d, g)) < 0.2] = -0.0
+        evidence = rng.choice(choices, size=g) if rng.random() < 0.7 else rng.uniform(0, 30, g)
+        edges = {1.0 / e for e in evidence.tolist() if 1.0 <= e}
+        levels = sorted({1.0, 1e-300, 5e-324, *rng.uniform(0.01, 1.0, 3).tolist(), *edges,
+                         *(math.nextafter(a, 0.0) for a in edges),
+                         *(math.nextafter(a, 1.0) for a in edges if a < 1.0)} - {0.0})
+        names = tuple(f"d{i}" for i in range(d))
+        problem = DecisionProblem(names, tuple(float(i) for i in range(g)),
+                                  tuple(map(tuple, loss.tolist())))
+        fset = _fuzzy(evidence)
+        for rung, a in zip(post_hoc_decisions(problem, fset, levels), levels):
+            members = [not _excludes(e, a) for e in fset.evidence]
+            if not any(members):
+                assert rung == LevelDecision(a, None)
+                continue
+            (want_d,), (want_r,) = _minimax(problem.loss, _indicator([members]))
+            cert = rung.decision
+            assert (cert.decision_index, cert.decision, cert.alpha, cert.mode) == \
+                (want_d, names[want_d], a, "post-hoc")
+            # bit for bit: a -0.0 loss reads as +0.0 on both paths
+            assert math.copysign(1.0, cert.risk_bound) == 1.0 and cert.risk_bound == want_r
 
 
 def test_post_hoc_level_validation():
