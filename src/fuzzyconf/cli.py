@@ -56,6 +56,11 @@ _FUZZY_FAMILIES = {
 }
 _GAUSSIAN_FAMILIES = tuple(_FUZZY_FAMILIES)
 
+# the deepest dampened:B:INNER nesting a utility spec may hold; every walk
+# over a utility (its e-value, its id, record equality) recurses once per
+# level, so this keeps them far below the interpreter's recursion limit
+MAX_UTILITY_DEPTH = 100
+
 # interval family -> (its ``gaussian`` function, the flags it takes in order)
 _INTERVAL_FAMILIES = {
     "simple": ("simple_interval", ("mu", "sigma", "alpha")),
@@ -76,6 +81,10 @@ def parse_utility(spec: str) -> evalues.UtilitySpec:
     clipped-log:B | dampened:B:INNER."""
     from . import evalues
 
+    depth = spec.split(":").count("dampened")
+    if depth > MAX_UTILITY_DEPTH:
+        raise ValueError(f"--utility nests dampened {depth} deep, "
+                         f"more than the {MAX_UTILITY_DEPTH} allowed")
     head, _, rest = spec.partition(":")
     if head == "log":
         if rest:

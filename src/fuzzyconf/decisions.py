@@ -20,20 +20,19 @@ loss is a running maximum read at the rung's member count. One stable sort
 of the evidence serves every rung, in O(G log G + D*G + L*(D + log G)) for
 G outcomes, D decisions and L levels.
 
-The rule runs on Python floats, so this module loads no numpy; only
-``DecisionProblem.loss_matrix``, which the validator reads, imports it.
-Decision and outcome spaces are finite and the minimax scan exhaustive, so
-every certificate is exactly reproducible.
+The rule runs on Python floats, and ``DecisionProblem`` holds its loss in
+one form, rows of Python floats, so this module loads no numpy. Decision
+and outcome spaces are finite and the minimax scan exhaustive, so every
+certificate is exactly reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import AllInfiniteRiskError, EmptyConfidenceSetError
 from .sets import (
@@ -47,9 +46,6 @@ from .sets import (
     _json_list,
     _json_object,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class DecisionProblem(_Frozen):
@@ -76,17 +72,6 @@ class DecisionProblem(_Frozen):
             for x in row:
                 if not (math.isfinite(x) and x >= 0.0):
                     raise ValueError(f"losses must be finite and >= 0, got {x!r}")
-
-    @cached_property
-    def loss_matrix(self) -> np.ndarray:
-        """``loss`` as a read-only (D, G) float array, built on first access."""
-        import numpy as np  # only here: the decisions themselves run on floats
-
-        # cached_property writes the instance __dict__, not __setattr__, which
-        # _Frozen forbids; read-only, so no caller can change the cached copy
-        loss = np.array(self.loss, dtype=float)
-        loss.flags.writeable = False
-        return loss
 
     def to_json_doc(self) -> dict:
         return {

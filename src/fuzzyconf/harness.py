@@ -27,7 +27,8 @@ resolve, and evaluate their ratios, trial by trial. The suite checks both
 shapes against the per-orbit ``reference.evalue_at``. The decision-risk
 validator decides with ``decisions._minimax``, the rule behind every
 certified decision, so it checks the code that ``decide`` runs; the rule
-runs on Python floats, so each block's evidence rows go to it as lists.
+runs on Python floats, so each block's evidence rows go to it as lists,
+and each trial's loss is read from the problem's rows, as ``decide`` does.
 """
 
 from __future__ import annotations
@@ -466,10 +467,11 @@ def mc_validate_decision_risk(
     ``_trial_statistics`` inverts each block of trials over the support with
     the core of ``grid_evidence``; each mode's statistic decides it row by
     row with ``decisions._minimax``, on the block's rows made Python floats
-    by ``tolist``: the weighted mode over the evidence, the other two over
-    indicator evidence of the sublevel set, as ``as_if_decision`` does and
-    each rung of ``post_hoc_decisions`` equals. As-if is
-    post-hoc with every level fixed at alpha; post-hoc's level rule,
+    by ``tolist``, and reads each trial's loss ``problem.loss[d][z]`` at its
+    decision and realized outcome: the weighted mode over the evidence, the
+    other two over indicator evidence of the sublevel set, as
+    ``as_if_decision`` does and each rung of ``post_hoc_decisions`` equals.
+    As-if is post-hoc with every level fixed at alpha; post-hoc's level rule,
     elementwise as in ``mc_validate_posthoc``, reads each trial's evidence
     at its realized outcome within the block. Raises AllInfiniteRiskError in
     weighted mode when some trial has infinite weighted risk under every
@@ -491,31 +493,32 @@ def mc_validate_decision_risk(
     if mode == "as-if" and not (alpha is not None and alpha > 0.0):
         raise ValueError("as-if mode needs a positive alpha")
 
-    loss = problem.loss_matrix
     posthoc = mode == "post-hoc"
 
-    def decide(rows):
-        # the rule runs on the block's evidence rows as lists of Python floats
+    def decide(rows, last):
+        # the rule runs on the block's evidence rows as lists of Python floats;
+        # returns each trial's loss at its decision and realized outcome, and its risk
         d, r = _minimax(problem.loss, rows)
-        return np.array(d, dtype=np.intp), np.array(r, dtype=float)
+        lost = [problem.loss[i][z] for i, z in zip(d, last.tolist())]
+        return np.array(lost, dtype=float), np.array(r, dtype=float)
 
     def weighted(ev, last):
         # a trial with infinite risk under every decision reads NaN, raised below
-        d, r = decide(ev.tolist())
-        return np.where(np.isinf(r), np.nan,
-                        np.where(r > 0, loss[d, last] / np.where(r > 0, r, 1.0), 0.0))
+        lost, r = decide(ev.tolist(), last)
+        return np.where(np.isinf(r), np.nan, np.where(r > 0, lost / np.where(r > 0, r, 1.0), 0.0))
 
     def exceedance(ev, last):
         level = _selected_levels(selection_rule, ev[np.arange(len(last)), last]) if posthoc else alpha
         members = ~_excludes(ev, np.reshape(level, (-1, 1)))
-        d, r = decide(_indicator(members.tolist()))
-        exceeded = (loss[d, last] > r) | ~members.any(axis=1)
+        lost, r = decide(_indicator(members.tolist()), last)
+        exceeded = (lost > r) | ~members.any(axis=1)
         return exceeded / level if posthoc else exceeded
 
     # a block's (rows, D, G) loss ratios count against its budget
     stats = _trial_statistics(config, n, lambda v: _ratio_matrix(v[:, :-1], alt.ratio),
                               lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility),
-                              weighted if mode == "weighted" else exceedance, width=loss.size)
+                              weighted if mode == "weighted" else exceedance,
+                              width=len(problem.decisions) * len(problem.outcomes))
     if mode == "weighted":
         if np.isnan(stats).any():
             raise AllInfiniteRiskError("some trials have infinite weighted risk for every "

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import fuzzyconf as fc
 from fuzzyconf.alternatives import IidRatio
@@ -119,6 +120,7 @@ _PROFILES = _random_profiles(200)
 
 def test_criterion_02_utility_oracle_equivalence():
     t0 = time.perf_counter()
+    pytest.importorskip("scipy.optimize")  # the oracle's maximizer, a test extra
     worst_eu = 0.0
     worst_power = 0.0
     for prof in _PROFILES:
@@ -267,7 +269,7 @@ def test_criterion_08_gaussian_closed_forms():
     ok &= cov_ok
     notes.append(f"simple/composite/ar1 MC coverage within 3SE of 0.95: {cov_ok}")
 
-    from scipy.integrate import quad
+    quad = pytest.importorskip("scipy.integrate").quad
 
     def Phi(x):
         return 0.5 * math.erfc(-x / math.sqrt(2))

@@ -40,6 +40,23 @@ def test_parse_utility_forms():
             parse_utility(bad)
 
 
+@pytest.mark.parametrize("depth", [cli.MAX_UTILITY_DEPTH, cli.MAX_UTILITY_DEPTH + 1, 1200])
+def test_utility_nesting_is_bounded(tmp_path, capsys, depth):
+    # 1200 levels once raised RecursionError in parse_utility: a traceback, exit 1
+    (tmp_path / "c.csv").write_text("0.12\n-0.4\n0.9\n")
+    spec = "dampened:0.5:" * depth + "log"
+    code = run(["fuzzy", "--family", "conformal", "--calib", tmp_path / "c.csv", "--utility", spec,
+                "--ratio", "gaussian-scale:0:1:3.5", "--grid=-1:1:1", "--out", tmp_path / "x.csv",
+                "--json", tmp_path / "x.json"])
+    if depth <= cli.MAX_UTILITY_DEPTH:
+        assert code == 0 and capsys.readouterr().err == ""
+        assert parse_utility(spec) == parse_utility(spec)
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: --utility nests dampened {depth} deep, more than the 100 allowed\n"
+
+
 def test_parse_ratio_forms():
     assert parse_ratio("gaussian-mean-shift:0:1").name.startswith("gaussian-mean-shift")
     assert parse_ratio("gaussian-scale:0:1:3.5").name.startswith("gaussian-scale")
@@ -742,28 +759,33 @@ _CLI_SCRIPT = textwrap.dedent("""
 
     os.chdir(workdir)
     codes = [main(argv) for argv in calls]
-    loaded = sorted(m for m, mod in sys.modules.items() if mod is not None
-                    and m.split(".")[0] in ("fuzzyconf", "numpy", "scipy", blocked))
+    loaded = sorted(m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0]
+                    in ("fuzzyconf", "numpy", "scipy", "pytest", "_pytest", "hypothesis", blocked))
     print(json.dumps({"codes": codes, "modules": loaded}))
 """)
 
 
-def _run_cli_script(work, calls, blocked=""):
+def _run_cli_script(work, calls, blocked="", codes=None):
     """Run ``calls`` through ``cli.main`` in a fresh interpreter in ``work``,
-    with ``blocked`` made unimportable; return its stdout and the exit codes
-    and the fuzzyconf, numpy, scipy and ``blocked`` modules it loaded."""
+    with ``blocked`` made unimportable, and check that they exit with
+    ``codes`` (all 0 by default) and load no test tool; return the finished
+    process and the fuzzyconf, numpy, scipy and ``blocked`` modules it loaded."""
     work.mkdir()
     (work / "calib.csv").write_text("1.2\n0.7\n2.1\n")
-    (work / "prob.json").write_text(json.dumps(
-        {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
-         "loss": [[1, 1, 1], [2, 0.5, 2]]}))
+    problem = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
+               "loss": [[1, 1, 1], [2, 0.5, 2]]}
+    (work / "prob.json").write_text(json.dumps(problem))
+    (work / "bad.json").write_text(json.dumps({**problem, "loss": 5}))
     src = str(Path(fc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", _CLI_SCRIPT, blocked, str(work), json.dumps(calls)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    return done.stdout, json.loads(done.stdout.splitlines()[-1])
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == (codes or [0] * len(calls)), done.stderr
+    assert not [m for m in result["modules"] if m.split(".")[0] in ("pytest", "_pytest", "hypothesis")]
+    return done, result
 
 
 _EVERY_SUBCOMMAND = [
@@ -784,7 +806,17 @@ _EVERY_SUBCOMMAND = [
      "--trials", "1000", "--seed", "7", "--ratio", "ar1:0:0.5:3.5", "--out", "kernel.json"],
 ]
 
-# interval and the six closed-form fuzzy families compute with math alone
+# validation errors (exit 2): a scale pair whose 2 sigma^2 tau^2 overflows,
+# an ar1 interval without --rho, and a decision problem whose loss is a number
+_ERRORS = [
+    ["fuzzy", "--family", "gaussian-log", "--sigma", "1e77", "--tau", "1.1e77",
+     "--grid=-1e200:1e200:1e199", "--out", "wide.csv"],
+    ["interval", "--family", "ar1", "--z-last", "1.5", "--alpha", "0.05"],
+    ["decide", "--problem", "bad.json", "--set", "g.json", "--out", "bad-cert.json"],
+]
+
+# interval and the six closed-form fuzzy families compute with math alone,
+# also on the way to their errors
 _CLOSED_FORM = [
     ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05",
      "--out", "simple.json"],
@@ -796,10 +828,11 @@ _CLOSED_FORM = [
     ["fuzzy", "--family", family, "--tau", "3.5", "--alpha", "0.05", "--n", "7", "--zbar", "0.4",
      "--mu", "-0.2", "--grid=-8:8:0.25", "--out", f"{family}.csv", "--json", f"{family}.json"]
     for family in cli._GAUSSIAN_FAMILIES
-]
+] + _ERRORS[:2]
 
 
 # a closed-form set on prob.json's outcomes, then every decide mode on it
+# and the malformed problem
 _DECIDE = [
     ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
      "--grid=-1:1:1", "--out", "g.csv", "--json", "g.json"],
@@ -808,26 +841,31 @@ _DECIDE = [
     for name, flags in (("weighted", ["--mode", "weighted"]),
                         ("as-if", ["--mode", "as-if", "--alpha", "0.5"]),
                         ("post-hoc", ["--mode", "post-hoc", "--levels", "0.1,0.5"]))
-]
+] + _ERRORS[2:]
 
 
 @pytest.mark.parametrize("blocked, calls", [("scipy", _EVERY_SUBCOMMAND),
                                             ("numpy", _CLOSED_FORM),
                                             ("dataclasses", _CLOSED_FORM),
+                                            ("inspect", _CLOSED_FORM),
                                             ("dataclasses", _DECIDE),
                                             ("numpy", _DECIDE),
+                                            ("inspect", _DECIDE),
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
-                         ids=["scipy", "numpy", "dataclasses", "dataclasses-decide", "numpy-decide",
-                              "reference"])
+                         ids=["scipy", "numpy", "dataclasses", "inspect", "dataclasses-decide",
+                              "numpy-decide", "inspect-decide", "reference"])
 def test_cli_runs_without(tmp_path, blocked, calls):
-    # with the module unimportable every call still succeeds, loads none of
-    # it, and writes exactly what an unblocked run writes; without the
-    # reference, every subcommand's evidence comes from the production core
-    stdout, result = _run_cli_script(tmp_path / "blocked", calls, blocked)
-    assert result["codes"] == [0] * len(calls)
+    # with the module unimportable every call still exits as it does
+    # unblocked, loads none of it, and writes exactly what an unblocked run
+    # writes, errors included; without the reference, every subcommand's
+    # evidence comes from the production core
+    codes = [2 if argv in _ERRORS else 0 for argv in calls]
+    done, result = _run_cli_script(tmp_path / "blocked", calls, blocked, codes)
     assert [m for m in result["modules"] if m == blocked or m.startswith(blocked + ".")] == []
-    reference, _ = _run_cli_script(tmp_path / "reference", calls)
-    assert stdout.splitlines()[:-1] == reference.splitlines()[:-1]
+    reference, _ = _run_cli_script(tmp_path / "reference", calls, codes=codes)
+    assert done.stdout.splitlines()[:-1] == reference.stdout.splitlines()[:-1]
+    assert done.stderr == reference.stderr
+    assert [line.startswith("error: ") for line in done.stderr.splitlines()] == [True] * codes.count(2)
     names = sorted(p.name for p in (tmp_path / "blocked").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
     for name in names:
@@ -904,9 +942,10 @@ def _import_every_module():
             importlib.import_module(f"fuzzyconf.{info.name}")
 
 
-def test_cli_kernel_validators_evaluate_blocks(monkeypatch):
+def test_cli_kernel_validators_evaluate_blocks(monkeypatch, capsys):
     # the built-in kernels' row form serves every trial: neither a builder
-    # nor resolve_alternative may run under the validators
+    # nor resolve_alternative may run under the validators, and each check
+    # passes with no warning and nothing on stderr
     def per_trial(*args, **kwargs):
         raise AssertionError("a kernel was resolved trial by trial")
 
@@ -917,10 +956,15 @@ def test_cli_kernel_validators_evaluate_blocks(monkeypatch):
     monkeypatch.setattr(cli, "parse_ratio", lambda spec, parse=parse_ratio:
                         dataclasses.replace(parse(spec), builder=per_trial))
     kernel = ["validate", "--check", "coverage", "--alpha", 0.1, "--model", "iid-gaussian",
-              "--n", 5, "--trials", 1000, "--seed", 7]
-    calls = [kernel + ["--ratio", "ar1:0:0.5:3.5", "--utility", "log"],
-             kernel + ["--ratio", "gaussian-composite:1:3.5", "--utility", "bounded-log:0.05"]]
-    assert [run(args) for args in calls] == [0, 0]
+              "--seed", 7]
+    calls = [kernel + ["--n", n, "--trials", trials, "--ratio", ratio, "--utility", utility]
+             for n, trials in ((5, 1000), (20, 100_000))
+             for ratio, utility in (("ar1:0:0.5:3.5", "log"),
+                                    ("gaussian-composite:1:3.5", "bounded-log:0.05"))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert [run(args) for args in calls] == [0] * len(calls)
+    assert caught == [] and capsys.readouterr().err == ""
 
 
 def _numpy_blas_is_openblas():
@@ -1009,8 +1053,19 @@ def test_blas_thread_count_leaves_outputs_unchanged(tmp_path):
 # exit; `cli.main` in process leaves the collector as it found it.
 
 _ENTRY_PROBE = textwrap.dedent("""
-    import atexit, gc, runpy, sys
-    atexit.register(lambda: print(f"gc enabled={gc.isenabled()} frozen={gc.get_freeze_count()}"))
+    import atexit, gc, re, runpy, sys
+
+    def probe():
+        # VmHWM is this process's own peak RSS in KiB, 0 where there is no
+        # /proc; ru_maxrss would count the memory of the parent it forked from
+        try:
+            with open("/proc/self/status") as fh:
+                peak = re.search(r"^VmHWM:\\s+(\\d+) kB$", fh.read(), re.M)[1]
+        except OSError:
+            peak = 0
+        print(f"gc enabled={gc.isenabled()} frozen={gc.get_freeze_count()} peak={peak}")
+
+    atexit.register(probe)
     sys.argv = ["fuzzyconf", *sys.argv[1:]]
     runpy.run_module("fuzzyconf", run_name="__main__")
 """)
@@ -1020,9 +1075,15 @@ _CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utili
               "--out", "c.csv", "--json", "c.json"]
 _VALIDATE = ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian",
              "--n", "5", "--trials", "2000", "--seed", "3", "--out", "report.json"]
+# the validators stream their trials in fixed blocks: this run once peaked
+# near 190 MiB, holding all 200k trials of 21 slots
+_POSTHOC_200K = ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", "--model",
+                 "exchangeable-mixture", "--ratio", "gaussian-scale:0:1:3.5", "--n", "20",
+                 "--trials", "200000", "--seed", "7"]
 
 
-@pytest.mark.parametrize("args", [_CONFORMAL, _VALIDATE], ids=["fuzzy", "validate"])
+@pytest.mark.parametrize("args", [_CONFORMAL, _VALIDATE, _POSTHOC_200K],
+                         ids=["fuzzy", "validate", "validate-posthoc-200k"])
 def test_module_entry_runs_without_the_collector(tmp_path, args):
     (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
     src = str(Path(fc.__file__).resolve().parents[1])
@@ -1031,8 +1092,9 @@ def test_module_entry_runs_without_the_collector(tmp_path, args):
     done = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *args], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    probe = re.fullmatch(r"gc enabled=(\w+) frozen=(\d+)", done.stdout.splitlines()[-1])
+    probe = re.fullmatch(r"gc enabled=(\w+) frozen=(\d+) peak=(\d+)", done.stdout.splitlines()[-1])
     assert probe and probe[1] == "False" and int(probe[2]) > 0, done.stdout
+    assert int(probe[3]) < 96 * 1024, f"peak RSS {probe[3]} KiB"
 
 
 def test_in_process_main_keeps_the_gc_state(tmp_path, monkeypatch):

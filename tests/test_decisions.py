@@ -1,10 +1,8 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from fuzzyconf.cli import main
 from fuzzyconf.sets import (
     BinaryConfidenceSet, FuzzyConfidenceSet, PlugInGrid, _excludes, sublevel_set,
 )
@@ -133,46 +131,6 @@ def test_problem_validation():
 def test_problem_json_round_trip():
     problem = DecisionProblem(("a", "b"), (0.0, 1.0), ((1.0, 2.0), (3.0, 0.5)))
     assert DecisionProblem.from_json_doc(problem.to_json_doc()) == problem
-
-
-def test_loss_matrix_is_built_once_and_read_only():
-    problem = DecisionProblem(("a", "b"), (0.0, 1.0), ((1.0, 2.0), (3.0, 0.5)))
-    loss = problem.loss_matrix
-    assert problem.loss_matrix is loss
-    assert loss.dtype == np.float64 and loss.tolist() == [[1.0, 2.0], [3.0, 0.5]]
-    assert not loss.flags.writeable
-    with pytest.raises(ValueError):
-        loss[0, 0] = 9.0
-    twin = DecisionProblem(("a", "b"), (0.0, 1.0), ((1.0, 2.0), (3.0, 0.5)))
-    assert twin == problem and hash(twin) == hash(problem)
-
-
-def test_decide_documents_equal_a_rebuilt_loss_matrix(tmp_path, monkeypatch):
-    # the cached matrix certifies what a matrix rebuilt on every access did
-    grid = _grid(7)
-    fset = FuzzyConfidenceSet(grid, (0.0, 0.5, 1.0, 2.5, 4.0, 12.0, math.inf), ())
-    (tmp_path / "set.json").write_text(json.dumps(fset.to_json_doc()))
-    problem = DecisionProblem(("hold", "act", "wait"), grid.points,
-                              ((1.0,) * 7, (3.0, 2.0, 1.0, 0.5, 1.0, 2.0, 3.0),
-                               (-0.0, 0.0, 4.0, 4.0, 0.25, 0.0, 9.0)))
-    (tmp_path / "prob.json").write_text(json.dumps(problem.to_json_doc()))
-    modes = {"as-if": ["--alpha", "0.3"], "weighted": [],
-             "post-hoc": ["--levels", "0.05,0.1,0.2,0.3,0.5,1"]}
-
-    def documents():
-        docs = {}
-        for mode, flags in modes.items():
-            out = tmp_path / f"{mode}.json"
-            assert main(["decide", "--problem", str(tmp_path / "prob.json"), "--set",
-                         str(tmp_path / "set.json"), "--mode", mode, *flags,
-                         "--out", str(out)]) == 0
-            docs[mode] = out.read_bytes()
-        return docs
-
-    cached = documents()
-    monkeypatch.setattr(DecisionProblem, "loss_matrix",
-                        property(lambda self: np.asarray(self.loss, dtype=float)))
-    assert documents() == cached
 
 
 def test_post_hoc_full_grid_level():

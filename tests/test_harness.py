@@ -97,22 +97,26 @@ THIRDS = LRP((1.0, 2.0, 3.0), (1, 1, 1), (0.5, 1.0, 1.5))
 
 
 def test_oracle_log_identity():
+    pytest.importorskip("scipy.optimize")  # the oracle's maximizer, a test extra
     prof = numerical_utility_oracle(THIRDS, Log())
     assert np.allclose(prof.evidence, (0.5, 1.0, 1.5), atol=1e-5)
 
 
 def test_oracle_np_worked_example():
+    pytest.importorskip("scipy.optimize")
     prof = numerical_utility_oracle(THIRDS, NeymanPearson(alpha=1 / 3))
     assert np.allclose(prof.evidence, (0.0, 0.0, 3.0), atol=1e-9)
 
 
 def test_oracle_power_half():
+    pytest.importorskip("scipy.optimize")
     lrp = LRP((1.0, 2.0), (1, 1), (0.5, 1.5))
     prof = numerical_utility_oracle(lrp, Power(h=0.5))
     assert np.allclose(prof.evidence, (0.2, 1.8), atol=1e-5)
 
 
 def test_oracle_matches_closed_forms_random():
+    pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(77)
     utilities = [
         Log(), Power(-2.0), Power(0.5), NeymanPearson(0.2), NeymanPearson(0.05),
@@ -912,7 +916,7 @@ def test_decision_risk_decides_as_the_public_rules(monkeypatch):
     grid = PlugInGrid.from_points(PROBLEM.outcomes)
     sets = [FuzzyConfidenceSet(grid, tuple(row), ())
             for row in grid_evidence(values[:, :-1], PROBLEM.outcomes, alt.ratio, utility)]
-    truth, loss = idx[:, -1], PROBLEM.loss_matrix
+    truth, loss = idx[:, -1], np.asarray(PROBLEM.loss)
 
     def exceeds(cert, z):
         return 1.0 if cert is None else float(loss[cert.decision_index, z] > cert.risk_bound)

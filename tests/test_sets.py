@@ -29,10 +29,10 @@ def _binary(**changes):
     return BinaryConfidenceSet(**{**fields, **changes})
 
 
-def _problem():
-    problem = DecisionProblem(("hold", "act"), (0.0, 1.0), ((1.0, 1.0), (0.0, 2.0)))
-    problem.loss_matrix  # cached in the instance __dict__, beside the fields
-    return problem
+def _orbit():
+    orbit = orbit_of((2.0, 1.0, 2.0))
+    orbit.values  # cached in the instance __dict__, beside the fields
+    return orbit
 
 
 # records of the other modules, each built anew by its factory
@@ -43,8 +43,8 @@ RECORDS = [
     lambda: McReport("evalue", 1.0, 0.01, 1.0, True, 1000, 0, "iid-gaussian"),
     lambda: CertifiedDecision(1, "act", 0.5, "as-if", alpha=0.1, set_provenance="p"),
     lambda: LevelDecision(0.1, None),
-    _problem,
-    lambda: orbit_of((2.0, 1.0, 2.0)),
+    lambda: DecisionProblem(("hold", "act"), (0.0, 1.0), ((1.0, 1.0), (0.0, 2.0))),
+    _orbit,
 ]
 
 
