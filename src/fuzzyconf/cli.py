@@ -68,6 +68,24 @@ _INTERVAL_FAMILIES = {
     "ar1": ("ar1_interval", ("mu", "rho", "z_last", "alpha")),
 }
 
+# built-in ratio -> (its ``alternatives`` builder, its parameter counts, its usage spec)
+_RATIOS = {
+    "gaussian-mean-shift": (
+        "gaussian_mean_shift_ratio", (2, 3), "gaussian-mean-shift:MU:DELTA[:SIGMA]"),
+    "gaussian-scale": ("gaussian_scale_ratio", (3,), "gaussian-scale:MU:SIGMA:TAU"),
+    "ar1": ("ar1_kernel", (3,), "ar1:MU:RHO:TAU"),
+    "gaussian-composite": ("gaussian_composite_kernel", (2,), "gaussian-composite:SIGMA:TAU"),
+}
+_RATIO_SPECS = " | ".join(usage for _, _, usage in _RATIOS.values())
+_UTILITY_SPECS = "log | power:H | np:A | bounded-log:A | clipped-log:B | dampened:B:INNER"
+
+# validate check -> (its ``harness`` validator, the flags it takes after n)
+_CHECKS = {
+    "evalue": ("mc_validate_evalue", ()),
+    "coverage": ("mc_validate_coverage", ("alpha",)),
+    "posthoc": ("mc_validate_posthoc", ()),
+}
+
 
 def _spec_number(flag: str, spec: str, part: str) -> float:
     try:
@@ -106,25 +124,14 @@ def parse_ratio(spec: str) -> alternatives.AlternativeSpec:
     """Parse a named built-in alternative with numeric parameters."""
     from . import alternatives
 
-    parts = spec.split(":")
-    name, args = parts[0], [_spec_number("--ratio", spec, x) for x in parts[1:]]
-    if name == "gaussian-mean-shift":
-        if len(args) not in (2, 3):
-            raise ValueError("gaussian-mean-shift:MU:DELTA[:SIGMA]")
-        return alternatives.gaussian_mean_shift_ratio(*args)
-    if name == "gaussian-scale":
-        if len(args) != 3:
-            raise ValueError("gaussian-scale:MU:SIGMA:TAU")
-        return alternatives.gaussian_scale_ratio(*args)
-    if name == "ar1":
-        if len(args) != 3:
-            raise ValueError("ar1:MU:RHO:TAU")
-        return alternatives.ar1_kernel(*args)
-    if name == "gaussian-composite":
-        if len(args) != 2:
-            raise ValueError("gaussian-composite:SIGMA:TAU")
-        return alternatives.gaussian_composite_kernel(*args)
-    raise ValueError(f"unknown ratio {spec!r}")
+    name, *parts = spec.split(":")
+    args = [_spec_number("--ratio", spec, x) for x in parts]
+    if name not in _RATIOS:
+        raise ValueError(f"unknown ratio {spec!r}")
+    builder, counts, usage = _RATIOS[name]
+    if len(args) not in counts:
+        raise ValueError(usage)
+    return getattr(alternatives, builder)(*args)
 
 
 def _read_calibration(path: str) -> tuple[float, ...]:
@@ -194,13 +201,13 @@ def _read_json(path: str, flag: str):
             raise ValueError(f"{flag} {path} is not JSON: {exc}") from None
 
 
-def _family_args(args, flags: tuple[str, ...]) -> list:
+def _family_args(args, flags: tuple[str, ...], owner: Optional[str] = None) -> list:
     """The values of ``flags`` in order; raises naming every flag not given."""
     values = [getattr(args, flag) for flag in flags]
     missing = [f"--{flag.replace('_', '-')}" for flag, v in zip(flags, values) if v is None]
     if missing:
         listed = missing[0] if len(missing) == 1 else f"{', '.join(missing[:-1])} and {missing[-1]}"
-        raise ValueError(f"{args.family} needs {listed}")
+        raise ValueError(f"{owner or args.family} needs {listed}")
     return values
 
 
@@ -261,7 +268,7 @@ def cmd_decide(args) -> int:
             raise ValueError("weighted mode needs a fuzzy confidence set")
         cert = decisions.weighted_decision(problem, conf)
         doc = cert.to_json_doc()
-    elif args.mode == "post-hoc":
+    else:  # post-hoc
         if not isinstance(conf, sets.FuzzyConfidenceSet):
             raise ValueError("post-hoc mode needs a fuzzy confidence set")
         if not args.levels:
@@ -280,8 +287,6 @@ def cmd_decide(args) -> int:
                 for ld in ladder
             ],
         }
-    else:
-        raise ValueError(f"unknown mode {args.mode!r}")
     _write_json(args.out, doc)
     return EXIT_OK
 
@@ -303,16 +308,9 @@ def cmd_validate(args) -> int:
     config = harness.McConfig(trials=args.trials, seed=args.seed, model=args.model, params=params)
     alt = parse_ratio(args.ratio)
     utility = parse_utility(args.utility)
-    if args.check == "evalue":
-        report = harness.mc_validate_evalue(config, alt, utility, args.n)
-    elif args.check == "coverage":
-        if args.alpha is None:
-            raise ValueError("coverage check needs --alpha")
-        report = harness.mc_validate_coverage(config, alt, utility, args.n, args.alpha)
-    elif args.check == "posthoc":
-        report = harness.mc_validate_posthoc(config, alt, utility, args.n)
-    else:
-        raise ValueError(f"unknown check {args.check!r}")
+    validator, flags = _CHECKS[args.check]
+    values = _family_args(args, flags, f"{args.check} check")
+    report = getattr(harness, validator)(config, alt, utility, args.n, *values)
     print(report.summary_line())
     if args.out:
         _write_json(args.out, report.to_json_doc())
@@ -330,11 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzzy.add_argument("--family", required=True, choices=("conformal",) + _GAUSSIAN_FAMILIES)
     p_fuzzy.add_argument("--grid", required=True, help="min:max:step (inclusive endpoints)")
     p_fuzzy.add_argument("--calib", help="single-column CSV of calibration values")
-    p_fuzzy.add_argument("--utility", help="log | power:H | np:A | bounded-log:A | "
-                                           "clipped-log:B | dampened:B:INNER")
-    p_fuzzy.add_argument("--ratio", help="gaussian-mean-shift:MU:DELTA[:SIGMA] | "
-                                         "gaussian-scale:MU:SIGMA:TAU | ar1:MU:RHO:TAU | "
-                                         "gaussian-composite:SIGMA:TAU")
+    p_fuzzy.add_argument("--utility", help=_UTILITY_SPECS)
+    p_fuzzy.add_argument("--ratio", help=_RATIO_SPECS)
     p_fuzzy.add_argument("--mu", type=float, default=0.0)
     p_fuzzy.add_argument("--sigma", type=float, default=1.0)
     p_fuzzy.add_argument("--tau", type=float)
@@ -367,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decide)
 
     p_val = sub.add_parser("validate", help="seeded Monte-Carlo guarantee check")
-    p_val.add_argument("--check", default="evalue", choices=("evalue", "coverage", "posthoc"))
+    p_val.add_argument("--check", default="evalue", choices=tuple(_CHECKS))
     p_val.add_argument("--model", required=True)
     p_val.add_argument("--model-args", help="comma-separated key=value model parameters")
-    p_val.add_argument("--ratio", default="gaussian-scale:0:1:3.5")
-    p_val.add_argument("--utility", default="log")
+    p_val.add_argument("--ratio", default="gaussian-scale:0:1:3.5", help=_RATIO_SPECS)
+    p_val.add_argument("--utility", default="log", help=_UTILITY_SPECS)
     p_val.add_argument("--alpha", type=float)
     p_val.add_argument("--n", type=int, default=10)
     p_val.add_argument("--trials", type=int, default=100_000)

@@ -157,6 +157,24 @@ def _log_grid(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return ev
 
 
+def _deficit(m: int, t: np.ndarray, level: float) -> np.ndarray:
+    """m - t * level with t * level's rounding error added back.
+
+    Where the t slots at the level hold nearly all of m, m - fl(t * level)
+    is exact and that error is all that is left: five slots at the float
+    1.2 with m = 6 leave 2**-52, which the rounded product makes 0. The
+    level splits into two halves of 26 bits (Veltkamp), whose products with
+    an integer t < 2**26 are exact; a level of 26 bits or fewer needs none.
+    """
+    p = t * level
+    c = 134217729.0 * level  # 2**27 + 1
+    hi = c - (c - level)
+    lo = level - hi
+    if not (math.isfinite(c) and lo):
+        return m - p
+    return (m - p) - ((t * hi - p) + t * lo)
+
+
 def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     """min(kappa * r_z, cap) or max(kappa * r_z, floor), and the exactness
     residual, per (row, grid point).
@@ -190,6 +208,14 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     # tied zeros leaves no trace (ratios are never NaN, see _ratio_ok)
     lead += 0.0
     rz = rz + 0.0
+    # a row whose n + 1 slots could sum past the float range (its largest
+    # ratio at 2**(1023 - n.bit_length()) or above) is scaled by 2**-k to
+    # sum below 2**1023; a power of two leaves kappa * r_z exact
+    largest = lead[:, :1] if cap is not None else lead[:, -1:]
+    if max(largest.max(initial=0.0), rz.max(initial=0.0)) >= 2.0 ** (1023 - n.bit_length()):
+        top = np.maximum(largest, rz.max(axis=1, keepdims=True, initial=0.0))
+        k = np.maximum(np.frexp(top)[1] + n.bit_length() - 1023, 0)
+        lead, rz = np.ldexp(lead, -k), np.ldexp(rz, -k)
     # tails[:, j] = sum of lead[:, j:], summed directly: total - prefix
     # cancels when one slot dominates
     tails = np.empty((T, m))
@@ -218,7 +244,7 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
     # the segment's line holds t slots at the level and lets the rest pass
     # it, so it bounds m * mean from above (cap) or below (floor): its root
     # errs toward breakpoint t - 1, and bounding by it undoes a miscount
-    kappa = np.where(tail > 0.0, bound((m - t * level) / tail, near), near)
+    kappa = np.where(tail > 0.0, bound(_deficit(m, t, level) / tail, near), near)
     # the slots at the level for kappa, plus kappa times the rest
     q = _count_leading(lambda j: at_level(level, kappa * slot(j)[0]), shape, m)
     residual = np.abs((q * level + kappa * slot(q)[1]) / m - 1.0)

@@ -67,6 +67,28 @@ def test_parse_ratio_forms():
             parse_ratio(bad)
 
 
+# each built-in ratio with the fewest parameters it takes
+_MINIMAL_RATIOS = {"gaussian-mean-shift": "gaussian-mean-shift:0:1",
+                   "gaussian-scale": "gaussian-scale:0:1:3.5", "ar1": "ar1:0:0.5:3.5",
+                   "gaussian-composite": "gaussian-composite:1:3.5"}
+
+
+@pytest.mark.parametrize("name", cli._RATIOS)
+def test_each_ratio_row_checks_its_counts_and_is_listed(capsys, monkeypatch, name):
+    _, counts, usage = cli._RATIOS[name]
+    assert usage.startswith(f"{name}:")
+    for size in (min(counts) - 1, max(counts) + 1):
+        spec = ":".join([name] + ["1"] * size)
+        assert run(["validate", "--model", "iid-gaussian", "--trials", 1000, "--ratio", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {usage}\n")
+    assert parse_ratio(_MINIMAL_RATIOS[name]).name.startswith(name)
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside a spec
+    for command in ("fuzzy", "validate"):
+        with pytest.raises(SystemExit):
+            run([command, "-h"])
+        assert usage in capsys.readouterr().out
+
+
 def test_fuzzy_gaussian_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -348,6 +370,16 @@ def test_gaussian_extreme_scales_exit_codes(tmp_path, capsys, flags, code, messa
     ("-5\n-5.1\n", ["--utility", "power:0.5", "--ratio", "gaussian-mean-shift:0:30",
                     "--grid=37:38:1"],
      ["37,3.0000000000000004", "38,3.0000000000000004"]),
+    # the first row's ratios under a cap and a floor: "orbit mean misses 1 by
+    # nan" and "by inf" (exit 3); clipped-log is exact, bounded-log within 1 ulp
+    ("39.3\n" * 10, ["--utility", "bounded-log:0.1", "--ratio", "gaussian-scale:0:1:3.5",
+                     "--grid=39.1:39.3:0.1"],
+     ["39.100000000000001,0.00082118308085107233", "39.200000000000003,0.029837245430473058",
+      "39.299999999999997,1"]),
+    ("39.3\n" * 10, ["--utility", "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5",
+                     "--grid=39.1:39.3:0.1"],
+     ["39.100000000000001,0.10000000000000001", "39.200000000000003,0.10000000000000001",
+      "39.299999999999997,1"]),
 ])
 def test_conformal_ratios_past_the_float_range_exit_0(tmp_path, capsys, calib, flags, rows):
     (tmp_path / "calib.csv").write_text(calib)
@@ -532,8 +564,12 @@ def test_np_curve_keeps_its_interval_endpoint(tmp_path, capsys, family, flags, e
     (["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "log",
       "--ratio", "ar1:0:0.5:", "--grid=-1:1:1", "--out", "x.csv"],
      "--ratio 'ar1:0:0.5:': '' is not a number"),
+    (["validate", "--model", "iid-gaussian", "--ratio", "foo:1"], "unknown ratio 'foo:1'"),
+    # a part that is not a number is named before the ratio is looked up
+    (["validate", "--model", "iid-gaussian", "--ratio", "foo:x"],
+     "--ratio 'foo:x': 'x' is not a number"),
 ], ids=["levels", "model-args", "grid", "problem-file", "set-file", "utility", "dampened",
-        "utility-empty", "ratio", "ratio-empty"])
+        "utility-empty", "ratio", "ratio-empty", "ratio-unknown", "ratio-unknown-not-a-number"])
 def test_parse_errors_name_what_they_parse(tmp_path, capsys, monkeypatch, args, message):
     # each once printed only the parser's message, such as
     # "could not convert string to float: ''", naming no flag or file

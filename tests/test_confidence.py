@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fuzzyconf.errors import (
 )
 from fuzzyconf.evalues import BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power
 from fuzzyconf.harness import adversarial_level_rule
-from fuzzyconf.reference import conditional_lr_iid, evalue_at, np_threshold
+from fuzzyconf.reference import _level_evidence, conditional_lr_iid, evalue_at, np_threshold
 from fuzzyconf.sets import (
     BinaryConfidenceSet,
     FuzzyConfidenceSet,
@@ -115,6 +116,54 @@ def test_log_evidence_when_the_ratios_sum_overflows():
              for z in grid]
     assert exact == [0.0008211830808510724, 0.02983724543047306, 1.0]
     assert list(fuzzy_set([39.3] * 10, grid, alt, Log()).evidence) == exact
+
+
+@pytest.mark.parametrize("utility, level, capped, ulps", [
+    (BoundedLog(0.1), 10.0, True, [1, 0, 0]),
+    (ClippedLog(0.1), 0.1, False, [0, 0, 0]),
+])
+def test_capped_and_clipped_evidence_when_the_ratios_sum_overflows(utility, level, capped, ulps):
+    # the ten calibration ratios of the log case above under a cap and a
+    # floor: the sum overflowed and the core raised "orbit mean misses 1 by
+    # nan" (cap) or "by inf" (floor). The rational walk is scale-invariant,
+    # so it runs on the ratios themselves; bounded-log is 1 ulp off at 39.1
+    alt, grid = gaussian_scale_ratio(0.0, 1.0, 3.5), PlugInGrid.from_spec("39.1:39.3:0.1")
+    top = alt.ratio(39.3)
+    exact = [_level_evidence(SimpleNamespace(lr=(top,) * 10 + (alt.ratio(z),), counts=(1,) * 11),
+                             level, capped)[-1] for z in grid]
+    got = fuzzy_set([39.3] * 10, grid, alt, utility).evidence
+    assert list(np.abs(np.array(got).view(np.int64) - np.array(exact).view(np.int64))) == ulps
+    assert exact == ([0.0008211830808510724, 0.02983724543047306, 1.0] if capped
+                     else [0.1, 0.1, 1.0])
+
+
+SCALED_UTILITIES = [parse_utility(u) for u in (
+    "log", "power:0.5", "power:0.999999", "power:-3", "np:0.1", "np:1e-6", "bounded-log:0.05",
+    "bounded-log:1e-9", "clipped-log:0.1", "clipped-log:1", "dampened:0.3:bounded-log:0.05",
+)]
+
+
+def test_evidence_is_exactly_invariant_to_a_power_of_two_ratio_scale():
+    # multiplying every ratio of a tuple by 2**j leaves the evidence and the
+    # failures bit for bit: each utility's e-value depends on the ratios only
+    # up to scale, and a power of two rounds nothing. Each draw holds ties,
+    # zeros and ratios from 2**-200 to 2**200, so no 2**j with |j| <= 60
+    # under- or overflows
+    rng = np.random.default_rng(20261020)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        pool = np.append(rng.uniform(1.0, 2.0, 4) * np.exp2(rng.integers(-200, 201, 4)), 0.0)
+        for cal, rz, j in (
+            (rng.choice(pool, (1, n)), rng.choice(pool, (1, 7)), rng.integers(-60, 61)),
+            (rng.choice(pool, (6, n)), rng.choice(pool, (6, 1)), rng.integers(-60, 61, (6, 1))),
+        ):
+            for utility in SCALED_UTILITIES:
+                ev, failures = _final_slot_evidence(cal, rz, utility)
+                scaled, scaled_failures = _final_slot_evidence(
+                    np.ldexp(cal, j), np.ldexp(rz, j), utility)
+                assert scaled.tobytes() == ev.tobytes()
+                for a, b in zip(scaled_failures[:3], failures[:3]):
+                    assert a.tobytes() == b.tobytes()
 
 
 ENGINE_UTILITIES = [parse_utility(u) for u in (
@@ -218,6 +267,10 @@ def _keeps_order(row, ratio):
 @example(case=([[1.0, -1.0]], (-0.5, 0.5, 1.0), ADJACENT, NeymanPearson(0.1)))
 # r_z / (calibration maximum) overflows: about 1e286 / 1e-261
 @example(case=([[-5.0, -5.1]], (37.0, 38.0), gaussian_mean_shift_ratio(0.0, 30.0), Power(0.5)))
+# five tied slots at the cap 1/alpha, the float 1.2, hold all of m = 6 but
+# 2**-52, the final slot's exact evidence; m - fl(5 * 1.2) made it 2.5e-178
+@example(case=([[0.0] * 5, [0.0] * 5, [-30.0] * 5], (-3.0, -2.5, -2.0),
+               gaussian_scale_ratio(0.0, 1.0, 3.5), BoundedLog(0.8333333333333334)))
 @settings(max_examples=600, deadline=None)
 def test_grid_evidence_matches_evalue_at(case):
     # the core against the scalar evalue_at, point by point and row by row
