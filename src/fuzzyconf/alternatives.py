@@ -90,25 +90,17 @@ def _ratio_error(r: float, z: float) -> ValueError:
     return ValueError(f"ratio must be nonnegative, got {r!r} at z={z!r}")
 
 
-def _ratio_values(data: np.ndarray, ratio: Callable) -> np.ndarray:
-    """The ratio on every entry of ``data``, unchecked; scalar-only callables
-    are applied entry by entry."""
+def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
+    """The ratio on every entry of ``data``, raising for the first entry in
+    row order whose ratio is infinite, negative or NaN; scalar-only
+    callables are applied entry by entry."""
     try:
         r = np.asarray(ratio(data), dtype=float)
         if r.shape != data.shape:
             raise TypeError
     except (TypeError, ValueError):
         r = np.vectorize(ratio, otypes=[float])(data)
-    return r
-
-
-def _ratio_ok(r: np.ndarray) -> np.ndarray:
-    return (r >= 0.0) & (r < math.inf)
-
-
-def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
-    r = _ratio_values(data, ratio)
-    bad = ~_ratio_ok(r)
+    bad = ~((r >= 0.0) & (r < math.inf))
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise _ratio_error(float(r.flat[i]), float(data.flat[i]))

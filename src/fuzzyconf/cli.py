@@ -403,7 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FuzzyconfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (FuzzyconfError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,18 +14,11 @@ in ``sets``, which needs no numpy.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .alternatives import (
-    AlternativeSpec,
-    _ratio_error,
-    _ratio_matrix,
-    _ratio_ok,
-    _ratio_values,
-    resolve_alternative,
-)
+from .alternatives import AlternativeSpec, _ratio_matrix, resolve_alternative
 from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
     EXACTNESS_TOL,
@@ -205,7 +198,7 @@ def _level_grid(cal: np.ndarray, rz: np.ndarray, *, cap=None, floor=None):
         lead = np.sort(cal, axis=1)  # ascending: floored slots lead
     # every slot comes from lead or rz; adding 0.0 turns -0.0 into 0.0 and
     # changes nothing else, so level / slot is never -inf and the order of
-    # tied zeros leaves no trace (ratios are never NaN, see _ratio_ok)
+    # tied zeros leaves no trace (_ratio_matrix lets no NaN ratio through)
     lead += 0.0
     rz = rz + 0.0
     # a row whose n + 1 slots could sum past the float range (its largest
@@ -271,8 +264,7 @@ def _grid_shaped(cal: np.ndarray, rz: np.ndarray, mean: np.ndarray, utility: Uti
 
 class _Failures(NamedTuple):
     """Per grid column: does some tuple's ratio vanish on every slot, does
-    some shaped e-value miss exactness, and the largest exactness residual;
-    plus the error of a bad grid ratio, raised after the columns before it.
+    some shaped e-value miss exactness, and the largest exactness residual.
 
     Summaries of row blocks merge into the summary of their union, so a run
     that evaluates its rows in blocks raises what one call on every row
@@ -282,14 +274,13 @@ class _Failures(NamedTuple):
     zero: np.ndarray
     infeasible: np.ndarray
     residual: np.ndarray
-    after: Optional[ValueError] = None
 
     def any(self) -> bool:
-        return bool(self.zero.any() or self.infeasible.any()) or self.after is not None
+        return bool(self.zero.any() or self.infeasible.any())
 
     def merge(self, other: "_Failures") -> "_Failures":
         return _Failures(self.zero | other.zero, self.infeasible | other.infeasible,
-                         np.maximum(self.residual, other.residual), self.after or other.after)
+                         np.maximum(self.residual, other.residual))
 
     def raise_first(self) -> None:
         """Raise for the lowest failing column, all-zero before infeasible."""
@@ -300,8 +291,6 @@ class _Failures(NamedTuple):
                 raise AllZeroRatioError("the ratio vanishes on an entire sampled tuple")
             raise NormalizationFailureError(
                 f"orbit mean misses 1 by {self.residual[g]:.3g}; the shaped e-value is infeasible")
-        if self.after is not None:
-            raise self.after
 
 
 def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray,
@@ -327,23 +316,6 @@ def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray,
     return ev, _Failures(zero, infeasible, residual.max(axis=0, initial=0.0))
 
 
-def _grid_evidence(
-    cal: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
-) -> tuple[np.ndarray, _Failures]:
-    """``grid_evidence`` on the calibration ratios ``cal``, with its failures
-    returned rather than raised. The evidence covers the points before the
-    first bad grid ratio."""
-    z = np.asarray(points, dtype=float)
-    rz = _ratio_values(z, ratio)
-    bad = ~_ratio_ok(rz)
-    # the points before the first bad ratio are the ones that can fail first
-    first = int(np.argmax(bad)) if bad.any() else z.size
-    ev, failures = _final_slot_evidence(cal, rz[None, :first], utility)
-    if first < z.size:
-        failures = failures._replace(after=_ratio_error(float(rz[first]), float(z[first])))
-    return ev, failures
-
-
 def grid_evidence(
     calib_rows: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
 ) -> np.ndarray:
@@ -356,11 +328,13 @@ def grid_evidence(
     once with its suffix sums, and every grid point is placed by binary
     search: O((n + G) log n) work per row, O(T * (n + G)) memory.
 
-    A bad calibration ratio raises first; after that the lowest failing grid
-    point decides the error, as a per-point loop would.
+    Every ratio is checked before any evidence is computed, the
+    calibration's and then the grid's; after that the lowest failing grid
+    point decides the error.
     """
     cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
-    ev, failures = _grid_evidence(cal, points, ratio, utility)
+    rz = _ratio_matrix(np.asarray(points, dtype=float), ratio)
+    ev, failures = _final_slot_evidence(cal, rz[None], utility)
     failures.raise_first()
     return ev
 

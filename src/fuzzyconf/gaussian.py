@@ -288,8 +288,6 @@ def _check(sigma: Optional[float] = None, tau: Optional[float] = None,
     if sigma is not None and not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     if tau is not None:
-        if sigma is None:
-            raise ValueError("tau requires sigma")
         if tau <= sigma:
             raise ValueError("tau must exceed sigma")
         s2, t2 = sigma * sigma, tau * tau

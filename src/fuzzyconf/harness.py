@@ -21,7 +21,8 @@ Every validator takes its e-values from the sorted-calibration core of
 ``confidence``, the one that builds fuzzy sets: the validity, coverage and
 post-hoc validators pass each trial's final slot against its own
 calibration, and the decision-risk validator inverts every trial over the
-support as ``grid_evidence`` does. The built-in kernel alternatives
+support as ``grid_evidence`` does, its outcomes' ratios checked once
+before the first draw. The built-in kernel alternatives
 evaluate each block of trials in one call of their row form; custom kernels
 resolve, and evaluate their ratios, trial by trial. The suite checks both
 shapes against the per-orbit ``reference.evalue_at``. The decision-risk
@@ -46,7 +47,7 @@ from .alternatives import (
     _ratio_matrix,
     resolve_alternative,
 )
-from .confidence import _Failures, _final_slot_evidence, _grid_evidence
+from .confidence import _Failures, _final_slot_evidence
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
 from .sets import _Frozen, _excludes, _least_levels
@@ -464,6 +465,8 @@ def mc_validate_decision_risk(
     (default adversarial). Empty sublevel sets count as exceedances, which
     only biases the check against passing.
 
+    The outcomes' ratios are checked before any trial is drawn; the support
+    is the outcomes, so no calibration ratio can fail after them. Then
     ``_trial_statistics`` inverts each block of trials over the support with
     the core of ``grid_evidence``; each mode's statistic decides it row by
     row with ``decisions._minimax``, on the block's rows made Python floats
@@ -514,9 +517,11 @@ def mc_validate_decision_risk(
         exceeded = (lost > r) | ~members.any(axis=1)
         return exceeded / level if posthoc else exceeded
 
-    # a block's (rows, D, G) loss ratios count against its budget
+    # the outcomes' ratios, the same row for every trial, are checked before
+    # any draw; a block's (rows, D, G) loss ratios count against its budget
+    rz = _ratio_matrix(np.asarray(problem.outcomes, dtype=float), alt.ratio)[None]
     stats = _trial_statistics(config, n, lambda v: _ratio_matrix(v[:, :-1], alt.ratio),
-                              lambda cal: _grid_evidence(cal, problem.outcomes, alt.ratio, utility),
+                              lambda cal: _final_slot_evidence(cal, rz, utility),
                               weighted if mode == "weighted" else exceedance,
                               width=len(problem.decisions) * len(problem.outcomes))
     if mode == "weighted":

@@ -337,6 +337,19 @@ def test_wide_grid_overflow_is_one_error_line(tmp_path):
         "expressed through the utility, not the alternative)\n")
 
 
+def test_a_bad_grid_ratio_outranks_a_core_failure_at_an_earlier_point(tmp_path, capsys):
+    # the calibration's ratios underflow to 0, so the tuples at the low grid
+    # points vanish on every slot; the ratio overflows to +inf from z = 39,
+    # and every ratio is checked before the core runs
+    (tmp_path / "calib.csv").write_text("-20\n-20\n-20\n")
+    assert run(["fuzzy", "--family", "conformal", "--calib", tmp_path / "calib.csv",
+                "--utility", "log", "--ratio", "gaussian-mean-shift:0:30", "--grid=-20:40:1",
+                "--out", tmp_path / "x.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: ratio is infinite at z=39.0; cap the ratio (infinite evidence is "
+        "expressed through the utility, not the alternative)\n")
+
+
 @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-7", "0:1e308:1e-308"])
 def test_grid_point_count_is_capped(tmp_path, grid):
     # the point count is checked before any point is built; 0:1:1e-300 once

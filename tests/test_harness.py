@@ -838,25 +838,47 @@ def test_decision_risk_error_parity_across_blocks():
     assert _whole_and_one_row_blocks(validate) == (
         NormalizationFailureError, "orbit mean misses 1 by 0.63; the shaped e-value is infeasible")
     # in the lowest column, a later all-zero tuple outranks an earlier
-    # infeasible one, and both outrank the bad grid ratio at outcome 1, which
-    # is never drawn: 6 * 0.3 = 1.8, column 0 counts the calibration's 2s
-    calib, validate = run(4, (0.5, 0.0, 0.5), (0.0, np.inf, 1.0), BoundedLog(0.3))
+    # infeasible one: 6 * 0.3 = 1.8, column 0 counts the calibration's 2s
+    calib, validate = run(4, (0.5, 0.0, 0.5), (0.0, 1.0, 1.0), BoundedLog(0.3))
     twos = (calib == 2.0).sum(axis=1)
     assert twos[0] == 1 and np.argmax(twos == 0) > 0
     assert _whole_and_one_row_blocks(validate) == (
         AllZeroRatioError, "the ratio vanishes on an entire sampled tuple")
-    # with no failing tuple, the bad grid ratio is raised after the last
-    # block, before any decision is formed from the evidence short of outcome 1
+    # the same trials with a bad ratio at outcome 1, which is never drawn:
+    # every outcome's ratio is checked before any draw, so it outranks both
+    _, validate = run(4, (0.5, 0.0, 0.5), (0.0, np.inf, 1.0), BoundedLog(0.3))
+    assert _whole_and_one_row_blocks(validate) == (ValueError, (
+        "ratio is infinite at z=1.0; cap the ratio (infinite evidence is expressed "
+        "through the utility, not the alternative)"))
+    # with no failing tuple the bad outcome ratio is raised all the same,
+    # and no decision is formed from the evidence short of outcome 1
     _, validate = run(4, (0.5, 0.0, 0.5), (1.0, np.inf, 1.0), Log(), mode="post-hoc")
     assert _whole_and_one_row_blocks(validate) == (ValueError, (
         "ratio is infinite at z=1.0; cap the ratio (infinite evidence is expressed "
         "through the utility, not the alternative)"))
-    # a bad calibration ratio in a later block raises before row 0's failure
+    # the support is the outcomes, so a bad ratio at a drawn calibration
+    # value is a bad outcome ratio, raised before row 0's failure is reached
     calib, validate = run(4, (0.49, 0.02, 0.49), (0.0, np.inf, 1.0), BoundedLog(0.3))
     assert (calib[0] == 2.0).sum() <= 1 and np.argmax((calib == 1.0).any(axis=1)) > 0
     assert _whole_and_one_row_blocks(validate) == (ValueError, (
         "ratio is infinite at z=1.0; cap the ratio (infinite evidence is expressed "
         "through the utility, not the alternative)"))
+
+
+@pytest.mark.parametrize("mode", ["as-if", "weighted", "post-hoc"])
+def test_decision_risk_checks_the_outcome_ratios_before_any_draw(monkeypatch, mode):
+    # the ratio is infinite at outcome 2 alone; no trial is drawn to find it
+    problem = DecisionProblem(("a", "b"), (0.0, 1.0, 2.0), ((1.0, 1.0, 1.0), (0.2, 0.5, 3.0)))
+    cfg = McConfig(trials=1000, seed=5, model="iid-categorical",
+                   params={"support": problem.outcomes, "probs": (0.5, 0.25, 0.25)})
+    alt = IidRatio(lambda z: np.asarray((1.0, 1.0, np.inf))[np.asarray(z, dtype=int)])
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trial block was drawn")
+
+    monkeypatch.setattr(harness, "_trial_blocks", no_draws)
+    with pytest.raises(ValueError, match=r"^ratio is infinite at z=2\.0; "):
+        mc_validate_decision_risk(cfg, problem, mode, alt, Log(), 5, alpha=0.1)
 
 
 def test_weighted_decision_risk_raises_a_later_core_failure_first(monkeypatch):
