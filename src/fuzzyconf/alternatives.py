@@ -38,8 +38,8 @@ class IidRatio:
 class KernelAlternative:
     """Calibration-dependent alternative.
 
-    The builder receives the calibration tuple z^n and returns a concrete
-    alternative for it, e.g. a scale alternative recentered at a running
+    The builder receives the calibration tuple z^n and returns an
+    ``IidRatio`` for it, e.g. a scale alternative recentered at a running
     mean. Evaluated lazily, once per calibration tuple.
 
     ``row_ratio``, when given, is the same kernel on a block of tuples: it
@@ -58,7 +58,7 @@ class KernelAlternative:
     against every arrangement.
     """
 
-    builder: Callable[[Sequence[float]], "AlternativeSpec"]
+    builder: Callable[[Sequence[float]], IidRatio]
     name: str = "kernel"
     row_ratio: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -67,16 +67,12 @@ AlternativeSpec = Union[IidRatio, KernelAlternative]
 
 
 def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> IidRatio:
-    """Resolve any kernel layers against the calibration tuple z^n."""
-    seen = 0
-    while isinstance(alt, KernelAlternative):
+    """The alternative itself, or what a kernel's builder returns for z^n."""
+    if isinstance(alt, KernelAlternative):
         alt = alt.builder(tuple(z_n))
-        seen += 1
-        if seen > 32:
-            raise ValueError("kernel alternative did not resolve (builder loop)")
-    if not isinstance(alt, IidRatio):
-        if seen:
-            raise TypeError(f"builder returned {type(alt).__name__}, not an alternative spec")
+        if not isinstance(alt, IidRatio):
+            raise TypeError(f"builder returned {type(alt).__name__}, not an IidRatio")
+    elif not isinstance(alt, IidRatio):
         raise TypeError(f"expected an IidRatio or KernelAlternative, got {type(alt).__name__}")
     return alt
 
@@ -131,6 +127,11 @@ def gaussian_mean_shift_ratio(mu: float, delta: float, sigma: float = 1.0) -> Ii
     return IidRatio(ratio, name=f"gaussian-mean-shift(mu={mu:g},delta={delta:g},sigma={sigma:g})")
 
 
+def _check_centre(mu: float) -> None:
+    if not math.isfinite(mu):
+        raise ValueError(f"mu={mu!r} is out of range: mu must be a finite float")
+
+
 def _check_scales(sigma: float, tau: float) -> None:
     s2, t2 = sigma * sigma, tau * tau
     # the scale ratio divides by 2 sigma^2 tau^2
@@ -159,9 +160,14 @@ def _scale_ratio(z, mu, sigma: float, tau: float):
 
 def gaussian_scale_ratio(mu: float, sigma: float, tau: float) -> IidRatio:
     """Ratio of N(mu, tau^2) to N(mu, sigma^2); tau > sigma favors wide exclusion."""
+    _check_centre(mu)
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     _check_scales(sigma, tau)
+    return _scale_iid(mu, sigma, tau)
+
+
+def _scale_iid(mu: float, sigma: float, tau: float) -> IidRatio:
     return IidRatio(lambda z: _scale_ratio(z, mu, sigma, tau),
                     name=f"gaussian-scale(mu={mu:g},sigma={sigma:g},tau={tau:g})")
 
@@ -170,10 +176,12 @@ def _centred_kernel(centre: Callable, sigma: float, tau: float, name: str) -> Ke
     """The scale ratio of ``gaussian_scale_ratio(centre(z_n), sigma, tau)``
     as a kernel: ``centre`` maps a calibration tuple's values to its centre,
     or a block's (n, B) calibration columns to the B rows' centres, with the
-    same arithmetic, so the builder and the row form agree bit for bit."""
+    same arithmetic, so the builder and the row form agree bit for bit. The
+    kernel checks its scales; a centre that overflows is left to the ratio
+    checks in both forms."""
 
     def builder(z_n: Sequence[float]) -> IidRatio:
-        return gaussian_scale_ratio(centre(z_n), sigma, tau)
+        return _scale_iid(centre(z_n), sigma, tau)
 
     def row_ratio(block: np.ndarray) -> np.ndarray:
         return _scale_ratio(block, centre(block[:, :-1].T)[:, None], sigma, tau)
@@ -187,6 +195,7 @@ def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
     For each calibration tuple the alternative is a scale family centered at
     the one-step conditional mean mu + rho * (z_n - mu).
     """
+    _check_centre(mu)
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
     if tau <= 1.0:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional
@@ -144,10 +145,14 @@ def _read_calibration(path: str) -> tuple[float, ...]:
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 if not first:
                     raise ValueError(f"{path}:{lineno + 1}: not a number: {text!r}")
+            else:
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno + 1}: not a finite number: {text!r}")
+                values.append(value)
             first = False
     if not values:
         raise ValueError(f"{path}: no calibration values")

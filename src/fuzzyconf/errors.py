@@ -35,7 +35,3 @@ class EmptyConfidenceSetError(NumericFailure):
 class AllInfiniteRiskError(NumericFailure):
     """Every decision has infinite evidence-weighted risk; clip the
     evidence away from zero (e.g. a clipped-log utility) and retry."""
-
-
-class ZeroDensityError(NumericFailure):
-    """A density used by a brute-force oracle is zero on an observed value."""

@@ -156,7 +156,7 @@ def _composite_log_curve(zbar: float, sigma: float, tau: float, n: int) -> Calla
 
 def _bounded_log_curve(mu: float, sigma: float, tau: float, alpha: float) -> Callable[[float], float]:
     _check(sigma=sigma, tau=tau, alpha=alpha, mu=mu)
-    b = bounded_log_boost(mu, sigma, tau, alpha)
+    b = bounded_log_boost(sigma, tau, alpha)
     lr = _log_curve(mu, sigma, tau)
     cap = 1.0 / alpha
     return lambda z: min(b * lr(z), cap)
@@ -196,8 +196,9 @@ def gaussian_composite_log_fuzzy(z: float, zbar: float, sigma: float, tau: float
 
 
 @lru_cache(maxsize=256)
-def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> float:
-    """Boost constant b for the capped ratio min(b * LR, 1/alpha).
+def bounded_log_boost(sigma: float, tau: float, alpha: float) -> float:
+    """Boost constant b for the capped ratio min(b * LR, 1/alpha), LR the
+    ratio of N(mu, tau^2) to N(mu, sigma^2); the centre mu drops out.
 
     Solved so the null mean E_{N(mu, sigma^2)}[min(b*LR, 1/alpha)] equals 1,
     by Newton steps on b from b = 1. The null mean has a closed form: where
@@ -206,7 +207,7 @@ def bounded_log_boost(mu: float, sigma: float, tau: float, alpha: float) -> floa
     binds, the cap times the null tail mass. Each term min(b*LR, cap) is
     concave in b, so no step passes the root: b rises until it stops there.
     """
-    _check(sigma=sigma, tau=tau, alpha=alpha, mu=mu)
+    _check(sigma=sigma, tau=tau, alpha=alpha)
     cap = 1.0 / alpha
 
     def null_mean(b: float) -> tuple[float, float]:

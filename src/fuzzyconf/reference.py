@@ -11,11 +11,13 @@ functions below.
   one tuple, ``optimal_evalue`` shapes it for a utility (an exact walk over
   the breakpoints, in rationals, for the capped and clipped constants;
   ``np_threshold`` for the Neyman-Pearson form), and ``evalue_at`` reads the
-  e-value at the final slot. It is also the API for profiles given
+  e-value at the final slot. Both profiles are densities on the orbit and
+  share one set of checks. The path is also the API for profiles given
   directly, as per-slot masses.
 * ``brute_force_conditional_lr`` recomputes the conditional likelihood
   ratio by explicitly averaging joint densities over every slot the target
-  could occupy, independent of the shortcut formula.
+  could occupy, independent of the shortcut formula; a zero or non-finite
+  density raises ``ValueError``.
 * ``numerical_utility_oracle`` maximizes expected utility over the
   exactness polytope with a generic constrained optimizer (an LP for the
   linear-capped family, SLSQP otherwise), independent of the closed forms.
@@ -41,7 +43,7 @@ import numpy as np
 
 from .alternatives import AlternativeSpec, _ratio_error, resolve_alternative
 from .confidence import TupleLike, tuple_values
-from .errors import AllZeroRatioError, NormalizationFailureError, ZeroDensityError
+from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
     EXACTNESS_TOL,
     BoundedLog,
@@ -106,45 +108,51 @@ def orbit_of(data: TupleLike) -> Orbit:
     return Orbit(tuple(sorted(vals)))
 
 
-class LikelihoodRatioProfile(_Frozen):
-    """Conditional likelihood ratio per distinct orbit value.
-
-    ``lr[i]`` is the ratio of the alternative's final-slot law to the
-    uniform law on the orbit, evaluated at ``values[i]``; ``counts[i]`` is
-    that value's multiplicity. The multiplicity-weighted mean of ``lr``
-    equals 1 (it is a density with respect to the uniform orbit law).
-    """
-
-    values: tuple[float, ...]
-    counts: tuple[int, ...]
-    lr: tuple[float, ...]
+class _OrbitDensity(_Frozen):
+    """Distinct orbit values, their multiplicities and a density with respect
+    to the uniform orbit law: finite, nonnegative, multiplicity-weighted mean
+    1. An exact e-value is one, the likelihood ratio of the alternative it
+    implies, so both profiles below are."""
 
     def __post_init__(self) -> None:
-        if not (len(self.values) == len(self.counts) == len(self.lr)):
-            raise ValueError("values, counts and lr must have equal length")
-        if any(c < 1 for c in self.counts):
+        values, counts, density = self._values()
+        name = self._fields[2]
+        if not (len(values) == len(counts) == len(density)):
+            raise ValueError(f"values, counts and {name} must have equal length")
+        if any(c < 1 for c in counts):
             raise ValueError("multiplicities must be positive")
-        for x in self.lr:
+        for x in density:
             if not (math.isfinite(x) and x >= 0.0):
-                raise ValueError(f"likelihood ratios must be finite and >= 0, got {x!r}")
+                raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
         mean = self.orbit_mean()
         if abs(mean - 1.0) > EXACTNESS_TOL:
-            raise ValueError(f"orbit mean of the likelihood ratio is {mean!r}, not 1")
+            raise ValueError(f"orbit mean of {name} is {mean!r}, not 1")
 
     @property
     def size(self) -> int:
         return sum(self.counts)
 
     def orbit_mean(self) -> float:
-        m = sum(self.counts)
-        return sum(c * x for c, x in zip(self.counts, self.lr)) / m
+        return sum(c * x for c, x in zip(self.counts, self._values()[2])) / self.size
 
-    def lr_at(self, value: float) -> float:
-        """Likelihood ratio at a value of the orbit (exact match)."""
-        for v, x in zip(self.values, self.lr):
+    def _at(self, value: float) -> float:
+        """The density at a value of the orbit (exact match)."""
+        for v, x in zip(self.values, self._values()[2]):
             if v == value:
                 return x
         raise ValueError(f"{value!r} is not on this orbit")
+
+
+class LikelihoodRatioProfile(_OrbitDensity):
+    """Conditional likelihood ratio per distinct orbit value: ``lr[i]`` is
+    the ratio of the alternative's final-slot law to the uniform law on the
+    orbit at ``values[i]``."""
+
+    values: tuple[float, ...]
+    counts: tuple[int, ...]
+    lr: tuple[float, ...]
+
+    lr_at = _OrbitDensity._at
 
 
 def _eval_ratio(ratio: Callable[[float], float], z: float) -> float:
@@ -183,33 +191,14 @@ def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile
 # ---------------------------------------------------------------------------
 
 
-class EValueProfile(_Frozen):
+class EValueProfile(_OrbitDensity):
     """Evidence per distinct orbit value, exact on the orbit."""
 
     values: tuple[float, ...]
     counts: tuple[int, ...]
     evidence: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not (len(self.values) == len(self.counts) == len(self.evidence)):
-            raise ValueError("values, counts and evidence must have equal length")
-        for e in self.evidence:
-            if not (math.isfinite(e) and e >= 0.0):
-                raise ValueError(f"evidence must be finite and >= 0, got {e!r}")
-        mean = self.orbit_mean()
-        if abs(mean - 1.0) > EXACTNESS_TOL:
-            raise ValueError(f"profile is not exact: orbit mean {mean!r}")
-
-    def orbit_mean(self) -> float:
-        m = sum(self.counts)
-        return sum(c * e for c, e in zip(self.counts, self.evidence)) / m
-
-    def evidence_at(self, value: float) -> float:
-        """Evidence at a value of the orbit (exact match)."""
-        for v, e in zip(self.values, self.evidence):
-            if v == value:
-                return e
-        raise ValueError(f"{value!r} is not on this orbit")
+    evidence_at = _OrbitDensity._at
 
 
 def _level_evidence(profile: LikelihoodRatioProfile, level: float, capped: bool) -> list[float]:
@@ -349,10 +338,10 @@ def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> fl
 # ---------------------------------------------------------------------------
 
 
-def composite_bounded_log_boost(sigma: float, tau: float, n: int, alpha: float, zbar: float = 0.0) -> float:
+def composite_bounded_log_boost(sigma: float, tau: float, n: int, alpha: float) -> float:
     """Boost constant for the composite capped ratio (center drops out)."""
     f = _widening(n)
-    return bounded_log_boost(zbar, sigma * f, tau * f, alpha)
+    return bounded_log_boost(sigma * f, tau * f, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +369,9 @@ def brute_force_conditional_lr(
     base = [float(q_base_density(v)) for v in vals]
     lastd = [float(q_last_density(v)) for v in vals]
     if any(b <= 0.0 or not math.isfinite(b) for b in base):
-        raise ZeroDensityError("base density must be positive on all tuple values")
+        raise ValueError("base density must be positive on all tuple values")
     if any(x < 0.0 or not math.isfinite(x) for x in lastd):
-        raise ZeroDensityError("target density must be finite and nonnegative")
+        raise ValueError("target density must be finite and nonnegative")
 
     def joint_with_target_at(i: int) -> float:
         prod = 1.0
@@ -393,7 +382,7 @@ def brute_force_conditional_lr(
     joints = [joint_with_target_at(i) for i in range(m)]
     avg = sum(joints) / m
     if avg == 0.0:
-        raise ZeroDensityError("the averaged joint density is zero on this tuple")
+        raise ValueError("the averaged joint density is zero on this tuple")
     return joints[m - 1] / avg
 
 

@@ -155,10 +155,6 @@ class PlugInGrid(_Frozen):
     def hi(self) -> float:
         return self.points[-1]
 
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 

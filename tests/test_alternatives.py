@@ -166,7 +166,7 @@ def test_profile_for_dispatches():
     assert prof2.lr_at(3.0) == pytest.approx(1.5)
     with pytest.raises(TypeError, match="^expected an IidRatio or KernelAlternative, got dict$"):
         profile_for((1, 2, 3), {1.0: 0.2, 2.0: 0.3, 3.0: 0.5})
-    with pytest.raises(TypeError, match="^builder returned dict, not an alternative spec$"):
+    with pytest.raises(TypeError, match="^builder returned dict, not an IidRatio$"):
         profile_for((1, 2, 3), KernelAlternative(lambda z_n: {1.0: 0.2}))
 
 

@@ -239,6 +239,7 @@ def test_tied_trials_pass_despite_float_rounding(tmp_path, capsys):
     # once a TypeError traceback from the sampler, exit 1
     (["--model", "iid-categorical", "--model-args", "support=1,probs=1"],
      "model parameter support must be a nonempty 1-D sequence of numbers, got 1.0"),
+    (["--model-args", "mu"], "model args must be key=value, got 'mu'"),
 ])
 def test_bad_model_args_exit_2(capsys, args, message):
     argv = ["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000]
@@ -252,6 +253,10 @@ def test_bad_model_args_exit_2(capsys, args, message):
     ("gaussian-mean-shift:0:1e200", "mu=0.0 and delta=1e+200 are out of range"),
     ("gaussian-mean-shift:inf:1", "mu=inf and delta=1.0 are out of range"),
     ("gaussian-mean-shift:0:1:1e-200", "sigma=1e-200 is out of range"),
+    # a non-finite centre was once blamed on the ratio's values at z=0.1
+    ("gaussian-scale:nan:1:3.5", "mu=nan is out of range"),
+    ("gaussian-scale:inf:1:3.5", "mu=inf is out of range"),
+    ("ar1:nan:0.5:3.5", "mu=nan is out of range"),
 ])
 def test_mean_shift_out_of_float_range_exits_2(tmp_path, capsys, ratio, message):
     calib = tmp_path / "calib.csv"
@@ -456,10 +461,13 @@ _SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).
     (_PROBLEM, {**_SET, "evidence": [2.0, None, 3.0]}, "evidence[1] must be a number, got null"),
     (_PROBLEM, [], "a confidence set document must be a JSON object, got a list"),
     ({**_PROBLEM, "decisions": "ab"}, _SET, "decisions must be a JSON list, got 'ab'"),
-], ids=["loss-number", "problem-list", "loss-null", "evidence-null", "set-list", "decisions-string"])
+    ({**_PROBLEM, "loss": [[1, 1, 1]]}, _SET, "loss must have one row per decision"),
+], ids=["loss-number", "problem-list", "loss-null", "evidence-null", "set-list", "decisions-string",
+        "loss-rows"])
 def test_malformed_decide_documents_exit_2(tmp_path, capsys, problem, conf, message):
-    # each once ended in a TypeError or AttributeError traceback (exit 1), or,
-    # for a string of decisions, in a certificate for decisions "a" and "b"
+    # each but loss-rows once ended in a TypeError or AttributeError traceback
+    # (exit 1), or, for a string of decisions, in a certificate for decisions
+    # "a" and "b"
     (tmp_path / "prob.json").write_text(json.dumps(problem))
     (tmp_path / "set.json").write_text(json.dumps(conf))
     assert run(["decide", "--problem", tmp_path / "prob.json", "--set", tmp_path / "set.json",
@@ -490,6 +498,33 @@ def test_decide_documents_reject_booleans_as_numbers_and_non_booleans_as_members
     assert run(["decide", "--mode", "as-if", "--problem", tmp_path / "prob.json",
                 "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "cert.json").exists()
+
+
+_DECIDE = ["decide", "--problem", "prob.json", "--out", "cert.json"]
+_VALIDATE = ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "1000"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (_DECIDE + ["--set", "set.json", "--mode", "as-if"], "as-if over a fuzzy set needs --alpha"),
+    (_DECIDE + ["--set", "binary.json"], "weighted mode needs a fuzzy confidence set"),
+    (_DECIDE + ["--set", "binary.json", "--mode", "post-hoc", "--levels", "0.5"],
+     "post-hoc mode needs a fuzzy confidence set"),
+    (_DECIDE + ["--set", "set.json", "--mode", "post-hoc"], "post-hoc mode needs --levels"),
+    (_VALIDATE + ["--check", "coverage", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+    (_VALIDATE + ["--ratio", "gaussian-scale:0:-1:3.5"], "sigma and tau must be positive"),
+    (_VALIDATE + ["--ratio", "ar1:0:2:3.5"], "rho must lie in (-1, 1)"),
+    (_VALIDATE + ["--ratio", "ar1:0:0.5:0.5"], "tau must exceed the unit marginal scale"),
+    (_VALIDATE + ["--ratio", "gaussian-composite:2:1"], "need 0 < sigma < tau"),
+], ids=["as-if-alpha", "weighted-binary", "post-hoc-binary", "post-hoc-levels", "coverage-alpha",
+        "scale-sigma", "ar1-rho", "ar1-tau", "composite-order"])
+def test_mode_and_parameter_checks_exit_2(tmp_path, capsys, monkeypatch, args, message):
+    (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
+    (tmp_path / "set.json").write_text(json.dumps(_SET))
+    (tmp_path / "binary.json").write_text(json.dumps(_BINARY_SET))
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "cert.json").exists()
 
 
@@ -685,12 +720,12 @@ def test_numeric_failure_exit_3(tmp_path, capsys):
 
 def test_exit_code_follows_the_error_class(monkeypatch, capsys):
     # a numeric failure exits 3 and any other package error exits 2, by
-    # class; the documented numeric failures are the five below
+    # class; the documented numeric failures are the four below
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, errors.FuzzyconfError)]
     numeric = {c.__name__ for c in classes if issubclass(c, errors.NumericFailure)}
     assert numeric == {"NumericFailure", "AllZeroRatioError", "NormalizationFailureError",
-                       "EmptyConfidenceSetError", "AllInfiniteRiskError", "ZeroDensityError"}
+                       "EmptyConfidenceSetError", "AllInfiniteRiskError"}
     for cls in classes:
         def fail(args, cls=cls):
             raise cls("failed on purpose")
@@ -711,6 +746,11 @@ def test_calibration_reader(tmp_path):
     bad.write_text("1.0\noops\n")
     with pytest.raises(ValueError):
         _read_calibration(str(bad))
+    # a non-finite line was once read, then rejected without its file or line
+    for text in ("nan", "inf"):
+        bad.write_text(f"z\n1.0\n\n{text}\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}:4: not a finite number: '{text}'$"):
+            _read_calibration(str(bad))
     empty = tmp_path / "empty.csv"
     empty.write_text("header\n")
     with pytest.raises(ValueError):

@@ -209,10 +209,15 @@ def test_exactness_and_monotonicity_property(vals, slope):
 
 
 def test_evalue_profile_invariants():
-    with pytest.raises(ValueError):
-        EValueProfile((1.0, 2.0), (1, 1), (1.0, 1.5))  # mean 1.25
-    with pytest.raises(ValueError):
+    # the checks of a likelihood-ratio profile, multiplicities included
+    with pytest.raises(ValueError, match=r"^orbit mean of evidence is 1.25, not 1$"):
+        EValueProfile((1.0, 2.0), (1, 1), (1.0, 1.5))
+    with pytest.raises(ValueError, match=r"^evidence must be finite and >= 0, got -0.5$"):
         EValueProfile((1.0, 2.0), (1, 1), (-0.5, 2.5))
+    with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        EValueProfile((1.0, 2.0), (0, 2), (5.0, 1.0))
+    with pytest.raises(ValueError, match="^values, counts and evidence must have equal length$"):
+        EValueProfile((1.0, 2.0), (1, 1), (1.0,))
 
 
 def test_utility_parameter_validation():

@@ -238,9 +238,9 @@ def test_bounded_log_fuzzy_null_mean_one():
 def test_bounded_boost_closed_form_cross_check():
     # the same closed form the solver uses, written with normal CDFs instead
     # of erf/erfc: E[min(b*LR, cap)] = b*(2*Phi(r/tau) - 1) + 2*cap*(1 - Phi(r/sigma))
-    mu, sigma, tau, alpha = 0.0, 1.0, 3.5, 0.05
+    sigma, tau, alpha = 1.0, 3.5, 0.05
     cap = 1 / alpha
-    b = bounded_log_boost(mu, sigma, tau, alpha)
+    b = bounded_log_boost(sigma, tau, alpha)
     r = math.sqrt(2 * sigma**2 * tau**2 * math.log(cap * tau / (b * sigma)) / (tau**2 - sigma**2))
     closed = b * (2 * _Phi(r / tau) - 1) + 2 * cap * (1 - _Phi(r / sigma))
     # 1 - Phi cancels near 1, so this form checks the solver to about 1e-15
@@ -258,7 +258,7 @@ def test_bounded_boost_meets_null_mean_one_to_ulps():
         tau = sigma * (1.0 + 10.0 ** rng.uniform(-3.0, 2.0))
         alpha = 10.0 ** rng.uniform(-12.0, math.log10(0.98))
         cap = 1.0 / alpha
-        b = bounded_log_boost(0.0, sigma, tau, alpha)
+        b = bounded_log_boost(sigma, tau, alpha)
         r = math.sqrt(2 * sigma**2 * tau**2 * math.log(cap * tau / (b * sigma)) / (tau**2 - sigma**2))
         mean = b * math.erf(r / (tau * math.sqrt(2))) + cap * math.erfc(r / (sigma * math.sqrt(2)))
         worst = max(worst, abs(mean - 1.0))
@@ -271,7 +271,7 @@ def test_bounded_boost_null_mean_one_at_tiny_alpha(alpha):
     # that a large cap times a tiny tail mass keeps its relative accuracy
     mu, sigma, tau = 0.0, 1.0, 3.5
     cap = 1 / alpha
-    b = bounded_log_boost(mu, sigma, tau, alpha)
+    b = bounded_log_boost(sigma, tau, alpha)
     r = math.sqrt(2 * sigma**2 * tau**2 * math.log(cap * tau / (b * sigma)) / (tau**2 - sigma**2))
     quad = pytest.importorskip("scipy.integrate").quad
     core, err = quad(lambda z: b * gaussian_log_fuzzy(z, mu, sigma, tau) * _phi((z - mu) / sigma) / sigma,
@@ -283,7 +283,7 @@ def test_bounded_boost_null_mean_one_at_tiny_alpha(alpha):
 
 def test_bounded_boost_tends_to_one_as_alpha_vanishes():
     # the cap binds less and less, so the boost decays toward 1
-    boosts = [bounded_log_boost(0.0, 1.0, 3.5, a) for a in (0.05, 1e-4, 1e-8, 1e-12)]
+    boosts = [bounded_log_boost(1.0, 3.5, a) for a in (0.05, 1e-4, 1e-8, 1e-12)]
     assert all(b >= 1.0 for b in boosts)
     assert all(b1 > b2 for b1, b2 in zip(boosts, boosts[1:]))
     assert boosts[-1] == pytest.approx(1.0, abs=0.03)
@@ -305,7 +305,7 @@ def test_scales_out_of_float_range_are_domain_errors(sigma, tau):
     # the closed forms would divide by zero or return NaN (the last pair once
     # gave NaN at z = 1e200)
     for call in (lambda: gaussian_log_fuzzy(1e200, 0.0, sigma, tau),
-                 lambda: bounded_log_boost(0.0, sigma, tau, 0.05),
+                 lambda: bounded_log_boost(sigma, tau, 0.05),
                  lambda: gaussian_bounded_log_fuzzy(1e200, 0.0, sigma, tau, 0.05)):
         with pytest.raises(DomainError, match=r"^sigma=.* and tau=.* are out of range"):
             call()
@@ -315,7 +315,7 @@ def test_boost_with_nan_null_mean_fails():
     # 1/alpha overflows to inf, so the capped tail is inf * 0 = NaN; every
     # check on the null mean must fail on NaN rather than return a constant
     with pytest.raises(NormalizationFailureError, match="nan"):
-        bounded_log_boost(0.0, 1.0, 3.5, 1e-320)
+        bounded_log_boost(1.0, 3.5, 1e-320)
 
 
 def test_composite_bounded_null_mean_one():
@@ -430,7 +430,6 @@ _LOCATED_CALLS = [
     ("log-mu", "mu", lambda v: gaussian_log_fuzzy(0.0, v, 1.0, 3.5)),
     ("log-composite-zbar", "zbar", lambda v: gaussian_composite_log_fuzzy(0.0, v, 1.0, 3.5, 3)),
     ("bounded-log-mu", "mu", lambda v: gaussian_bounded_log_fuzzy(0.0, v, 1.0, 3.5, 0.05)),
-    ("boost-mu", "mu", lambda v: bounded_log_boost(v, 1.0, 3.5, 0.05)),
     ("bounded-log-composite-zbar", "zbar",
      lambda v: gaussian_composite_bounded_log_fuzzy(0.0, v, 1.0, 3.5, 3, 0.05)),
     ("np-mu", "mu", lambda v: gaussian_np_evalue(0.0, v, 1.0, 0.05)),

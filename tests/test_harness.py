@@ -16,7 +16,7 @@ from fuzzyconf.decisions import (
     DecisionProblem, as_if_decision, post_hoc_decisions, weighted_decision,
 )
 from fuzzyconf.errors import (
-    AllInfiniteRiskError, AllZeroRatioError, NormalizationFailureError, ZeroDensityError,
+    AllInfiniteRiskError, AllZeroRatioError, NormalizationFailureError,
 )
 from fuzzyconf.evalues import (
     BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power, utility_id,
@@ -71,7 +71,7 @@ def test_brute_force_duplicate_position_invariance():
 
 
 def test_brute_force_guards():
-    with pytest.raises(ZeroDensityError):
+    with pytest.raises(ValueError, match="^base density must be positive on all tuple values$"):
         brute_force_conditional_lr((1, 2), lambda z: 1.0, lambda z: 0.0)
     with pytest.raises(ValueError):
         brute_force_conditional_lr(tuple(range(9)), lambda z: 1.0, lambda z: 1.0)
