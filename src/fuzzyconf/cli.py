@@ -104,9 +104,9 @@ def parse_utility(spec: str) -> evalues.UtilitySpec:
     if depth > MAX_UTILITY_DEPTH:
         raise ValueError(f"--utility nests dampened {depth} deep, "
                          f"more than the {MAX_UTILITY_DEPTH} allowed")
-    head, _, rest = spec.partition(":")
+    head, sep, rest = spec.partition(":")
     if head == "log":
-        if rest:
+        if sep:
             raise ValueError("log takes no parameters")
         return evalues.Log()
     if head == "dampened":

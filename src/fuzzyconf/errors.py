@@ -1,16 +1,13 @@
 """Exception hierarchy shared across the package.
 
 The command line maps each class to its exit code: a ``NumericFailure``
-exits 3, any other ``FuzzyconfError`` exits 2.
+exits 3, any other ``FuzzyconfError`` exits 2, as a ``ValueError`` for an
+argument out of its domain does.
 """
 
 
 class FuzzyconfError(Exception):
     """Base class for all fuzzyconf errors."""
-
-
-class DomainError(FuzzyconfError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
 
 
 class NumericFailure(FuzzyconfError):

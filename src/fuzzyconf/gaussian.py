@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .errors import DomainError, NormalizationFailureError
+from .errors import NormalizationFailureError
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -69,7 +69,7 @@ def std_normal_quantile(p: float) -> float:
     1 - p is exact there, while a Newton step on a CDF near 1 would cancel.
     """
     if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must lie strictly in (0, 1), got {p!r}")
+        raise ValueError(f"quantile level must lie strictly in (0, 1), got {p!r}")
     if p > 0.5:
         return -std_normal_quantile(1.0 - p)
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
@@ -117,7 +117,7 @@ def ar1_interval(mu: float, rho: float, z_last: float, alpha: float) -> tuple[fl
     _check(alpha=alpha, rho=rho, mu=mu, z_last=z_last)
     center = mu + rho * (z_last - mu)
     if not math.isfinite(center):  # finite inputs far apart overflow it
-        raise DomainError(f"the conditional mean mu + rho*(z_last - mu) overflows, got {center!r}")
+        raise ValueError(f"the conditional mean mu + rho*(z_last - mu) overflows, got {center!r}")
     return simple_interval(center, 1.0, alpha)
 
 
@@ -297,9 +297,9 @@ def _check(sigma: Optional[float] = None, tau: Optional[float] = None,
         # scale ratio, whose calls must not load this module
         if not all(0.0 < v < math.inf for v in (s2, t2, t2 - s2, s2 * t2,
                                                  2.0 * sigma * sigma * tau * tau)):
-            raise DomainError(f"sigma={sigma!r} and tau={tau!r} are out of range: sigma^2, tau^2, "
-                              "tau^2 - sigma^2, sigma^2 tau^2 and 2 sigma^2 tau^2 must be "
-                              "positive finite floats")
+            raise ValueError(f"sigma={sigma!r} and tau={tau!r} are out of range: sigma^2, tau^2, "
+                             "tau^2 - sigma^2, sigma^2 tau^2 and 2 sigma^2 tau^2 must be "
+                             "positive finite floats")
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if rho is not None and not -1.0 < rho < 1.0:

@@ -493,8 +493,8 @@ def mc_validate_decision_risk(
         raise ValueError("the model support must equal the problem's outcomes")
     if mode not in ("as-if", "weighted", "post-hoc"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "as-if" and not (alpha is not None and alpha > 0.0):
-        raise ValueError("as-if mode needs a positive alpha")
+    if mode == "as-if" and not (alpha is not None and 0.0 < alpha <= 1.0):
+        raise ValueError("as-if mode needs an alpha in (0, 1]")
 
     posthoc = mode == "post-hoc"
 

@@ -8,12 +8,12 @@ functions below.
 
 * The per-orbit scalar path: ``orbit_of`` reduces a tuple to its
   permutation orbit, ``profile_for`` builds the likelihood-ratio profile of
-  one tuple, ``optimal_evalue`` shapes it for a utility (an exact walk over
-  the breakpoints, in rationals, for the capped and clipped constants;
-  ``np_threshold`` for the Neyman-Pearson form), and ``evalue_at`` reads the
-  e-value at the final slot. Both profiles are densities on the orbit and
-  share one set of checks. The path is also the API for profiles given
-  directly, as per-slot masses.
+  one tuple, ``optimal_evalue`` shapes it for a utility, and ``evalue_at``
+  shapes the tuple's own ratios and reads the final slot. One shaper serves
+  all three: it never divides by the ratios' mean and rounds each value
+  once (rationals; 50-digit decimals for power). Both profiles are
+  densities on the orbit and share one set of checks. The path is also the
+  API for profiles given directly, as per-slot masses.
 * ``brute_force_conditional_lr`` recomputes the conditional likelihood
   ratio by explicitly averaging joint densities over every slot the target
   could occupy, independent of the shortcut formula; a zero or non-finite
@@ -26,14 +26,15 @@ functions below.
   on whole matrices, the row evaluation and the trial stream the validators
   run block by block.
 
-The per-orbit path needs numpy; scipy is imported only inside
-``numerical_utility_oracle``.
+The per-orbit path does its arithmetic without numpy; scipy is imported
+only inside ``numerical_utility_oracle``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -166,18 +167,15 @@ def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> Like
     """Likelihood-ratio profile for an independent alternative.
 
     For a tuple (z_1, ..., z_m) and per-observation ratio r, the profile is
-    lr(v) = r(v) / mean_i r(z_i), the mean running over all m slots. Scaling
-    r by any positive constant leaves the profile unchanged.
+    lr(v) = r(v) / mean_i r(z_i) over all m slots, the log shaping of
+    ``_shaped``: exact in rationals, rounded once, with no sum to overflow.
+    Scaling r by any positive constant leaves the profile unchanged.
 
     Raises AllZeroRatioError when r vanishes on every element of the tuple.
     """
     orbit = orbit_of(data)
-    r = [_eval_ratio(ratio, v) for v in orbit.values]
-    total = sum(c * x for c, x in zip(orbit.counts, r))
-    if total == 0.0:
-        raise AllZeroRatioError("the ratio is zero on every element of the tuple")
-    mean = total / orbit.size
-    return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(x / mean for x in r))
+    lr = _shaped(orbit.counts, [_eval_ratio(ratio, v) for v in orbit.values], Log())
+    return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(lr))
 
 
 def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile:
@@ -201,16 +199,51 @@ class EValueProfile(_OrbitDensity):
     evidence_at = _OrbitDensity._at
 
 
-def _level_evidence(profile: LikelihoodRatioProfile, level: float, capped: bool) -> list[float]:
-    """min(kappa * lr, level) (``capped``) or max(kappa * lr, level), with
+def _shaped(counts: Sequence[int], ratios: Sequence[float], utility: UtilitySpec) -> list[float]:
+    """Optimal evidence per distinct orbit value from its multiplicity and
+    its ratio, the ratios given up to scale: no shaping divides by their
+    mean. Log is m * r / sum(c * r) in rationals, power the same of r^s,
+    s = 1/(1 - h), in 50-digit decimals relative to the largest ratio, and
+    capped and clipped the rational walk; each is rounded once. NP ranks
+    the ratios themselves and Dampened mixes in floats, as the core does.
+    Raises AllZeroRatioError when every ratio is zero.
+    """
+    if not any(ratios):
+        raise AllZeroRatioError("the ratio is zero on every element of the tuple")
+    m = sum(counts)
+    if isinstance(utility, Log):
+        total = sum(c * Fraction(r) for c, r in zip(counts, ratios))
+        return [float(m * Fraction(r) / total) for r in ratios]
+    if isinstance(utility, Power):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            s, top = 1 / (1 - Decimal(utility.h)), Decimal(max(ratios))
+            w = [(s * (Decimal(r) / top).ln()).exp() if r > 0.0 else Decimal(0) for r in ratios]
+            total = sum(c * x for c, x in zip(counts, w))
+            return [float(m * x / total) for x in w]
+    if isinstance(utility, NeymanPearson):
+        c, k = _np_threshold(counts, ratios, utility.alpha)
+        return [1.0 / utility.alpha if r > c else k if r == c else 0.0 for r in ratios]
+    if isinstance(utility, BoundedLog):
+        return _level_evidence(counts, ratios, 1.0 / utility.alpha, capped=True)
+    if isinstance(utility, ClippedLog):
+        return _level_evidence(counts, ratios, utility.b, capped=False)
+    if isinstance(utility, Dampened):
+        return [utility.b + (1.0 - utility.b) * e for e in _shaped(counts, ratios, utility.inner)]
+    raise TypeError(f"unknown utility {utility!r}")
+
+
+def _level_evidence(counts: Sequence[int], ratios: Sequence[float], level: float,
+                    capped: bool) -> list[float]:
+    """min(kappa * r, level) (``capped``) or max(kappa * r, level), with
     kappa solving the exactness equation in rationals.
 
-    The multiplicity-weighted sum of the shaped profile is piecewise linear
+    The multiplicity-weighted sum of the shaped ratios is piecewise linear
     and non-decreasing in kappa, with a breakpoint where each positive slot
     meets the level. The walk takes the positive slots in the order they
     reach it, descending under the cap and ascending over the floor; a zero
     slot sits at the floor throughout. With ``at`` slots at the level and
-    ``rest`` the sum of c * lr over the others, the segment's root is
+    ``rest`` the sum of c * r over the others, the segment's root is
     kappa = (m - at * level) / rest, and the first root on its own segment
     is the answer. Once every positive slot is capped no root remains: the
     last breakpoint serves if the capped sum is within EXACTNESS_TOL of m,
@@ -221,10 +254,9 @@ def _level_evidence(profile: LikelihoodRatioProfile, level: float, capped: bool)
     if not math.isfinite(level):
         raise NormalizationFailureError(
             f"the level {level!r} is past the float range; the shaped e-value is infeasible")
-    m = sum(profile.counts)
+    m = sum(counts)
     bar = Fraction(level)
-    slots = [(Fraction(x), c) for x, c in sorted(zip(profile.lr, profile.counts), reverse=capped)
-             if x > 0.0]
+    slots = [(Fraction(x), c) for x, c in sorted(zip(ratios, counts), reverse=capped) if x > 0.0]
     at = 0 if capped else m - sum(c for _, c in slots)
     rest = sum(c * x for x, c in slots)
     for x, c in slots:
@@ -239,7 +271,7 @@ def _level_evidence(profile: LikelihoodRatioProfile, level: float, capped: bool)
                 "orbit mean never reaches 1; the shaped e-value is infeasible")
         kappa = bar / x
     shape = min if capped else max
-    return [float(shape(kappa * Fraction(x), bar)) for x in profile.lr]
+    return [float(shape(kappa * Fraction(x), bar)) for x in ratios]
 
 
 def np_threshold(profile: LikelihoodRatioProfile, alpha: float) -> tuple[float, float]:
@@ -251,46 +283,33 @@ def np_threshold(profile: LikelihoodRatioProfile, alpha: float) -> tuple[float, 
     P(LR > c)/alpha + P(LR = c) * k = 1, so the e-value assigning 1/alpha
     above c, k at c and 0 below is exact; 0 <= k <= 1/alpha always holds.
     """
+    return _np_threshold(profile.counts, profile.lr, alpha)
+
+
+def _np_threshold(counts: Sequence[int], ratios: Sequence[float],
+                  alpha: float) -> tuple[float, float]:
+    # np_threshold on ratios up to scale; k is the core's float expression
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    m = profile.size
-    # aggregate multiplicities by LR value: distinct orbit values can share one
-    by_lr: dict[float, int] = {}
-    for count, x in zip(profile.counts, profile.lr):
-        by_lr[x] = by_lr.get(x, 0) + count
-    support = sorted(by_lr)
-
+    m = sum(counts)
+    # aggregate multiplicities by ratio: distinct orbit values can share one
+    by_ratio: dict[float, int] = {}
+    for count, x in zip(counts, ratios):
+        by_ratio[x] = by_ratio.get(x, 0) + count
     gt = m
-    c = support[-1]
-    for v in support:
-        gt -= by_lr[v]
+    for c in sorted(by_ratio):
+        gt -= by_ratio[c]
         if gt < alpha * m:
-            c = v
             break
-    eq = by_lr[c]
-    k = (1.0 - gt / (alpha * m)) * (m / eq)
-    return c, k
-
-
-def _power_evidence(lr: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
-    # lr^s / sum(w * lr^s) in log space, lr^s overflowing for h near 1; the
-    # largest log-ratio comes off before the scaling by s, so s multiplies
-    # differences and no large product cancels in the final subtraction
-    s = 1.0 / (1.0 - h)
-    with np.errstate(divide="ignore"):
-        loglr = np.log(lr)
-        logw = np.log(w)
-    scaled = s * (loglr - loglr.max())
-    denom = float(np.logaddexp.reduce(np.sort(logw + scaled)))
-    return np.exp(scaled - denom)
+    return c, (1.0 - gt / (alpha * m)) * (m / by_ratio[c])
 
 
 def optimal_evalue(profile: LikelihoodRatioProfile, utility: UtilitySpec) -> EValueProfile:
     """Expected-utility-optimal exact e-value for a likelihood-ratio profile.
 
-    Dispatches on the utility family:
+    Dispatches on the utility family, by ``_shaped`` on ``profile.lr``:
 
-    * ``Log`` -- the likelihood ratio itself;
+    * ``Log`` -- the likelihood ratio itself, the very floats of ``lr``;
     * ``Power(h)`` -- lr^(1/(1-h)) normalized to orbit mean 1;
     * ``NeymanPearson(alpha)`` -- 1/alpha above the threshold from
       ``np_threshold``, k on it, 0 below;
@@ -301,36 +320,19 @@ def optimal_evalue(profile: LikelihoodRatioProfile, utility: UtilitySpec) -> EVa
 
     Every returned profile is exact (orbit mean 1 within 1e-9).
     """
-    lr = np.asarray(profile.lr, dtype=float)
-    w = np.asarray(profile.counts, dtype=float)
-    w = w / w.sum()
-
-    if isinstance(utility, Log):
-        evidence = lr
-    elif isinstance(utility, Power):
-        evidence = _power_evidence(lr, w, utility.h)
-    elif isinstance(utility, NeymanPearson):
-        c, k = np_threshold(profile, utility.alpha)
-        inv_alpha = 1.0 / utility.alpha
-        evidence = np.where(lr > c, inv_alpha, np.where(lr == c, k, 0.0))
-    elif isinstance(utility, BoundedLog):
-        evidence = _level_evidence(profile, 1.0 / utility.alpha, capped=True)
-    elif isinstance(utility, ClippedLog):
-        evidence = _level_evidence(profile, utility.b, capped=False)
-    elif isinstance(utility, Dampened):
-        inner = optimal_evalue(profile, utility.inner)
-        evidence = utility.b + (1.0 - utility.b) * np.asarray(inner.evidence)
-    else:
-        raise TypeError(f"unknown utility {utility!r}")
-
-    return EValueProfile(profile.values, profile.counts, tuple(float(e) for e in evidence))
+    evidence = profile.lr if isinstance(utility, Log) else _shaped(
+        profile.counts, profile.lr, utility)
+    return EValueProfile(profile.values, profile.counts, tuple(evidence))
 
 
 def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> float:
-    """Optimal e-value evaluated at the final slot of the observed tuple."""
+    """Optimal e-value at the final slot of the observed tuple: ``_shaped``
+    on the ratios of the tuple's orbit, which are never divided by their mean."""
     vals = tuple_values(data)
-    prof = profile_for(vals, alt)
-    return optimal_evalue(prof, utility).evidence_at(vals[-1])
+    orbit = orbit_of(vals)
+    ratio = resolve_alternative(alt, vals[:-1]).ratio
+    evidence = _shaped(orbit.counts, [_eval_ratio(ratio, v) for v in orbit.values], utility)
+    return evidence[orbit.values.index(vals[-1])]
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ import os
 from bisect import bisect_left
 from typing import Iterable, Union
 
-from .errors import DomainError
-
 _REL_STEP_TOL = 1e-9
 # A grid spec may give at most this many points, round(span / step) + 1;
 # larger specs are rejected before any point is built.
@@ -369,7 +367,7 @@ def _binary(fuzzy: FuzzyConfidenceSet, alpha: float, u: float, utility: str) -> 
 def sublevel_set(fuzzy: FuzzyConfidenceSet, alpha: float) -> BinaryConfidenceSet:
     """Binary set {z : evidence(z) < 1/alpha}; the inequality is strict."""
     if not 0.0 < alpha <= 1.0:
-        raise DomainError("alpha must lie in (0, 1]")
+        raise ValueError("alpha must lie in (0, 1]")
     return _binary(fuzzy, alpha, 1.0, fuzzy.utility)
 
 
@@ -409,7 +407,7 @@ def randomized_binary(fuzzy: FuzzyConfidenceSet, alpha: float, u: float) -> Bina
     Marginally over u this recovers classical level-alpha coverage.
     """
     if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+        raise ValueError("alpha must lie in (0, 1)")
     if not 0.0 <= u <= 1.0:
-        raise DomainError("u must lie in [0, 1]")
+        raise ValueError("u must lie in [0, 1]")
     return _binary(fuzzy, alpha, u, fuzzy.utility + "+randomized")

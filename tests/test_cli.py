@@ -35,7 +35,7 @@ def test_parse_utility_forms():
     assert parse_utility("dampened:0.1:log") == fc.Dampened(b=0.1, inner=fc.Log())
     assert parse_utility("dampened:0.1:dampened:0.2:np:0.3") == \
         fc.Dampened(b=0.1, inner=fc.Dampened(b=0.2, inner=fc.NeymanPearson(alpha=0.3)))
-    for bad in ("boom", "log:1", "dampened:0.1", "power:"):
+    for bad in ("boom", "log:1", "dampened:0.1", "power:", "log:", "dampened:0.1:log:"):
         with pytest.raises(ValueError):
             parse_utility(bad)
 

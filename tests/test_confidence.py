@@ -3,9 +3,7 @@ import io
 import json
 import math
 import tracemalloc
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,11 +19,11 @@ from fuzzyconf.alternatives import (
 from fuzzyconf.cli import parse_utility
 from fuzzyconf.confidence import _final_slot_evidence, fuzzy_set, grid_evidence
 from fuzzyconf.errors import (
-    AllZeroRatioError, DomainError, FuzzyconfError, NormalizationFailureError,
+    AllZeroRatioError, FuzzyconfError, NormalizationFailureError,
 )
 from fuzzyconf.evalues import BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power
 from fuzzyconf.harness import adversarial_level_rule
-from fuzzyconf.reference import _level_evidence, conditional_lr_iid, evalue_at, np_threshold
+from fuzzyconf.reference import conditional_lr_iid, evalue_at, np_threshold
 from fuzzyconf.sets import (
     BinaryConfidenceSet,
     FuzzyConfidenceSet,
@@ -109,13 +107,14 @@ def test_fuzzy_set_names_the_grid_point_of_an_infinite_ratio():
 def test_log_evidence_when_the_ratios_sum_overflows():
     # ten calibration ratios near the float maximum: their sum overflowed and
     # r_z / mean read 0 at every point; the exact values are rationals, and
-    # all eleven slots tie at 39.3
+    # all eleven slots tie at 39.3. The core and the oracle both give them
     alt, grid = gaussian_scale_ratio(0.0, 1.0, 3.5), PlugInGrid.from_spec("39.1:39.3:0.1")
     top = Fraction(alt.ratio(39.3))
     exact = [float(11 * Fraction(alt.ratio(z)) / (10 * top + Fraction(alt.ratio(z))))
              for z in grid]
     assert exact == [0.0008211830808510724, 0.02983724543047306, 1.0]
     assert list(fuzzy_set([39.3] * 10, grid, alt, Log()).evidence) == exact
+    assert [evalue_at((39.3,) * 10 + (z,), alt, Log()) for z in grid] == exact
 
 
 @pytest.mark.parametrize("utility, level, capped, ulps", [
@@ -125,16 +124,15 @@ def test_log_evidence_when_the_ratios_sum_overflows():
 def test_capped_and_clipped_evidence_when_the_ratios_sum_overflows(utility, level, capped, ulps):
     # the ten calibration ratios of the log case above under a cap and a
     # floor: the sum overflowed and the core raised "orbit mean misses 1 by
-    # nan" (cap) or "by inf" (floor). The rational walk is scale-invariant,
-    # so it runs on the ratios themselves; bounded-log is 1 ulp off at 39.1
+    # nan" (cap) or "by inf" (floor). The oracle's rational walk is
+    # scale-invariant, so it runs on the ratios themselves and needs no
+    # sum of them; bounded-log is 1 ulp off it at 39.1
     alt, grid = gaussian_scale_ratio(0.0, 1.0, 3.5), PlugInGrid.from_spec("39.1:39.3:0.1")
-    top = alt.ratio(39.3)
-    exact = [_level_evidence(SimpleNamespace(lr=(top,) * 10 + (alt.ratio(z),), counts=(1,) * 11),
-                             level, capped)[-1] for z in grid]
+    exact = [evalue_at((39.3,) * 10 + (z,), alt, utility) for z in grid]
     got = fuzzy_set([39.3] * 10, grid, alt, utility).evidence
     assert list(np.abs(np.array(got).view(np.int64) - np.array(exact).view(np.int64))) == ulps
     assert exact == ([0.0008211830808510724, 0.02983724543047306, 1.0] if capped
-                     else [0.1, 0.1, 1.0])
+                     else [level, level, 1.0])
 
 
 SCALED_UTILITIES = [parse_utility(u) for u in (
@@ -197,15 +195,14 @@ def test_fuzzy_set_matches_scalar_evalue_loop(calib, alt, utility):
         assert type(raised.value) is type(exc)
         return
     got = fuzzy_set(calib, LATTICE_GRID, alt, utility).evidence
-    if isinstance(utility, NeymanPearson) or (
-            isinstance(utility, Dampened) and isinstance(utility.inner, NeymanPearson)):
+    if _is_np(utility):
         assert list(got) == want
     else:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # the largest float below 2: adjacent to 2.0, and both divide by 1.5 to the
-# same float, so normalising by the row mean merges them into a tie
+# same float, so normalising by the row mean would merge them into a tie
 BELOW_TWO = 1.9999999999999998
 ADJACENT = IidRatio(
     lambda z: np.where(z == 1.0, 2.0, np.where(z == 0.5, BELOW_TWO, 0.5)), "adjacent")
@@ -247,22 +244,6 @@ def _is_np(utility):
         isinstance(utility, Dampened) and isinstance(utility.inner, NeymanPearson))
 
 
-def _np_on_ratios(raw, utility):
-    # the NP e-value at each row's final slot, counted on the raw ratios
-    b, np_u = (utility.b, utility.inner) if isinstance(utility, Dampened) else (0.0, utility)
-    m, am, last = raw.shape[1], np_u.alpha * raw.shape[1], raw[:, -1:]
-    gt, eq = (raw > last).sum(axis=1), (raw == last).sum(axis=1)
-    boundary = (1.0 - gt / am) * (m / eq)
-    e = np.where(gt + eq < am, 1.0 / np_u.alpha, np.where(gt < am, boundary, 0.0))
-    return b + (1.0 - b) * e if b else e
-
-
-def _keeps_order(row, ratio):
-    # no two distinct ratios of the tuple share one likelihood ratio
-    prof = conditional_lr_iid(tuple(row), ratio)
-    return len(set(prof.lr)) == len({float(ratio(v)) for v in prof.values})
-
-
 @given(case=grid_cases())
 @example(case=([[1.0, -1.0]], (-0.5, 0.5, 1.0), ADJACENT, NeymanPearson(0.1)))
 # r_z / (calibration maximum) overflows: about 1e286 / 1e-261
@@ -294,16 +275,8 @@ def test_grid_evidence_matches_evalue_at(case):
             return
     got = grid_evidence(rows, points, alt.ratio, utility)
     if _is_np(utility):
-        # NP compares ratios, which need no normalising: the core counts on
-        # the raw ratios in exact order. Dividing by the tuple mean can round
-        # two adjacent ratios to one value (the pinned example: 2.0 and the
-        # float below it over the mean 1.5), and the tie it makes is not in
-        # the likelihood ratio, which is r / mean in exact arithmetic.
-        augmented = [np.column_stack([rows, np.full(len(rows), z)]) for z in points]
-        raw = [np.vectorize(alt.ratio, otypes=[float])(aug) for aug in augmented]
-        assert np.array_equal(got, np.column_stack([_np_on_ratios(r, utility) for r in raw]))
-        if all(_keeps_order(row, alt.ratio) for aug in augmented for row in aug):
-            assert np.array_equal(got, want)
+        # both count ranks on the ratios themselves, ties exact
+        assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -311,13 +284,12 @@ def test_grid_evidence_matches_evalue_at(case):
 def test_grid_evidence_counts_adjacent_ratios_in_exact_order():
     # tuple (1.0, -1.0, 0.5) has ratios (2.0, 0.5, BELOW_TWO), mean 1.5
     aug = (1.0, -1.0, 0.5)
-    prof = conditional_lr_iid(aug, ADJACENT.ratio)
-    assert prof.lr_at(1.0) == prof.lr_at(0.5)  # the division merged them
     got = grid_evidence(np.array([aug[:2]]), (0.5,), ADJACENT.ratio, NeymanPearson(0.1))
     # z's ratio is strictly below one other slot: gt = 1 >= alpha * m = 0.3
     assert got[0, 0] == 0.0
-    # the merged count shares the boundary mass between the pair instead
-    assert evalue_at(aug, ADJACENT, NeymanPearson(0.1)) == 1.5
+    # so does the oracle: a division by the mean 1.5 would merge the pair
+    # and share the boundary mass between them, 1.5 each
+    assert evalue_at(aug, ADJACENT, NeymanPearson(0.1)) == 0.0
 
 
 ROW_UTILITIES = [parse_utility(u) for u in (
@@ -390,35 +362,21 @@ def test_row_shape_equals_grid_shape_and_evalue_at(case):
             AllZeroRatioError if AllZeroRatioError in kinds else NormalizationFailureError)
         return
     failures.raise_first()
-    raw = np.column_stack([cal, last])
     if _is_np(utility):
-        assert np.array_equal(ev[:, 0], _np_on_ratios(raw, utility))
-        if all(_keeps_order(row, identity.ratio) for row in raw):
-            assert np.array_equal(ev[:, 0], want)
+        assert np.array_equal(ev[:, 0], want)
     else:
-        # r^s with s = 1 / (1 - h) moves by s ulps when r moves by one, and
-        # both paths round r / max(r) once (the oracle merges adjacent floats)
-        s = 1.0 / (1.0 - utility.h) if isinstance(utility, Power) else 1.0
-        np.testing.assert_allclose(ev[:, 0], want, rtol=max(1e-12, 8.0 * s * 2.0**-52), atol=0.0)
-
-
-def _power_at_50_digits(row, h: float) -> float:
-    # m * r_z^s / sum(r^s) over the augmented row, each power taken relative
-    # to the calibration maximum, with the ratios and h read exactly
-    with localcontext() as ctx:
-        ctx.prec = 50
-        s = 1 / (1 - Decimal(h))
-        top = max(Decimal(r) for r in row[:-1]) or Decimal(1)
-        w = [(s * (Decimal(r) / top).ln()).exp() if r > 0 else Decimal(0) for r in row]
-        return float(len(row) * w[-1] / sum(w))
+        np.testing.assert_allclose(ev[:, 0], want, rtol=1e-12, atol=0.0)
 
 
 def test_power_evidence_near_h_one_matches_50_digit_arithmetic():
     # r / max(r) rounded once and raised to s = 1 / (1 - h) turned one
-    # rounding into s of them: this case gave 1.5000000001665335
+    # rounding into s of them: this case gave 1.5000000001665335. The
+    # oracle's 50-digit powers never take r / mean, which merges 2.0 and
+    # the float below it
+    identity = IidRatio(lambda z: z)
     ev, _ = _final_slot_evidence(np.array([[0.0, 1.9999999999999998]]), np.array([[2.0]]),
                                  Power(0.999999))
-    assert ev[0, 0] == _power_at_50_digits([0.0, 1.9999999999999998, 2.0], 0.999999) \
+    assert ev[0, 0] == evalue_at((0.0, 1.9999999999999998, 2.0), identity, Power(0.999999)) \
         == 1.5000000000832667
     # rows whose ratios lie within a few 1/s of the largest, some zero, and a
     # final slot on either side of the calibration maximum
@@ -434,7 +392,7 @@ def test_power_evidence_near_h_one_matches_50_digit_arithmetic():
             continue
         ev, failures = _final_slot_evidence(row[None, :-1], row[None, -1:], Power(h))
         failures.raise_first()
-        want = _power_at_50_digits(row.tolist(), h)
+        want = evalue_at(tuple(row.tolist()), identity, Power(h))
         assert ev[0, 0] == pytest.approx(want, rel=8 * 2.0**-52, abs=0.0), (row.tolist(), h)
 
 
@@ -488,9 +446,9 @@ def test_sublevel_nested():
 
 def test_sublevel_alpha_domain():
     fset = _flat_fuzzy([1.0, 2.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         sublevel_set(fset, 0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         sublevel_set(fset, 1.5)
 
 

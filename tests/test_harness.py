@@ -993,6 +993,10 @@ def test_decision_validator_guards():
         mc_validate_decision_risk(mismatched, PROBLEM, "weighted", alt, Log(), 5)
     with pytest.raises(ValueError):
         mc_validate_decision_risk(FINITE_CFG, PROBLEM, "as-if", alt, Log(), 5)  # alpha missing
+    # past (0, 1], as sublevel_set rules: inf once passed with every set empty
+    for alpha in (math.inf, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^as-if mode needs an alpha in \(0, 1\]$"):
+            mc_validate_decision_risk(FINITE_CFG, PROBLEM, "as-if", alt, Log(), 5, alpha=alpha)
 
 
 # -- classical conformal cross-check -----------------------------------------
