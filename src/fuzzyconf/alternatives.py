@@ -77,15 +77,6 @@ def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> IidRatio:
     return alt
 
 
-def _ratio_error(r: float, z: float) -> ValueError:
-    if r == math.inf:
-        return ValueError(
-            f"ratio is infinite at z={z!r}; cap the ratio (infinite evidence "
-            "is expressed through the utility, not the alternative)"
-        )
-    return ValueError(f"ratio must be nonnegative, got {r!r} at z={z!r}")
-
-
 def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
     """The ratio on every entry of ``data``, raising for the first entry in
     row order whose ratio is infinite, negative or NaN; scalar-only
@@ -99,7 +90,11 @@ def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
     bad = ~((r >= 0.0) & (r < math.inf))
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        raise _ratio_error(float(r.flat[i]), float(data.flat[i]))
+        bad_r, z = float(r.flat[i]), float(data.flat[i])
+        if bad_r == math.inf:
+            raise ValueError(f"ratio is infinite at z={z!r}; cap the ratio (infinite evidence "
+                             "is expressed through the utility, not the alternative)")
+        raise ValueError(f"ratio must be nonnegative, got {bad_r!r} at z={z!r}")
     return r
 
 

@@ -36,17 +36,17 @@ from typing import TYPE_CHECKING, Optional
 from .errors import FuzzyconfError, NumericFailure
 
 if TYPE_CHECKING:
-    from . import alternatives, evalues, sets
+    from . import alternatives, evalues
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1  # a validate run printed [FAIL]
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
-# closed-form fuzzy family -> (its ``gaussian`` curve builder, the flags the
-# builder takes in argument order, the utility its e-value is optimal for);
-# the provenance name lists the flags in the same order
+# fuzzy family -> (its ``gaussian`` curve builder, the flags it reads in
+# argument and provenance order, the utility its e-value is optimal for)
 _FUZZY_FAMILIES = {
+    "conformal": (None, ("calib", "utility", "ratio"), None),
     "gaussian-log": ("_log_curve", ("mu", "sigma", "tau"), "log"),
     "gaussian-log-composite": ("_composite_log_curve", ("zbar", "sigma", "tau", "n"), "log"),
     "gaussian-bounded-log": ("_bounded_log_curve", ("mu", "sigma", "tau", "alpha"), "bounded-log"),
@@ -55,19 +55,17 @@ _FUZZY_FAMILIES = {
     "gaussian-np": ("_np_curve", ("mu", "sigma", "alpha"), "np"),
     "gaussian-np-composite": ("_composite_np_curve", ("zbar", "sigma", "n", "alpha"), "np"),
 }
-_GAUSSIAN_FAMILIES = tuple(_FUZZY_FAMILIES)
 
-# the deepest dampened:B:INNER nesting a utility spec may hold; every walk
-# over a utility (its e-value, its id, record equality) recurses once per
-# level, so this keeps them far below the interpreter's recursion limit
-MAX_UTILITY_DEPTH = 100
-
-# interval family -> (its ``gaussian`` function, the flags it takes in order)
+# interval family -> (its ``gaussian`` function, the flags it reads in order)
 _INTERVAL_FAMILIES = {
     "simple": ("simple_interval", ("mu", "sigma", "alpha")),
     "composite": ("composite_interval", ("zbar", "sigma", "n", "alpha")),
     "ar1": ("ar1_interval", ("mu", "rho", "z_last", "alpha")),
 }
+
+# decide mode -> (the flags it reads over a fuzzy set, over a binary set);
+# None: the mode needs a fuzzy set
+_MODES = {"as-if": (("alpha",), ()), "weighted": ((), None), "post-hoc": (("levels",), None)}
 
 # built-in ratio -> (its ``alternatives`` builder, its parameter counts, its usage spec)
 _RATIOS = {
@@ -78,14 +76,35 @@ _RATIOS = {
     "gaussian-composite": ("gaussian_composite_kernel", (2,), "gaussian-composite:SIGMA:TAU"),
 }
 _RATIO_SPECS = " | ".join(usage for _, _, usage in _RATIOS.values())
-_UTILITY_SPECS = "log | power:H | np:A | bounded-log:A | clipped-log:B | dampened:B:INNER"
 
-# validate check -> (its ``harness`` validator, the flags it takes after n)
+# utility -> (its ``evalues`` class, its usage spec)
+_UTILITIES = {
+    "log": ("Log", "log"),
+    "power": ("Power", "power:H"),
+    "np": ("NeymanPearson", "np:A"),
+    "bounded-log": ("BoundedLog", "bounded-log:A"),
+    "clipped-log": ("ClippedLog", "clipped-log:B"),
+    "dampened": ("Dampened", "dampened:B:INNER"),
+}
+_UTILITY_SPECS = " | ".join(usage for _, usage in _UTILITIES.values())
+
+# validate check -> (its ``harness`` validator, the flags it reads after n)
 _CHECKS = {
     "evalue": ("mc_validate_evalue", ()),
     "coverage": ("mc_validate_coverage", ("alpha",)),
     "posthoc": ("mc_validate_posthoc", ()),
 }
+
+# how argparse reads a flag that rows read (a float unless named here); no
+# flag has an argparse default, so _family_args tells given from absent
+_FLAGS = {
+    "calib": {"help": "single-column CSV of calibration values"},
+    "utility": {"help": _UTILITY_SPECS},
+    "ratio": {"help": _RATIO_SPECS},
+    "levels": {"help": "comma-separated level ladder for post-hoc"},
+    "n": {"type": int},
+}
+_DEFAULTS = {"mu": 0.0, "sigma": 1.0}
 
 
 def _spec_number(flag: str, spec: str, part: str) -> float:
@@ -100,25 +119,23 @@ def parse_utility(spec: str) -> evalues.UtilitySpec:
     clipped-log:B | dampened:B:INNER."""
     from . import evalues
 
-    depth = spec.split(":").count("dampened")
-    if depth > MAX_UTILITY_DEPTH:
-        raise ValueError(f"--utility nests dampened {depth} deep, "
-                         f"more than the {MAX_UTILITY_DEPTH} allowed")
     head, sep, rest = spec.partition(":")
-    if head == "log":
-        if sep:
-            raise ValueError("log takes no parameters")
-        return evalues.Log()
-    if head == "dampened":
+    dampened = []  # a loop: any nesting reaches Dampened's check, not the recursion limit
+    while head == "dampened":
         b, _, inner = rest.partition(":")
         if not inner:
             raise ValueError("dampened needs an inner utility, e.g. dampened:0.1:log")
-        return evalues.Dampened(b=_spec_number("--utility", spec, b), inner=parse_utility(inner))
-    families = {"power": evalues.Power, "np": evalues.NeymanPearson,
-                "bounded-log": evalues.BoundedLog, "clipped-log": evalues.ClippedLog}
-    if head in families:
-        return families[head](_spec_number("--utility", spec, rest))
-    raise ValueError(f"unknown utility {spec!r}")
+        dampened.append(_spec_number("--utility", spec, b))
+        head, sep, rest = inner.partition(":")
+    if head not in _UTILITIES:
+        raise ValueError(f"unknown utility {spec!r}")
+    if head == "log" and sep:
+        raise ValueError("log takes no parameters")
+    family = getattr(evalues, _UTILITIES[head][0])
+    utility = family() if head == "log" else family(_spec_number("--utility", spec, rest))
+    for b in reversed(dampened):
+        utility = evalues.Dampened(b, utility)
+    return utility
 
 
 def parse_ratio(spec: str) -> alternatives.AlternativeSpec:
@@ -206,40 +223,41 @@ def _read_json(path: str, flag: str):
             raise ValueError(f"{flag} {path} is not JSON: {exc}") from None
 
 
-def _family_args(args, flags: tuple[str, ...], owner: Optional[str] = None) -> list:
-    """The values of ``flags`` in order; raises naming every flag not given."""
-    values = [getattr(args, flag) for flag in flags]
-    missing = [f"--{flag.replace('_', '-')}" for flag, v in zip(flags, values) if v is None]
-    if missing:
-        listed = missing[0] if len(missing) == 1 else f"{', '.join(missing[:-1])} and {missing[-1]}"
-        raise ValueError(f"{owner or args.family} needs {listed}")
+def _family_args(args, flags: tuple[str, ...], owner: str) -> list:
+    """The values of ``flags``, the flags the chosen row reads, in order, or
+    their ``_DEFAULTS``; raises naming every flag given that another row of
+    the subcommand reads, or else every flag absent with no default."""
+    unread = [f for f in args.choice_flags if f not in flags and getattr(args, f) is not None]
+    values = [_DEFAULTS.get(f) if getattr(args, f) is None else getattr(args, f) for f in flags]
+    missing = [f for f, v in zip(flags, values) if v is None]
+    for verb, named in (("does not take", unread), ("needs", missing)):
+        if named:
+            names = [f"--{f.replace('_', '-')}" for f in named]
+            listed = names[0] if len(names) == 1 else f"{', '.join(names[:-1])} and {names[-1]}"
+            raise ValueError(f"{owner} {verb} {listed}")
     return values
 
 
-def _gaussian_curve(args, grid: sets.PlugInGrid) -> sets.FuzzyConfidenceSet:
-    from . import gaussian, sets
-
-    builder, flags, utility = _FUZZY_FAMILIES[args.family]
-    values = _family_args(args, flags)
-    # the builder checks its parameters once and returns its per-point core
-    fn = getattr(gaussian, builder)(*values)
-    # n is an integer and prints in full, where {n:g} would round n >= 10**6
-    params = ",".join(f"{f}={v}" if f == "n" else f"{f}={v:g}" for f, v in zip(flags, values))
-    evidence = tuple(map(fn, grid.points))
-    return sets.FuzzyConfidenceSet(grid, evidence, (), f"{args.family}({params})", utility)
-
-
 def cmd_fuzzy(args) -> int:
-    from .sets import PlugInGrid
+    from . import sets
 
-    grid = PlugInGrid.from_spec(args.grid)
-    if args.family == "conformal":
-        calib, utility, ratio = _family_args(args, ("calib", "utility", "ratio"))
+    grid = sets.PlugInGrid.from_spec(args.grid)
+    builder, flags, utility = _FUZZY_FAMILIES[args.family]
+    values = _family_args(args, flags, args.family)
+    if builder is None:  # conformal
         from .confidence import fuzzy_set
 
-        fset = fuzzy_set(_read_calibration(calib), grid, parse_ratio(ratio), parse_utility(utility))
+        calib, spec, ratio = values
+        fset = fuzzy_set(_read_calibration(calib), grid, parse_ratio(ratio), parse_utility(spec))
     else:
-        fset = _gaussian_curve(args, grid)
+        from . import gaussian
+
+        # the builder checks its parameters once and returns its per-point core
+        fn = getattr(gaussian, builder)(*values)
+        # n is an integer and prints in full, where {n:g} would round n >= 10**6
+        params = ",".join(f"{f}={v}" if f == "n" else f"{f}={v:g}" for f, v in zip(flags, values))
+        evidence = tuple(map(fn, grid.points))
+        fset = sets.FuzzyConfidenceSet(grid, evidence, (), f"{args.family}({params})", utility)
     fset.to_csv(args.out)
     if args.json:
         _write_json(args.json, fset.to_json_doc())
@@ -250,7 +268,7 @@ def cmd_interval(args) -> int:
     from . import gaussian
 
     function, flags = _INTERVAL_FAMILIES[args.family]
-    lo, hi = getattr(gaussian, function)(*_family_args(args, flags))
+    lo, hi = getattr(gaussian, function)(*_family_args(args, flags, args.family))
     _write_json(args.out, {"family": args.family, "lo": lo, "hi": hi, "alpha": args.alpha})
     return EXIT_OK
 
@@ -260,38 +278,29 @@ def cmd_decide(args) -> int:
 
     problem = decisions.DecisionProblem.from_json_doc(_read_json(args.problem, "--problem"))
     conf = sets.load_confidence_set(_read_json(args.set, "--set"))
+    fuzzy = isinstance(conf, sets.FuzzyConfidenceSet)
+    over_fuzzy, over_binary = _MODES[args.mode]
+    if over_binary is None and not fuzzy:
+        raise ValueError(f"{args.mode} mode needs a fuzzy confidence set")
+    kind = "mode" if over_binary is None else f"over a {'fuzzy' if fuzzy else 'binary'} set"
+    _family_args(args, over_fuzzy if fuzzy else over_binary, f"{args.mode} {kind}")
 
     if args.mode == "as-if":
-        if isinstance(conf, sets.FuzzyConfidenceSet):
-            if args.alpha is None:
-                raise ValueError("as-if over a fuzzy set needs --alpha")
+        if fuzzy:
             conf = sets.sublevel_set(conf, args.alpha)
-        cert = decisions.as_if_decision(problem, conf)
-        doc = cert.to_json_doc()
+        doc = decisions.as_if_decision(problem, conf).to_json_doc()
     elif args.mode == "weighted":
-        if not isinstance(conf, sets.FuzzyConfidenceSet):
-            raise ValueError("weighted mode needs a fuzzy confidence set")
-        cert = decisions.weighted_decision(problem, conf)
-        doc = cert.to_json_doc()
+        doc = decisions.weighted_decision(problem, conf).to_json_doc()
     else:  # post-hoc
-        if not isinstance(conf, sets.FuzzyConfidenceSet):
-            raise ValueError("post-hoc mode needs a fuzzy confidence set")
-        if not args.levels:
-            raise ValueError("post-hoc mode needs --levels")
         try:
             levels = [float(x) for x in args.levels.split(",")]
         except ValueError:
             raise ValueError(f"--levels must be comma-separated numbers, "
                              f"got {args.levels!r}") from None
         ladder = decisions.post_hoc_decisions(problem, conf, levels)
-        doc = {
-            "mode": "post-hoc",
-            "levels": [
-                {"alpha": ld.alpha, "unavailable": True} if not ld.available
-                else {"alpha": ld.alpha, **ld.decision.to_json_doc()}
-                for ld in ladder
-            ],
-        }
+        doc = {"mode": "post-hoc", "levels": [{"alpha": ld.alpha, **(
+            ld.decision.to_json_doc() if ld.available else {"unavailable": True})}
+            for ld in ladder]}
     _write_json(args.out, doc)
     return EXIT_OK
 
@@ -322,6 +331,15 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def _choice_flags(parser: argparse.ArgumentParser, rows) -> None:
+    """Declare every flag some row of a subcommand's table reads, as
+    ``_FLAGS`` says, and record them for ``_family_args``."""
+    flags = tuple(dict.fromkeys(flag for row in rows for flag in row))
+    for flag in flags:
+        parser.add_argument(f"--{flag.replace('_', '-')}", **_FLAGS.get(flag, {"type": float}))
+    parser.set_defaults(choice_flags=flags)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzyconf",
@@ -330,39 +348,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fuzzy = sub.add_parser("fuzzy", help="evaluate a fuzzy confidence set over a grid")
-    p_fuzzy.add_argument("--family", required=True, choices=("conformal",) + _GAUSSIAN_FAMILIES)
+    p_fuzzy.add_argument("--family", required=True, choices=tuple(_FUZZY_FAMILIES))
     p_fuzzy.add_argument("--grid", required=True, help="min:max:step (inclusive endpoints)")
-    p_fuzzy.add_argument("--calib", help="single-column CSV of calibration values")
-    p_fuzzy.add_argument("--utility", help=_UTILITY_SPECS)
-    p_fuzzy.add_argument("--ratio", help=_RATIO_SPECS)
-    p_fuzzy.add_argument("--mu", type=float, default=0.0)
-    p_fuzzy.add_argument("--sigma", type=float, default=1.0)
-    p_fuzzy.add_argument("--tau", type=float)
-    p_fuzzy.add_argument("--alpha", type=float)
-    p_fuzzy.add_argument("--n", type=int)
-    p_fuzzy.add_argument("--zbar", type=float)
+    _choice_flags(p_fuzzy, (flags for _, flags, _ in _FUZZY_FAMILIES.values()))
     p_fuzzy.add_argument("--out", required=True, help="output CSV path")
     p_fuzzy.add_argument("--json", help="also write a JSON document here")
     p_fuzzy.set_defaults(func=cmd_fuzzy)
 
     p_int = sub.add_parser("interval", help="closed-form Gaussian prediction interval")
     p_int.add_argument("--family", required=True, choices=tuple(_INTERVAL_FAMILIES))
-    p_int.add_argument("--mu", type=float, default=0.0)
-    p_int.add_argument("--sigma", type=float, default=1.0)
-    p_int.add_argument("--alpha", type=float, required=True)
-    p_int.add_argument("--n", type=int)
-    p_int.add_argument("--zbar", type=float)
-    p_int.add_argument("--rho", type=float)
-    p_int.add_argument("--z-last", type=float, dest="z_last")
+    _choice_flags(p_int, (flags for _, flags in _INTERVAL_FAMILIES.values()))
     p_int.add_argument("--out", help="output JSON path (default stdout)")
     p_int.set_defaults(func=cmd_interval)
 
     p_dec = sub.add_parser("decide", help="certified minimax decision from a confidence set")
     p_dec.add_argument("--problem", required=True, help="decision problem JSON")
     p_dec.add_argument("--set", required=True, help="serialized confidence set JSON")
-    p_dec.add_argument("--mode", default="weighted", choices=("as-if", "weighted", "post-hoc"))
-    p_dec.add_argument("--alpha", type=float)
-    p_dec.add_argument("--levels", help="comma-separated level ladder for post-hoc")
+    p_dec.add_argument("--mode", default="weighted", choices=tuple(_MODES))
+    _choice_flags(p_dec, (flags for row in _MODES.values() for flags in row if flags))
     p_dec.add_argument("--out", help="output JSON path (default stdout)")
     p_dec.set_defaults(func=cmd_decide)
 
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--model-args", help="comma-separated key=value model parameters")
     p_val.add_argument("--ratio", default="gaussian-scale:0:1:3.5", help=_RATIO_SPECS)
     p_val.add_argument("--utility", default="log", help=_UTILITY_SPECS)
-    p_val.add_argument("--alpha", type=float)
+    _choice_flags(p_val, (flags for _, flags in _CHECKS.values()))
     p_val.add_argument("--n", type=int, default=10)
     p_val.add_argument("--trials", type=int, default=100_000)
     p_val.add_argument("--seed", type=int, default=20260801)

@@ -21,6 +21,7 @@ and ``evalue_at`` in ``reference`` are the oracle it is tested against.
 
 from __future__ import annotations
 
+import math
 from typing import Union
 
 from .sets import _Frozen
@@ -49,7 +50,7 @@ class Log(_Frozen):
 
 
 class Power(_Frozen):
-    """Power utility x -> (x^h - 1)/h with h < 1, h != 0.
+    """Power utility x -> (x^h - 1)/h with -inf < h < 1, h != 0.
 
     h close to 1 concentrates evidence on the likeliest value (risky);
     h -> -infinity flattens the e-value toward the no-risk constant 1.
@@ -58,8 +59,8 @@ class Power(_Frozen):
     h: float
 
     def __post_init__(self) -> None:
-        if not self.h < 1.0 or self.h == 0.0:
-            raise ValueError("h must satisfy h < 1 and h != 0")
+        if not -math.inf < self.h < 1.0 or self.h == 0.0:
+            raise ValueError("h must satisfy -inf < h < 1 and h != 0")
 
 
 class BoundedLog(_Frozen):
@@ -88,7 +89,8 @@ class ClippedLog(_Frozen):
 
 
 class Dampened(_Frozen):
-    """b-mixture of an inner optimal e-value with the constant 1."""
+    """b-mixture of an inner optimal e-value with the constant 1; the inner
+    utility is not dampened, as b over c is B = 1 - (1 - b)(1 - c)."""
 
     b: float
     inner: "UtilitySpec"
@@ -96,6 +98,9 @@ class Dampened(_Frozen):
     def __post_init__(self) -> None:
         if not 0.0 < self.b < 1.0:
             raise ValueError("b must lie in (0, 1)")
+        if isinstance(self.inner, Dampened):
+            raise ValueError("the inner utility must not be dampened: b over c is "
+                             "dampened with B = 1 - (1 - b)(1 - c)")
 
 
 UtilitySpec = Union[NeymanPearson, Log, Power, BoundedLog, ClippedLog, Dampened]

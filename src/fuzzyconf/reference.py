@@ -26,8 +26,8 @@ functions below.
   on whole matrices, the row evaluation and the trial stream the validators
   run block by block.
 
-The per-orbit path does its arithmetic without numpy; scipy is imported
-only inside ``numerical_utility_oracle``.
+The per-orbit path checks its ratios as the core does and shapes them
+without numpy; scipy is imported only inside ``numerical_utility_oracle``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, _ratio_error, resolve_alternative
+from .alternatives import AlternativeSpec, _ratio_matrix, resolve_alternative
 from .confidence import TupleLike, tuple_values
 from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
@@ -156,13 +156,6 @@ class LikelihoodRatioProfile(_OrbitDensity):
     lr_at = _OrbitDensity._at
 
 
-def _eval_ratio(ratio: Callable[[float], float], z: float) -> float:
-    r = float(ratio(z))
-    if not 0.0 <= r < math.inf:
-        raise _ratio_error(r, z)
-    return r
-
-
 def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> LikelihoodRatioProfile:
     """Likelihood-ratio profile for an independent alternative.
 
@@ -174,7 +167,7 @@ def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> Like
     Raises AllZeroRatioError when r vanishes on every element of the tuple.
     """
     orbit = orbit_of(data)
-    lr = _shaped(orbit.counts, [_eval_ratio(ratio, v) for v in orbit.values], Log())
+    lr = _shaped(orbit.counts, _ratio_matrix(np.array(orbit.values), ratio).tolist(), Log())
     return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(lr))
 
 
@@ -218,7 +211,9 @@ def _shaped(counts: Sequence[int], ratios: Sequence[float], utility: UtilitySpec
         with localcontext() as ctx:
             ctx.prec = 50
             s, top = 1 / (1 - Decimal(utility.h)), Decimal(max(ratios))
-            w = [(s * (Decimal(r) / top).ln()).exp() if r > 0.0 else Decimal(0) for r in ratios]
+            k = 1 / (1 - Fraction(utility.h))  # s exactly; an integral s takes decimal's **
+            w = [(Decimal(r) / top) ** k.numerator if k.denominator == 1
+                 else (s * (Decimal(r) / top).ln()).exp() if r > 0.0 else Decimal(0) for r in ratios]
             total = sum(c * x for c, x in zip(counts, w))
             return [float(m * x / total) for x in w]
     if isinstance(utility, NeymanPearson):
@@ -331,7 +326,7 @@ def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> fl
     vals = tuple_values(data)
     orbit = orbit_of(vals)
     ratio = resolve_alternative(alt, vals[:-1]).ratio
-    evidence = _shaped(orbit.counts, [_eval_ratio(ratio, v) for v in orbit.values], utility)
+    evidence = _shaped(orbit.counts, _ratio_matrix(np.array(orbit.values), ratio).tolist(), utility)
     return evidence[orbit.values.index(vals[-1])]
 
 

@@ -33,28 +33,11 @@ def test_parse_utility_forms():
     assert parse_utility("bounded-log:0.1") == fc.BoundedLog(alpha=0.1)
     assert parse_utility("clipped-log:0.2") == fc.ClippedLog(b=0.2)
     assert parse_utility("dampened:0.1:log") == fc.Dampened(b=0.1, inner=fc.Log())
-    assert parse_utility("dampened:0.1:dampened:0.2:np:0.3") == \
-        fc.Dampened(b=0.1, inner=fc.Dampened(b=0.2, inner=fc.NeymanPearson(alpha=0.3)))
-    for bad in ("boom", "log:1", "dampened:0.1", "power:", "log:", "dampened:0.1:log:"):
+    # 1200 nested levels once raised RecursionError in parse_utility
+    for bad in ("boom", "log:1", "dampened:0.1", "power:", "log:", "dampened:0.1:log:",
+                "dampened:0.1:dampened:0.2:np:0.3", "dampened:0.5:" * 1200 + "log", "power:-inf"):
         with pytest.raises(ValueError):
             parse_utility(bad)
-
-
-@pytest.mark.parametrize("depth", [cli.MAX_UTILITY_DEPTH, cli.MAX_UTILITY_DEPTH + 1, 1200])
-def test_utility_nesting_is_bounded(tmp_path, capsys, depth):
-    # 1200 levels once raised RecursionError in parse_utility: a traceback, exit 1
-    (tmp_path / "c.csv").write_text("0.12\n-0.4\n0.9\n")
-    spec = "dampened:0.5:" * depth + "log"
-    code = run(["fuzzy", "--family", "conformal", "--calib", tmp_path / "c.csv", "--utility", spec,
-                "--ratio", "gaussian-scale:0:1:3.5", "--grid=-1:1:1", "--out", tmp_path / "x.csv",
-                "--json", tmp_path / "x.json"])
-    if depth <= cli.MAX_UTILITY_DEPTH:
-        assert code == 0 and capsys.readouterr().err == ""
-        assert parse_utility(spec) == parse_utility(spec)
-    else:
-        assert code == 2
-        assert capsys.readouterr().err == \
-            f"error: --utility nests dampened {depth} deep, more than the 100 allowed\n"
 
 
 def test_parse_ratio_forms():
@@ -411,8 +394,9 @@ def test_conformal_ratios_past_the_float_range_exit_0(tmp_path, capsys, calib, f
 def test_gaussian_scales_whose_product_overflows_exit_2(tmp_path, capsys, family):
     # 2 sigma^2 tau^2 overflows although sigma^2 tau^2 does not: the curve was
     # NaN, and the call blamed the evidence ("evidence must be nonnegative")
-    assert run(["fuzzy", "--family", family, "--sigma", "1e77", "--tau", "1.1e77",
-                "--alpha", "0.05", "--grid=-1e200:1e200:1e199", "--out", tmp_path / "x.csv"]) == 2
+    alpha = ["--alpha", "0.05"] if family == "gaussian-bounded-log" else []
+    assert run(["fuzzy", "--family", family, "--sigma", "1e77", "--tau", "1.1e77", *alpha,
+                "--grid=-1e200:1e200:1e199", "--out", tmp_path / "x.csv"]) == 2
     assert capsys.readouterr().err.startswith("error: sigma=1e+77 and tau=1.1e+77 are out of range")
     assert not (tmp_path / "x.csv").exists()
 
@@ -432,7 +416,8 @@ _MISSING_FLAGS = {
 
 @pytest.mark.parametrize("command, family", _MISSING_FLAGS, ids=[f for _, f in _MISSING_FLAGS])
 def test_closed_form_family_names_every_missing_flag(tmp_path, capsys, command, family):
-    assert {f for c, f in _MISSING_FLAGS if c == "fuzzy"} == set(cli._GAUSSIAN_FAMILIES)
+    assert {f for c, f in _MISSING_FLAGS if c == "fuzzy"} == set(cli._FUZZY_FAMILIES) - {
+        "conformal"}
     rest = ["--grid=-1:1:1", "--out", tmp_path / "x.csv"] if command == "fuzzy" else ["--alpha", 0.05]
     assert run([command, "--family", family, *rest]) == 2
     assert capsys.readouterr() == ("", f"error: {family} needs {_MISSING_FLAGS[command, family]}\n")
@@ -526,6 +511,48 @@ def test_mode_and_parameter_checks_exit_2(tmp_path, capsys, monkeypatch, args, m
     assert run(args) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "cert.json").exists()
+
+
+_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--grid=-1:1:1",
+              "--out", "out.csv"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["decide", "--problem", "prob.json", "--set", "binary.json", "--mode", "as-if",
+      "--alpha", "0.01", "--out", "out.json"], "as-if over a binary set does not take --alpha"),
+    (["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--utility", "np:0.1",
+      "--ratio", "bogus", "--calib", "missing.csv", "--grid=-1:1:1", "--out", "out.csv"],
+     "gaussian-log does not take --calib, --utility and --ratio"),
+    (["interval", "--family", "ar1", "--rho", "0.5", "--z-last", "1", "--alpha", "0.05",
+      "--sigma", "7", "--out", "out.json"], "ar1 does not take --sigma"),
+    (_CONFORMAL + ["--utility", "log", "--ratio", "gaussian-scale:0:1:3.5", "--alpha", "0.05"],
+     "conformal does not take --alpha"),
+    (["validate", "--check", "evalue", "--alpha", "0.3", "--model", "iid-gaussian", "--n", "5",
+      "--trials", "1000", "--out", "out.json"], "evalue check does not take --alpha"),
+    (["decide", "--problem", "prob.json", "--set", "set.json", "--mode", "weighted",
+      "--alpha", "0.01", "--levels", "0.5", "--out", "out.json"],
+     "weighted mode does not take --alpha and --levels"),
+    (_CONFORMAL + ["--utility", "dampened:0.1:dampened:0.2:np:0.3",
+                   "--ratio", "gaussian-scale:0:1:3.5"],
+     "the inner utility must not be dampened: b over c is dampened with B = 1 - (1 - b)(1 - c)"),
+    (_CONFORMAL + ["--utility", "power:-inf", "--ratio", "gaussian-mean-shift:0:1"],
+     "h must satisfy -inf < h < 1 and h != 0"),
+], ids=["as-if-binary-alpha", "gaussian-log-conformal-flags", "ar1-sigma", "conformal-alpha",
+        "evalue-alpha", "weighted-alpha-levels", "dampened-dampened", "power-minus-inf"])
+def test_flags_and_utilities_a_choice_does_not_take_exit_2(tmp_path, capsys, monkeypatch, args,
+                                                          message):
+    # each but the last two once exited 0, ignoring the flags its family,
+    # check or mode does not read: as-if over a binary set made at 0.5
+    # certified at 0.5 whatever --alpha said. The nested dampened utility
+    # ran, and power:-inf wrote evidence 3.0000000000000004 at both points
+    (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
+    (tmp_path / "set.json").write_text(json.dumps(_SET))
+    (tmp_path / "binary.json").write_text(json.dumps(_BINARY_SET))
+    (tmp_path / "calib.csv").write_text("-1000\n0\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not list(tmp_path.glob("out.*"))
 
 
 @pytest.mark.parametrize("problem, conf, message", [
@@ -681,7 +708,7 @@ _SCALAR_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("family", cli._GAUSSIAN_FAMILIES)
+@pytest.mark.parametrize("family", [f for f in cli._FUZZY_FAMILIES if f != "conformal"])
 def test_closed_form_curve_checks_once_and_equals_the_scalar_functions(tmp_path, monkeypatch,
                                                                       family):
     # the curve checks its parameters once, not once or twice per grid point,
@@ -691,7 +718,9 @@ def test_closed_form_curve_checks_once_and_equals_the_scalar_functions(tmp_path,
     checks = []
     check = gaussian._check
     monkeypatch.setattr(gaussian, "_check", lambda *a, **k: checks.append(1) or check(*a, **k))
-    flags = [x for key, v in _CURVE_ARGS.items() for x in (f"--{key}", str(v))]
+    # the flags the family reads, each at its _CURVE_ARGS value
+    flags = [x for key in cli._FUZZY_FAMILIES[family][1]
+             for x in (f"--{key}", str(_CURVE_ARGS[key]))]
     assert run(["fuzzy", "--family", family, *flags, "--grid=-40:40:0.1",
                 "--out", tmp_path / "x.csv", "--json", tmp_path / "x.json"]) == 0
     assert 1 <= len(checks) <= 4
@@ -905,7 +934,9 @@ _ERRORS = [
 ]
 
 # interval and the six closed-form fuzzy families compute with math alone,
-# also on the way to their errors
+# also on the way to their errors; each family is given the flags it reads,
+# sigma left at its default
+_CURVE_FLAGS = {"tau": "3.5", "alpha": "0.05", "n": "7", "zbar": "0.4", "mu": "-0.2"}
 _CLOSED_FORM = [
     ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05",
      "--out", "simple.json"],
@@ -914,9 +945,10 @@ _CLOSED_FORM = [
     ["interval", "--family", "ar1", "--mu", "0.2", "--rho", "0.5", "--z-last", "1.5",
      "--alpha", "0.05", "--out", "ar1.json"],
 ] + [
-    ["fuzzy", "--family", family, "--tau", "3.5", "--alpha", "0.05", "--n", "7", "--zbar", "0.4",
-     "--mu", "-0.2", "--grid=-8:8:0.25", "--out", f"{family}.csv", "--json", f"{family}.json"]
-    for family in cli._GAUSSIAN_FAMILIES
+    ["fuzzy", "--family", family,
+     *[x for key in flags if key in _CURVE_FLAGS for x in (f"--{key}", _CURVE_FLAGS[key])],
+     "--grid=-8:8:0.25", "--out", f"{family}.csv", "--json", f"{family}.json"]
+    for family, (_, flags, _) in cli._FUZZY_FAMILIES.items() if family != "conformal"
 ] + _ERRORS[:2]
 
 

@@ -237,6 +237,21 @@ def test_utility_parameter_validation():
         Dampened(b=1.0, inner=Log())
 
 
+def test_power_needs_a_finite_h():
+    # h = -inf once gave s = 1/(1 - h) = 0, and the core's 0 * log(0) made
+    # every point's evidence 3.0000000000000004 where the orbit's mean is 2
+    for h in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^h must satisfy -inf < h < 1 and h != 0$"):
+            Power(h=h)
+    assert Power(h=-1e300).h == -1e300
+
+
+def test_dampened_rejects_a_dampened_inner():
+    # b over c is one dampened utility, B = 1 - (1 - b)(1 - c)
+    with pytest.raises(ValueError, match=r"^the inner utility must not be dampened"):
+        Dampened(0.1, Dampened(0.2, Log()))
+
+
 def test_utility_ids():
     assert utility_id(Log()) == "log"
     assert utility_id(Power(h=0.5)) == "power(h=0.5)"
