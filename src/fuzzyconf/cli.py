@@ -325,9 +325,9 @@ def cmd_validate(args) -> int:
     validator, flags = _CHECKS[args.check]
     values = _family_args(args, flags, f"{args.check} check")
     report = getattr(harness, validator)(config, alt, utility, args.n, *values)
-    print(report.summary_line())
-    if args.out:
+    if args.out:  # first, so a call that cannot write its report prints no verdict
         _write_json(args.out, report.to_json_doc())
+    print(report.summary_line())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -408,12 +408,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_merge_grid_flag(list(argv if argv is not None else sys.argv[1:])))
     try:
         return args.func(args)
-    except NumericFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (FuzzyconfError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_NUMERIC if isinstance(exc, NumericFailure) else EXIT_VALIDATION
 
 
 def run() -> None:

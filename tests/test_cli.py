@@ -211,105 +211,335 @@ def test_tied_trials_pass_despite_float_rounding(tmp_path, capsys):
     assert doc["passed"] is True
 
 
-@pytest.mark.parametrize("args, message", [
-    (["--model-args", "foo=1"], "model iid-gaussian takes no parameter foo"),
-    (["--model-args", "sigma=nan"], "model parameter sigma must be finite, got nan"),
-    (["--model-args", "sigma=-1"], "model parameter sigma is a scale and must be nonnegative"),
-    (["--model", "iid-uniform", "--model-args", "lo=1,hi=0"],
-     "model parameters need lo <= hi, got lo=1.0 and hi=0.0"),
-    (["--model", "iid-categorical"],
-     "model iid-categorical needs the parameters support and probs"),
-    # once a TypeError traceback from the sampler, exit 1
-    (["--model", "iid-categorical", "--model-args", "support=1,probs=1"],
-     "model parameter support must be a nonempty 1-D sequence of numbers, got 1.0"),
-    (["--model-args", "mu"], "model args must be key=value, got 'mu'"),
-])
-def test_bad_model_args_exit_2(capsys, args, message):
-    argv = ["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000]
-    assert run(argv + args) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {message}"), err
+_PROBLEM = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
+            "loss": [[1, 1, 1], [2, 0.5, 2]]}
+_SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).to_json_doc()
+_BINARY_SET = fc.BinaryConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (False, True, True), 0.25,
+                                     (5.0, 0.5, 3.0), ()).to_json_doc()
+# the files each failing call starts with; a row may add or replace some
+_DOCUMENTS = {"prob.json": _PROBLEM, "set.json": _SET, "binary.json": _BINARY_SET,
+              "calib.csv": "0.12\n-0.4\n0.9\n", "notes.txt": "not json\n"}
+
+# every flag a closed-form family needs that has no default, in flag order
+_MISSING_FLAGS = {
+    ("fuzzy", "gaussian-log"): "--tau",
+    ("fuzzy", "gaussian-log-composite"): "--zbar, --tau and --n",
+    ("fuzzy", "gaussian-bounded-log"): "--tau and --alpha",
+    ("fuzzy", "gaussian-bounded-log-composite"): "--zbar, --tau, --n and --alpha",
+    ("fuzzy", "gaussian-np"): "--alpha",
+    ("fuzzy", "gaussian-np-composite"): "--zbar, --n and --alpha",
+    ("interval", "composite"): "--zbar and --n",
+    ("interval", "ar1"): "--rho and --z-last",
+}
+
+_SCALES = "sigma^2, tau^2, sigma^2 tau^2 and 2 sigma^2 tau^2 must be positive finite floats"
+_CURVE_SCALES = ("sigma^2, tau^2, tau^2 - sigma^2, sigma^2 tau^2 and 2 sigma^2 tau^2 must be "
+                 "positive finite floats")
+_SIGMA = "is out of range: sigma, sigma^2 and 2 sigma^2 must be positive finite floats"
+_SHIFT = "are out of range: mu, delta and delta^2 must be finite floats"
+_CENTRE = "is out of range: mu must be a finite float"
+# a ratio is checked when it is built, not blamed on its values; a non-finite
+# centre was once blamed on the values at z=0.1
+_BAD_RATIOS = {
+    "gaussian-mean-shift:0:1:inf": f"sigma=inf {_SIGMA}",
+    "gaussian-mean-shift:0:1e200": f"mu=0.0 and delta=1e+200 {_SHIFT}",
+    "gaussian-mean-shift:inf:1": f"mu=inf and delta=1.0 {_SHIFT}",
+    "gaussian-mean-shift:0:1:1e-200": f"sigma=1e-200 {_SIGMA}",
+    "gaussian-scale:nan:1:3.5": f"mu=nan {_CENTRE}",
+    "gaussian-scale:inf:1:3.5": f"mu=inf {_CENTRE}",
+    "ar1:nan:0.5:3.5": f"mu=nan {_CENTRE}",
+    "gaussian-scale:0:1:1e200": f"sigma=1.0 and tau=1e+200 are out of range: {_SCALES}",
+    "gaussian-scale:0:1e-200:1e-199": f"sigma=1e-200 and tau=1e-199 are out of range: {_SCALES}",
+    "ar1:0:0.5:1e200": f"sigma=1.0 and tau=1e+200 are out of range: {_SCALES}",
+    "gaussian-composite:1e-200:1e-199": f"sigma=1e-200 and tau=1e-199 are out of range: {_SCALES}",
+}
+_OVERFLOW = "the interval endpoints overflow, got lo=-inf and hi=inf"
+_SEED = "seed must lie in [0, 2**128), the Philox key range, got"
 
 
-@pytest.mark.parametrize("ratio, message", [
-    ("gaussian-mean-shift:0:1:inf", "sigma=inf is out of range"),
-    ("gaussian-mean-shift:0:1e200", "mu=0.0 and delta=1e+200 are out of range"),
-    ("gaussian-mean-shift:inf:1", "mu=inf and delta=1.0 are out of range"),
-    ("gaussian-mean-shift:0:1:1e-200", "sigma=1e-200 is out of range"),
-    # a non-finite centre was once blamed on the ratio's values at z=0.1
-    ("gaussian-scale:nan:1:3.5", "mu=nan is out of range"),
-    ("gaussian-scale:inf:1:3.5", "mu=inf is out of range"),
-    ("ar1:nan:0.5:3.5", "mu=nan is out of range"),
-])
-def test_mean_shift_out_of_float_range_exits_2(tmp_path, capsys, ratio, message):
-    calib = tmp_path / "calib.csv"
-    calib.write_text("0.12\n-0.4\n0.9\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "log",
-                    "--ratio", ratio, "--grid", "-3:3:0.25", "--out", tmp_path / "x.csv"]) == 2
-    assert caught == []
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {message}: "), err
+def _decide(mode, problem, conf, message, code=2):
+    return (f"decide {mode} --problem prob.json --set set.json --out cert.json", message, code,
+            {"prob.json": problem, "set.json": conf})
 
 
-def test_validation_errors_exit_2(tmp_path, capsys):
-    assert run(["fuzzy", "--family", "gaussian-log", "--grid", "0:1:0",
-                "--tau", 3.5, "--out", tmp_path / "x.csv"]) == 2
-    assert run(["fuzzy", "--family", "gaussian-log", "--grid", "0:1:0.1",
-                "--out", tmp_path / "x.csv"]) == 2  # tau missing
-    assert run(["fuzzy", "--family", "conformal", "--grid", "0:1:0.1",
-                "--out", tmp_path / "x.csv"]) == 2  # calib/utility/ratio missing
-    assert run(["decide", "--problem", tmp_path / "missing.json",
-                "--set", tmp_path / "missing2.json"]) == 2
-    capsys.readouterr()
+def _row(argv, message, code=2, documents=None):
+    return argv.split(), code, message, {**_DOCUMENTS, **(documents or {})}
 
 
-@pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "-1e308:1e308:1e300", "nan:1:0.1"])
-def test_non_finite_grid_spec_exits_2(tmp_path, capsys, grid):
-    # an infinite end or an overflowing span once ended in an OverflowError traceback
-    assert run(["fuzzy", "--family", "gaussian-log", "--tau", 3.5, "--grid", grid,
-                "--out", tmp_path / "x.csv"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: grid spec {grid!r} needs a finite min, max, step and span"]
+_VALIDATE = "validate --model iid-gaussian --n 5 --trials 1000"
+_CONFORMAL = "fuzzy --family conformal --calib calib.csv --grid=-1:1:1 --out out.csv"
+_GAUSSIAN_LOG = "fuzzy --family gaussian-log --tau 3.5"
+_DECIDE = "decide --problem prob.json --out cert.json --set"
+# the documented failures, in this table and the five after it, each row
+# id -> (argv, message[, exit code[, documents]]): argv, split on whitespace,
+# exits with the code, 2 by default, and the message, in a directory of
+# _DOCUMENTS updated by the documents
+_FAILING_CALLS = {
+    # validate; the categorical support once ended in a TypeError traceback
+    "model-args-foo": (f"{_VALIDATE} --model-args foo=1",
+                       "model iid-gaussian takes no parameter foo; its parameters are mu, sigma"),
+    "model-args-nan": (f"{_VALIDATE} --model-args sigma=nan",
+                       "model parameter sigma must be finite, got nan"),
+    "model-args-negative-scale": (f"{_VALIDATE} --model-args sigma=-1", "model parameter sigma "
+                                  "is a scale and must be nonnegative, got -1.0"),
+    "model-args-lo-above-hi": (f"{_VALIDATE} --model iid-uniform --model-args lo=1,hi=0",
+                               "model parameters need lo <= hi, got lo=1.0 and hi=0.0"),
+    "model-args-missing": (f"{_VALIDATE} --model iid-categorical",
+                           "model iid-categorical needs the parameters support and probs"),
+    "model-args-support": (f"{_VALIDATE} --model iid-categorical --model-args support=1,probs=1",
+        "model parameter support must be a nonempty 1-D sequence of numbers, got 1.0"),
+    "model-args-not-key-value": (f"{_VALIDATE} --model-args mu",
+                                 "model args must be key=value, got 'mu'"),
+    "seed-negative": (f"{_VALIDATE} --seed -1", f"{_SEED} -1"),
+    "seed-2**128": (f"{_VALIDATE} --seed {2**128}", f"{_SEED} {2**128}"),
+    # the [PASS] line was once printed before the report failed to write
+    "validate-out-directory": (f"{_VALIDATE} --out .", "[Errno 21] Is a directory: '.'"),
+    **{f"{command}-{ratio}": (argv.format(ratio), message)
+       for ratio, message in _BAD_RATIOS.items() for command, argv in (
+           ("fuzzy", "fuzzy --family conformal --calib calib.csv --utility log --ratio {} "
+                     "--grid -3:3:0.25 --out x.csv"),
+           ("validate", "validate --model iid-gaussian --ratio {} --n 5 --trials 1000"))},
+    "missing-files": ("decide --problem missing.json --set missing2.json",
+                      "[Errno 2] No such file or directory: 'missing.json'"),
+    # fuzzy and interval; an infinite grid end or an overflowing span once
+    # ended in an OverflowError traceback
+    "grid-zero-step": ("fuzzy --family gaussian-log --grid 0:1:0 --tau 3.5 --out x.csv",
+                       "grid step must be positive"),
+    **{f"grid-{grid}": (f"{_GAUSSIAN_LOG} --grid {grid} --out x.csv",
+                        f"grid spec {grid!r} needs a finite min, max, step and span")
+       for grid in ("0:inf:1", "-inf:0:1", "-1e308:1e308:1e300", "nan:1:0.1")},
+    "missing-tau": ("fuzzy --family gaussian-log --grid 0:1:0.1 --out x.csv",
+                    "gaussian-log needs --tau"),
+    "missing-conformal-flags": ("fuzzy --family conformal --grid 0:1:0.1 --out x.csv",
+                                "conformal needs --calib, --utility and --ratio"),
+    # every ratio is checked before the core runs: the calibration's ratios
+    # underflow to 0, and the ratio overflows to +inf from z = 39
+    "grid-ratio-before-core": ("fuzzy --family conformal --calib calib.csv --utility log --ratio "
+        "gaussian-mean-shift:0:30 --grid=-20:40:1 --out x.csv", "ratio is infinite at z=39.0; cap "
+        "the ratio (infinite evidence is expressed through the utility, not the alternative)", 2,
+        {"calib.csv": "-20\n-20\n-20\n"}),
+    # a non-finite parameter once wrote a constant curve and exited 0, or was
+    # blamed on the output ("Out of range float values are not JSON compliant"),
+    # as were finite inputs whose conditional mean or endpoints overflow
+    "np-mu-inf": ("fuzzy --family gaussian-np --alpha 0.05 --mu inf --grid=-3:3:1 --out x.csv",
+                  "mu must be finite, got inf"),
+    "bounded-log-mu-inf": ("fuzzy --family gaussian-bounded-log --tau 3.5 --alpha 0.05 --mu inf "
+                           "--grid=-3:3:1 --out x.csv", "mu must be finite, got inf"),
+    "np-composite-zbar-nan": ("fuzzy --family gaussian-np-composite --alpha 0.05 --n 5 --zbar nan "
+                              "--grid=-3:3:1 --out x.csv", "zbar must be finite, got nan"),
+    "log-sigma-nan": (f"{_GAUSSIAN_LOG} --sigma nan --grid=-3:3:1 --out x.csv",
+                      "sigma must be positive and finite, got nan"),
+    "interval-mu-nan": ("interval --family simple --alpha 0.05 --mu nan",
+                        "mu must be finite, got nan"),
+    "interval-sigma-inf": ("interval --family simple --alpha 0.05 --sigma inf",
+                           "sigma must be positive and finite, got inf"),
+    "interval-zbar-inf": ("interval --family composite --alpha 0.05 --n 3 --zbar=-inf",
+                          "zbar must be finite, got -inf"),
+    "interval-z-last-inf": ("interval --family ar1 --alpha 0.05 --rho 0.5 --z-last inf",
+                            "z_last must be finite, got inf"),
+    "interval-ar1-centre-overflow": ("interval --family ar1 --alpha 0.05 --mu=-1e308 --rho 0.5 "
+        "--z-last 1e308", "the conditional mean mu + rho*(z_last - mu) overflows, got inf"),
+    "interval-scale-overflow": ("interval --family simple --sigma 1e308 --alpha 1e-10", _OVERFLOW),
+    "interval-composite-scale-overflow": (
+        "interval --family composite --zbar 0 --sigma 1e308 --n 3 --alpha 0.05", _OVERFLOW),
+    "interval-centre-overflow": ("interval --family simple --mu 1.7e308 --sigma 1e307 --alpha "
+        "0.05", "the interval endpoints overflow, got lo=1.5040036015459945e+308 and hi=inf"),
+    # the NP step is its interval's complement: it once wrote evidence 0 everywhere
+    "np-scale-overflow": ("fuzzy --family gaussian-np --sigma 1e308 --alpha 1e-10 --grid=-1:1:1 "
+                          "--out x.csv", _OVERFLOW),
+    "bounded-log-tiny-scales": ("fuzzy --family gaussian-bounded-log --sigma 1e-200 --tau 1e-199 "
+        "--alpha 0.05 --grid -3:3:1 --out x.csv",
+        f"sigma=1e-200 and tau=1e-199 are out of range: {_CURVE_SCALES}"),
+    "bounded-log-huge-tau": ("fuzzy --family gaussian-bounded-log --tau 1e200 --alpha 0.05 --grid "
+        "-3:3:1 --out x.csv", f"sigma=1.0 and tau=1e+200 are out of range: {_CURVE_SCALES}"),
+    "bounded-log-tiny-alpha": ("fuzzy --family gaussian-bounded-log --tau 3.5 --alpha 1e-320 "
+        "--grid -3:3:1 --out x.csv", "capped ratio has null mean nan at boost 1", 3),
+    # 2 sigma^2 tau^2 overflows although sigma^2 tau^2 does not: the curve was
+    # NaN, and the call blamed the evidence ("evidence must be nonnegative")
+    **{f"scale-product-{family}": (
+        f"fuzzy --family {family} --sigma 1e77 --tau 1.1e77 {alpha} --grid=-1e200:1e200:1e199 "
+        "--out x.csv", f"sigma=1e+77 and tau=1.1e+77 are out of range: {_CURVE_SCALES}")
+       for family, alpha in (("gaussian-log", ""), ("gaussian-bounded-log", "--alpha 0.05"))},
+    # decide
+    # each but loss-rows once ended in a TypeError or AttributeError traceback,
+    # or, for a string of decisions, in a certificate for decisions "a" and "b"
+    **{name: _decide("", problem, conf, message) for name, problem, conf, message in (
+        ("loss-number", {**_PROBLEM, "loss": 5}, _SET, "loss must be a JSON list, got 5"),
+        ("problem-list", [_PROBLEM], _SET, "a decision problem must be a JSON object, got a list"),
+        ("loss-null", {**_PROBLEM, "loss": [[1, 1, 1], [2, None, 2]]}, _SET,
+         "loss[1][1] must be a number, got null"),
+        ("evidence-null", _PROBLEM, {**_SET, "evidence": [2.0, None, 3.0]},
+         "evidence[1] must be a number, got null"),
+        ("set-list", _PROBLEM, [], "a confidence set document must be a JSON object, got a list"),
+        ("decisions-string", {**_PROBLEM, "decisions": "ab"}, _SET,
+         "decisions must be a JSON list, got 'ab'"),
+        ("loss-rows", {**_PROBLEM, "loss": [[1, 1, 1]]}, _SET,
+         "loss must have one row per decision"))},
+    # each once decided, exit 0: JSON true read as the number 1, any truthy
+    # value, even "no", as a member, str() named a decision "1" or "None",
+    # and float() read any numeric string (the writers emit only "inf"); an
+    # integer beyond the float range once ended in an OverflowError traceback
+    **{name: _decide("--mode as-if", problem, conf, message) for name, problem, conf, message in (
+        ("alpha-boolean", _PROBLEM, {**_BINARY_SET, "alpha": True},
+         "alpha must be a number, got true"),
+        ("loss-boolean", {**_PROBLEM, "loss": [[1, 1, 1], [True, 0.5, 2]]}, _BINARY_SET,
+         "loss[1][0] must be a number, got true"),
+        ("evidence-boolean", _PROBLEM, {**_BINARY_SET, "evidence": [5.0, False, 3.0]},
+         "evidence[1] must be a number, got false"),
+        ("membership-string", _PROBLEM, {**_BINARY_SET, "membership": ["no", "no", "no"]},
+         "membership[0] must be true or false, got 'no'"),
+        ("membership-number", _PROBLEM, {**_BINARY_SET, "membership": [0, 1, 1]},
+         "membership[0] must be true or false, got 0"),
+        ("decision-null", {**_PROBLEM, "decisions": ["hold", None]}, _BINARY_SET,
+         "decisions[1] must be a string, got null"),
+        ("decision-number", {**_PROBLEM, "decisions": [1, None]}, _BINARY_SET,
+         "decisions[0] must be a string, got 1"),
+        ("alpha-string", _PROBLEM, {**_BINARY_SET, "alpha": "0.25"},
+         "alpha must be a number, got '0.25'"),
+        ("loss-string", {**_PROBLEM, "loss": [[1, 1, 1], [2, "0.5", 2]]}, _BINARY_SET,
+         "loss[1][1] must be a number, got '0.5'"),
+        ("outcome-string", {**_PROBLEM, "outcomes": ["-1", 0.0, 1.0]}, _BINARY_SET,
+         "outcomes[0] must be a number, got '-1'"),
+        ("evidence-infinity", _PROBLEM, {**_BINARY_SET, "evidence": [5.0, "inf", "Infinity"]},
+         "evidence[2] must be a number, got 'Infinity'"),
+        ("loss-huge-integer", {**_PROBLEM, "loss": [[1, 1, 1], [2, 10**400, 2]]}, _BINARY_SET,
+         "loss[1][1] is an integer beyond the float range"),
+        ("alpha-huge-integer", _PROBLEM, {**_BINARY_SET, "alpha": -10**400},
+         "alpha is an integer beyond the float range"))},
+    # outcome 0.0 has zero evidence and a positive loss under both decisions,
+    # so every weighted risk is infinite; -0.0 evidence once certified "a"
+    # with risk bound 1.0, its ratio 5/-0.0 read as -inf
+    **{f"{name}-evidence": _decide(
+        "--mode weighted",
+        {"decisions": ["a", "b"], "outcomes": [0.0, 1.0], "loss": [[5.0, 1.0], [1.0, 2.0]]},
+        fc.FuzzyConfidenceSet(PlugInGrid((0.0, 1.0)), (zero, 1.0), ()).to_json_doc(),
+        "every decision has infinite weighted risk; clip the evidence away from zero (e.g. a "
+        "clipped-log utility)", 3) for name, zero in (("zero", 0.0), ("negative-zero", -0.0))},
+}
+
+# n < 1 once ended in an IndexError or ZeroDivisionError traceback
+_N_BELOW_ONE_CALLS = {
+    f"{n}-{ratio}": (f"validate --model iid-gaussian --ratio {ratio} --n {n} --trials 1000",
+                     "n must be at least 1")
+    for ratio in ("ar1:0:0.5:3.5", "gaussian-composite:1:3.5", "gaussian-scale:0:1:3.5")
+    for n in (0, -1, -5)}
+
+_MODE_AND_PARAMETER_CALLS = {
+    # validate
+    "scale-sigma": (f"{_VALIDATE} --ratio gaussian-scale:0:-1:3.5",
+                    "sigma and tau must be positive"),
+    "ar1-rho": (f"{_VALIDATE} --ratio ar1:0:2:3.5", "rho must lie in (-1, 1)"),
+    "ar1-tau": (f"{_VALIDATE} --ratio ar1:0:0.5:0.5", "tau must exceed the unit marginal scale"),
+    "composite-order": (f"{_VALIDATE} --ratio gaussian-composite:2:1", "need 0 < sigma < tau"),
+    "coverage-alpha": (f"{_VALIDATE} --check coverage --alpha 1.5", "alpha must lie in (0, 1)"),
+    # decide
+    "as-if-alpha": (f"{_DECIDE} set.json --mode as-if", "as-if over a fuzzy set needs --alpha"),
+    "weighted-binary": (f"{_DECIDE} binary.json", "weighted mode needs a fuzzy confidence set"),
+    "post-hoc-binary": (f"{_DECIDE} binary.json --mode post-hoc --levels 0.5",
+                        "post-hoc mode needs a fuzzy confidence set"),
+    "post-hoc-levels": (f"{_DECIDE} set.json --mode post-hoc", "post-hoc mode needs --levels"),
+}
+
+_UNTAKEN_FLAG_CALLS = {
+    # each once exited 0, ignoring the flags its family does not read; the
+    # nested dampened utility ran, and power:-inf wrote evidence 3.0000000000000004
+    "evalue-alpha": ("validate --check evalue --alpha 0.3 --model iid-gaussian --n 5 --trials 1000 "
+                     "--out out.json", "evalue check does not take --alpha"),
+    "gaussian-log-conformal-flags": ("fuzzy --family gaussian-log --tau 3.5 --utility np:0.1 "
+        "--ratio bogus --calib missing.csv --grid=-1:1:1 --out out.csv",
+        "gaussian-log does not take --calib, --utility and --ratio"),
+    "conformal-alpha": (f"{_CONFORMAL} --utility log --ratio gaussian-scale:0:1:3.5 --alpha 0.05",
+                        "conformal does not take --alpha"),
+    "ar1-sigma": ("interval --family ar1 --rho 0.5 --z-last 1 --alpha 0.05 --sigma 7 "
+                  "--out out.json", "ar1 does not take --sigma"),
+    "dampened-dampened": (f"{_CONFORMAL} --utility dampened:0.1:dampened:0.2:np:0.3 --ratio "
+        "gaussian-scale:0:1:3.5", "the inner utility must not be dampened: b over c is dampened "
+        "with B = 1 - (1 - b)(1 - c)"),
+    "power-minus-inf": (f"{_CONFORMAL} --utility power:-inf --ratio gaussian-mean-shift:0:1",
+                        "h must satisfy -inf < h < 1 and h != 0"),
+    # as-if over a binary set made at 0.5 once certified at 0.5 whatever --alpha said
+    "as-if-binary-alpha": ("decide --problem prob.json --set binary.json --mode as-if --alpha 0.01 "
+                           "--out out.json", "as-if over a binary set does not take --alpha"),
+    "weighted-alpha-levels": ("decide --problem prob.json --set set.json --mode weighted --alpha "
+        "0.01 --levels 0.5 --out out.json", "weighted mode does not take --alpha and --levels"),
+}
+
+_PARSE_ERROR_CALLS = {
+    # each parse error once printed only the parser's message, such as "could
+    # not convert string to float: ''", naming no flag or file
+    "model-args": ("validate --model iid-gaussian --model-args mu=abc",
+                   "model arg mu must be a number, got 'abc'"),
+    "utility": ("validate --model iid-gaussian --utility power:abc",
+                "--utility 'power:abc': 'abc' is not a number"),
+    "dampened": ("validate --model iid-gaussian --utility dampened:x:log",
+                 "--utility 'dampened:x:log': 'x' is not a number"),
+    "utility-empty": ("fuzzy --family conformal --calib calib.csv --utility np: --ratio "
+        "gaussian-scale:0:1:3.5 --grid=-1:1:1 --out x.csv", "--utility 'np:': '' is not a number"),
+    "ratio": ("validate --model iid-gaussian --ratio gaussian-scale:a:1:2",
+              "--ratio 'gaussian-scale:a:1:2': 'a' is not a number"),
+    "ratio-empty": ("fuzzy --family conformal --calib calib.csv --utility log --ratio "
+        "ar1:0:0.5: --grid=-1:1:1 --out x.csv", "--ratio 'ar1:0:0.5:': '' is not a number"),
+    "ratio-unknown": ("validate --model iid-gaussian --ratio foo:1", "unknown ratio 'foo:1'"),
+    # a part that is not a number is named before the ratio is looked up
+    "ratio-unknown-not-a-number": ("validate --model iid-gaussian --ratio foo:x",
+                                   "--ratio 'foo:x': 'x' is not a number"),
+    "grid": (f"{_GAUSSIAN_LOG} --grid=1e16:1e16+8:1 --out x.csv",
+             "grid spec '1e16:1e16+8:1' must be min:max:step numbers"),
+    "levels": ("decide --problem prob.json --set set.json --mode post-hoc --levels 0.1,,0.2",
+               "--levels must be comma-separated numbers, got '0.1,,0.2'"),
+    "problem-file": ("decide --problem notes.txt --set set.json", "--problem notes.txt is "
+                     "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    "set-file": ("decide --problem prob.json --set notes.txt", "--set notes.txt is not "
+                 "JSON: Expecting value: line 1 column 1 (char 0)"),
+}
+
+_MISSING_FLAG_CALLS = {
+    family: (f"{command} --family {family} " + (
+        "--grid=-1:1:1 --out x.csv" if command == "fuzzy" else "--alpha 0.05"),
+        f"{family} needs {flags}") for (command, family), flags in _MISSING_FLAGS.items()}
 
 
-@pytest.mark.parametrize("ratio", ["ar1:0:0.5:3.5", "gaussian-composite:1:3.5",
-                                   "gaussian-scale:0:1:3.5"])
-@pytest.mark.parametrize("n", [0, -1, -5])
-def test_validate_n_below_one_exits_2(capsys, ratio, n):
-    # these once ended in an IndexError or ZeroDivisionError traceback, or a
-    # numpy message about negative dimensions
-    assert run(["validate", "--model", "iid-gaussian", "--ratio", ratio, "--n", n,
-                "--trials", 1000]) == 2
-    assert capsys.readouterr().err == "error: n must be at least 1\n"
-
-
-@pytest.mark.parametrize("ratio", ["gaussian-scale:0:1:1e200", "gaussian-scale:0:1e-200:1e-199",
-                                   "ar1:0:0.5:1e200", "gaussian-composite:1e-200:1e-199"])
-def test_scale_ratio_out_of_float_range_exits_2(tmp_path, capsys, ratio):
-    # the scales are checked when the ratio is built, not blamed on its values
-    calib = tmp_path / "calib.csv"
-    calib.write_text("0.12\n-0.4\n0.9\n")
-    calls = [["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "log",
-              "--ratio", ratio, "--grid", "-3:3:0.25", "--out", tmp_path / "x.csv"],
-             ["validate", "--model", "iid-gaussian", "--ratio", ratio, "--n", 5,
-              "--trials", 1000]]
-    for args in calls:
+def _failing_calls_test(rows):
+    # a test that runs each row of a table of documented failures; a failure
+    # exits with its code and prints its one error line and nothing else: no
+    # output, no file left behind, no warning
+    @pytest.mark.parametrize("argv, code, message, documents",
+                             [_row(*row) for row in rows.values()], ids=list(rows))
+    def test(tmp_path, monkeypatch, capsys, argv, code, message, documents):
+        for name, doc in documents.items():
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run(args) == 2
+            assert main(argv) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(documents)
         assert caught == []
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: sigma=") and "tau=" in err[0], err
+    return test
+
+
+test_failing_call = _failing_calls_test(_FAILING_CALLS)
+test_validate_n_below_one_exits_2 = _failing_calls_test(_N_BELOW_ONE_CALLS)
+test_mode_and_parameter_checks_exit_2 = _failing_calls_test(_MODE_AND_PARAMETER_CALLS)
+test_flags_and_utilities_a_choice_does_not_take_exit_2 = _failing_calls_test(_UNTAKEN_FLAG_CALLS)
+test_parse_errors_name_what_they_parse = _failing_calls_test(_PARSE_ERROR_CALLS)
+test_closed_form_family_names_every_missing_flag = _failing_calls_test(_MISSING_FLAG_CALLS)
+
+
+def test_missing_flag_rows_cover_every_closed_form_family():
+    fuzzy = {family for command, family in _MISSING_FLAGS if command == "fuzzy"}
+    assert fuzzy == set(cli._FUZZY_FAMILIES) - {"conformal"}
+
+
+# the package's own source directory first on the path of a child process
+_SRC_PATH = os.pathsep.join(p for p in (str(Path(fc.__file__).resolve().parents[1]),
+                                        os.environ.get("PYTHONPATH")) if p)
 
 
 def _run_module(args, cwd, timeout=120):
-    src = str(Path(fc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "fuzzyconf", *map(str, args)], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_SRC_PATH), timeout=timeout)
 
 
 def test_wide_grid_overflow_is_one_error_line(tmp_path):
@@ -325,19 +555,6 @@ def test_wide_grid_overflow_is_one_error_line(tmp_path):
         "expressed through the utility, not the alternative)\n")
 
 
-def test_a_bad_grid_ratio_outranks_a_core_failure_at_an_earlier_point(tmp_path, capsys):
-    # the calibration's ratios underflow to 0, so the tuples at the low grid
-    # points vanish on every slot; the ratio overflows to +inf from z = 39,
-    # and every ratio is checked before the core runs
-    (tmp_path / "calib.csv").write_text("-20\n-20\n-20\n")
-    assert run(["fuzzy", "--family", "conformal", "--calib", tmp_path / "calib.csv",
-                "--utility", "log", "--ratio", "gaussian-mean-shift:0:30", "--grid=-20:40:1",
-                "--out", tmp_path / "x.csv"]) == 2
-    assert capsys.readouterr().err == (
-        "error: ratio is infinite at z=39.0; cap the ratio (infinite evidence is "
-        "expressed through the utility, not the alternative)\n")
-
-
 @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-7", "0:1e308:1e-308"])
 def test_grid_point_count_is_capped(tmp_path, grid):
     # the point count is checked before any point is built; 0:1:1e-300 once
@@ -347,18 +564,6 @@ def test_grid_point_count_is_capped(tmp_path, grid):
     assert MAX_GRID_POINTS == 10**7
     assert done.returncode == 2
     assert done.stderr == f"error: grid spec {grid!r} has more than 10000000 points\n"
-
-
-@pytest.mark.parametrize("flags, code, message", [
-    (["--sigma", "1e-200", "--tau", "1e-199", "--alpha", "0.05"], 2, "out of range"),
-    (["--tau", "1e200", "--alpha", "0.05"], 2, "out of range"),
-    (["--tau", "3.5", "--alpha", "1e-320"], 3, "null mean nan"),
-])
-def test_gaussian_extreme_scales_exit_codes(tmp_path, capsys, flags, code, message):
-    assert run(["fuzzy", "--family", "gaussian-bounded-log", *flags, "--grid", "-3:3:1",
-                "--out", tmp_path / "x.csv"]) == code
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 @pytest.mark.parametrize("calib, flags, rows", [
@@ -390,39 +595,6 @@ def test_conformal_ratios_past_the_float_range_exit_0(tmp_path, capsys, calib, f
     assert (tmp_path / "x.csv").read_text().splitlines() == ["z,evidence", *rows]
 
 
-@pytest.mark.parametrize("family", ["gaussian-log", "gaussian-bounded-log"])
-def test_gaussian_scales_whose_product_overflows_exit_2(tmp_path, capsys, family):
-    # 2 sigma^2 tau^2 overflows although sigma^2 tau^2 does not: the curve was
-    # NaN, and the call blamed the evidence ("evidence must be nonnegative")
-    alpha = ["--alpha", "0.05"] if family == "gaussian-bounded-log" else []
-    assert run(["fuzzy", "--family", family, "--sigma", "1e77", "--tau", "1.1e77", *alpha,
-                "--grid=-1e200:1e200:1e199", "--out", tmp_path / "x.csv"]) == 2
-    assert capsys.readouterr().err.startswith("error: sigma=1e+77 and tau=1.1e+77 are out of range")
-    assert not (tmp_path / "x.csv").exists()
-
-
-# every flag a closed-form family needs that has no default, in flag order
-_MISSING_FLAGS = {
-    ("fuzzy", "gaussian-log"): "--tau",
-    ("fuzzy", "gaussian-log-composite"): "--zbar, --tau and --n",
-    ("fuzzy", "gaussian-bounded-log"): "--tau and --alpha",
-    ("fuzzy", "gaussian-bounded-log-composite"): "--zbar, --tau, --n and --alpha",
-    ("fuzzy", "gaussian-np"): "--alpha",
-    ("fuzzy", "gaussian-np-composite"): "--zbar, --n and --alpha",
-    ("interval", "composite"): "--zbar and --n",
-    ("interval", "ar1"): "--rho and --z-last",
-}
-
-
-@pytest.mark.parametrize("command, family", _MISSING_FLAGS, ids=[f for _, f in _MISSING_FLAGS])
-def test_closed_form_family_names_every_missing_flag(tmp_path, capsys, command, family):
-    assert {f for c, f in _MISSING_FLAGS if c == "fuzzy"} == set(cli._FUZZY_FAMILIES) - {
-        "conformal"}
-    rest = ["--grid=-1:1:1", "--out", tmp_path / "x.csv"] if command == "fuzzy" else ["--alpha", 0.05]
-    assert run([command, "--family", family, *rest]) == 2
-    assert capsys.readouterr() == ("", f"error: {family} needs {_MISSING_FLAGS[command, family]}\n")
-
-
 def test_composite_provenance_prints_n_in_full(tmp_path):
     # {n:g} would print 1.23457e+06
     assert run(["fuzzy", "--family", "gaussian-np-composite", "--zbar", 0.5, "--n", 1234567,
@@ -432,171 +604,6 @@ def test_composite_provenance_prints_n_in_full(tmp_path):
     assert doc["provenance"] == {
         "alternative": "gaussian-np-composite(zbar=0.5,sigma=1,n=1234567,alpha=0.05)",
         "utility": "np"}
-
-
-_PROBLEM = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
-            "loss": [[1, 1, 1], [2, 0.5, 2]]}
-_SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).to_json_doc()
-
-
-@pytest.mark.parametrize("problem, conf, message", [
-    ({**_PROBLEM, "loss": 5}, _SET, "loss must be a JSON list, got 5"),
-    ([_PROBLEM], _SET, "a decision problem must be a JSON object, got a list"),
-    ({**_PROBLEM, "loss": [[1, 1, 1], [2, None, 2]]}, _SET, "loss[1][1] must be a number, got null"),
-    (_PROBLEM, {**_SET, "evidence": [2.0, None, 3.0]}, "evidence[1] must be a number, got null"),
-    (_PROBLEM, [], "a confidence set document must be a JSON object, got a list"),
-    ({**_PROBLEM, "decisions": "ab"}, _SET, "decisions must be a JSON list, got 'ab'"),
-    ({**_PROBLEM, "loss": [[1, 1, 1]]}, _SET, "loss must have one row per decision"),
-], ids=["loss-number", "problem-list", "loss-null", "evidence-null", "set-list", "decisions-string",
-        "loss-rows"])
-def test_malformed_decide_documents_exit_2(tmp_path, capsys, problem, conf, message):
-    # each but loss-rows once ended in a TypeError or AttributeError traceback
-    # (exit 1), or, for a string of decisions, in a certificate for decisions
-    # "a" and "b"
-    (tmp_path / "prob.json").write_text(json.dumps(problem))
-    (tmp_path / "set.json").write_text(json.dumps(conf))
-    assert run(["decide", "--problem", tmp_path / "prob.json", "--set", tmp_path / "set.json",
-                "--out", tmp_path / "cert.json"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "cert.json").exists()
-
-
-_BINARY_SET = fc.BinaryConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (False, True, True), 0.25,
-                                     (5.0, 0.5, 3.0), ()).to_json_doc()
-
-
-@pytest.mark.parametrize("problem, conf, message", [
-    (_PROBLEM, {**_BINARY_SET, "alpha": True}, "alpha must be a number, got true"),
-    ({**_PROBLEM, "loss": [[1, 1, 1], [True, 0.5, 2]]}, _BINARY_SET,
-     "loss[1][0] must be a number, got true"),
-    (_PROBLEM, {**_BINARY_SET, "evidence": [5.0, False, 3.0]}, "evidence[1] must be a number, got false"),
-    (_PROBLEM, {**_BINARY_SET, "membership": ["no", "no", "no"]},
-     "membership[0] must be true or false, got 'no'"),
-    (_PROBLEM, {**_BINARY_SET, "membership": [0, 1, 1]}, "membership[0] must be true or false, got 0"),
-], ids=["number", "loss-entry", "evidence-entry", "membership-string", "membership-number"])
-def test_decide_documents_reject_booleans_as_numbers_and_non_booleans_as_membership(
-        tmp_path, capsys, problem, conf, message):
-    # each once decided, exit 0: JSON true read as the number 1 (an alpha of
-    # 1.0, a loss of 1.0), and any truthy value, even "no", as a member
-    (tmp_path / "prob.json").write_text(json.dumps(problem))
-    (tmp_path / "set.json").write_text(json.dumps(conf))
-    assert run(["decide", "--mode", "as-if", "--problem", tmp_path / "prob.json",
-                "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "cert.json").exists()
-
-
-_DECIDE = ["decide", "--problem", "prob.json", "--out", "cert.json"]
-_VALIDATE = ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "1000"]
-
-
-@pytest.mark.parametrize("args, message", [
-    (_DECIDE + ["--set", "set.json", "--mode", "as-if"], "as-if over a fuzzy set needs --alpha"),
-    (_DECIDE + ["--set", "binary.json"], "weighted mode needs a fuzzy confidence set"),
-    (_DECIDE + ["--set", "binary.json", "--mode", "post-hoc", "--levels", "0.5"],
-     "post-hoc mode needs a fuzzy confidence set"),
-    (_DECIDE + ["--set", "set.json", "--mode", "post-hoc"], "post-hoc mode needs --levels"),
-    (_VALIDATE + ["--check", "coverage", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
-    (_VALIDATE + ["--ratio", "gaussian-scale:0:-1:3.5"], "sigma and tau must be positive"),
-    (_VALIDATE + ["--ratio", "ar1:0:2:3.5"], "rho must lie in (-1, 1)"),
-    (_VALIDATE + ["--ratio", "ar1:0:0.5:0.5"], "tau must exceed the unit marginal scale"),
-    (_VALIDATE + ["--ratio", "gaussian-composite:2:1"], "need 0 < sigma < tau"),
-], ids=["as-if-alpha", "weighted-binary", "post-hoc-binary", "post-hoc-levels", "coverage-alpha",
-        "scale-sigma", "ar1-rho", "ar1-tau", "composite-order"])
-def test_mode_and_parameter_checks_exit_2(tmp_path, capsys, monkeypatch, args, message):
-    (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
-    (tmp_path / "set.json").write_text(json.dumps(_SET))
-    (tmp_path / "binary.json").write_text(json.dumps(_BINARY_SET))
-    monkeypatch.chdir(tmp_path)
-    assert run(args) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (tmp_path / "cert.json").exists()
-
-
-_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--grid=-1:1:1",
-              "--out", "out.csv"]
-
-
-@pytest.mark.parametrize("args, message", [
-    (["decide", "--problem", "prob.json", "--set", "binary.json", "--mode", "as-if",
-      "--alpha", "0.01", "--out", "out.json"], "as-if over a binary set does not take --alpha"),
-    (["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--utility", "np:0.1",
-      "--ratio", "bogus", "--calib", "missing.csv", "--grid=-1:1:1", "--out", "out.csv"],
-     "gaussian-log does not take --calib, --utility and --ratio"),
-    (["interval", "--family", "ar1", "--rho", "0.5", "--z-last", "1", "--alpha", "0.05",
-      "--sigma", "7", "--out", "out.json"], "ar1 does not take --sigma"),
-    (_CONFORMAL + ["--utility", "log", "--ratio", "gaussian-scale:0:1:3.5", "--alpha", "0.05"],
-     "conformal does not take --alpha"),
-    (["validate", "--check", "evalue", "--alpha", "0.3", "--model", "iid-gaussian", "--n", "5",
-      "--trials", "1000", "--out", "out.json"], "evalue check does not take --alpha"),
-    (["decide", "--problem", "prob.json", "--set", "set.json", "--mode", "weighted",
-      "--alpha", "0.01", "--levels", "0.5", "--out", "out.json"],
-     "weighted mode does not take --alpha and --levels"),
-    (_CONFORMAL + ["--utility", "dampened:0.1:dampened:0.2:np:0.3",
-                   "--ratio", "gaussian-scale:0:1:3.5"],
-     "the inner utility must not be dampened: b over c is dampened with B = 1 - (1 - b)(1 - c)"),
-    (_CONFORMAL + ["--utility", "power:-inf", "--ratio", "gaussian-mean-shift:0:1"],
-     "h must satisfy -inf < h < 1 and h != 0"),
-], ids=["as-if-binary-alpha", "gaussian-log-conformal-flags", "ar1-sigma", "conformal-alpha",
-        "evalue-alpha", "weighted-alpha-levels", "dampened-dampened", "power-minus-inf"])
-def test_flags_and_utilities_a_choice_does_not_take_exit_2(tmp_path, capsys, monkeypatch, args,
-                                                          message):
-    # each but the last two once exited 0, ignoring the flags its family,
-    # check or mode does not read: as-if over a binary set made at 0.5
-    # certified at 0.5 whatever --alpha said. The nested dampened utility
-    # ran, and power:-inf wrote evidence 3.0000000000000004 at both points
-    (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
-    (tmp_path / "set.json").write_text(json.dumps(_SET))
-    (tmp_path / "binary.json").write_text(json.dumps(_BINARY_SET))
-    (tmp_path / "calib.csv").write_text("-1000\n0\n")
-    monkeypatch.chdir(tmp_path)
-    assert run(args) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not list(tmp_path.glob("out.*"))
-
-
-@pytest.mark.parametrize("problem, conf, message", [
-    ({**_PROBLEM, "decisions": ["hold", None]}, _BINARY_SET,
-     "decisions[1] must be a string, got null"),
-    ({**_PROBLEM, "decisions": [1, None]}, _BINARY_SET, "decisions[0] must be a string, got 1"),
-    (_PROBLEM, {**_BINARY_SET, "alpha": "0.25"}, "alpha must be a number, got '0.25'"),
-    ({**_PROBLEM, "loss": [[1, 1, 1], [2, "0.5", 2]]}, _BINARY_SET,
-     "loss[1][1] must be a number, got '0.5'"),
-    ({**_PROBLEM, "outcomes": ["-1", 0.0, 1.0]}, _BINARY_SET,
-     "outcomes[0] must be a number, got '-1'"),
-    (_PROBLEM, {**_BINARY_SET, "evidence": [5.0, "inf", "Infinity"]},
-     "evidence[2] must be a number, got 'Infinity'"),
-    ({**_PROBLEM, "loss": [[1, 1, 1], [2, 10**400, 2]]}, _BINARY_SET,
-     "loss[1][1] is an integer beyond the float range"),
-    (_PROBLEM, {**_BINARY_SET, "alpha": -10**400}, "alpha is an integer beyond the float range"),
-], ids=["decision-null", "decision-number", "alpha-string", "loss-string", "outcome-string",
-        "evidence-infinity", "loss-huge-integer", "alpha-huge-integer"])
-def test_decide_documents_take_string_decisions_and_numbers_or_inf(
-        tmp_path, capsys, problem, conf, message):
-    # each once decided, exit 0: str() named a decision "1" or "None", and
-    # float() read any numeric string; the writers emit only the string "inf".
-    # An integer beyond the float range once ended in an OverflowError traceback
-    (tmp_path / "prob.json").write_text(json.dumps(problem))
-    (tmp_path / "set.json").write_text(json.dumps(conf))
-    assert run(["decide", "--mode", "as-if", "--problem", tmp_path / "prob.json",
-                "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "cert.json").exists()
-
-
-@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
-def test_negative_zero_evidence_is_zero_evidence(tmp_path, capsys, zero):
-    # outcome 0.0 has zero evidence and a positive loss under both decisions,
-    # so every weighted risk is infinite; -0.0 evidence once certified "a"
-    # with risk bound 1.0, its ratio 5/-0.0 read as -inf
-    problem = {"decisions": ["a", "b"], "outcomes": [0.0, 1.0], "loss": [[5.0, 1.0], [1.0, 2.0]]}
-    conf = fc.FuzzyConfidenceSet(PlugInGrid((0.0, 1.0)), (zero, 1.0), ()).to_json_doc()
-    (tmp_path / "prob.json").write_text(json.dumps(problem))
-    (tmp_path / "set.json").write_text(json.dumps(conf))
-    assert run(["decide", "--mode", "weighted", "--problem", tmp_path / "prob.json",
-                "--set", tmp_path / "set.json", "--out", tmp_path / "cert.json"]) == 3
-    assert capsys.readouterr().err.startswith("error: every decision has infinite weighted risk")
-    assert not (tmp_path / "cert.json").exists()
 
 
 @pytest.mark.parametrize("family, flags, edge", [
@@ -615,82 +622,6 @@ def test_np_curve_keeps_its_interval_endpoint(tmp_path, capsys, family, flags, e
     assert run(["fuzzy", "--family", np_family, *flags, grid, "--out", tmp_path / "x.csv"]) == 0
     rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().splitlines()[1:]]
     assert {float(x): e for x, e in rows}[z] == "0"
-
-
-@pytest.mark.parametrize("args, message", [
-    (["decide", "--problem", "prob.json", "--set", "set.json", "--mode", "post-hoc",
-      "--levels", "0.1,,0.2"], "--levels must be comma-separated numbers, got '0.1,,0.2'"),
-    (["validate", "--model", "iid-gaussian", "--model-args", "mu=abc"],
-     "model arg mu must be a number, got 'abc'"),
-    (["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=1e16:1e16+8:1", "--out", "x.csv"],
-     "grid spec '1e16:1e16+8:1' must be min:max:step numbers"),
-    (["decide", "--problem", "notes.txt", "--set", "set.json"],
-     "--problem notes.txt is not JSON: Expecting value: line 1 column 1 (char 0)"),
-    (["decide", "--problem", "prob.json", "--set", "notes.txt"],
-     "--set notes.txt is not JSON: Expecting value: line 1 column 1 (char 0)"),
-    (["validate", "--model", "iid-gaussian", "--utility", "power:abc"],
-     "--utility 'power:abc': 'abc' is not a number"),
-    (["validate", "--model", "iid-gaussian", "--utility", "dampened:x:log"],
-     "--utility 'dampened:x:log': 'x' is not a number"),
-    (["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "np:",
-      "--ratio", "gaussian-scale:0:1:3.5", "--grid=-1:1:1", "--out", "x.csv"], "--utility 'np:': '' is not a number"),
-    (["validate", "--model", "iid-gaussian", "--ratio", "gaussian-scale:a:1:2"],
-     "--ratio 'gaussian-scale:a:1:2': 'a' is not a number"),
-    (["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "log",
-      "--ratio", "ar1:0:0.5:", "--grid=-1:1:1", "--out", "x.csv"],
-     "--ratio 'ar1:0:0.5:': '' is not a number"),
-    (["validate", "--model", "iid-gaussian", "--ratio", "foo:1"], "unknown ratio 'foo:1'"),
-    # a part that is not a number is named before the ratio is looked up
-    (["validate", "--model", "iid-gaussian", "--ratio", "foo:x"],
-     "--ratio 'foo:x': 'x' is not a number"),
-], ids=["levels", "model-args", "grid", "problem-file", "set-file", "utility", "dampened",
-        "utility-empty", "ratio", "ratio-empty", "ratio-unknown", "ratio-unknown-not-a-number"])
-def test_parse_errors_name_what_they_parse(tmp_path, capsys, monkeypatch, args, message):
-    # each once printed only the parser's message, such as
-    # "could not convert string to float: ''", naming no flag or file
-    (tmp_path / "prob.json").write_text(json.dumps(_PROBLEM))
-    (tmp_path / "set.json").write_text(json.dumps(_SET))
-    (tmp_path / "notes.txt").write_text("not json\n")
-    (tmp_path / "calib.csv").write_text("0.5\n1.5\n")
-    monkeypatch.chdir(tmp_path)
-    assert run(args) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-@pytest.mark.parametrize("seed", [-1, 2**128])
-def test_seed_outside_the_philox_key_range_exits_2(capsys, seed):
-    assert run(["validate", "--model", "iid-gaussian", "--n", 5, "--trials", 1000,
-                "--seed", seed]) == 2
-    assert capsys.readouterr().err == \
-        f"error: seed must lie in [0, 2**128), the Philox key range, got {seed}\n"
-
-
-@pytest.mark.parametrize("args, message", [
-    (["fuzzy", "--family", "gaussian-np", "--alpha", "0.05", "--mu", "inf"], "mu must be finite, got inf"),
-    (["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05", "--mu", "inf"],
-     "mu must be finite, got inf"),
-    (["fuzzy", "--family", "gaussian-np-composite", "--alpha", "0.05", "--n", "5", "--zbar", "nan"],
-     "zbar must be finite, got nan"),
-    (["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--sigma", "nan"],
-     "sigma must be positive and finite, got nan"),
-    (["interval", "--family", "simple", "--alpha", "0.05", "--mu", "nan"], "mu must be finite, got nan"),
-    (["interval", "--family", "simple", "--alpha", "0.05", "--sigma", "inf"],
-     "sigma must be positive and finite, got inf"),
-    (["interval", "--family", "composite", "--alpha", "0.05", "--n", "3", "--zbar=-inf"],
-     "zbar must be finite, got -inf"),
-    (["interval", "--family", "ar1", "--alpha", "0.05", "--rho", "0.5", "--z-last", "inf"],
-     "z_last must be finite, got inf"),
-    # finite inputs whose conditional mean overflows: mu is not to blame
-    (["interval", "--family", "ar1", "--alpha", "0.05", "--mu=-1e308", "--rho", "0.5",
-      "--z-last", "1e308"], "the conditional mean mu + rho*(z_last - mu) overflows, got inf"),
-])
-def test_non_finite_gaussian_parameters_exit_2(tmp_path, capsys, args, message):
-    # the fuzzy calls once wrote a constant curve and exited 0; the interval
-    # calls blamed the output ("Out of range float values are not JSON compliant")
-    out = ["--grid=-3:3:1", "--out", tmp_path / "x.csv"] if args[0] == "fuzzy" else []
-    assert run(args + out) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert not (tmp_path / "x.csv").exists()
 
 
 _CURVE_ARGS = {"mu": -0.2, "sigma": 1.3, "tau": 3.5, "alpha": 0.05, "n": 7, "zbar": 0.4}
@@ -894,11 +825,9 @@ def _run_cli_script(work, calls, blocked="", codes=None):
                "loss": [[1, 1, 1], [2, 0.5, 2]]}
     (work / "prob.json").write_text(json.dumps(problem))
     (work / "bad.json").write_text(json.dumps({**problem, "loss": 5}))
-    src = str(Path(fc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", _CLI_SCRIPT, blocked, str(work), json.dumps(calls)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_SRC_PATH), timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == (codes or [0] * len(calls)), done.stderr
@@ -954,7 +883,7 @@ _CLOSED_FORM = [
 
 # a closed-form set on prob.json's outcomes, then every decide mode on it
 # and the malformed problem
-_DECIDE = [
+_DECIDE_CALLS = [
     ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
      "--grid=-1:1:1", "--out", "g.csv", "--json", "g.json"],
 ] + [
@@ -969,9 +898,9 @@ _DECIDE = [
                                             ("numpy", _CLOSED_FORM),
                                             ("dataclasses", _CLOSED_FORM),
                                             ("inspect", _CLOSED_FORM),
-                                            ("dataclasses", _DECIDE),
-                                            ("numpy", _DECIDE),
-                                            ("inspect", _DECIDE),
+                                            ("dataclasses", _DECIDE_CALLS),
+                                            ("numpy", _DECIDE_CALLS),
+                                            ("inspect", _DECIDE_CALLS),
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
                          ids=["scipy", "numpy", "dataclasses", "inspect", "dataclasses-decide",
                               "numpy-decide", "inspect-decide", "reference"])
@@ -1130,10 +1059,9 @@ def _run_numpy_calls(work, openblas_threads=None):
     bytes of each file it wrote."""
     work.mkdir()
     (work / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
-    src = str(Path(fc.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = _SRC_PATH
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(work),
@@ -1191,11 +1119,12 @@ _ENTRY_PROBE = textwrap.dedent("""
     runpy.run_module("fuzzyconf", run_name="__main__")
 """)
 
-_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
-              "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.05",
-              "--out", "c.csv", "--json", "c.json"]
-_VALIDATE = ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian",
-             "--n", "5", "--trials", "2000", "--seed", "3", "--out", "report.json"]
+_ENTRY_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+                    "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.05",
+                    "--out", "c.csv", "--json", "c.json"]
+_ENTRY_VALIDATE = ["validate", "--check", "coverage", "--alpha", "0.1", "--model",
+                   "iid-gaussian", "--n", "5", "--trials", "2000", "--seed", "3",
+                   "--out", "report.json"]
 # the validators stream their trials in fixed blocks: this run once peaked
 # near 190 MiB, holding all 200k trials of 21 slots
 _POSTHOC_200K = ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", "--model",
@@ -1203,15 +1132,13 @@ _POSTHOC_200K = ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1
                  "--trials", "200000", "--seed", "7"]
 
 
-@pytest.mark.parametrize("args", [_CONFORMAL, _VALIDATE, _POSTHOC_200K],
+@pytest.mark.parametrize("args", [_ENTRY_CONFORMAL, _ENTRY_VALIDATE, _POSTHOC_200K],
                          ids=["fuzzy", "validate", "validate-posthoc-200k"])
 def test_module_entry_runs_without_the_collector(tmp_path, args):
     (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
-    src = str(Path(fc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *args], cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=_SRC_PATH), timeout=120)
     assert done.returncode == 0, done.stderr
     probe = re.fullmatch(r"gc enabled=(\w+) frozen=(\d+) peak=(\d+)", done.stdout.splitlines()[-1])
     assert probe and probe[1] == "False" and int(probe[2]) > 0, done.stdout
@@ -1222,8 +1149,8 @@ def test_in_process_main_keeps_the_gc_state(tmp_path, monkeypatch):
     (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
     monkeypatch.chdir(tmp_path)
     state = gc.isenabled(), gc.get_freeze_count()
-    assert run(_CONFORMAL) == 0
-    assert run(_VALIDATE) == 0
+    assert run(_ENTRY_CONFORMAL) == 0
+    assert run(_ENTRY_VALIDATE) == 0
     assert run(["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
                 "--out", "x.csv"]) == 2
     assert (gc.isenabled(), gc.get_freeze_count()) == state
@@ -1278,8 +1205,8 @@ def test_cyclic_garbage_does_not_grow_with_the_work(tmp_path, monkeypatch, call,
 
 
 _ENTRY_CALLS = [
-    (0, _CONFORMAL),
-    (0, _VALIDATE),
+    (0, _ENTRY_CONFORMAL),
+    (0, _ENTRY_VALIDATE),
     (0, ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05"]),
     (0, ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
          "--levels", "0.05,0.1,0.5", "--out", "cert.json"]),

@@ -27,6 +27,9 @@ QUANTILE_ORACLE = {
     1e-12: -7.03448382530113192981,
     0.3: -0.5244005127080407840383,
     0.9999: 3.719016485455680564394,
+    # subnormal p, frozen from an arbitrary-precision root of log Phi(x) = log p
+    5e-324: -38.467405617144346251,
+    1e-320: -38.269125343032651018,
 }
 
 
