@@ -208,7 +208,7 @@ def _json_text(value, newline: str = "\n") -> str:
 
 def _write_json(path: Optional[str], doc: dict) -> None:
     text = _json_text(doc) + "\n"
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -241,6 +241,8 @@ def _family_args(args, flags: tuple[str, ...], owner: str) -> list:
 def cmd_fuzzy(args) -> int:
     from . import sets
 
+    if args.json and os.path.realpath(args.json) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --json name the same file {args.out!r}")
     grid = sets.PlugInGrid.from_spec(args.grid)
     builder, flags, utility = _FUZZY_FAMILIES[args.family]
     values = _family_args(args, flags, args.family)
@@ -260,7 +262,11 @@ def cmd_fuzzy(args) -> int:
         fset = sets.FuzzyConfidenceSet(grid, evidence, (), f"{args.family}({params})", utility)
     fset.to_csv(args.out)
     if args.json:
-        _write_json(args.json, fset.to_json_doc())
+        try:
+            _write_json(args.json, fset.to_json_doc())
+        except BaseException:  # a failing call leaves no file behind
+            os.remove(args.out)
+            raise
     return EXIT_OK
 
 

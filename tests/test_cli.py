@@ -294,6 +294,17 @@ _FAILING_CALLS = {
     "seed-2**128": (f"{_VALIDATE} --seed {2**128}", f"{_SEED} {2**128}"),
     # the [PASS] line was once printed before the report failed to write
     "validate-out-directory": (f"{_VALIDATE} --out .", "[Errno 21] Is a directory: '.'"),
+    # the CSV written first was once left behind
+    "fuzzy-json-directory": (f"{_GAUSSIAN_LOG} --grid=-1:1:1 --out x.csv --json .",
+                             "[Errno 21] Is a directory: '.'"),
+    "conformal-json-directory": (f"{_CONFORMAL} --utility log --ratio gaussian-scale:0:1:3.5 "
+                                 "--json .", "[Errno 21] Is a directory: '.'"),
+    # the JSON once overwrote the CSV, exit 0; "-" once sent the JSON to
+    # stdout and wrote the CSV to a file named "-"
+    "out-and-json-one-file": (f"{_GAUSSIAN_LOG} --grid=-1:1:1 --out y.csv --json ./y.csv",
+                              "--out and --json name the same file 'y.csv'"),
+    "out-and-json-dash": (f"{_GAUSSIAN_LOG} --grid=-1:1:1 --out - --json -",
+                          "--out and --json name the same file '-'"),
     **{f"{command}-{ratio}": (argv.format(ratio), message)
        for ratio, message in _BAD_RATIOS.items() for command, argv in (
            ("fuzzy", "fuzzy --family conformal --calib calib.csv --utility log --ratio {} "

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
+    KernelAlternative,
     ar1_kernel,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
@@ -21,9 +22,13 @@ from fuzzyconf.confidence import _final_slot_evidence, fuzzy_set, grid_evidence
 from fuzzyconf.errors import (
     AllZeroRatioError, FuzzyconfError, NormalizationFailureError,
 )
-from fuzzyconf.evalues import BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power
-from fuzzyconf.harness import adversarial_level_rule
-from fuzzyconf.reference import conditional_lr_iid, evalue_at, np_threshold
+from fuzzyconf.evalues import (
+    BoundedLog, ClippedLog, Dampened, Log, NeymanPearson, Power, utility_id,
+)
+from fuzzyconf.harness import McConfig, adversarial_level_rule
+from fuzzyconf.reference import (
+    conditional_lr_iid, evalue_at, evalues_for, np_threshold, sample_matrix,
+)
 from fuzzyconf.sets import (
     BinaryConfidenceSet,
     FuzzyConfidenceSet,
@@ -135,10 +140,70 @@ def test_capped_and_clipped_evidence_when_the_ratios_sum_overflows(utility, leve
                      else [level, level, 1.0])
 
 
-SCALED_UTILITIES = [parse_utility(u) for u in (
-    "log", "power:0.5", "power:0.999999", "power:-3", "np:0.1", "np:1e-6", "bounded-log:0.05",
-    "bounded-log:1e-9", "clipped-log:0.1", "clipped-log:1", "dampened:0.3:bounded-log:0.05",
+# tiny and boundary levels, floors, h near 1 and far below 0, and dampened shapes
+UTILITIES = [parse_utility(u) for u in (
+    "log", "np:0.01", "np:0.1", "np:0.3", "np:1e-6", "bounded-log:1e-9", "bounded-log:1e-6",
+    "bounded-log:0.05", "bounded-log:0.5", "clipped-log:1e-9", "clipped-log:0.1",
+    "clipped-log:1", "power:-50", "power:-5", "power:-3", "power:0.5", "power:0.99",
+    "power:0.999999", "dampened:0.2:np:0.1", "dampened:0.3:clipped-log:0.1",
+    "dampened:0.2:bounded-log:0.05", "dampened:0.3:bounded-log:0.05",
 )]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_core_matches_oracle(core, calibration, finals, alt, utility):
+    """The core's evidence ``core()``, (T, G), of the tuples ``calibration[t]
+    + (finals[t][g],)`` against the exact per-orbit ``evalue_at``: NP and
+    dampened NP bit for bit, every other utility at rtol 1e-12, atol 0. Where
+    the oracle raises, the lowest failing point g decides: ``core()`` must
+    raise AllZeroRatioError if any tuple at g is all-zero, else the class the
+    oracle raised first there. Returns the oracle's evidence, as nested
+    lists, or that class."""
+    calibration, finals = np.asarray(calibration, dtype=float), np.asarray(finals, dtype=float)
+    want = np.empty(finals.shape)
+    for g in range(finals.shape[1]):
+        kinds = []
+        for t, row in enumerate(calibration):
+            try:
+                want[t, g] = evalue_at(tuple(row) + (finals[t, g],), alt, utility)
+            except FuzzyconfError as exc:
+                kinds.append(type(exc))
+        if kinds:
+            kind = AllZeroRatioError if AllZeroRatioError in kinds else kinds[0]
+            with pytest.raises(FuzzyconfError) as raised:
+                core()
+            assert type(raised.value) is kind
+            return kind
+    got = core()
+    inner = utility.inner if isinstance(utility, Dampened) else utility
+    if isinstance(inner, NeymanPearson):
+        # both count ranks on the ratios themselves, ties exact
+        assert np.array_equal(_bits(got), _bits(want))
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    return want.tolist()
+
+
+def _rows(data, alt, utility, pinned=None):
+    # evalues_for on each row, its last value the final slot
+    data = np.asarray(data, dtype=float)
+    return (lambda: evalues_for(data, alt, utility)[:, None], data[:, :-1], data[:, -1:],
+            alt, utility), pinned
+
+
+def _fuzzy(calib, points, alt, utility, pinned=None):
+    grid = PlugInGrid.from_points(points)
+    return (lambda: [fuzzy_set(calib, grid, alt, utility).evidence], [calib], [points],
+            alt, utility), pinned
+
+
+IDENTITY = IidRatio(lambda z: z)
+POSITIVE_PART = IidRatio(lambda z: max(z, 0.0))  # scalar-only, with exact zeros
+SCALE = gaussian_scale_ratio(0.0, 1.0, 3.5)  # about 1e179 at z = +-30
+AR1, COMPOSITE = ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5)
 
 
 def test_evidence_is_exactly_invariant_to_a_power_of_two_ratio_scale():
@@ -155,7 +220,7 @@ def test_evidence_is_exactly_invariant_to_a_power_of_two_ratio_scale():
             (rng.choice(pool, (1, n)), rng.choice(pool, (1, 7)), rng.integers(-60, 61)),
             (rng.choice(pool, (6, n)), rng.choice(pool, (6, 1)), rng.integers(-60, 61, (6, 1))),
         ):
-            for utility in SCALED_UTILITIES:
+            for utility in UTILITIES:
                 ev, failures = _final_slot_evidence(cal, rz, utility)
                 scaled, scaled_failures = _final_slot_evidence(
                     np.ldexp(cal, j), np.ldexp(rz, j), utility)
@@ -164,41 +229,19 @@ def test_evidence_is_exactly_invariant_to_a_power_of_two_ratio_scale():
                     assert a.tobytes() == b.tobytes()
 
 
-ENGINE_UTILITIES = [parse_utility(u) for u in (
-    "log", "np:0.01", "np:0.3", "np:1e-6", "bounded-log:0.05", "bounded-log:0.5",
-    "bounded-log:1e-6", "clipped-log:0.1", "clipped-log:1", "clipped-log:1e-9", "power:0.99",
-    "power:0.999999", "power:-50", "power:0.5", "dampened:0.2:np:0.1",
-)]
-ENGINE_RATIOS = [
-    gaussian_scale_ratio(0.0, 1.0, 3.5),
-    gaussian_mean_shift_ratio(0.0, 1.0),
-    IidRatio(lambda z: max(z, 0.0)),  # scalar-only, with exact zeros
-    ar1_kernel(0.0, 0.5, 3.5),
-    gaussian_composite_kernel(1.0, 3.5),
-]
+ENGINE_RATIOS = [SCALE, gaussian_mean_shift_ratio(0.0, 1.0), POSITIVE_PART, AR1, COMPOSITE]
 LATTICE_GRID = PlugInGrid.from_spec("-3:3:0.5")
 
 
 @given(
     calib=st.lists(st.integers(-8, 8).map(lambda k: k / 2), min_size=1, max_size=12),
     alt=st.sampled_from(ENGINE_RATIOS),
-    utility=st.sampled_from(ENGINE_UTILITIES),
+    utility=st.sampled_from(UTILITIES),
 )
 @settings(max_examples=500, deadline=None)
 def test_fuzzy_set_matches_scalar_evalue_loop(calib, alt, utility):
     # lattice values tie with each other and with grid points
-    try:
-        want = [evalue_at(tuple(calib) + (z,), alt, utility) for z in LATTICE_GRID]
-    except FuzzyconfError as exc:
-        with pytest.raises(FuzzyconfError) as raised:
-            fuzzy_set(calib, LATTICE_GRID, alt, utility)
-        assert type(raised.value) is type(exc)
-        return
-    got = fuzzy_set(calib, LATTICE_GRID, alt, utility).evidence
-    if _is_np(utility):
-        assert list(got) == want
-    else:
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert_core_matches_oracle(*_fuzzy(calib, LATTICE_GRID.points, alt, utility)[0])
 
 
 # the largest float below 2: adjacent to 2.0, and both divide by 1.5 to the
@@ -206,18 +249,10 @@ def test_fuzzy_set_matches_scalar_evalue_loop(calib, alt, utility):
 BELOW_TWO = 1.9999999999999998
 ADJACENT = IidRatio(
     lambda z: np.where(z == 1.0, 2.0, np.where(z == 0.5, BELOW_TWO, 0.5)), "adjacent")
-GRID_RATIOS = [
-    gaussian_scale_ratio(0.0, 1.0, 3.5),  # about 1e179 at z = +-30
-    gaussian_mean_shift_ratio(0.0, 1.0),
-    IidRatio(lambda z: max(z, 0.0)),  # scalar-only, with exact zeros
+GRID_RATIOS = ENGINE_RATIOS[:3] + [
     IidRatio(lambda z: np.where(z == 0.5, 1e5, 1.0 + np.abs(z)), "spike"),  # one dominant value
     ADJACENT,
 ]
-GRID_UTILITIES = [parse_utility(u) for u in (
-    "log", "np:0.01", "np:0.1", "np:0.3", "bounded-log:0.05", "bounded-log:0.5",
-    "clipped-log:0.1", "clipped-log:1", "power:-5", "power:0.5", "power:0.99",
-    "dampened:0.2:np:0.1", "dampened:0.3:clipped-log:0.1", "dampened:0.2:bounded-log:0.05",
-)]
 LATTICE = st.integers(-8, 8).map(lambda k: k / 2)
 FINE = st.integers(-256, 256).map(lambda k: k / 64)  # mostly distinct, some on the grid
 
@@ -234,14 +269,9 @@ def grid_cases(draw):
     m = n + 1
     # alpha = k/m makes rows with k nonzero ratios boundary-feasible (k * cap = m)
     level = draw(st.integers(1, m - 1)) / m
-    utility = draw(st.sampled_from(GRID_UTILITIES + [
+    utility = draw(st.sampled_from(UTILITIES + [
         BoundedLog(1.0 / m), BoundedLog(level), Dampened(0.2, BoundedLog(1.0 / m))]))
     return rows, points, draw(st.sampled_from(GRID_RATIOS)), utility
-
-
-def _is_np(utility):
-    return isinstance(utility, NeymanPearson) or (
-        isinstance(utility, Dampened) and isinstance(utility.inner, NeymanPearson))
 
 
 @given(case=grid_cases())
@@ -256,48 +286,10 @@ def _is_np(utility):
 def test_grid_evidence_matches_evalue_at(case):
     # the core against the scalar evalue_at, point by point and row by row
     rows, points, alt, utility = case
-    rows = np.array(rows)
-    want = np.empty((rows.shape[0], len(points)))
-    for g, z in enumerate(points):
-        errors = []
-        for t, row in enumerate(rows):
-            try:
-                want[t, g] = evalue_at(tuple(row) + (z,), alt, utility)
-            except FuzzyconfError as exc:
-                errors.append(exc)
-        if errors:
-            # the lowest failing point decides; an all-zero tuple comes first
-            kinds = {type(e) for e in errors}
-            with pytest.raises(FuzzyconfError) as raised:
-                grid_evidence(rows, points, alt.ratio, utility)
-            assert type(raised.value) is (
-                AllZeroRatioError if AllZeroRatioError in kinds else type(errors[0]))
-            return
-    got = grid_evidence(rows, points, alt.ratio, utility)
-    if _is_np(utility):
-        # both count ranks on the ratios themselves, ties exact
-        assert np.array_equal(got, want)
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert_core_matches_oracle(lambda: grid_evidence(np.array(rows), points, alt.ratio, utility),
+                               rows, [points] * len(rows), alt, utility)
 
 
-def test_grid_evidence_counts_adjacent_ratios_in_exact_order():
-    # tuple (1.0, -1.0, 0.5) has ratios (2.0, 0.5, BELOW_TWO), mean 1.5
-    aug = (1.0, -1.0, 0.5)
-    got = grid_evidence(np.array([aug[:2]]), (0.5,), ADJACENT.ratio, NeymanPearson(0.1))
-    # z's ratio is strictly below one other slot: gt = 1 >= alpha * m = 0.3
-    assert got[0, 0] == 0.0
-    # so does the oracle: a division by the mean 1.5 would merge the pair
-    # and share the boundary mass between them, 1.5 each
-    assert evalue_at(aug, ADJACENT, NeymanPearson(0.1)) == 0.0
-
-
-ROW_UTILITIES = [parse_utility(u) for u in (
-    "log", "np:1e-6", "np:0.1", "np:0.3", "bounded-log:1e-6", "bounded-log:0.05",
-    "bounded-log:0.5", "clipped-log:1e-9", "clipped-log:0.1", "clipped-log:1", "power:-50",
-    "power:0.5", "power:0.99", "power:0.999999", "dampened:0.2:np:0.1",
-    "dampened:0.3:clipped-log:0.1", "dampened:0.2:bounded-log:0.05",
-)]
 # ratios on a quarter lattice with exact zeros of both signs, the float
 # below 2 and a dominant spike: ties within a row and with its final slot
 ROW_RATIO = st.one_of(st.integers(0, 12).map(lambda k: k / 4),
@@ -312,12 +304,8 @@ def row_cases(draw):
     last = draw(st.lists(ROW_RATIO, min_size=T, max_size=T))
     m = n + 1
     level = draw(st.integers(1, m - 1)) / m  # alpha = k/m: boundary-feasible rows
-    utility = draw(st.sampled_from(ROW_UTILITIES + [BoundedLog(1.0 / m), BoundedLog(level)]))
+    utility = draw(st.sampled_from(UTILITIES + [BoundedLog(1.0 / m), BoundedLog(level)]))
     return np.array(cal), np.array(last), utility
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
 
 @given(case=row_cases())
@@ -347,25 +335,72 @@ def test_row_shape_equals_grid_shape_and_evalue_at(case):
     assert (bool(failures.zero[0]), bool(failures.infeasible[0])) == (zero, infeasible)
     assert _bits(failures.residual[0]) == _bits(residual)
 
-    identity = IidRatio(lambda z: z)
-    kinds = set()
-    want = np.empty(len(cal))
-    for t, row in enumerate(cal):
-        try:
-            want[t] = evalue_at(tuple(row) + (last[t],), identity, utility)
-        except FuzzyconfError as exc:
-            kinds.add(type(exc))
-    if kinds:
-        with pytest.raises((AllZeroRatioError, NormalizationFailureError)) as raised:
-            failures.raise_first()
-        assert type(raised.value) is (
-            AllZeroRatioError if AllZeroRatioError in kinds else NormalizationFailureError)
-        return
-    failures.raise_first()
-    if _is_np(utility):
-        assert np.array_equal(ev[:, 0], want)
-    else:
-        np.testing.assert_allclose(ev[:, 0], want, rtol=1e-12, atol=0.0)
+    def core():
+        failures.raise_first()
+        return ev
+
+    assert_core_matches_oracle(core, cal, last[:, None], IDENTITY, utility)
+
+
+# draws rounded to 0.1 tie within a row; max(z, 0) makes exact zeros, and a
+# row whose ratios are all zero is dropped
+_TIED = np.round(np.random.default_rng(15).normal(0.5, 1.0, size=(200, 5)), 1)
+_TIED = _TIED[np.maximum(_TIED, 0).sum(axis=1) > 0]
+_EXTREME = _TIED.copy()  # the scale ratio is about 1e179 at +-30
+_EXTREME[::3, -1], _EXTREME[1::3, 0], _EXTREME[2::5, 2] = 30.0, -30.0, 30.0
+_GAUSSIAN = sample_matrix(
+    McConfig(trials=1000, seed=3, model="iid-gaussian", params={"mu": 0, "sigma": 1}), 4)
+# alpha * m on an attained tail count, the sharpest test of the row-wise
+# against the per-tuple threshold rule; each value of a row is final in turn
+_NP_BOUNDARIES = [((0.4, 0.8, 1.2, 1.6, 2.0), 0.2), ((0.4, 0.8, 1.2, 1.6, 2.0), 0.4),
+                  ((1.0, 1.0, 2.0, 2.0), 0.5), ((1.0, 2.0, 3.0), 1 / 3), ((2.0, 2.0, 2.0), 0.5)]
+# the core against the oracle on fixed inputs, id -> (case, the oracle's
+# evidence or error class where a test pins it)
+_ORACLE_CASES = {
+    # the dominant slot's ratio is ~1e5 times the others; suffix sums formed
+    # as total - prefix lost ~2e-12 of the small tail
+    "one-slot-dominates": _rows([(3.5, -3.0, 0.0)], AR1, BoundedLog(0.5)),
+    # LR row [0]*6 + [2]*6 with cap 2: every lam >= 1 is exact, and the
+    # capped mean sums to 1 - 1ulp in slot order
+    "bounded-log-boundary-feasible": _rows([(0.0,) * 5 + (0.5,) * 6 + (0.0,)], POSITIVE_PART,
+                                           BoundedLog(0.5), [[0.0]]),
+    # 4 of 8 slots positive under cap 2 is feasible only with every positive
+    # slot capped; the root lam ~ 5e12 lay past the scalar bracket's 1e12
+    "root-past-the-old-bracket": _fuzzy((0, 1e5, 1e5, 0, 0, 2, 0), (1e-8, 1.0), IDENTITY,
+                                        BoundedLog(0.5), [[2.0, 2.0]]),
+    # 3 of 8 positive slots capped at 2 reach mean 3/4 at most
+    "root-past-the-old-bracket-infeasible": _fuzzy((0, 1e5, 1e5, 0, 0, 0, 0), (1e-8, 1.0),
+                                                   IDENTITY, BoundedLog(0.5),
+                                                   NormalizationFailureError),
+    # ratios (2.0, 0.5, BELOW_TWO), mean 1.5: z's is below one slot, gt = 1 >= alpha * m = 0.3;
+    # dividing by the mean would merge the pair and share the boundary mass, 1.5 each
+    "adjacent-ratios-in-exact-order": (
+        (lambda: grid_evidence(np.array([[1.0, -1.0]]), (0.5,), ADJACENT.ratio, NeymanPearson(0.1)),
+         [[1.0, -1.0]], [[0.5]], ADJACENT, NeymanPearson(0.1)), [[0.0]]),
+    # a kernel without a row form resolves against each trial's calibration
+    "custom-kernel": _rows(_GAUSSIAN, KernelAlternative(
+        lambda z_n: IidRatio(lambda z, c=float(np.mean(z_n)): np.exp(0.5 * (z - c)))), Log()),
+    **{f"kernel-{name}-{utility_id(utility)}": _rows(_GAUSSIAN, kern, utility)
+       for name, kern in (("ar1", AR1), ("composite", COMPOSITE))
+       for utility in (Log(), NeymanPearson(0.1), BoundedLog(0.05), ClippedLog(0.1))},
+    **{f"np-boundary-{i}-last-{last:g}": _rows(
+        [tuple(v for v in vals if v != last) + tuple(v for v in vals if v == last)],
+        IDENTITY, NeymanPearson(alpha))
+       for i, (vals, alpha) in enumerate(_NP_BOUNDARIES) for last in sorted(set(vals))},
+    **{f"tied-{name}-{utility_id(utility)}": _rows(rows, alt, utility)
+       for name, rows, alt in (
+           ("positive-part", _TIED, IidRatio(lambda z: np.maximum(z, 0.0))),
+           ("scale", _EXTREME, SCALE), ("ar1", _TIED, AR1), ("composite", _TIED, COMPOSITE))
+       for utility in (Log(), Power(-1.0), Power(0.8), Power(0.99), NeymanPearson(0.3),
+                       BoundedLog(0.1), BoundedLog(1 / _TIED.shape[1]), ClippedLog(0.4),
+                       Dampened(0.3, BoundedLog(0.2)))},
+}
+
+
+@pytest.mark.parametrize("case, pinned", list(_ORACLE_CASES.values()), ids=list(_ORACLE_CASES))
+def test_core_matches_oracle(case, pinned):
+    want = assert_core_matches_oracle(*case)
+    assert pinned is None or want == pinned
 
 
 def test_power_evidence_near_h_one_matches_50_digit_arithmetic():
@@ -373,10 +408,9 @@ def test_power_evidence_near_h_one_matches_50_digit_arithmetic():
     # rounding into s of them: this case gave 1.5000000001665335. The
     # oracle's 50-digit powers never take r / mean, which merges 2.0 and
     # the float below it
-    identity = IidRatio(lambda z: z)
     ev, _ = _final_slot_evidence(np.array([[0.0, 1.9999999999999998]]), np.array([[2.0]]),
                                  Power(0.999999))
-    assert ev[0, 0] == evalue_at((0.0, 1.9999999999999998, 2.0), identity, Power(0.999999)) \
+    assert ev[0, 0] == evalue_at((0.0, 1.9999999999999998, 2.0), IDENTITY, Power(0.999999)) \
         == 1.5000000000832667
     # rows whose ratios lie within a few 1/s of the largest, some zero, and a
     # final slot on either side of the calibration maximum
@@ -392,7 +426,7 @@ def test_power_evidence_near_h_one_matches_50_digit_arithmetic():
             continue
         ev, failures = _final_slot_evidence(row[None, :-1], row[None, -1:], Power(h))
         failures.raise_first()
-        want = evalue_at(tuple(row.tolist()), identity, Power(h))
+        want = evalue_at(tuple(row.tolist()), IDENTITY, Power(h))
         assert ev[0, 0] == pytest.approx(want, rel=8 * 2.0**-52, abs=0.0), (row.tolist(), h)
 
 
@@ -524,6 +558,12 @@ def test_randomized_binary_edges():
         assert randomized_binary(zero, 0.1, u).membership == (True, True)
     cap = _flat_fuzzy([10.0, 0.0])
     assert randomized_binary(cap, 0.1, 0.5).membership == (False, True)
+    for alpha, u in ((0.0, 0.5), (1.0, 0.5), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            randomized_binary(cap, alpha, u)
+    for u in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\]$"):
+            randomized_binary(cap, 0.1, u)
 
 
 def test_randomized_binary_marginal_frequency():
@@ -608,6 +648,9 @@ def test_json_round_trip():
     assert load_confidence_set(doc) == fset
     with pytest.raises(ValueError):
         load_confidence_set({"kind": "nope"})
+    with pytest.raises(ValueError, match="^not a fuzzy confidence set document: "
+                                         "'binary-confidence-set'$"):
+        FuzzyConfidenceSet.from_json_doc(binary.to_json_doc())
 
 
 def test_fuzzy_set_rejects_empty_calibration():

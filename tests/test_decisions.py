@@ -278,6 +278,9 @@ def test_gamma_mixture_values():
     assert fset.evidence == (4.0, 1.0)
     with pytest.raises(ValueError):
         gamma_mixture_fuzzy(binary, 0.2, 1.0)
+    for alpha in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+            gamma_mixture_fuzzy(binary, alpha, 0.2)
 
 
 def test_gamma_mixture_mean_formula_and_limit():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzyconf.alternatives import IidRatio, ar1_kernel, gaussian_mean_shift_ratio
+from fuzzyconf.alternatives import IidRatio, gaussian_mean_shift_ratio
 from fuzzyconf.confidence import fuzzy_set
 from fuzzyconf.errors import NormalizationFailureError
 from fuzzyconf.evalues import (
@@ -257,42 +257,6 @@ def test_utility_ids():
     assert utility_id(Power(h=0.5)) == "power(h=0.5)"
     assert utility_id(Dampened(b=0.1, inner=NeymanPearson(alpha=0.05))) == \
         "dampened(b=0.1,np(alpha=0.05))"
-
-
-def test_rows_lambda_exact_when_one_slot_dominates():
-    # the dominant slot's ratio is ~1e5 times the others; suffix sums formed
-    # as total - prefix lost ~2e-12 of the small tail
-    calib, z, utility = (3.5, -3.0), 0.0, BoundedLog(0.5)
-    kern = ar1_kernel(0.0, 0.5, 3.5)
-    got = evalues_for(np.array([calib + (z,)]), kern, utility)[0]
-    want = evalue_at(calib + (z,), kern, utility)
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-
-def test_rows_bounded_log_boundary_feasible():
-    # LR row [0]*6 + [2]*6 with cap 2: every lam >= 1 is exact, and the
-    # capped mean sums to 1 - 1ulp in slot order
-    data = (0.0,) * 5 + (0.5,) * 6 + (0.0,)
-    alt = IidRatio(lambda z: max(z, 0.0))
-    got = evalues_for(np.array([data]), alt, BoundedLog(0.5))
-    assert got.tolist() == [0.0]
-    assert evalue_at(data, alt, BoundedLog(0.5)) == 0.0
-
-
-def test_boundary_feasible_root_past_the_old_bracket():
-    # 4 of 8 slots positive under cap 2 is feasible only with every positive
-    # slot capped; the root lam ~ 5e12 lay past the scalar bracket's 1e12
-    calib, alt, utility = (0, 1e5, 1e5, 0, 0, 2, 0), IidRatio(lambda z: z), BoundedLog(0.5)
-    grid = PlugInGrid.from_points((1e-8, 1.0))
-    assert fuzzy_set(calib, grid, alt, utility).evidence == pytest.approx((2.0, 2.0), rel=1e-12)
-    for z in grid:
-        assert evalue_at(calib + (z,), alt, utility) == pytest.approx(2.0, rel=1e-12)
-    # 3 of 8 positive slots capped at 2 reach mean 3/4 at most
-    infeasible = (0, 1e5, 1e5, 0, 0, 0, 0)
-    with pytest.raises(NormalizationFailureError):
-        fuzzy_set(infeasible, grid, alt, utility)
-    with pytest.raises(NormalizationFailureError):
-        evalue_at(infeasible + (1.0,), alt, utility)
 
 
 # the core against the exact walk: at most 7 ulps over 20 000 hypothesis draws

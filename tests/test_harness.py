@@ -357,6 +357,8 @@ def test_finite_sampler_frequencies():
     freqs = np.bincount(idx.ravel(), minlength=3) / idx.size
     assert np.allclose(freqs, (0.5, 0.3, 0.2), atol=0.01)
     assert np.array_equal(values, np.asarray(support)[idx])
+    with pytest.raises(ValueError, match="^'iid-gaussian' is not a finite-support model$"):
+        sample_finite_matrix(McConfig(trials=60_000, seed=8, model="iid-gaussian", params={}), 2)
 
 
 def test_mixture_sampler_within_trial_dependency():
@@ -630,25 +632,6 @@ def test_adversarial_level_excludes_its_own_realization():
     assert report.estimate == pytest.approx(mean_e, rel=1e-12, abs=0.0)
 
 
-def test_kernel_alternative_loops_per_trial():
-    cfg = McConfig(trials=1000, seed=3, model="iid-gaussian", params={"mu": 0, "sigma": 1})
-    data = sample_matrix(cfg, 4)
-    kern = KernelAlternative(
-        lambda z_n: IidRatio(lambda z, c=float(np.mean(z_n)): np.exp(0.5 * (z - c))))
-    got = evalues_for(data, kern, Log())
-    want = np.array([evalue_at(row, kern, Log()) for row in data])
-    assert np.allclose(got, want, atol=1e-12)
-    # the built-in kernels through the sorted-calibration core against the scalar loop
-    for kern in (ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5)):
-        for utility in (Log(), NeymanPearson(0.1), BoundedLog(0.05), ClippedLog(0.1)):
-            got = evalues_for(data, kern, utility)
-            want = np.array([evalue_at(row, kern, utility) for row in data])
-            if isinstance(utility, NeymanPearson):
-                assert got.tolist() == want.tolist(), kern.name
-            else:
-                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (kern.name, utility)
-
-
 _BUILT_IN_KERNELS = (ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5))
 
 
@@ -691,46 +674,6 @@ def test_kernel_row_form_errors_equal_the_per_row_loop():
             # a tuple needs a calibration slot before its final one
             with pytest.raises(ValueError, match="at least one value"):
                 evalues_for(np.array([[1.0], [2.0]]), kern, Log())
-
-
-def test_vector_scalar_np_agreement_at_integer_boundaries():
-    # alpha * m landing exactly on an attained tail count is the sharpest
-    # consistency test between the row-wise and per-tuple threshold rules
-    cases = [
-        ((0.4, 0.8, 1.2, 1.6, 2.0), 0.2),   # alpha*m = 1 at distinct values
-        ((0.4, 0.8, 1.2, 1.6, 2.0), 0.4),   # alpha*m = 2
-        ((1.0, 1.0, 2.0, 2.0), 0.5),        # ties straddling alpha*m = 2
-        ((1.0, 2.0, 3.0), 1 / 3),
-        ((2.0, 2.0, 2.0), 0.5),
-    ]
-    for vals, alpha in cases:
-        for last in sorted(set(vals)):
-            data_row = tuple(v for v in vals if v != last) + tuple(
-                v for v in vals if v == last)
-            ratio = lambda z: z
-            vec = evalues_for(np.array([data_row]), IidRatio(ratio), NeymanPearson(alpha))[0]
-            scal = evalue_at(data_row, IidRatio(ratio), NeymanPearson(alpha))
-            assert vec == pytest.approx(scal, abs=1e-12), (vals, alpha, last)
-
-
-def test_vector_rows_match_scalar_with_ties_and_zeros():
-    rng = np.random.default_rng(15)
-    data = np.round(rng.normal(0.5, 1.0, size=(200, 5)), 1)
-    ratio = lambda z: np.maximum(z, 0.0)  # exact zeros for z <= 0
-    rows_ok = np.asarray([np.maximum(row, 0).sum() > 0 for row in data])
-    data = data[rows_ok]
-    extreme = data.copy()  # the scale ratio is about 1e179 at +-30
-    extreme[::3, -1], extreme[1::3, 0], extreme[2::5, 2] = 30.0, -30.0, 30.0
-    cases = [(data, IidRatio(ratio)), (extreme, gaussian_scale_ratio(0.0, 1.0, 3.5)),
-             (data, ar1_kernel(0.0, 0.5, 3.5)), (data, gaussian_composite_kernel(1.0, 3.5))]
-    utilities = [Log(), Power(-1.0), Power(0.8), Power(0.99), NeymanPearson(0.3),
-                 BoundedLog(0.1), BoundedLog(1 / data.shape[1]), ClippedLog(0.4),
-                 Dampened(0.3, BoundedLog(0.2))]
-    for rows, alt in cases:
-        for utility in utilities:
-            vec = evalues_for(rows, alt, utility)
-            scal = np.array([evalue_at(row, alt, utility) for row in rows])
-            assert np.allclose(vec, scal, atol=1e-9), (alt.name, utility_id(utility))
 
 
 def _first_error(run):
@@ -993,6 +936,11 @@ def test_decision_validator_guards():
         mc_validate_decision_risk(mismatched, PROBLEM, "weighted", alt, Log(), 5)
     with pytest.raises(ValueError):
         mc_validate_decision_risk(FINITE_CFG, PROBLEM, "as-if", alt, Log(), 5)  # alpha missing
+    with pytest.raises(ValueError, match="^unknown mode 'minimax'$"):
+        mc_validate_decision_risk(FINITE_CFG, PROBLEM, "minimax", alt, Log(), 5)
+    with pytest.raises(TypeError, match="^decision-risk validation needs an IidRatio alternative$"):
+        mc_validate_decision_risk(FINITE_CFG, PROBLEM, "weighted", ar1_kernel(0.0, 0.5, 3.5),
+                                  Log(), 5)
     # past (0, 1], as sublevel_set rules: inf once passed with every set empty
     for alpha in (math.inf, 1.5, math.nan):
         with pytest.raises(ValueError, match=r"^as-if mode needs an alpha in \(0, 1\]$"):
