@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import gc
 import importlib
 import json
@@ -211,6 +210,7 @@ def test_tied_trials_pass_despite_float_rounding(tmp_path, capsys):
     assert doc["passed"] is True
 
 
+_CALIB = "0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n"
 _PROBLEM = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
             "loss": [[1, 1, 1], [2, 0.5, 2]]}
 _SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).to_json_doc()
@@ -254,6 +254,7 @@ _BAD_RATIOS = {
     "gaussian-composite:1e-200:1e-199": f"sigma=1e-200 and tau=1e-199 are out of range: {_SCALES}",
 }
 _OVERFLOW = "the interval endpoints overflow, got lo=-inf and hi=inf"
+_CAP = "cap the ratio (infinite evidence is expressed through the utility, not the alternative)"
 _SEED = "seed must lie in [0, 2**128), the Philox key range, got"
 
 
@@ -326,9 +327,13 @@ _FAILING_CALLS = {
     # every ratio is checked before the core runs: the calibration's ratios
     # underflow to 0, and the ratio overflows to +inf from z = 39
     "grid-ratio-before-core": ("fuzzy --family conformal --calib calib.csv --utility log --ratio "
-        "gaussian-mean-shift:0:30 --grid=-20:40:1 --out x.csv", "ratio is infinite at z=39.0; cap "
-        "the ratio (infinite evidence is expressed through the utility, not the alternative)", 2,
-        {"calib.csv": "-20\n-20\n-20\n"}),
+        "gaussian-mean-shift:0:30 --grid=-20:40:1 --out x.csv",
+        f"ratio is infinite at z=39.0; {_CAP}", 2, {"calib.csv": "-20\n-20\n-20\n"}),
+    # the bench's known-defect probe: the scale ratio overflows to +inf past
+    # |z - mu| of about 38; ROADMAP item 3's log-space ratios would make it exit 0
+    "wide-grid-ratio-overflow": ("fuzzy --family conformal --calib calib.csv --utility log --ratio "
+        "gaussian-scale:0:1:3.5 --grid=-45:45:0.05 --out x.csv",
+        f"ratio is infinite at z=-45.0; {_CAP}", 2, {"calib.csv": _CALIB}),
     # a non-finite parameter once wrote a constant curve and exited 0, or was
     # blamed on the output ("Out of range float values are not JSON compliant"),
     # as were finite inputs whose conditional mean or endpoints overflow
@@ -510,6 +515,12 @@ _MISSING_FLAG_CALLS = {
         f"{family} needs {flags}") for (command, family), flags in _MISSING_FLAGS.items()}
 
 
+def _write_documents(work, documents):
+    work.mkdir(exist_ok=True)
+    for name, doc in documents.items():
+        (work / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+
 def _failing_calls_test(rows):
     # a test that runs each row of a table of documented failures; a failure
     # exits with its code and prints its one error line and nothing else: no
@@ -517,8 +528,7 @@ def _failing_calls_test(rows):
     @pytest.mark.parametrize("argv, code, message, documents",
                              [_row(*row) for row in rows.values()], ids=list(rows))
     def test(tmp_path, monkeypatch, capsys, argv, code, message, documents):
-        for name, doc in documents.items():
-            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        _write_documents(tmp_path, documents)
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -546,35 +556,105 @@ def test_missing_flag_rows_cover_every_closed_form_family():
 _SRC_PATH = os.pathsep.join(p for p in (str(Path(fc.__file__).resolve().parents[1]),
                                         os.environ.get("PYTHONPATH")) if p)
 
+# The one probe of process-level behaviour: a fresh interpreter runs each call
+# through cli.main, or one call through the process entry as `python -m
+# fuzzyconf` does. At exit it writes a JSON report outside the work directory,
+# which leaves the calls' own streams and files untouched.
+_PROBE = textwrap.dedent("""
+    import sys
+    report_path, blocked, entry, calls = sys.argv[1:]
+    if blocked:
+        sys.modules[blocked] = None  # any import of it now raises ImportError
+    import atexit, gc, json, os, re, runpy
 
-def _run_module(args, cwd, timeout=120):
-    return subprocess.run([sys.executable, "-m", "fuzzyconf", *map(str, args)], cwd=cwd,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=_SRC_PATH), timeout=timeout)
+    def status(field):
+        # VmHWM is this process's own peak RSS in KiB; ru_maxrss would count
+        # the memory of the parent it forked from
+        try:
+            with open("/proc/self/status") as fh:
+                return re.search(rf"^{field}:\\s+(\\d+)", fh.read(), re.M)[1]
+        except OSError:
+            return None
+
+    report = {"codes": [], "threads": []}
+
+    def finished(code):
+        report["codes"].append(code)
+        report["threads"].append(status("Threads"))
+
+    @atexit.register
+    def write_report():
+        report.update(modules=sorted(m for m, mod in sys.modules.items() if mod is not None),
+                      gc=[gc.isenabled(), gc.get_freeze_count()],
+                      peak_kib=int(status("VmHWM") or 0),
+                      openblas=os.environ.get("OPENBLAS_NUM_THREADS"))
+        with open(report_path, "w") as fh:
+            json.dump(report, fh)
+
+    if entry:
+        [argv] = json.loads(calls)
+        sys.argv = ["fuzzyconf", *argv]
+        try:
+            runpy.run_module("fuzzyconf", run_name="__main__")
+        except SystemExit as stop:
+            finished(stop.code)
+            raise
+    else:
+        from fuzzyconf.cli import main
+        for argv in json.loads(calls):
+            finished(main(argv))
+""")
 
 
-def test_wide_grid_overflow_is_one_error_line(tmp_path):
-    # the scale ratio overflows to +inf past |z - mu| of about 38; that is an
-    # error naming the first such grid point, and nothing else reaches stderr
-    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
-    done = _run_module(["fuzzy", "--family", "conformal", "--calib", "calib.csv",
-                        "--utility", "log", "--ratio", "gaussian-scale:0:1:3.5",
-                        "--grid=-45:45:0.05", "--out", "x.csv"], tmp_path)
-    assert done.returncode == 2
-    assert done.stderr == (
-        "error: ratio is infinite at z=-45.0; cap the ratio (infinite evidence is "
-        "expressed through the utility, not the alternative)\n")
+def _probe(work, calls, documents, codes=None, blocked="", entry=False, timeout=120, **env):
+    """Run ``calls`` by the probe in ``work`` with ``blocked`` unimportable and
+    ``env`` for any BLAS thread count. Check the exit ``codes`` (all 0 by
+    default), one ``error:`` line per failing call and nothing else on stderr,
+    and that no test tool loads; return the report with the streams ``out``
+    and ``err`` and the bytes of the ``files`` left in ``work``."""
+    _write_documents(work, documents)
+    codes = codes or [0] * len(calls)
+    env = {**{k: v for k, v in os.environ.items() if k not in
+              ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")},
+           "PYTHONPATH": _SRC_PATH, **env}
+    report_path = work.parent / f"{work.name}-report.json"
+    argv = [report_path, blocked, "entry" if entry else "",
+            json.dumps([list(map(str, call)) for call in calls])]
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=work, capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    assert done.returncode == (codes[0] if entry else 0), done.stderr
+    report = json.loads(report_path.read_text())
+    report_path.unlink()
+    assert report["codes"] == codes, done.stderr
+    assert [line.startswith("error: ") for line in done.stderr.splitlines()] == \
+        [True] * (len(codes) - codes.count(0)), done.stderr
+    assert not {m.split(".")[0] for m in report["modules"]} & {"pytest", "_pytest", "hypothesis"}
+    return {**report, "out": done.stdout, "err": done.stderr,
+            "files": {p.name: p.read_bytes() for p in sorted(work.iterdir())}}
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory):
+    """``_probe`` in a fresh directory given ``documents``, run once for each
+    distinct set of arguments that this module's tests pass it."""
+    runs = {}
+
+    def run(*args, **options):
+        key = json.dumps([args, options], sort_keys=True)
+        if key not in runs:
+            runs[key] = _probe(tmp_path_factory.mktemp("probe") / "work", *args, **options)
+        return runs[key]
+    return run
 
 
 @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-7", "0:1e308:1e-308"])
-def test_grid_point_count_is_capped(tmp_path, grid):
+def test_grid_point_count_is_capped(probe, grid):
     # the point count is checked before any point is built; 0:1:1e-300 once
     # grew until the process was killed
-    done = _run_module(["fuzzy", "--family", "gaussian-log", "--tau", 3.5, f"--grid={grid}",
-                        "--out", "x.csv"], tmp_path, timeout=30)
+    report = probe([["fuzzy", "--family", "gaussian-log", "--tau", "3.5", f"--grid={grid}",
+                     "--out", "x.csv"]], {}, codes=[2], entry=True, timeout=30)
     assert MAX_GRID_POINTS == 10**7
-    assert done.returncode == 2
-    assert done.stderr == f"error: grid spec {grid!r} has more than 10000000 points\n"
+    assert report["err"] == f"error: grid spec {grid!r} has more than 10000000 points\n"
 
 
 @pytest.mark.parametrize("calib, flags, rows", [
@@ -809,42 +889,9 @@ def test_json_writer_writes_the_text_and_a_newline(tmp_path):
         (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-_CLI_SCRIPT = textwrap.dedent("""
-    import json, os, sys
-    blocked, workdir, calls = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
-    if blocked:
-        sys.modules[blocked] = None  # any import of it now raises ImportError
-    import fuzzyconf
-    from fuzzyconf.cli import main
-
-    os.chdir(workdir)
-    codes = [main(argv) for argv in calls]
-    loaded = sorted(m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0]
-                    in ("fuzzyconf", "numpy", "scipy", "pytest", "_pytest", "hypothesis", blocked))
-    print(json.dumps({"codes": codes, "modules": loaded}))
-""")
-
-
-def _run_cli_script(work, calls, blocked="", codes=None):
-    """Run ``calls`` through ``cli.main`` in a fresh interpreter in ``work``,
-    with ``blocked`` made unimportable, and check that they exit with
-    ``codes`` (all 0 by default) and load no test tool; return the finished
-    process and the fuzzyconf, numpy, scipy and ``blocked`` modules it loaded."""
-    work.mkdir()
-    (work / "calib.csv").write_text("1.2\n0.7\n2.1\n")
-    problem = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
-               "loss": [[1, 1, 1], [2, 0.5, 2]]}
-    (work / "prob.json").write_text(json.dumps(problem))
-    (work / "bad.json").write_text(json.dumps({**problem, "loss": 5}))
-    done = subprocess.run([sys.executable, "-c", _CLI_SCRIPT, blocked, str(work), json.dumps(calls)],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=_SRC_PATH), timeout=120)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == (codes or [0] * len(calls)), done.stderr
-    assert not [m for m in result["modules"] if m.split(".")[0] in ("pytest", "_pytest", "hypothesis")]
-    return done, result
-
+# the files the calls below start with
+_CLI_DOCUMENTS = {"calib.csv": "1.2\n0.7\n2.1\n", "prob.json": _PROBLEM,
+                  "bad.json": {**_PROBLEM, "loss": 5}}
 
 _EVERY_SUBCOMMAND = [
     ["interval", "--family", "simple", "--alpha", "0.05", "--out", "iv.json"],
@@ -875,8 +922,7 @@ _ERRORS = [
 
 # interval and the six closed-form fuzzy families compute with math alone,
 # also on the way to their errors; each family is given the flags it reads,
-# sigma left at its default
-_CURVE_FLAGS = {"tau": "3.5", "alpha": "0.05", "n": "7", "zbar": "0.4", "mu": "-0.2"}
+# each at its _CURVE_ARGS value, sigma left at its default
 _CLOSED_FORM = [
     ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05",
      "--out", "simple.json"],
@@ -886,7 +932,7 @@ _CLOSED_FORM = [
      "--alpha", "0.05", "--out", "ar1.json"],
 ] + [
     ["fuzzy", "--family", family,
-     *[x for key in flags if key in _CURVE_FLAGS for x in (f"--{key}", _CURVE_FLAGS[key])],
+     *[x for key in flags if key != "sigma" for x in (f"--{key}", str(_CURVE_ARGS[key]))],
      "--grid=-8:8:0.25", "--out", f"{family}.csv", "--json", f"{family}.json"]
     for family, (_, flags, _) in cli._FUZZY_FAMILIES.items() if family != "conformal"
 ] + _ERRORS[:2]
@@ -915,43 +961,34 @@ _DECIDE_CALLS = [
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
                          ids=["scipy", "numpy", "dataclasses", "inspect", "dataclasses-decide",
                               "numpy-decide", "inspect-decide", "reference"])
-def test_cli_runs_without(tmp_path, blocked, calls):
+def test_cli_runs_without(probe, blocked, calls):
     # with the module unimportable every call still exits as it does
     # unblocked, loads none of it, and writes exactly what an unblocked run
     # writes, errors included; without the reference, every subcommand's
     # evidence comes from the production core
     codes = [2 if argv in _ERRORS else 0 for argv in calls]
-    done, result = _run_cli_script(tmp_path / "blocked", calls, blocked, codes)
-    assert [m for m in result["modules"] if m == blocked or m.startswith(blocked + ".")] == []
-    reference, _ = _run_cli_script(tmp_path / "reference", calls, codes=codes)
-    assert done.stdout.splitlines()[:-1] == reference.stdout.splitlines()[:-1]
-    assert done.stderr == reference.stderr
-    assert [line.startswith("error: ") for line in done.stderr.splitlines()] == [True] * codes.count(2)
-    names = sorted(p.name for p in (tmp_path / "blocked").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "reference").iterdir())
-    for name in names:
-        assert (tmp_path / "blocked" / name).read_bytes() == \
-            (tmp_path / "reference" / name).read_bytes(), name
+    done = probe(calls, _CLI_DOCUMENTS, codes=codes, blocked=blocked)
+    assert [m for m in done["modules"] if m == blocked or m.startswith(blocked + ".")] == []
+    reference = probe(calls, _CLI_DOCUMENTS, codes=codes)
+    assert (done["out"], done["err"], done["files"]) == \
+        (reference["out"], reference["err"], reference["files"])
 
 
-def test_conformal_fuzzy_loads_only_its_engine(tmp_path):
-    _, result = _run_cli_script(tmp_path / "work", [_EVERY_SUBCOMMAND[2]])
-    assert result["codes"] == [0]
-    modules = set(result["modules"])
+def test_conformal_fuzzy_loads_only_its_engine(probe):
+    modules = set(probe([_EVERY_SUBCOMMAND[2]], _CLI_DOCUMENTS)["modules"])
     assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
             "fuzzyconf.sets"} <= modules
-    assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian"}
+    assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian",
+                          "numpy.random"}
 
 
-def test_validity_coverage_and_posthoc_checks_load_no_decisions(tmp_path):
+def test_validity_coverage_and_posthoc_checks_load_no_decisions(probe):
     # only the decision-risk validator decides, and it imports decisions itself
     common = ["--model", "exchangeable-mixture", "--n", "5", "--trials", "1000", "--seed", "5"]
     calls = [["validate", "--check", "evalue", "--utility", "bounded-log:0.1", *common],
              ["validate", "--check", "coverage", "--alpha", "0.1", "--utility", "np:0.1", *common],
              ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", *common]]
-    _, result = _run_cli_script(tmp_path / "work", calls)
-    assert result["codes"] == [0, 0, 0]
-    modules = set(result["modules"])
+    modules = set(probe(calls, _CLI_DOCUMENTS)["modules"])
     assert {"fuzzyconf.harness", "fuzzyconf.confidence"} <= modules
     assert "fuzzyconf.decisions" not in modules
 
@@ -1010,12 +1047,15 @@ def test_cli_kernel_validators_evaluate_blocks(monkeypatch, capsys):
     def per_trial(*args, **kwargs):
         raise AssertionError("a kernel was resolved trial by trial")
 
+    def kernel_without_builder(spec):
+        k = parse_ratio(spec)
+        return fc.KernelAlternative(per_trial, k.name, k.row_ratio)
+
     _import_every_module()
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "fuzzyconf" and hasattr(module, "resolve_alternative"):
             monkeypatch.setattr(module, "resolve_alternative", per_trial)
-    monkeypatch.setattr(cli, "parse_ratio", lambda spec, parse=parse_ratio:
-                        dataclasses.replace(parse(spec), builder=per_trial))
+    monkeypatch.setattr(cli, "parse_ratio", kernel_without_builder)
     kernel = ["validate", "--check", "coverage", "--alpha", 0.1, "--model", "iid-gaussian",
               "--seed", 7]
     calls = [kernel + ["--n", n, "--trials", trials, "--ratio", ratio, "--utility", utility]
@@ -1028,107 +1068,9 @@ def test_cli_kernel_validators_evaluate_blocks(monkeypatch, capsys):
     assert caught == [] and capsys.readouterr().err == ""
 
 
-def _numpy_blas_is_openblas():
-    import numpy
-
-    try:
-        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.26 reports no build dependencies
-        return False
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
-_THREADS_SCRIPT = textwrap.dedent("""
-    import json, os, sys
-    from fuzzyconf.cli import main
-
-    os.chdir(sys.argv[1])
-    threads = []
-    for argv in json.loads(sys.argv[2]):
-        code = main(argv)
-        status = open("/proc/self/status").read().splitlines()
-        threads.append([code, next(l.split()[1] for l in status if l.startswith("Threads:"))])
-    print(json.dumps({"threads": threads, "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
-""")
-
-_NUMPY_CALLS = [
-    ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "bounded-log:0.05",
-     "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.01", "--out", "c.csv", "--json", "c.json"],
-    ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian", "--n", "5",
-     "--trials", "2000", "--seed", "3", "--out", "report.json"],
-]
-
-_openblas_only = pytest.mark.skipif(
-    not (os.path.exists("/proc/self/status") and _numpy_blas_is_openblas()),
-    reason="needs /proc/self/status and a numpy built against OpenBLAS")
-
-
-def _run_numpy_calls(work, openblas_threads=None):
-    """Run the conformal and validate calls through ``cli.main`` in a fresh
-    interpreter whose environment sets no BLAS thread count, or sets
-    OPENBLAS_NUM_THREADS to ``openblas_threads``; return its report and the
-    bytes of each file it wrote."""
-    work.mkdir()
-    (work / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-    env["PYTHONPATH"] = _SRC_PATH
-    if openblas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(work),
-                           json.dumps(_NUMPY_CALLS)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout.splitlines()[-1])
-    return report, {p.name: p.read_bytes() for p in sorted(work.iterdir())}
-
-
-@_openblas_only
-def test_numpy_calls_start_no_blas_threads(tmp_path):
-    # numpy's OpenBLAS would start a busy-waiting worker per extra CPU at
-    # import; the command line does no BLAS work and asks it for none
-    report, _ = _run_numpy_calls(tmp_path / "work")
-    assert report == {"threads": [[0, "1"], [0, "1"]], "openblas": "1"}
-
-
-@_openblas_only
-def test_exported_blas_thread_count_is_kept(tmp_path):
-    report, _ = _run_numpy_calls(tmp_path / "work", "2")
-    assert report["openblas"] == "2"
-    assert [code for code, _ in report["threads"]] == [0, 0]
-    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
-        assert [threads for _, threads in report["threads"]] == ["2", "2"]
-
-
-@_openblas_only
-def test_blas_thread_count_leaves_outputs_unchanged(tmp_path):
-    _, single = _run_numpy_calls(tmp_path / "single")
-    _, exported = _run_numpy_calls(tmp_path / "exported", "2")
-    assert sorted(single) == ["c.csv", "c.json", "calib.csv", "report.json"]
-    assert single == exported
-
-
 # The process entry: `python -m fuzzyconf` and the `fuzzyconf` command run
 # `cli.run`, which turns the cyclic collector off and freezes the heap before
 # exit; `cli.main` in process leaves the collector as it found it.
-
-_ENTRY_PROBE = textwrap.dedent("""
-    import atexit, gc, re, runpy, sys
-
-    def probe():
-        # VmHWM is this process's own peak RSS in KiB, 0 where there is no
-        # /proc; ru_maxrss would count the memory of the parent it forked from
-        try:
-            with open("/proc/self/status") as fh:
-                peak = re.search(r"^VmHWM:\\s+(\\d+) kB$", fh.read(), re.M)[1]
-        except OSError:
-            peak = 0
-        print(f"gc enabled={gc.isenabled()} frozen={gc.get_freeze_count()} peak={peak}")
-
-    atexit.register(probe)
-    sys.argv = ["fuzzyconf", *sys.argv[1:]]
-    runpy.run_module("fuzzyconf", run_name="__main__")
-""")
 
 _ENTRY_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
                     "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.05",
@@ -1136,6 +1078,35 @@ _ENTRY_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "-
 _ENTRY_VALIDATE = ["validate", "--check", "coverage", "--alpha", "0.1", "--model",
                    "iid-gaussian", "--n", "5", "--trials", "2000", "--seed", "3",
                    "--out", "report.json"]
+_ENTRY_CALLS = [
+    (0, _ENTRY_CONFORMAL),
+    (0, _ENTRY_VALIDATE),
+    (0, ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05"]),
+    (0, ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
+         "--levels", "0.05,0.1,0.5", "--out", "cert.json"]),
+    (2, ["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
+         "--out", "x.csv"]),
+    (3, ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "1e-320",
+         "--grid=-3:3:1", "--out", "y.csv"]),
+    (3, ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
+         "bounded-log:1e-320", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-3:3:1",
+         "--out", "z.csv"]),
+]
+_ENTRY_GRID = PlugInGrid.from_spec("-4:4:0.05").points
+_ENTRY_DOCUMENTS = {"calib.csv": _CALIB, "prob.json": {
+    "decisions": ["hold", "act"], "outcomes": _ENTRY_GRID,
+    "loss": [[1.0] * len(_ENTRY_GRID), [min(z * z, 4.0) for z in _ENTRY_GRID]]}}
+
+
+@pytest.fixture(scope="module")
+def module_entry(tmp_path_factory):
+    """Each of _ENTRY_CALLS run in turn through the process entry in one
+    directory: its probe report, by its arguments."""
+    work = tmp_path_factory.mktemp("entry") / "module"
+    return {tuple(args): _probe(work, [args], _ENTRY_DOCUMENTS, [code], entry=True)
+            for code, args in _ENTRY_CALLS}
+
+
 # the validators stream their trials in fixed blocks: this run once peaked
 # near 190 MiB, holding all 200k trials of 21 slots
 _POSTHOC_200K = ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", "--model",
@@ -1143,27 +1114,31 @@ _POSTHOC_200K = ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1
                  "--trials", "200000", "--seed", "7"]
 
 
-@pytest.mark.parametrize("args", [_ENTRY_CONFORMAL, _ENTRY_VALIDATE, _POSTHOC_200K],
-                         ids=["fuzzy", "validate", "validate-posthoc-200k"])
-def test_module_entry_runs_without_the_collector(tmp_path, args):
-    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
-    done = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, *args], cwd=tmp_path,
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=_SRC_PATH), timeout=120)
-    assert done.returncode == 0, done.stderr
-    probe = re.fullmatch(r"gc enabled=(\w+) frozen=(\d+) peak=(\d+)", done.stdout.splitlines()[-1])
-    assert probe and probe[1] == "False" and int(probe[2]) > 0, done.stdout
-    assert int(probe[3]) < 96 * 1024, f"peak RSS {probe[3]} KiB"
+# the bound on each call's own peak RSS, in MiB: the calls that load no numpy
+# are mostly interpreter start, and a conformal set at the bench's G = 1201
+# mostly numpy's import
+@pytest.mark.parametrize("args, peak_mib", [
+    (_ENTRY_CONFORMAL, 96), (_ENTRY_VALIDATE, 96), (_POSTHOC_200K, 96),
+    (_ENTRY_CALLS[2][1], 20), (_ENTRY_CALLS[3][1], 20),
+    ("fuzzy --family gaussian-log --tau 3.5 --grid=-6:6:0.01 --out g.csv --json g.json".split(),
+     20),
+    ("fuzzy --family conformal --calib calib.csv --utility bounded-log:0.05 --ratio "
+     "gaussian-scale:0:1:3.5 --grid=-6:6:0.01 --out c.csv --json c.json".split(), 40),
+], ids=["fuzzy", "validate", "validate-posthoc-200k", "interval", "decide-post-hoc",
+        "gaussian-log", "conformal-1201"])
+def test_module_entry_runs_without_the_collector(probe, module_entry, args, peak_mib):
+    report = module_entry.get(tuple(args)) or probe([args], {"calib.csv": _CALIB}, entry=True)
+    assert report["gc"][0] is False and report["gc"][1] > 0, report["gc"]
+    assert report["peak_kib"] < peak_mib * 1024, f"peak RSS {report['peak_kib']} KiB"
 
 
 def test_in_process_main_keeps_the_gc_state(tmp_path, monkeypatch):
-    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    # only the process entry turns the collector off; main, whatever its exit
+    # code, leaves it as it was
+    _write_documents(tmp_path, _ENTRY_DOCUMENTS)
     monkeypatch.chdir(tmp_path)
     state = gc.isenabled(), gc.get_freeze_count()
-    assert run(_ENTRY_CONFORMAL) == 0
-    assert run(_ENTRY_VALIDATE) == 0
-    assert run(["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
-                "--out", "x.csv"]) == 2
+    assert [run(args) for _, args in _ENTRY_CALLS] == [code for code, _ in _ENTRY_CALLS]
     assert (gc.isenabled(), gc.get_freeze_count()) == state
 
 
@@ -1201,7 +1176,7 @@ def _validate_trials(ratio):
 def test_cyclic_garbage_does_not_grow_with_the_work(tmp_path, monkeypatch, call, small, large):
     # cli.run never collects, so the cyclic garbage of a call must stay O(1)
     # whatever its trial count, grid size or ladder length
-    (tmp_path / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
+    (tmp_path / "calib.csv").write_text(_CALIB)
     monkeypatch.chdir(tmp_path)
     grid = PlugInGrid.from_spec("-1:1:0.1").points
     (tmp_path / "prob.json").write_text(json.dumps(
@@ -1215,51 +1190,20 @@ def test_cyclic_garbage_does_not_grow_with_the_work(tmp_path, monkeypatch, call,
     assert few < 1000 and many <= few + 16, (few, many)
 
 
-_ENTRY_CALLS = [
-    (0, _ENTRY_CONFORMAL),
-    (0, _ENTRY_VALIDATE),
-    (0, ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05"]),
-    (0, ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
-         "--levels", "0.05,0.1,0.5", "--out", "cert.json"]),
-    (2, ["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
-         "--out", "x.csv"]),
-    (3, ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "1e-320",
-         "--grid=-3:3:1", "--out", "y.csv"]),
-    (3, ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
-         "bounded-log:1e-320", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-3:3:1",
-         "--out", "z.csv"]),
-]
-
-
-def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch):
+def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch, module_entry):
     # the process entry changes only the collector: every document, stream and
     # exit code equals an in-process main call's (exit 1 is covered in process
     # by test_failed_check_exits_1)
-    outcomes = {}
-    for side in ("module", "main"):
-        work = tmp_path / side
-        work.mkdir()
-        (work / "calib.csv").write_text("0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n")
-        grid = PlugInGrid.from_spec("-4:4:0.05").points
-        (work / "prob.json").write_text(json.dumps(
-            {"decisions": ["hold", "act"], "outcomes": grid,
-             "loss": [[1.0] * len(grid), [min(z * z, 4.0) for z in grid]]}))
-        streams = []
-        for _, args in _ENTRY_CALLS:
-            if side == "module":
-                done = _run_module(args, work)
-                streams.append((done.returncode, done.stdout, done.stderr))
-            else:
-                monkeypatch.chdir(work)
-                code = main(list(args))
-                captured = capsys.readouterr()
-                streams.append((code, captured.out, captured.err))
-        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
-        outcomes[side] = streams, files
-    assert [code for code, _, _ in outcomes["main"][0]] == [code for code, _ in _ENTRY_CALLS]
-    assert outcomes["module"] == outcomes["main"]
-    assert sorted(outcomes["main"][1]) == ["c.csv", "c.json", "calib.csv", "cert.json",
-                                           "prob.json", "report.json"]
+    _write_documents(tmp_path, _ENTRY_DOCUMENTS)
+    monkeypatch.chdir(tmp_path)
+    streams = [(main(list(args)), *capsys.readouterr()) for _, args in _ENTRY_CALLS]
+    files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    assert [code for code, _, _ in streams] == [code for code, _ in _ENTRY_CALLS]
+    reports = list(module_entry.values())
+    assert [(r["codes"][0], r["out"], r["err"]) for r in reports] == streams
+    assert reports[-1]["files"] == files
+    assert sorted(files) == ["c.csv", "c.json", "calib.csv", "cert.json", "prob.json",
+                             "report.json"]
 
 
 def test_console_script_is_the_process_entry():
@@ -1269,3 +1213,48 @@ def test_console_script_is_the_process_entry():
     assert scripts, "pyproject.toml has no [project.scripts] table"
     assert re.findall(r'^fuzzyconf\s*=\s*"([^"]*)"', scripts[1], re.M) == ["fuzzyconf.cli:run"]
     assert callable(cli.run)
+
+
+def _numpy_blas_is_openblas():
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no build dependencies
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+_NUMPY_CALLS = [
+    ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "bounded-log:0.05",
+     "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.01", "--out", "c.csv", "--json", "c.json"],
+    _ENTRY_VALIDATE,
+]
+
+_openblas_only = pytest.mark.skipif(
+    not (os.path.exists("/proc/self/status") and _numpy_blas_is_openblas()),
+    reason="needs /proc/self/status and a numpy built against OpenBLAS")
+
+
+@_openblas_only
+def test_numpy_calls_start_no_blas_threads(probe):
+    # numpy's OpenBLAS would start a busy-waiting worker per extra CPU at
+    # import; the command line does no BLAS work and asks it for none
+    report = probe(_NUMPY_CALLS, {"calib.csv": _CALIB})
+    assert (report["threads"], report["openblas"]) == (["1", "1"], "1")
+
+
+@_openblas_only
+def test_exported_blas_thread_count_is_kept(probe):
+    report = probe(_NUMPY_CALLS, {"calib.csv": _CALIB}, OPENBLAS_NUM_THREADS="2")
+    assert report["openblas"] == "2"
+    if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
+        assert report["threads"] == ["2", "2"]
+
+
+@_openblas_only
+def test_blas_thread_count_leaves_outputs_unchanged(probe):
+    single = probe(_NUMPY_CALLS, {"calib.csv": _CALIB})["files"]
+    exported = probe(_NUMPY_CALLS, {"calib.csv": _CALIB}, OPENBLAS_NUM_THREADS="2")["files"]
+    assert sorted(single) == ["c.csv", "c.json", "calib.csv", "report.json"]
+    assert single == exported
