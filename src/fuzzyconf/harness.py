@@ -68,6 +68,12 @@ _MODEL_DEFAULTS = {
     "ar1-gaussian": {"mu": 0.0, "rho": 0.5},
 }
 _SCALES = ("sigma", "between", "within")
+# the largest trial count and calibration size a run takes, checked before
+# anything is allocated: a run holds 8 bytes per trial and a block of at least
+# one (n + 1)-wide row, and counts far past these once ended in numpy's
+# allocator failing
+MAX_TRIALS = 10**7
+MAX_N = 10**6
 # each finite model's required and optional parameters, all sequences
 _FINITE_PARAMS = {
     "iid-categorical": (("support", "probs"), ()),
@@ -92,6 +98,8 @@ class McConfig(_Frozen):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.trials < 1000:
             raise ValueError("use at least 1000 trials")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"use at most {MAX_TRIALS} trials, got {self.trials}")
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must lie in [0, 2**128), the Philox key range, got {self.seed}")
         if self.model not in CONTINUOUS_MODELS + FINITE_MODELS:
@@ -378,6 +386,8 @@ def _trial_statistics(
 def _check_run(config: McConfig, n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
     if config.model not in EXCHANGEABLE_MODELS:
         raise ValueError(
             f"{config.model!r} is not exchangeable; conformal validators would be meaningless"

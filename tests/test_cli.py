@@ -1,6 +1,7 @@
 import ast
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -71,120 +72,6 @@ def test_each_ratio_row_checks_its_counts_and_is_listed(capsys, monkeypatch, nam
         assert usage in capsys.readouterr().out
 
 
-def test_fuzzy_gaussian_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["fuzzy", "--family", "gaussian-log", "--mu", 0, "--sigma", 1, "--tau", 3.5,
-            "--grid", "-6:6:0.01"]
-    assert run(args + ["--out", out1, "--json", j1]) == 0
-    assert run(args + ["--out", out2, "--json", j2]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert j1.read_bytes() == j2.read_bytes()
-    lines = out1.read_text().splitlines()
-    assert lines[0] == "z,evidence"
-    assert len(lines) == 1202
-    z, e = lines[601].split(",")
-    assert float(z) == 0.0
-    assert float(e) == pytest.approx(1 / 3.5, rel=1e-12)
-
-
-def test_fuzzy_conformal_matches_library(tmp_path):
-    calib = tmp_path / "calib.csv"
-    calib.write_text("value\n1.2\n0.7\n2.1\n")
-    out = tmp_path / "c.csv"
-    assert run(["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "log",
-                "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-2:4:1", "--out", out]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    grid = PlugInGrid.from_spec("-2:4:1")
-    fset = fc.fuzzy_set((1.2, 0.7, 2.1), grid, fc.gaussian_scale_ratio(0, 1, 3.5), fc.Log())
-    for (z, e), gz, ge in zip(rows, grid.points, fset.evidence):
-        assert float(z) == gz and float(e) == pytest.approx(ge, rel=1e-15)
-
-
-def test_interval_json(tmp_path, capsys):
-    assert run(["interval", "--family", "simple", "--mu", 0, "--sigma", 1, "--alpha", 0.05]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["hi"] == pytest.approx(1.959963984540054, abs=1e-10)
-    out = tmp_path / "iv.json"
-    assert run(["interval", "--family", "composite", "--zbar", 1.44, "--sigma", 1,
-                "--n", 3, "--alpha", 0.05, "--out", out]) == 0
-    doc2 = json.loads(out.read_text())
-    assert doc2["hi"] == pytest.approx(1.44 + 1.959963984540054 * math.sqrt(4 / 3), abs=1e-10)
-    assert run(["interval", "--family", "ar1", "--mu", 0, "--rho", 0.5, "--z-last", 2,
-                "--alpha", 0.05, "--out", tmp_path / "iv3.json"]) == 0
-    doc3 = json.loads((tmp_path / "iv3.json").read_text())
-    assert (doc3["lo"] + doc3["hi"]) / 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def _write_problem(path):
-    doc = {
-        "decisions": ["hold", "act"],
-        "outcomes": [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0],
-        "loss": [[1, 1, 1, 1, 1, 1, 1], [3, 2, 1, 0.5, 1, 2, 3]],
-    }
-    path.write_text(json.dumps(doc))
-
-
-def test_decide_round_trip_deterministic(tmp_path):
-    calib = tmp_path / "calib.csv"
-    calib.write_text("1.2\n0.7\n2.1\n")
-    fuzzy_json = tmp_path / "fuzzy.json"
-    assert run(["fuzzy", "--family", "conformal", "--calib", calib,
-                "--utility", "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5",
-                "--grid", "-2:4:1", "--out", tmp_path / "f.csv", "--json", fuzzy_json]) == 0
-    prob = tmp_path / "prob.json"
-    _write_problem(prob)
-    cert1, cert2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    assert run(["decide", "--problem", prob, "--set", fuzzy_json, "--mode", "weighted",
-                "--out", cert1]) == 0
-    assert run(["decide", "--problem", prob, "--set", fuzzy_json, "--mode", "weighted",
-                "--out", cert2]) == 0
-    assert cert1.read_bytes() == cert2.read_bytes()
-
-    # the certificate agrees with calling the library directly
-    fset = fc.FuzzyConfidenceSet.from_json_doc(json.loads(fuzzy_json.read_text()))
-    problem = fc.DecisionProblem.from_json_doc(json.loads(prob.read_text()))
-    wanted = fc.weighted_decision(problem, fset)
-    got = json.loads(cert1.read_text())
-    assert got["decision"] == wanted.decision
-    assert got["risk_bound"] == pytest.approx(wanted.risk_bound, rel=1e-15)
-
-
-def test_decide_as_if_and_post_hoc(tmp_path):
-    calib = tmp_path / "calib.csv"
-    calib.write_text("1.2\n0.7\n2.1\n")
-    fuzzy_json = tmp_path / "fuzzy.json"
-    run(["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "log",
-         "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-2:4:1",
-         "--out", tmp_path / "f.csv", "--json", fuzzy_json])
-    prob = tmp_path / "prob.json"
-    _write_problem(prob)
-    out = tmp_path / "asif.json"
-    assert run(["decide", "--problem", prob, "--set", fuzzy_json, "--mode", "as-if",
-                "--alpha", 0.3, "--out", out]) == 0
-    assert json.loads(out.read_text())["mode"] == "as-if"
-    out2 = tmp_path / "ladder.json"
-    assert run(["decide", "--problem", prob, "--set", fuzzy_json, "--mode", "post-hoc",
-                "--levels", "0.05,0.2,0.5", "--out", out2]) == 0
-    ladder = json.loads(out2.read_text())
-    assert [entry["alpha"] for entry in ladder["levels"]] == [0.05, 0.2, 0.5]
-
-
-def test_validate_command(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = run(["validate", "--check", "evalue", "--model", "iid-gaussian",
-                "--model-args", "mu=0,sigma=1", "--utility", "log", "--n", 5,
-                "--trials", 5000, "--seed", 3, "--out", out])
-    assert code == 0
-    assert "PASS" in capsys.readouterr().out
-    doc = json.loads(out.read_text())
-    assert doc["passed"] is True and doc["trials"] == 5000
-    code2 = run(["validate", "--check", "coverage", "--model", "iid-uniform",
-                 "--utility", "np:0.2", "--alpha", 0.2, "--n", 5,
-                 "--trials", 2000, "--seed", 4])
-    assert code2 == 0
-
-
 def test_failed_check_exits_1(monkeypatch, capsys):
     from fuzzyconf import harness
 
@@ -196,29 +83,15 @@ def test_failed_check_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("[FAIL] evalue-validity")
 
 
-def test_tied_trials_pass_despite_float_rounding(tmp_path, capsys):
-    # sigma=0 makes every trial a tie: each e-value is exactly 1, SE is 0 and
-    # the float mean lands one ulp above the bound
-    out = tmp_path / "report.json"
-    assert run(["validate", "--model", "iid-gaussian", "--model-args", "mu=0,sigma=0",
-                "--n", 5, "--trials", 2000, "--out", out]) == 0
-    assert capsys.readouterr().out == (
-        "[PASS] evalue-validity: estimate=1.000000 bound=1.000000+3*SE(SE=0.000000) "
-        "trials=2000 model=iid-gaussian n=5\n")
-    doc = json.loads(out.read_text())
-    assert doc["estimate"] == math.nextafter(1.0, 2.0) and doc["se"] == 0.0
-    assert doc["passed"] is True
-
-
 _CALIB = "0.12\n-0.4\n0.9\n1.3\n-1.1\n0.5\n"
 _PROBLEM = {"decisions": ["hold", "act"], "outcomes": [-1.0, 0.0, 1.0],
             "loss": [[1, 1, 1], [2, 0.5, 2]]}
 _SET = fc.FuzzyConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (2.0, 0.5, 3.0), ()).to_json_doc()
 _BINARY_SET = fc.BinaryConfidenceSet(PlugInGrid((-1.0, 0.0, 1.0)), (False, True, True), 0.25,
                                      (5.0, 0.5, 3.0), ()).to_json_doc()
-# the files each failing call starts with; a row may add or replace some
+# the files each call of the tables below starts with; a row may add or replace some
 _DOCUMENTS = {"prob.json": _PROBLEM, "set.json": _SET, "binary.json": _BINARY_SET,
-              "calib.csv": "0.12\n-0.4\n0.9\n", "notes.txt": "not json\n"}
+              "calib.csv": _CALIB, "notes.txt": "not json\n"}
 
 # every flag a closed-form family needs that has no default, in flag order
 _MISSING_FLAGS = {
@@ -293,6 +166,11 @@ _FAILING_CALLS = {
                                  "model args must be key=value, got 'mu'"),
     "seed-negative": (f"{_VALIDATE} --seed -1", f"{_SEED} -1"),
     "seed-2**128": (f"{_VALIDATE} --seed {2**128}", f"{_SEED} {2**128}"),
+    # each once ended in a numpy _ArrayMemoryError traceback, exit 1
+    "trials-above-the-cap": ("validate --model iid-gaussian --n 5 --trials 10000000000000",
+                             "use at most 10000000 trials, got 10000000000000"),
+    "n-above-the-cap": ("validate --model iid-gaussian --n 1000000000000 --trials 1000",
+                        "n must be at most 1000000, got 1000000000000"),
     # the [PASS] line was once printed before the report failed to write
     "validate-out-directory": (f"{_VALIDATE} --out .", "[Errno 21] Is a directory: '.'"),
     # the CSV written first was once left behind
@@ -320,6 +198,11 @@ _FAILING_CALLS = {
     **{f"grid-{grid}": (f"{_GAUSSIAN_LOG} --grid {grid} --out x.csv",
                         f"grid spec {grid!r} needs a finite min, max, step and span")
        for grid in ("0:inf:1", "-inf:0:1", "-1e308:1e308:1e300", "nan:1:0.1")},
+    # the point count is checked before any point is built; 0:1:1e-300 once
+    # grew until the process was killed
+    **{f"grid-{grid}": (f"{_GAUSSIAN_LOG} --grid={grid} --out x.csv",
+                        f"grid spec {grid!r} has more than 10000000 points")
+       for grid in ("0:1:1e-300", "0:1:1e-7", "0:1e308:1e-308")},
     "missing-tau": ("fuzzy --family gaussian-log --grid 0:1:0.1 --out x.csv",
                     "gaussian-log needs --tau"),
     "missing-conformal-flags": ("fuzzy --family conformal --grid 0:1:0.1 --out x.csv",
@@ -333,7 +216,7 @@ _FAILING_CALLS = {
     # |z - mu| of about 38; ROADMAP item 3's log-space ratios would make it exit 0
     "wide-grid-ratio-overflow": ("fuzzy --family conformal --calib calib.csv --utility log --ratio "
         "gaussian-scale:0:1:3.5 --grid=-45:45:0.05 --out x.csv",
-        f"ratio is infinite at z=-45.0; {_CAP}", 2, {"calib.csv": _CALIB}),
+        f"ratio is infinite at z=-45.0; {_CAP}"),
     # a non-finite parameter once wrote a constant curve and exited 0, or was
     # blamed on the output ("Out of range float values are not JSON compliant"),
     # as were finite inputs whose conditional mean or endpoints overflow
@@ -370,6 +253,9 @@ _FAILING_CALLS = {
         "-3:3:1 --out x.csv", f"sigma=1.0 and tau=1e+200 are out of range: {_CURVE_SCALES}"),
     "bounded-log-tiny-alpha": ("fuzzy --family gaussian-bounded-log --tau 3.5 --alpha 1e-320 "
         "--grid -3:3:1 --out x.csv", "capped ratio has null mean nan at boost 1", 3),
+    "conformal-bounded-log-tiny-alpha": (
+        f"{_CONFORMAL} --utility bounded-log:1e-320 --ratio gaussian-scale:0:1:3.5",
+        "orbit mean misses 1 by nan; the shaped e-value is infeasible", 3),
     # 2 sigma^2 tau^2 overflows although sigma^2 tau^2 does not: the curve was
     # NaN, and the call blamed the evidence ("evidence must be nonnegative")
     **{f"scale-product-{family}": (
@@ -516,7 +402,7 @@ _MISSING_FLAG_CALLS = {
 
 
 def _write_documents(work, documents):
-    work.mkdir(exist_ok=True)
+    work.mkdir(parents=True, exist_ok=True)
     for name, doc in documents.items():
         (work / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
@@ -552,14 +438,254 @@ def test_missing_flag_rows_cover_every_closed_form_family():
     assert fuzzy == set(cli._FUZZY_FAMILIES) - {"conformal"}
 
 
+_CURVE_FAMILIES = [family for family in cli._FUZZY_FAMILIES if family != "conformal"]
+_CURVE_ARGS = {"mu": -0.2, "sigma": 1.3, "tau": 3.5, "alpha": 0.05, "n": 7, "zbar": 0.4}
+_SCALAR_FAMILIES = {
+    "gaussian-log": lambda z, a: fc.gaussian_log_fuzzy(z, a["mu"], a["sigma"], a["tau"]),
+    "gaussian-log-composite": lambda z, a: fc.gaussian_composite_log_fuzzy(
+        z, a["zbar"], a["sigma"], a["tau"], a["n"]),
+    "gaussian-bounded-log": lambda z, a: fc.gaussian_bounded_log_fuzzy(
+        z, a["mu"], a["sigma"], a["tau"], a["alpha"]),
+    "gaussian-bounded-log-composite": lambda z, a: fc.gaussian_composite_bounded_log_fuzzy(
+        z, a["zbar"], a["sigma"], a["tau"], a["n"], a["alpha"]),
+    "gaussian-np": lambda z, a: fc.gaussian_np_evalue(z, a["mu"], a["sigma"], a["alpha"]),
+    "gaussian-np-composite": lambda z, a: fc.gaussian_composite_np_evalue(
+        z, a["zbar"], a["sigma"], a["n"], a["alpha"]),
+}
+
+
+def _ok(argv, want, documents=None, pins=None):
+    return argv.split(), want, {**_DOCUMENTS, **(documents or {})}, pins or {}
+
+
+def _curve(family, grid, name, pins=None, **args):
+    """A closed-form fuzzy call given ``args`` as flags; its library set is
+    the family's public scalar function at each grid point."""
+    _, flags, utility = cli._FUZZY_FAMILIES[family]
+    a = {**cli._DEFAULTS, **args}
+    params = ",".join(f"{f}={a[f]}" if f == "n" else f"{f}={a[f]:g}" for f in flags)
+
+    def want():
+        points = PlugInGrid.from_spec(grid)
+        evidence = tuple(_SCALAR_FAMILIES[family](z, a) for z in points.points)
+        return fc.FuzzyConfidenceSet(points, evidence, (), f"{family}({params})", utility)
+    return _ok(f"fuzzy --family {family} " + "".join(f"--{k} {v} " for k, v in args.items())
+               + f"--grid={grid} --out {name}.csv --json {name}.json", want, pins=pins)
+
+
+def _conformal(utility, grid, out, calib=_CALIB, header="", pins=None,
+               ratio="gaussian-scale:0:1:3.5", alt=lambda: fc.gaussian_scale_ratio(0, 1, 3.5)):
+    """A conformal fuzzy call; its library set is ``fuzzy_set`` of the
+    calibration values under the alternative ``alt()``."""
+    return _ok(f"fuzzy --family conformal --calib calib.csv --utility {utility} --ratio {ratio} "
+               f"--grid={grid} {out}",
+               lambda: fc.fuzzy_set(tuple(map(float, calib.split())), PlugInGrid.from_spec(grid),
+                                    alt(), parse_utility(utility)),
+               {"calib.csv": header + calib}, pins)
+
+
+def _interval(family, *args):
+    """The library document of an interval call: the family's function of
+    ``args``, alpha last."""
+    def want():
+        lo, hi = getattr(fc, f"{family}_interval")(*args)
+        return {"family": family, "lo": lo, "hi": hi, "alpha": args[-1]}
+    return want
+
+
+def _decided(mode, level=None, conf=_SET):
+    """The library value of a decide call on prob.json and ``conf``: as-if
+    at the level alpha, or the post-hoc ladder over the list of levels."""
+    def want():
+        problem, found = fc.DecisionProblem.from_json_doc(_PROBLEM), load_confidence_set(conf)
+        if mode == "weighted":
+            return fc.weighted_decision(problem, found)
+        if mode == "as-if":  # over a fuzzy set, its sublevel set at alpha
+            return fc.as_if_decision(problem, sublevel_set(found, level) if level else found)
+        return {"mode": "post-hoc", "levels": [{"alpha": ld.alpha, **(
+            ld.decision.to_json_doc() if ld.available else {"unavailable": True})}
+            for ld in fc.post_hoc_decisions(problem, found, level)]}
+    return want
+
+
+def _mc(check, trials, seed, model, n, *alpha, params=None, utility="log",
+        alt=lambda: fc.gaussian_scale_ratio(0, 1, 3.5)):
+    """The library report of a validate call."""
+    return lambda: getattr(fc, f"mc_validate_{check}")(
+        fc.McConfig(trials, seed, model, params or {}), alt(), parse_utility(utility), n, *alpha)
+
+
+_OVERFLOWING = "39.3\n" * 10  # ten calibration ratios whose sum overflows
+_PASS = ("[PASS] evalue-validity: estimate=1.000000 bound=1.000000+3*SE(SE=0.000000) trials=2000 "
+         "model=iid-gaussian n=5")
+# the documented successes, each row id -> (argv, want, documents, pins):
+# argv, split on whitespace, exits 0 in a directory of _DOCUMENTS updated by
+# the documents; want() is the library value every output must equal, and
+# pins maps an output ("stdout" or a file) to a pattern and the exact lines
+# of that output that match it
+_SUCCEEDING_CALLS = {
+    # fuzzy: each closed-form family given every flag it reads
+    **{f"curve-{family}": _curve(family, "-40:40:0.1", family, **{
+        k: _CURVE_ARGS[k] for k in cli._FUZZY_FAMILIES[family][1]}) for family in _CURVE_FAMILIES},
+    "gaussian-log-1201": _curve("gaussian-log", "-6:6:0.01", "g", tau=3.5,
+                                pins={"g.csv": ("^0,", ["0,0.2857142857142857"])}),
+    # the raw scale ratio overflows to +inf far out in the tails, written "inf"
+    "gaussian-log-infinite-tails": _curve("gaussian-log", "-45:45:1", "f", tau=3.5, pins={
+        "f.csv": (",inf$", [f"{z},inf" for z in (*range(-45, -39), *range(40, 46))])}),
+    # {n:g} would print 1.23457e+06
+    "np-composite-provenance": _curve(
+        "gaussian-np-composite", "-1:1:1", "x", zbar=0.5, n=1234567, alpha=0.05, pins={
+            "x.json": ("n=", ['    "alternative": '
+                              '"gaussian-np-composite(zbar=0.5,sigma=1,n=1234567,alpha=0.05)",'])}),
+    "conformal-log": _conformal("log", "-2:4:1", "--out c.csv", header="value\n"),
+    "conformal-clipped-log": _conformal("clipped-log:0.1", "-1:1:1", "--out c.csv --json c.json"),
+    "conformal-1201": _conformal("bounded-log:0.05", "-6:6:0.01", "--out c.csv --json c.json"),
+    # ratios past the float range: the evidence read 0, 0, 0
+    "ratio-sum-overflow": _conformal(
+        "log", "39.1:39.3:0.1", "--out x.csv", _OVERFLOWING, pins={"x.csv": ("", [
+            "z,evidence", "39.100000000000001,0.00082118308085107243",
+            "39.200000000000003,0.029837245430473058", "39.299999999999997,1"])}),
+    # r_z over the calibration maximum overflows: the curve was NaN (exit 2)
+    "ratio-over-the-maximum": _conformal(
+        "power:0.5", "37:38:1", "--out x.csv", "-5\n-5.1\n", ratio="gaussian-mean-shift:0:30",
+        alt=lambda: fc.gaussian_mean_shift_ratio(0, 30), pins={"x.csv": ("", [
+            "z,evidence", "37,3.0000000000000004", "38,3.0000000000000004"])}),
+    # the first row's ratios under a cap and a floor: "orbit mean misses 1 by
+    # nan" and "by inf" (exit 3); clipped-log is exact, bounded-log within 1 ulp
+    "ratio-sum-overflow-bounded-log": _conformal(
+        "bounded-log:0.1", "39.1:39.3:0.1", "--out x.csv", _OVERFLOWING, pins={"x.csv": ("", [
+            "z,evidence", "39.100000000000001,0.00082118308085107233",
+            "39.200000000000003,0.029837245430473058", "39.299999999999997,1"])}),
+    "ratio-sum-overflow-clipped-log": _conformal(
+        "clipped-log:0.1", "39.1:39.3:0.1", "--out x.csv", _OVERFLOWING, pins={"x.csv": ("", [
+            "z,evidence", "39.100000000000001,0.10000000000000001",
+            "39.200000000000003,0.10000000000000001", "39.299999999999997,1"])}),
+    # interval
+    "interval-simple": _ok("interval --family simple --alpha 0.05",
+                           _interval("simple", 0.0, 1.0, 0.05),
+                           pins={"stdout": ('"hi"', ['  "hi": 1.9599639845400545,'])}),
+    "interval-composite": _ok(
+        "interval --family composite --zbar 1.44 --n 3 --alpha 0.05 --out iv.json",
+        _interval("composite", 1.44, 1.0, 3, 0.05),
+        pins={"iv.json": ('"hi"', ['  "hi": 3.7031714681523438,'])}),
+    # centred on the conditional mean mu + rho*(z_last - mu) = 1
+    "interval-ar1": _ok(
+        "interval --family ar1 --rho 0.5 --z-last 2 --alpha 0.05 --out iv.json",
+        _interval("ar1", 0.0, 0.5, 2.0, 0.05), pins={"iv.json": (
+            '"(lo|hi)"', ['  "hi": 2.9599639845400545,', '  "lo": -0.9599639845400545'])}),
+    # decide
+    "decide-weighted": _ok(f"{_DECIDE} set.json", _decided("weighted")),
+    "decide-as-if": _ok(f"{_DECIDE} set.json --mode as-if --alpha 0.4", _decided("as-if", 0.4)),
+    "decide-as-if-binary": _ok("decide --problem prob.json --set binary.json --mode as-if",
+                               _decided("as-if", conf=_BINARY_SET)),
+    "decide-post-hoc": _ok(f"{_DECIDE} set.json --mode post-hoc --levels 0.05,0.2,0.5",
+                           _decided("post-hoc", [0.05, 0.2, 0.5])),
+    # validate
+    "validate-evalue": _ok(
+        "validate --check evalue --model iid-gaussian --model-args mu=0,sigma=1 --utility log "
+        "--n 5 --trials 5000 --seed 3 --out report.json",
+        _mc("evalue", 5000, 3, "iid-gaussian", 5, params={"mu": 0.0, "sigma": 1.0})),
+    "validate-coverage": _ok(
+        "validate --check coverage --model iid-uniform --utility np:0.2 --alpha 0.2 --n 5 "
+        "--trials 2000 --seed 4",
+        _mc("coverage", 2000, 4, "iid-uniform", 5, 0.2, utility="np:0.2")),
+    "validate-coverage-ar1": _ok(
+        "validate --check coverage --alpha 0.1 --model iid-gaussian --n 5 --trials 1000 --seed 7 "
+        "--ratio ar1:0:0.5:3.5 --out kernel.json",
+        _mc("coverage", 1000, 7, "iid-gaussian", 5, 0.1, alt=lambda: fc.ar1_kernel(0, 0.5, 3.5))),
+    # the validators stream their trials in fixed blocks: this run once peaked
+    # near 190 MiB, holding all 200k trials of 21 slots
+    "validate-posthoc-200k": _ok(
+        "validate --check posthoc --utility clipped-log:0.1 --model exchangeable-mixture --n 20 "
+        "--trials 200000 --seed 7",
+        _mc("posthoc", 200_000, 7, "exchangeable-mixture", 20, utility="clipped-log:0.1")),
+    # sigma=0 makes every trial a tie: each e-value is exactly 1, SE is 0 and
+    # the float mean lands one ulp above the bound
+    "validate-tied-trials": _ok(
+        "validate --model iid-gaussian --model-args mu=0,sigma=0 --n 5 --trials 2000 "
+        "--out report.json",
+        _mc("evalue", 2000, 20260801, "iid-gaussian", 5, params={"mu": 0.0, "sigma": 0.0}),
+        pins={"stdout": ("", [_PASS]), "report.json": ('"(estimate|passed|se)"', [
+            f'  "estimate": {math.nextafter(1.0, 2.0)!r},', '  "passed": true,', '  "se": 0.0,'])}),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _outputs(argv, value):
+    """The text of each output of a succeeding call, its stdout and each file
+    its --out or --json names, rendered from its library value."""
+    named = {flag: argv[argv.index(flag) + 1] for flag in ("--out", "--json") if flag in argv}
+    doc = json.dumps(value if isinstance(value, dict) else value.to_json_doc(), indent=2,
+                     sort_keys=True, allow_nan=False) + "\n"
+    if argv[0] == "fuzzy":
+        csv = io.StringIO()
+        value.to_csv(csv)
+        stdout, texts = "", {"--out": csv.getvalue(), "--json": doc}
+    else:  # the document goes to --out, or else to stdout; validate prints its summary line
+        stdout = value.summary_line() + "\n" if argv[0] == "validate" else "" if named else doc
+        texts = {"--out": doc}
+    return {"stdout": stdout, **{name: texts[flag] for flag, name in named.items()}}
+
+
+@pytest.mark.parametrize("argv, want, documents, pins", list(_SUCCEEDING_CALLS.values()),
+                         ids=list(_SUCCEEDING_CALLS))
+def test_succeeding_call(tmp_path, monkeypatch, capsys, argv, want, documents, pins):
+    # a success exits 0 with nothing on stderr and no warning, writes exactly
+    # the files it names, and writes the same bytes when rerun in a fresh
+    # directory; every output equals its library value's rendering and holds
+    # the row's pinned lines, every JSON output is strict, and a CSV equals
+    # the JSON document written with it
+    runs = []
+    for work in (tmp_path / "first", tmp_path / "rerun"):
+        _write_documents(work, documents)
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        monkeypatch.chdir(work)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (err, caught) == ("", [])
+        runs.append({"stdout": out, **{p.name: p.read_bytes().decode() for p in work.iterdir()
+                                       if p.read_bytes() != before.get(p.name)}})
+    outputs = runs[0]
+    assert runs[1] == outputs
+    assert outputs == _outputs(argv, want())
+    docs = {name: json.loads(text, parse_constant=_reject_constant)  # every JSON output
+            for name, text in outputs.items() if text.startswith("{")}
+    if "--json" in argv:
+        doc = docs[argv[argv.index("--json") + 1]]
+        rows = [line.split(",") for line in outputs[argv[argv.index("--out") + 1]].splitlines()[1:]]
+        assert [(float(z), float(e)) for z, e in rows] == \
+            [(z, float(e)) for z, e in zip(doc["grid"], doc["evidence"])]
+        # its level-0.05 binary set round-trips through strict JSON too
+        binary = sublevel_set(load_confidence_set(doc), 0.05)
+        text = json.dumps(binary.to_json_doc(), allow_nan=False)
+        assert load_confidence_set(json.loads(text, parse_constant=_reject_constant)) == binary
+    for name, (pattern, lines) in pins.items():
+        assert [line for line in outputs[name].splitlines() if re.search(pattern, line)] == lines
+
+
+def _call(name):
+    """The argv, exit code and documents of the row with this id in
+    _SUCCEEDING_CALLS or _FAILING_CALLS."""
+    if name in _SUCCEEDING_CALLS:
+        argv, _, documents, _ = _SUCCEEDING_CALLS[name]
+        return argv, 0, documents
+    argv, code, _, documents = _row(*_FAILING_CALLS[name])
+    return argv, code, documents
+
+
 # the package's own source directory first on the path of a child process
 _SRC_PATH = os.pathsep.join(p for p in (str(Path(fc.__file__).resolve().parents[1]),
                                         os.environ.get("PYTHONPATH")) if p)
 
 # The one probe of process-level behaviour: a fresh interpreter runs each call
 # through cli.main, or one call through the process entry as `python -m
-# fuzzyconf` does. At exit it writes a JSON report outside the work directory,
-# which leaves the calls' own streams and files untouched.
+# fuzzyconf` does, each in its own directory. At exit it writes a JSON report
+# outside them, which leaves the calls' own streams and files untouched.
 _PROBE = textwrap.dedent("""
     import sys
     report_path, blocked, entry, calls = sys.argv[1:]
@@ -592,7 +718,8 @@ _PROBE = textwrap.dedent("""
             json.dump(report, fh)
 
     if entry:
-        [argv] = json.loads(calls)
+        [[directory, argv]] = json.loads(calls)
+        os.chdir(directory)
         sys.argv = ["fuzzyconf", *argv]
         try:
             runpy.run_module("fuzzyconf", run_name="__main__")
@@ -601,25 +728,30 @@ _PROBE = textwrap.dedent("""
             raise
     else:
         from fuzzyconf.cli import main
-        for argv in json.loads(calls):
+        for directory, argv in json.loads(calls):
+            os.chdir(directory)
             finished(main(argv))
 """)
 
 
-def _probe(work, calls, documents, codes=None, blocked="", entry=False, timeout=120, **env):
-    """Run ``calls`` by the probe in ``work`` with ``blocked`` unimportable and
-    ``env`` for any BLAS thread count. Check the exit ``codes`` (all 0 by
-    default), one ``error:`` line per failing call and nothing else on stderr,
-    and that no test tool loads; return the report with the streams ``out``
-    and ``err`` and the bytes of the ``files`` left in ``work``."""
-    _write_documents(work, documents)
-    codes = codes or [0] * len(calls)
+def _probe(work, names, blocked="", entry=False, timeout=120, **env):
+    """Run the calls with these ids in _SUCCEEDING_CALLS or _FAILING_CALLS by
+    the probe, each in a directory of ``work`` holding its documents, with
+    ``blocked`` unimportable and ``env`` for any BLAS thread count. Check the
+    exit codes, one ``error:`` line per failing call and nothing else on
+    stderr, and that no test tool loads; return the report with the streams
+    ``out`` and ``err`` and, by id, the bytes of the ``files`` each call's
+    directory holds."""
+    calls = {name: _call(name) for name in names}
+    for name, (_, _, documents) in calls.items():
+        _write_documents(work / name, documents)
+    codes = [code for _, code, _ in calls.values()]
     env = {**{k: v for k, v in os.environ.items() if k not in
               ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")},
            "PYTHONPATH": _SRC_PATH, **env}
     report_path = work.parent / f"{work.name}-report.json"
     argv = [report_path, blocked, "entry" if entry else "",
-            json.dumps([list(map(str, call)) for call in calls])]
+            json.dumps([[str(work / name), argv] for name, (argv, _, _) in calls.items()])]
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=work, capture_output=True,
                           text=True, env=env, timeout=timeout)
     assert done.returncode == (codes[0] if entry else 0), done.stderr
@@ -630,13 +762,14 @@ def _probe(work, calls, documents, codes=None, blocked="", entry=False, timeout=
         [True] * (len(codes) - codes.count(0)), done.stderr
     assert not {m.split(".")[0] for m in report["modules"]} & {"pytest", "_pytest", "hypothesis"}
     return {**report, "out": done.stdout, "err": done.stderr,
-            "files": {p.name: p.read_bytes() for p in sorted(work.iterdir())}}
+            "files": {name: {p.name: p.read_bytes() for p in sorted((work / name).iterdir())}
+                      for name in names}}
 
 
 @pytest.fixture(scope="module")
 def probe(tmp_path_factory):
-    """``_probe`` in a fresh directory given ``documents``, run once for each
-    distinct set of arguments that this module's tests pass it."""
+    """``_probe`` in a fresh directory, run once for each distinct set of
+    arguments that this module's tests pass it."""
     runs = {}
 
     def run(*args, **options):
@@ -649,52 +782,10 @@ def probe(tmp_path_factory):
 
 @pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-7", "0:1e308:1e-308"])
 def test_grid_point_count_is_capped(probe, grid):
-    # the point count is checked before any point is built; 0:1:1e-300 once
-    # grew until the process was killed
-    report = probe([["fuzzy", "--family", "gaussian-log", "--tau", "3.5", f"--grid={grid}",
-                     "--out", "x.csv"]], {}, codes=[2], entry=True, timeout=30)
+    # a child with a timeout: the cap once failed by growing until killed
+    report = probe([f"grid-{grid}"], entry=True, timeout=30)
     assert MAX_GRID_POINTS == 10**7
-    assert report["err"] == f"error: grid spec {grid!r} has more than 10000000 points\n"
-
-
-@pytest.mark.parametrize("calib, flags, rows", [
-    # ten calibration ratios whose sum overflows: the evidence read 0, 0, 0
-    ("39.3\n" * 10, ["--utility", "log", "--ratio", "gaussian-scale:0:1:3.5",
-                     "--grid=39.1:39.3:0.1"],
-     ["39.100000000000001,0.00082118308085107243", "39.200000000000003,0.029837245430473058",
-      "39.299999999999997,1"]),
-    # r_z over the calibration maximum overflows: the curve was NaN (exit 2)
-    ("-5\n-5.1\n", ["--utility", "power:0.5", "--ratio", "gaussian-mean-shift:0:30",
-                    "--grid=37:38:1"],
-     ["37,3.0000000000000004", "38,3.0000000000000004"]),
-    # the first row's ratios under a cap and a floor: "orbit mean misses 1 by
-    # nan" and "by inf" (exit 3); clipped-log is exact, bounded-log within 1 ulp
-    ("39.3\n" * 10, ["--utility", "bounded-log:0.1", "--ratio", "gaussian-scale:0:1:3.5",
-                     "--grid=39.1:39.3:0.1"],
-     ["39.100000000000001,0.00082118308085107233", "39.200000000000003,0.029837245430473058",
-      "39.299999999999997,1"]),
-    ("39.3\n" * 10, ["--utility", "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5",
-                     "--grid=39.1:39.3:0.1"],
-     ["39.100000000000001,0.10000000000000001", "39.200000000000003,0.10000000000000001",
-      "39.299999999999997,1"]),
-])
-def test_conformal_ratios_past_the_float_range_exit_0(tmp_path, capsys, calib, flags, rows):
-    (tmp_path / "calib.csv").write_text(calib)
-    assert run(["fuzzy", "--family", "conformal", "--calib", tmp_path / "calib.csv", *flags,
-                "--out", tmp_path / "x.csv"]) == 0
-    assert capsys.readouterr().err == ""
-    assert (tmp_path / "x.csv").read_text().splitlines() == ["z,evidence", *rows]
-
-
-def test_composite_provenance_prints_n_in_full(tmp_path):
-    # {n:g} would print 1.23457e+06
-    assert run(["fuzzy", "--family", "gaussian-np-composite", "--zbar", 0.5, "--n", 1234567,
-                "--alpha", 0.05, "--grid=-1:1:1", "--out", tmp_path / "x.csv",
-                "--json", tmp_path / "x.json"]) == 0
-    doc = json.loads((tmp_path / "x.json").read_text())
-    assert doc["provenance"] == {
-        "alternative": "gaussian-np-composite(zbar=0.5,sigma=1,n=1234567,alpha=0.05)",
-        "utility": "np"}
+    assert report["err"] == f"error: {_FAILING_CALLS[f'grid-{grid}'][1]}\n"
 
 
 @pytest.mark.parametrize("family, flags, edge", [
@@ -715,58 +806,20 @@ def test_np_curve_keeps_its_interval_endpoint(tmp_path, capsys, family, flags, e
     assert {float(x): e for x, e in rows}[z] == "0"
 
 
-_CURVE_ARGS = {"mu": -0.2, "sigma": 1.3, "tau": 3.5, "alpha": 0.05, "n": 7, "zbar": 0.4}
-_SCALAR_FAMILIES = {
-    "gaussian-log": lambda z, a: fc.gaussian_log_fuzzy(z, a["mu"], a["sigma"], a["tau"]),
-    "gaussian-log-composite": lambda z, a: fc.gaussian_composite_log_fuzzy(
-        z, a["zbar"], a["sigma"], a["tau"], a["n"]),
-    "gaussian-bounded-log": lambda z, a: fc.gaussian_bounded_log_fuzzy(
-        z, a["mu"], a["sigma"], a["tau"], a["alpha"]),
-    "gaussian-bounded-log-composite": lambda z, a: fc.gaussian_composite_bounded_log_fuzzy(
-        z, a["zbar"], a["sigma"], a["tau"], a["n"], a["alpha"]),
-    "gaussian-np": lambda z, a: fc.gaussian_np_evalue(z, a["mu"], a["sigma"], a["alpha"]),
-    "gaussian-np-composite": lambda z, a: fc.gaussian_composite_np_evalue(
-        z, a["zbar"], a["sigma"], a["n"], a["alpha"]),
-}
-
-
-@pytest.mark.parametrize("family", [f for f in cli._FUZZY_FAMILIES if f != "conformal"])
+@pytest.mark.parametrize("family", _CURVE_FAMILIES)
 def test_closed_form_curve_checks_once_and_equals_the_scalar_functions(tmp_path, monkeypatch,
                                                                       family):
-    # the curve checks its parameters once, not once or twice per grid point,
-    # and evaluates every point with the public scalar function's arithmetic
+    # the curve checks its parameters once, not once or twice per grid point;
+    # its row, test_succeeding_call[curve-<family>], holds every point to the
+    # public scalar function's value
     from fuzzyconf import gaussian
 
     checks = []
     check = gaussian._check
     monkeypatch.setattr(gaussian, "_check", lambda *a, **k: checks.append(1) or check(*a, **k))
-    # the flags the family reads, each at its _CURVE_ARGS value
-    flags = [x for key in cli._FUZZY_FAMILIES[family][1]
-             for x in (f"--{key}", str(_CURVE_ARGS[key]))]
-    assert run(["fuzzy", "--family", family, *flags, "--grid=-40:40:0.1",
-                "--out", tmp_path / "x.csv", "--json", tmp_path / "x.json"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(_SUCCEEDING_CALLS[f"curve-{family}"][0]) == 0
     assert 1 <= len(checks) <= 4
-    monkeypatch.undo()
-    doc = json.loads((tmp_path / "x.json").read_text())
-    want = [_SCALAR_FAMILIES[family](z, _CURVE_ARGS) for z in doc["grid"]]
-    assert [float(e) for e in doc["evidence"]] == want
-
-
-def test_numeric_failure_exit_3(tmp_path, capsys):
-    # an np-utility fuzzy set has zero evidence inside; weighting an
-    # everywhere-positive loss by it makes every decision's risk infinite
-    calib = tmp_path / "calib.csv"
-    calib.write_text("1.2\n0.7\n2.1\n")
-    fuzzy_json = tmp_path / "fz.json"
-    run(["fuzzy", "--family", "conformal", "--calib", calib, "--utility", "np:0.2",
-         "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-2:4:1",
-         "--out", tmp_path / "f.csv", "--json", fuzzy_json])
-    prob = tmp_path / "prob.json"
-    _write_problem(prob)
-    code = run(["decide", "--problem", prob, "--set", fuzzy_json, "--mode", "weighted",
-                "--out", tmp_path / "cert.json"])
-    assert code == 3
-    assert "clip" in capsys.readouterr().err
 
 
 def test_exit_code_follows_the_error_class(monkeypatch, capsys):
@@ -830,28 +883,6 @@ def test_calibration_header_is_the_first_non_blank_line(tmp_path):
         _read_calibration(str(path))
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-strict JSON constant {name}")
-
-
-def test_infinite_evidence_is_strict_json(tmp_path):
-    # the raw scale ratio overflows to +inf far out in the tails
-    out, doc_path = tmp_path / "f.csv", tmp_path / "f.json"
-    assert run(["fuzzy", "--family", "gaussian-log", "--mu", 0, "--sigma", 1, "--tau", 3.5,
-                "--grid", "-45:45:1", "--out", out, "--json", doc_path]) == 0
-    doc = json.loads(doc_path.read_text(), parse_constant=_reject_constant)
-    assert doc["evidence"].count("inf") == 12
-    fset = load_confidence_set(doc)
-    assert fset.evidence_at(45.0) == math.inf and fset.evidence_at(0.0) == pytest.approx(1 / 3.5)
-    csv_evidence = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
-    assert [float(e) for e in doc["evidence"]] == [float(e) for e in csv_evidence]
-
-    binary = sublevel_set(fset, 0.05)
-    text = json.dumps(binary.to_json_doc(), allow_nan=False)
-    again = load_confidence_set(json.loads(text, parse_constant=_reject_constant))
-    assert again.evidence == binary.evidence and again.membership == binary.membership
-
-
 _JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 1e308, -1e308, "inf", "-inf"]), st.text(),
@@ -889,69 +920,20 @@ def test_json_writer_writes_the_text_and_a_newline(tmp_path):
         (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-# the files the calls below start with
-_CLI_DOCUMENTS = {"calib.csv": "1.2\n0.7\n2.1\n", "prob.json": _PROBLEM,
-                  "bad.json": {**_PROBLEM, "loss": 5}}
-
-_EVERY_SUBCOMMAND = [
-    ["interval", "--family", "simple", "--alpha", "0.05", "--out", "iv.json"],
-    ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
-     "--grid", "-3:3:0.5", "--out", "g.csv"],
-    ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
-     "clipped-log:0.1", "--ratio", "gaussian-scale:0:1:3.5", "--grid", "-1:1:1",
-     "--out", "c.csv", "--json", "c.json"],
-    ["decide", "--problem", "prob.json", "--set", "c.json", "--out", "cert.json"],
-    ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "as-if", "--alpha", "0.5",
-     "--out", "as-if.json"],
-    ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
-     "--levels", "0.1,0.5", "--out", "post-hoc.json"],
-    ["validate", "--model", "iid-gaussian", "--n", "5", "--trials", "2000",
-     "--seed", "3", "--out", "report.json"],
-    ["validate", "--check", "coverage", "--alpha", "0.1", "--model", "iid-gaussian", "--n", "5",
-     "--trials", "1000", "--seed", "7", "--ratio", "ar1:0:0.5:3.5", "--out", "kernel.json"],
-]
-
-# validation errors (exit 2): a scale pair whose 2 sigma^2 tau^2 overflows,
-# an ar1 interval without --rho, and a decision problem whose loss is a number
-_ERRORS = [
-    ["fuzzy", "--family", "gaussian-log", "--sigma", "1e77", "--tau", "1.1e77",
-     "--grid=-1e200:1e200:1e199", "--out", "wide.csv"],
-    ["interval", "--family", "ar1", "--z-last", "1.5", "--alpha", "0.05"],
-    ["decide", "--problem", "bad.json", "--set", "g.json", "--out", "bad-cert.json"],
-]
-
-# interval and the six closed-form fuzzy families compute with math alone,
-# also on the way to their errors; each family is given the flags it reads,
-# each at its _CURVE_ARGS value, sigma left at its default
-_CLOSED_FORM = [
-    ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05",
-     "--out", "simple.json"],
-    ["interval", "--family", "composite", "--zbar", "1.44", "--n", "3", "--alpha", "0.1",
-     "--out", "composite.json"],
-    ["interval", "--family", "ar1", "--mu", "0.2", "--rho", "0.5", "--z-last", "1.5",
-     "--alpha", "0.05", "--out", "ar1.json"],
-] + [
-    ["fuzzy", "--family", family,
-     *[x for key in flags if key != "sigma" for x in (f"--{key}", str(_CURVE_ARGS[key]))],
-     "--grid=-8:8:0.25", "--out", f"{family}.csv", "--json", f"{family}.json"]
-    for family, (_, flags, _) in cli._FUZZY_FAMILIES.items() if family != "conformal"
-] + _ERRORS[:2]
+# the rows that the probe runs in fresh interpreters below, by id: every
+# subcommand; interval and the closed-form fuzzy families, which compute with
+# math alone, also on the way to their errors; and every decide mode on a set,
+# with a malformed problem
+_EVERY_SUBCOMMAND = ["interval-composite", "curve-gaussian-bounded-log", "conformal-clipped-log",
+                     "decide-weighted", "decide-as-if", "decide-post-hoc", "validate-evalue",
+                     "validate-coverage-ar1"]
+_CLOSED_FORM = ["interval-simple", "interval-composite", "interval-ar1", "interval-mu-nan",
+                *(f"curve-{family}" for family in _CURVE_FAMILIES), "scale-product-gaussian-log"]
+_DECIDE_CALLS = ["decide-weighted", "decide-as-if", "decide-as-if-binary", "decide-post-hoc",
+                 "loss-number"]
 
 
-# a closed-form set on prob.json's outcomes, then every decide mode on it
-# and the malformed problem
-_DECIDE_CALLS = [
-    ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "0.05",
-     "--grid=-1:1:1", "--out", "g.csv", "--json", "g.json"],
-] + [
-    ["decide", "--problem", "prob.json", "--set", "g.json", *flags, "--out", f"{name}.json"]
-    for name, flags in (("weighted", ["--mode", "weighted"]),
-                        ("as-if", ["--mode", "as-if", "--alpha", "0.5"]),
-                        ("post-hoc", ["--mode", "post-hoc", "--levels", "0.1,0.5"]))
-] + _ERRORS[2:]
-
-
-@pytest.mark.parametrize("blocked, calls", [("scipy", _EVERY_SUBCOMMAND),
+@pytest.mark.parametrize("blocked, names", [("scipy", _EVERY_SUBCOMMAND),
                                             ("numpy", _CLOSED_FORM),
                                             ("dataclasses", _CLOSED_FORM),
                                             ("inspect", _CLOSED_FORM),
@@ -961,21 +943,20 @@ _DECIDE_CALLS = [
                                             ("fuzzyconf.reference", _EVERY_SUBCOMMAND)],
                          ids=["scipy", "numpy", "dataclasses", "inspect", "dataclasses-decide",
                               "numpy-decide", "inspect-decide", "reference"])
-def test_cli_runs_without(probe, blocked, calls):
+def test_cli_runs_without(probe, blocked, names):
     # with the module unimportable every call still exits as it does
     # unblocked, loads none of it, and writes exactly what an unblocked run
     # writes, errors included; without the reference, every subcommand's
     # evidence comes from the production core
-    codes = [2 if argv in _ERRORS else 0 for argv in calls]
-    done = probe(calls, _CLI_DOCUMENTS, codes=codes, blocked=blocked)
+    done = probe(names, blocked=blocked)
     assert [m for m in done["modules"] if m == blocked or m.startswith(blocked + ".")] == []
-    reference = probe(calls, _CLI_DOCUMENTS, codes=codes)
+    reference = probe(names)
     assert (done["out"], done["err"], done["files"]) == \
         (reference["out"], reference["err"], reference["files"])
 
 
-def test_conformal_fuzzy_loads_only_its_engine(probe):
-    modules = set(probe([_EVERY_SUBCOMMAND[2]], _CLI_DOCUMENTS)["modules"])
+def test_conformal_fuzzy_loads_only_its_engine(module_entry):
+    modules = set(module_entry["conformal-clipped-log"]["modules"])
     assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
             "fuzzyconf.sets"} <= modules
     assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian",
@@ -984,11 +965,8 @@ def test_conformal_fuzzy_loads_only_its_engine(probe):
 
 def test_validity_coverage_and_posthoc_checks_load_no_decisions(probe):
     # only the decision-risk validator decides, and it imports decisions itself
-    common = ["--model", "exchangeable-mixture", "--n", "5", "--trials", "1000", "--seed", "5"]
-    calls = [["validate", "--check", "evalue", "--utility", "bounded-log:0.1", *common],
-             ["validate", "--check", "coverage", "--alpha", "0.1", "--utility", "np:0.1", *common],
-             ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", *common]]
-    modules = set(probe(calls, _CLI_DOCUMENTS)["modules"])
+    report = probe(["validate-evalue", "validate-coverage", "validate-posthoc-200k"])
+    modules = set(report["modules"])
     assert {"fuzzyconf.harness", "fuzzyconf.confidence"} <= modules
     assert "fuzzyconf.decisions" not in modules
 
@@ -1072,62 +1050,28 @@ def test_cli_kernel_validators_evaluate_blocks(monkeypatch, capsys):
 # `cli.run`, which turns the cyclic collector off and freezes the heap before
 # exit; `cli.main` in process leaves the collector as it found it.
 
-_ENTRY_CONFORMAL = ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
-                    "bounded-log:0.05", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.05",
-                    "--out", "c.csv", "--json", "c.json"]
-_ENTRY_VALIDATE = ["validate", "--check", "coverage", "--alpha", "0.1", "--model",
-                   "iid-gaussian", "--n", "5", "--trials", "2000", "--seed", "3",
-                   "--out", "report.json"]
-_ENTRY_CALLS = [
-    (0, _ENTRY_CONFORMAL),
-    (0, _ENTRY_VALIDATE),
-    (0, ["interval", "--family", "simple", "--mu", "0.3", "--sigma", "2", "--alpha", "0.05"]),
-    (0, ["decide", "--problem", "prob.json", "--set", "c.json", "--mode", "post-hoc",
-         "--levels", "0.05,0.1,0.5", "--out", "cert.json"]),
-    (2, ["fuzzy", "--family", "gaussian-log", "--tau", "3.5", "--grid=0:1:1e-300",
-         "--out", "x.csv"]),
-    (3, ["fuzzy", "--family", "gaussian-bounded-log", "--tau", "3.5", "--alpha", "1e-320",
-         "--grid=-3:3:1", "--out", "y.csv"]),
-    (3, ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility",
-         "bounded-log:1e-320", "--ratio", "gaussian-scale:0:1:3.5", "--grid=-3:3:1",
-         "--out", "z.csv"]),
-]
-_ENTRY_GRID = PlugInGrid.from_spec("-4:4:0.05").points
-_ENTRY_DOCUMENTS = {"calib.csv": _CALIB, "prob.json": {
-    "decisions": ["hold", "act"], "outcomes": _ENTRY_GRID,
-    "loss": [[1.0] * len(_ENTRY_GRID), [min(z * z, 4.0) for z in _ENTRY_GRID]]}}
+_ENTRY_CALLS = ["conformal-clipped-log", "validate-evalue", "interval-simple", "decide-post-hoc",
+                "grid-0:1:1e-300", "bounded-log-tiny-alpha", "conformal-bounded-log-tiny-alpha"]
 
 
 @pytest.fixture(scope="module")
 def module_entry(tmp_path_factory):
-    """Each of _ENTRY_CALLS run in turn through the process entry in one
-    directory: its probe report, by its arguments."""
-    work = tmp_path_factory.mktemp("entry") / "module"
-    return {tuple(args): _probe(work, [args], _ENTRY_DOCUMENTS, [code], entry=True)
-            for code, args in _ENTRY_CALLS}
-
-
-# the validators stream their trials in fixed blocks: this run once peaked
-# near 190 MiB, holding all 200k trials of 21 slots
-_POSTHOC_200K = ["validate", "--check", "posthoc", "--utility", "clipped-log:0.1", "--model",
-                 "exchangeable-mixture", "--ratio", "gaussian-scale:0:1:3.5", "--n", "20",
-                 "--trials", "200000", "--seed", "7"]
+    """The probe report of each of _ENTRY_CALLS run through the process entry."""
+    return {name: _probe(tmp_path_factory.mktemp("entry"), [name], entry=True)
+            for name in _ENTRY_CALLS}
 
 
 # the bound on each call's own peak RSS, in MiB: the calls that load no numpy
 # are mostly interpreter start, and a conformal set at the bench's G = 1201
 # mostly numpy's import
-@pytest.mark.parametrize("args, peak_mib", [
-    (_ENTRY_CONFORMAL, 96), (_ENTRY_VALIDATE, 96), (_POSTHOC_200K, 96),
-    (_ENTRY_CALLS[2][1], 20), (_ENTRY_CALLS[3][1], 20),
-    ("fuzzy --family gaussian-log --tau 3.5 --grid=-6:6:0.01 --out g.csv --json g.json".split(),
-     20),
-    ("fuzzy --family conformal --calib calib.csv --utility bounded-log:0.05 --ratio "
-     "gaussian-scale:0:1:3.5 --grid=-6:6:0.01 --out c.csv --json c.json".split(), 40),
+@pytest.mark.parametrize("name, peak_mib", [
+    ("conformal-clipped-log", 96), ("validate-evalue", 96), ("validate-posthoc-200k", 96),
+    ("interval-simple", 20), ("decide-post-hoc", 20), ("gaussian-log-1201", 20),
+    ("conformal-1201", 40),
 ], ids=["fuzzy", "validate", "validate-posthoc-200k", "interval", "decide-post-hoc",
         "gaussian-log", "conformal-1201"])
-def test_module_entry_runs_without_the_collector(probe, module_entry, args, peak_mib):
-    report = module_entry.get(tuple(args)) or probe([args], {"calib.csv": _CALIB}, entry=True)
+def test_module_entry_runs_without_the_collector(probe, module_entry, name, peak_mib):
+    report = module_entry.get(name) or probe([name], entry=True)
     assert report["gc"][0] is False and report["gc"][1] > 0, report["gc"]
     assert report["peak_kib"] < peak_mib * 1024, f"peak RSS {report['peak_kib']} KiB"
 
@@ -1135,10 +1079,12 @@ def test_module_entry_runs_without_the_collector(probe, module_entry, args, peak
 def test_in_process_main_keeps_the_gc_state(tmp_path, monkeypatch):
     # only the process entry turns the collector off; main, whatever its exit
     # code, leaves it as it was
-    _write_documents(tmp_path, _ENTRY_DOCUMENTS)
-    monkeypatch.chdir(tmp_path)
     state = gc.isenabled(), gc.get_freeze_count()
-    assert [run(args) for _, args in _ENTRY_CALLS] == [code for code, _ in _ENTRY_CALLS]
+    for name in _ENTRY_CALLS:
+        argv, code, documents = _call(name)
+        _write_documents(tmp_path / name, documents)
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == code, name
     assert (gc.isenabled(), gc.get_freeze_count()) == state
 
 
@@ -1191,19 +1137,17 @@ def test_cyclic_garbage_does_not_grow_with_the_work(tmp_path, monkeypatch, call,
 
 
 def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch, module_entry):
-    # the process entry changes only the collector: every document, stream and
+    # the process entry changes only the collector: every file, stream and
     # exit code equals an in-process main call's (exit 1 is covered in process
     # by test_failed_check_exits_1)
-    _write_documents(tmp_path, _ENTRY_DOCUMENTS)
-    monkeypatch.chdir(tmp_path)
-    streams = [(main(list(args)), *capsys.readouterr()) for _, args in _ENTRY_CALLS]
-    files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
-    assert [code for code, _, _ in streams] == [code for code, _ in _ENTRY_CALLS]
-    reports = list(module_entry.values())
-    assert [(r["codes"][0], r["out"], r["err"]) for r in reports] == streams
-    assert reports[-1]["files"] == files
-    assert sorted(files) == ["c.csv", "c.json", "calib.csv", "cert.json", "prob.json",
-                             "report.json"]
+    for name, report in module_entry.items():
+        argv, _, documents = _call(name)
+        _write_documents(tmp_path / name, documents)
+        monkeypatch.chdir(tmp_path / name)
+        code = main(argv)
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        assert (report["codes"], report["out"], report["err"], report["files"][name]) == \
+            ([code], *capsys.readouterr(), files), name
 
 
 def test_console_script_is_the_process_entry():
@@ -1225,11 +1169,7 @@ def _numpy_blas_is_openblas():
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-_NUMPY_CALLS = [
-    ["fuzzy", "--family", "conformal", "--calib", "calib.csv", "--utility", "bounded-log:0.05",
-     "--ratio", "gaussian-scale:0:1:3.5", "--grid=-4:4:0.01", "--out", "c.csv", "--json", "c.json"],
-    _ENTRY_VALIDATE,
-]
+_NUMPY_CALLS = ["conformal-1201", "validate-evalue"]
 
 _openblas_only = pytest.mark.skipif(
     not (os.path.exists("/proc/self/status") and _numpy_blas_is_openblas()),
@@ -1240,13 +1180,13 @@ _openblas_only = pytest.mark.skipif(
 def test_numpy_calls_start_no_blas_threads(probe):
     # numpy's OpenBLAS would start a busy-waiting worker per extra CPU at
     # import; the command line does no BLAS work and asks it for none
-    report = probe(_NUMPY_CALLS, {"calib.csv": _CALIB})
+    report = probe(_NUMPY_CALLS)
     assert (report["threads"], report["openblas"]) == (["1", "1"], "1")
 
 
 @_openblas_only
 def test_exported_blas_thread_count_is_kept(probe):
-    report = probe(_NUMPY_CALLS, {"calib.csv": _CALIB}, OPENBLAS_NUM_THREADS="2")
+    report = probe(_NUMPY_CALLS, OPENBLAS_NUM_THREADS="2")
     assert report["openblas"] == "2"
     if len(os.sched_getaffinity(0)) >= 2:  # OpenBLAS starts no more threads than CPUs
         assert report["threads"] == ["2", "2"]
@@ -1254,7 +1194,7 @@ def test_exported_blas_thread_count_is_kept(probe):
 
 @_openblas_only
 def test_blas_thread_count_leaves_outputs_unchanged(probe):
-    single = probe(_NUMPY_CALLS, {"calib.csv": _CALIB})["files"]
-    exported = probe(_NUMPY_CALLS, {"calib.csv": _CALIB}, OPENBLAS_NUM_THREADS="2")["files"]
-    assert sorted(single) == ["c.csv", "c.json", "calib.csv", "report.json"]
+    single = probe(_NUMPY_CALLS)["files"]
+    exported = probe(_NUMPY_CALLS, OPENBLAS_NUM_THREADS="2")["files"]
+    assert "c.json" in single["conformal-1201"] and "report.json" in single["validate-evalue"]
     assert single == exported
