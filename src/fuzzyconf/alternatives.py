@@ -1,10 +1,17 @@
-"""Alternative hypotheses and their per-observation density ratios.
+"""Alternative hypotheses and their density ratios.
 
 An alternative is what the user wants the confidence set to be small
 against. Conditionally on the orbit of a tuple, only the law of the final
-slot matters, so an alternative reduces to a per-observation density ratio
-``r(z)`` between the final slot's law and the base law, possibly re-fit to
-each calibration tuple by a kernel.
+slot matters, so an alternative reduces to a density ratio between the
+final slot's law and the base law at each slot of the tuple. An
+``IidRatio`` is a per-observation ratio ``r(z)``; a ``KernelAlternative``
+maps a block of tuples to their ratios, so a slot's ratio may read the
+rest of its tuple. Both are evaluated the same way, on a (B, m) block.
+
+The e-value the core builds from a ratio is exact on every orbit when
+permuting a tuple permutes its ratios: always for an iid ratio, and for a
+kernel that is a function of the bag, the tuple's values taken as a
+multiset.
 
 This module evaluates and checks those ratios on arrays; the
 sorted-calibration core in ``confidence`` turns them into e-values. The
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -36,45 +43,32 @@ class IidRatio:
 
 @dataclass(frozen=True)
 class KernelAlternative:
-    """Calibration-dependent alternative.
+    """Alternative whose ratio at a slot may read the whole tuple.
 
-    The builder receives the calibration tuple z^n and returns an
-    ``IidRatio`` for it, e.g. a scale alternative recentered at a running
-    mean. Evaluated lazily, once per calibration tuple.
+    ``ratio`` maps a (B, m) block of tuples, calibration first and final
+    slot last, to their (B, m) ratios. Every consumer evaluates a block in
+    one call: the validators a block of trials, ``fuzzy_set`` a block of
+    bags (the calibration values plus one grid point each), and the
+    per-orbit oracle the one tuple as a (1, m) row.
 
-    ``row_ratio``, when given, is the same kernel on a block of tuples: it
-    maps a (B, n + 1) array, calibration first and final slot last, to the
-    (B, n + 1) ratios that resolving the builder against each row's
-    calibration gives on that row. The Monte-Carlo validators then evaluate
-    a block of trials in one call. The built-in kernels supply it, deriving
-    both forms from one centre function of the calibration; custom kernels
-    resolve row by row.
-
-    Because the ratio is re-fit to each calibration, the resulting evidence
-    is exact conditional on z^n: under a model whose conditional law of the
-    target matches the resolved base (the autoregressive family, say), the
-    mean evidence at the truth is 1. Unconditional exactness on permutation
-    orbits is a property of fixed ratios, not of kernels, which re-resolve
-    against every arrangement.
+    The resulting e-value is exact on orbits when permuting a row permutes
+    its ratios, as for a ratio fitted on the bag; a kernel that reads
+    slots by position carries no orbit guarantee.
     """
 
-    builder: Callable[[Sequence[float]], IidRatio]
+    ratio: Callable[[np.ndarray], np.ndarray]
     name: str = "kernel"
-    row_ratio: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 AlternativeSpec = Union[IidRatio, KernelAlternative]
 
 
-def resolve_alternative(alt: AlternativeSpec, z_n: Sequence[float]) -> IidRatio:
-    """The alternative itself, or what a kernel's builder returns for z^n."""
-    if isinstance(alt, KernelAlternative):
-        alt = alt.builder(tuple(z_n))
-        if not isinstance(alt, IidRatio):
-            raise TypeError(f"builder returned {type(alt).__name__}, not an IidRatio")
-    elif not isinstance(alt, IidRatio):
+def _ratio_of(alt: AlternativeSpec) -> Callable:
+    """The alternative's ratio callable, which a (B, m) block of tuples
+    passes to ``_ratio_matrix`` whatever the kind of alternative."""
+    if not isinstance(alt, (IidRatio, KernelAlternative)):
         raise TypeError(f"expected an IidRatio or KernelAlternative, got {type(alt).__name__}")
-    return alt
+    return alt.ratio
 
 
 def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
@@ -159,36 +153,16 @@ def gaussian_scale_ratio(mu: float, sigma: float, tau: float) -> IidRatio:
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     _check_scales(sigma, tau)
-    return _scale_iid(mu, sigma, tau)
-
-
-def _scale_iid(mu: float, sigma: float, tau: float) -> IidRatio:
     return IidRatio(lambda z: _scale_ratio(z, mu, sigma, tau),
                     name=f"gaussian-scale(mu={mu:g},sigma={sigma:g},tau={tau:g})")
-
-
-def _centred_kernel(centre: Callable, sigma: float, tau: float, name: str) -> KernelAlternative:
-    """The scale ratio of ``gaussian_scale_ratio(centre(z_n), sigma, tau)``
-    as a kernel: ``centre`` maps a calibration tuple's values to its centre,
-    or a block's (n, B) calibration columns to the B rows' centres, with the
-    same arithmetic, so the builder and the row form agree bit for bit. The
-    kernel checks its scales; a centre that overflows is left to the ratio
-    checks in both forms."""
-
-    def builder(z_n: Sequence[float]) -> IidRatio:
-        return _scale_iid(centre(z_n), sigma, tau)
-
-    def row_ratio(block: np.ndarray) -> np.ndarray:
-        return _scale_ratio(block, centre(block[:, :-1].T)[:, None], sigma, tau)
-
-    return KernelAlternative(builder, name, row_ratio)
 
 
 def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
     """First-order autoregressive preference with unit marginal variance.
 
-    For each calibration tuple the alternative is a scale family centered at
-    the one-step conditional mean mu + rho * (z_n - mu).
+    Each tuple's ratio is a scale family centred at the one-step conditional
+    mean mu + rho * (z_n - mu), z_n its last calibration value. The centre
+    reads a slot by position, so the e-value has no orbit guarantee.
     """
     _check_centre(mu)
     if not -1.0 < rho < 1.0:
@@ -196,27 +170,23 @@ def ar1_kernel(mu: float, rho: float, tau: float) -> KernelAlternative:
     if tau <= 1.0:
         raise ValueError("tau must exceed the unit marginal scale")
     _check_scales(1.0, tau)
-    return _centred_kernel(lambda z_n: mu + rho * (z_n[-1] - mu), 1.0, tau,
-                           f"ar1(mu={mu:g},rho={rho:g},tau={tau:g})")
-
-
-def _calibration_mean(z_n):
-    """Mean over the first axis of z_n, summed left to right: a tuple's mean,
-    or the row means of a (n, B) array of calibration columns."""
-    total = 0.0
-    for z in z_n:
-        total += z
-    return total / len(z_n)
+    return KernelAlternative(
+        lambda block: _scale_ratio(block, mu + rho * (block[:, -2:-1] - mu), 1.0, tau),
+        f"ar1(mu={mu:g},rho={rho:g},tau={tau:g})")
 
 
 def gaussian_composite_kernel(sigma: float, tau: float) -> KernelAlternative:
-    """Scale alternative recentered at the calibration mean.
+    """Scale alternative recentred at the mean of the bag.
 
-    Expresses a location family whose center is unknown and estimated by the
-    sample mean of z^n.
+    Expresses a location family whose centre is unknown and estimated, as
+    in full conformal prediction, by the mean of all n + 1 values, the
+    final slot included. The ratio is then a function of the bag, so the
+    e-value is exact on orbits. A mean that overflows is left to the ratio
+    checks.
     """
     if not 0 < sigma < tau:
         raise ValueError("need 0 < sigma < tau")
     _check_scales(sigma, tau)
-    return _centred_kernel(_calibration_mean, sigma, tau,
-                           f"gaussian-composite(sigma={sigma:g},tau={tau:g})")
+    return KernelAlternative(
+        lambda block: _scale_ratio(block, block.mean(axis=1, keepdims=True), sigma, tau),
+        f"gaussian-composite(sigma={sigma:g},tau={tau:g})")

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, _ratio_matrix, resolve_alternative
+from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix, _ratio_of
 from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
     EXACTNESS_TOL,
@@ -348,14 +348,34 @@ def fuzzy_set(
     """Invert the optimal test over the grid: evidence(z) is the e-value of
     the tuple (z_1, ..., z_n, z).
 
-    The alternative is resolved once against the calibration data;
-    ``grid_evidence`` computes the whole curve, evaluating the ratio on n + G
-    values in all.
+    An ``IidRatio`` takes ``grid_evidence``, which evaluates the ratio on
+    n + G values in all. A kernel's ratio may read the whole tuple, so each
+    grid point gets its own bag, the calibration values and the point as a
+    row of n + 1; the bags run through the validators' row evaluation in
+    blocks of at most ``harness._BLOCK_ELEMENTS`` entries, O(G * n) work in
+    O(G + block) memory. As in the validators, a bad ratio raises at once,
+    naming the first bad entry in grid order, and the core's failures are
+    raised after the last block.
     """
     calib = tuple_values(z_n)
     if len(calib) < 1:
         raise ValueError("calibration data must contain at least one observation")
-    concrete = resolve_alternative(alt, calib)
-    row = grid_evidence(np.array([calib]), grid.points, concrete.ratio, utility)[0]
-    name = getattr(alt, "name", "unspecified")
-    return FuzzyConfidenceSet(grid, tuple(row.tolist()), calib, name, utility_id(utility))
+    ratio = _ratio_of(alt)
+    if isinstance(alt, IidRatio):
+        row = grid_evidence(np.array([calib]), grid.points, ratio, utility)[0]
+    else:
+        from . import harness  # a kernel's bags only: an iid set loads no validators
+
+        points = np.asarray(grid.points, dtype=float)
+        step = max(1, harness._BLOCK_ELEMENTS // (len(calib) + 1))
+        blocks, failures = [], None
+        for a in range(0, len(points), step):
+            z = points[a:a + step]
+            bags = np.empty((len(z), len(calib) + 1))
+            bags[:, :-1], bags[:, -1] = calib, z
+            ev, found = harness._row_evidence(harness._row_ratios(bags, alt), utility)
+            blocks.append(ev)
+            failures = found if failures is None else failures.merge(found)
+        failures.raise_first()
+        row = np.concatenate(blocks)
+    return FuzzyConfidenceSet(grid, tuple(row.tolist()), calib, alt.name, utility_id(utility))

@@ -22,14 +22,16 @@ Every validator takes its e-values from the sorted-calibration core of
 post-hoc validators pass each trial's final slot against its own
 calibration, and the decision-risk validator inverts every trial over the
 support as ``grid_evidence`` does, its outcomes' ratios checked once
-before the first draw. The built-in kernel alternatives
-evaluate each block of trials in one call of their row form; custom kernels
-resolve, and evaluate their ratios, trial by trial. The suite checks both
-shapes against the per-orbit ``reference.evalue_at``. The decision-risk
-validator decides with ``decisions._minimax``, the rule behind every
-certified decision, so it checks the code that ``decide`` runs; the rule
-runs on Python floats, so each block's evidence rows go to it as lists,
-and each trial's loss is read from the problem's rows, as ``decide`` does.
+before the first draw. Every alternative, iid ratio or kernel, maps each
+block of trials to its ratios in one call, and ``fuzzy_set`` runs a
+kernel's bags through the same row evaluation in blocks of the same
+budget. The suite checks the evidence against the per-orbit
+``reference.evalue_at``, and its mean over every tuple of a finite support
+against 1. The decision-risk validator decides with ``decisions._minimax``,
+the rule behind every certified decision, so it checks the code that
+``decide`` runs; the rule runs on Python floats, so each block's evidence
+rows go to it as lists, and each trial's loss is read from the problem's
+rows, as ``decide`` does.
 """
 
 from __future__ import annotations
@@ -40,13 +42,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .alternatives import (
-    AlternativeSpec,
-    IidRatio,
-    KernelAlternative,
-    _ratio_matrix,
-    resolve_alternative,
-)
+from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix, _ratio_of
 from .confidence import _Failures, _final_slot_evidence
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
@@ -326,17 +322,11 @@ def _trial_blocks(
 
 
 def _row_ratios(data: np.ndarray, alt: AlternativeSpec) -> np.ndarray:
-    # the ratio is checked on every entry, naming the first bad one in row
-    # order; a kernel's row form evaluates the whole block at once, and a
-    # kernel without one resolves and evaluates each row before the next
+    # the alternative's ratio on the whole block in one call, checked on
+    # every entry, naming the first bad one in row order
     if data.shape[1] < 2:
         raise ValueError("calibration rows must hold at least one value")
-    if isinstance(alt, IidRatio):
-        return _ratio_matrix(data, alt.ratio)
-    if isinstance(alt, KernelAlternative) and alt.row_ratio is not None:
-        return _ratio_matrix(data, alt.row_ratio)
-    return np.vstack([_ratio_matrix(row[None], resolve_alternative(alt, row[:-1]).ratio)
-                      for row in data])
+    return _ratio_matrix(data, _ratio_of(alt))
 
 
 def _row_evidence(r: np.ndarray, utility: UtilitySpec) -> tuple[np.ndarray, _Failures]:

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, _ratio_matrix, resolve_alternative
+from .alternatives import AlternativeSpec, _ratio_matrix, _ratio_of
 from .confidence import TupleLike, tuple_values
 from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
@@ -171,10 +171,22 @@ def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> Like
     return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(lr))
 
 
-def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile:
-    """Resolve an alternative against a tuple and build its LR profile."""
+def _orbit_ratios(data: TupleLike, alt: AlternativeSpec) -> tuple[tuple, Orbit, list[float]]:
+    """The tuple, its orbit and the ratio of each distinct orbit value: the
+    alternative's ratio is evaluated once on the tuple as a (1, m) row, as
+    the core evaluates every row, and each value's ratio read from its slots."""
     vals = tuple_values(data)
-    return conditional_lr_iid(vals, resolve_alternative(alt, vals[:-1]).ratio)
+    orbit = orbit_of(vals)
+    at = dict(zip(vals, _ratio_matrix(np.array([vals]), _ratio_of(alt))[0].tolist()))
+    return vals, orbit, [at[v] for v in orbit.values]
+
+
+def profile_for(data: TupleLike, alt: AlternativeSpec) -> LikelihoodRatioProfile:
+    """The LR profile of a tuple under an alternative: its orbit's ratios
+    shaped for ``Log``, as ``conditional_lr_iid`` shapes them."""
+    _, orbit, ratios = _orbit_ratios(data, alt)
+    lr = _shaped(orbit.counts, ratios, Log())
+    return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(lr))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +335,8 @@ def optimal_evalue(profile: LikelihoodRatioProfile, utility: UtilitySpec) -> EVa
 def evalue_at(data: TupleLike, alt: AlternativeSpec, utility: UtilitySpec) -> float:
     """Optimal e-value at the final slot of the observed tuple: ``_shaped``
     on the ratios of the tuple's orbit, which are never divided by their mean."""
-    vals = tuple_values(data)
-    orbit = orbit_of(vals)
-    ratio = resolve_alternative(alt, vals[:-1]).ratio
-    evidence = _shaped(orbit.counts, _ratio_matrix(np.array(orbit.values), ratio).tolist(), utility)
-    return evidence[orbit.values.index(vals[-1])]
+    vals, orbit, ratios = _orbit_ratios(data, alt)
+    return _shaped(orbit.counts, ratios, utility)[orbit.values.index(vals[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +565,13 @@ def _try_f(f: Callable, x: float) -> float:
 def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) -> np.ndarray:
     """E-value of each row's final slot, the rest of the row its calibration.
 
-    A bad ratio raises naming the first bad entry in row order. A kernel
-    with a row form evaluates every row in one call; other kernels resolve
-    against each row's calibration and evaluate their ratios row by row.
-    One call to the sorted-calibration core then shapes every row, raising
+    The alternative's ratio maps every row in one call, and a bad ratio
+    raises naming the first bad entry in row order. One call to the
+    sorted-calibration core then shapes every row, raising
     AllZeroRatioError or NormalizationFailureError if any row fails. The
-    validators run the same steps on each block of trials they draw.
+    validators run the same steps on each block of trials they draw, and
+    ``fuzzy_set`` on each block of a kernel's bags. The e-values are exact
+    on orbits when permuting a row permutes its ratios.
     """
     from .harness import _row_evidence, _row_ratios
 

@@ -13,7 +13,6 @@ from fuzzyconf.alternatives import (
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
     gaussian_scale_ratio,
-    resolve_alternative,
 )
 from fuzzyconf.errors import AllZeroRatioError
 from fuzzyconf.reference import (
@@ -90,29 +89,25 @@ def test_profile_invariant_enforced():
         LikelihoodRatioProfile((1.0, 2.0), (1, 1), (1.0, 1.5))  # mean 1.25
 
 
-def test_kernel_constant_builder():
-    fixed = IidRatio(lambda z: z + 10.0, name="shift")
-    alt = KernelAlternative(lambda z_n: fixed)
-    assert resolve_alternative(alt, (1.0, 2.0)) is fixed
-
-
 def test_ar1_kernel_centers_at_conditional_mean():
     alt = ar1_kernel(mu=0.0, rho=0.5, tau=3.0)
-    concrete = resolve_alternative(alt, (0.3, -1.0, 2.0))
-    # center 0 + 0.5*(2 - 0) = 1: the ratio is minimized there
+    # center 0 + 0.5*(2 - 0) = 1, read from the last calibration slot: the
+    # final slot's ratio is minimized there
     grid = np.linspace(-2, 4, 121)
-    vals = [concrete.ratio(z) for z in grid]
+    bags = np.column_stack([np.tile((0.3, -1.0, 2.0), (len(grid), 1)), grid])
+    vals = alt.ratio(bags)[:, -1]
     assert grid[int(np.argmin(vals))] == pytest.approx(1.0, abs=0.06)
 
 
-def test_composite_kernel_centers_at_calibration_mean():
-    # calibration with mean 1.44
-    z_n = (1.0, 1.32, 2.0)
-    assert sum(z_n) / 3 == pytest.approx(1.44)
-    concrete = resolve_alternative(gaussian_composite_kernel(1.0, 3.5), z_n)
-    grid = np.linspace(-1, 4, 201)
-    vals = [concrete.ratio(z) for z in grid]
-    assert grid[int(np.argmin(vals))] == pytest.approx(1.44, abs=0.03)
+def test_composite_kernel_centers_at_the_bag_mean():
+    # each row's ratios are the scale ratio about the mean of all its slots,
+    # the final one included, so permuting a row permutes its ratios
+    kern = gaussian_composite_kernel(1.0, 3.5)
+    block = np.array([[1.0, 1.32, 2.0, 1.44], [1.0, 1.32, 2.0, 5.0], [0.0, 0.0, 10.0, -3.5]])
+    want = np.vstack([gaussian_scale_ratio(row.mean(), 1.0, 3.5).ratio(row) for row in block])
+    assert np.array_equal(kern.ratio(block), want)
+    perm = [3, 0, 2, 1]
+    np.testing.assert_allclose(kern.ratio(block[:, perm]), want[:, perm], rtol=1e-15, atol=0.0)
 
 
 def test_mean_shift_ratio_formula():
@@ -161,48 +156,11 @@ def test_scale_ratio_formula():
 def test_profile_for_dispatches():
     prof = profile_for((1, 2, 3), IidRatio(lambda z: z))
     assert prof.lr_at(3.0) == pytest.approx(1.5)
-    kern = KernelAlternative(lambda z_n: IidRatio(lambda z, c=z_n[-1]: abs(z - c)))
-    prof2 = profile_for((1, 2, 3), kern)  # resolved against (1, 2): ratios (1, 0, 1)
+    kern = KernelAlternative(lambda block: np.abs(block - block[:, -2:-1]))
+    prof2 = profile_for((1, 2, 3), kern)  # about the last calibration value: ratios (1, 0, 1)
     assert prof2.lr_at(3.0) == pytest.approx(1.5)
     with pytest.raises(TypeError, match="^expected an IidRatio or KernelAlternative, got dict$"):
         profile_for((1, 2, 3), {1.0: 0.2, 2.0: 0.3, 3.0: 0.5})
-    with pytest.raises(TypeError, match="^builder returned dict, not an IidRatio$"):
-        profile_for((1, 2, 3), KernelAlternative(lambda z_n: {1.0: 0.2}))
-
-
-def test_kernel_exactness_is_conditional_on_calibration():
-    # each resolved profile has orbit mean 1, but a kernel re-fits itself to
-    # every arrangement, so averaging over which slot is last is free to
-    # exceed 1; kernels carry a model-based guarantee, not an orbit one
-    kern = gaussian_composite_kernel(1.0, 3.5)
-    vals = (0.0, 0.0, 10.0)
-    per_slot = []
-    for last in (0.0, 0.0, 10.0):
-        rest = list(vals)
-        rest.remove(last)
-        prof = profile_for(tuple(rest) + (last,), kern)
-        assert prof.orbit_mean() == pytest.approx(1.0, abs=1e-12)
-        per_slot.append(prof.lr_at(last))
-    assert sum(per_slot) / 3 == pytest.approx(5 / 3, abs=1e-6)
-
-
-# values with ties, signed zeros and entries near +-30, where the unit-scale
-# ratio at tau = 3.5 is about 1e179
-_KERNEL_VALUES = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -1.5, 30.0, -30.0, 29.75, -29.75)),
-                           st.floats(min_value=-31.0, max_value=31.0))
-
-
-@pytest.mark.parametrize("kern", [ar1_kernel(0.0, 0.5, 3.5), ar1_kernel(0.3, -0.9, 1.2),
-                                  gaussian_composite_kernel(1.0, 3.5),
-                                  gaussian_composite_kernel(0.5, 2.0)], ids=lambda k: k.name)
-@pytest.mark.parametrize("n", [1, 20])
-@given(data=st.data())
-def test_kernel_row_form_equals_the_builder_per_row(kern, n, data):
-    rows = data.draw(st.lists(st.lists(_KERNEL_VALUES, min_size=n + 1, max_size=n + 1),
-                              min_size=1, max_size=6))
-    block = np.array(rows, dtype=float)
-    want = np.vstack([resolve_alternative(kern, row[:-1]).ratio(row) for row in block])
-    assert np.array_equal(kern.row_ratio(block), want)
 
 
 @pytest.mark.parametrize("spec", [lambda: gaussian_scale_ratio(0.0, 1.0, 1e200),

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import pkgutil
 import re
 import subprocess
 import sys
@@ -540,6 +539,10 @@ _SUCCEEDING_CALLS = {
     "conformal-log": _conformal("log", "-2:4:1", "--out c.csv", header="value\n"),
     "conformal-clipped-log": _conformal("clipped-log:0.1", "-1:1:1", "--out c.csv --json c.json"),
     "conformal-1201": _conformal("bounded-log:0.05", "-6:6:0.01", "--out c.csv --json c.json"),
+    # a kernel: each grid point's bag, the calibration and the point, is one row
+    "conformal-composite": _conformal(
+        "bounded-log:0.05", "-6:6:0.01", "--out c.csv --json c.json",
+        ratio="gaussian-composite:1:3.5", alt=lambda: fc.gaussian_composite_kernel(1, 3.5)),
     # ratios past the float range: the evidence read 0, 0, 0
     "ratio-sum-overflow": _conformal(
         "log", "39.1:39.3:0.1", "--out x.csv", _OVERFLOWING, pins={"x.csv": ("", [
@@ -593,6 +596,13 @@ _SUCCEEDING_CALLS = {
         "validate --check coverage --alpha 0.1 --model iid-gaussian --n 5 --trials 1000 --seed 7 "
         "--ratio ar1:0:0.5:3.5 --out kernel.json",
         _mc("coverage", 1000, 7, "iid-gaussian", 5, 0.1, alt=lambda: fc.ar1_kernel(0, 0.5, 3.5))),
+    # centred on the calibration mean alone, the kernel's evidence was no
+    # e-value: this run printed [FAIL] with estimate 1.207 and exited 1
+    "validate-evalue-composite": _ok(
+        "validate --check evalue --ratio gaussian-composite:1:3.5 --model iid-gaussian --n 5 "
+        "--trials 5000 --seed 3",
+        _mc("evalue", 5000, 3, "iid-gaussian", 5,
+            alt=lambda: fc.gaussian_composite_kernel(1, 3.5))),
     # the validators stream their trials in fixed blocks: this run once peaked
     # near 190 MiB, holding all 200k trials of 21 slots
     "validate-posthoc-200k": _ok(
@@ -1008,42 +1018,6 @@ def test_no_module_imports_the_reference():
             else:
                 continue
             assert all(name.split(".")[-1] != "reference" for name in names), (path.name, names)
-
-
-def _import_every_module():
-    # the command line imports its modules on demand; import them all so
-    # that patching every loaded module reaches each one
-    for info in pkgutil.iter_modules(fc.__path__):
-        if info.name != "__main__":
-            importlib.import_module(f"fuzzyconf.{info.name}")
-
-
-def test_cli_kernel_validators_evaluate_blocks(monkeypatch, capsys):
-    # the built-in kernels' row form serves every trial: neither a builder
-    # nor resolve_alternative may run under the validators, and each check
-    # passes with no warning and nothing on stderr
-    def per_trial(*args, **kwargs):
-        raise AssertionError("a kernel was resolved trial by trial")
-
-    def kernel_without_builder(spec):
-        k = parse_ratio(spec)
-        return fc.KernelAlternative(per_trial, k.name, k.row_ratio)
-
-    _import_every_module()
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "fuzzyconf" and hasattr(module, "resolve_alternative"):
-            monkeypatch.setattr(module, "resolve_alternative", per_trial)
-    monkeypatch.setattr(cli, "parse_ratio", kernel_without_builder)
-    kernel = ["validate", "--check", "coverage", "--alpha", 0.1, "--model", "iid-gaussian",
-              "--seed", 7]
-    calls = [kernel + ["--n", n, "--trials", trials, "--ratio", ratio, "--utility", utility]
-             for n, trials in ((5, 1000), (20, 100_000))
-             for ratio, utility in (("ar1:0:0.5:3.5", "log"),
-                                    ("gaussian-composite:1:3.5", "bounded-log:0.05"))]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert [run(args) for args in calls] == [0] * len(calls)
-    assert caught == [] and capsys.readouterr().err == ""
 
 
 # The process entry: `python -m fuzzyconf` and the `fuzzyconf` command run

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,13 +12,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from fuzzyconf.alternatives import (
     IidRatio,
-    KernelAlternative,
     ar1_kernel,
     gaussian_composite_kernel,
     gaussian_mean_shift_ratio,
     gaussian_scale_ratio,
 )
-from fuzzyconf.cli import parse_utility
+from fuzzyconf import cli
+from fuzzyconf.cli import parse_ratio, parse_utility
 from fuzzyconf.confidence import _final_slot_evidence, fuzzy_set, grid_evidence
 from fuzzyconf.errors import (
     AllZeroRatioError, FuzzyconfError, NormalizationFailureError,
@@ -377,9 +378,6 @@ _ORACLE_CASES = {
     "adjacent-ratios-in-exact-order": (
         (lambda: grid_evidence(np.array([[1.0, -1.0]]), (0.5,), ADJACENT.ratio, NeymanPearson(0.1)),
          [[1.0, -1.0]], [[0.5]], ADJACENT, NeymanPearson(0.1)), [[0.0]]),
-    # a kernel without a row form resolves against each trial's calibration
-    "custom-kernel": _rows(_GAUSSIAN, KernelAlternative(
-        lambda z_n: IidRatio(lambda z, c=float(np.mean(z_n)): np.exp(0.5 * (z - c)))), Log()),
     **{f"kernel-{name}-{utility_id(utility)}": _rows(_GAUSSIAN, kern, utility)
        for name, kern in (("ar1", AR1), ("composite", COMPOSITE))
        for utility in (Log(), NeymanPearson(0.1), BoundedLog(0.05), ClippedLog(0.1))},
@@ -401,6 +399,35 @@ _ORACLE_CASES = {
 def test_core_matches_oracle(case, pinned):
     want = assert_core_matches_oracle(*case)
     assert pinned is None or want == pinned
+
+
+# one spec per built-in ratio; ar1 centres on the last calibration value, a
+# slot read by position, so its evidence is not exact on orbits
+_EXACT_SPECS = {"gaussian-mean-shift": "gaussian-mean-shift:0:1",
+                "gaussian-scale": "gaussian-scale:0:1:3",
+                "ar1": pytest.param("ar1:0:0.5:3", marks=pytest.mark.xfail(
+                    strict=True, reason="ROADMAP item 21")),
+                "gaussian-composite": "gaussian-composite:1:3"}
+_SUPPORT = np.array([-1.0, 0.0, 0.5, 2.0])
+
+
+def test_exact_specs_cover_every_built_in_ratio():
+    assert set(_EXACT_SPECS) == set(cli._RATIOS)
+
+
+@pytest.mark.parametrize("spec", list(_EXACT_SPECS.values()), ids=list(_EXACT_SPECS))
+@pytest.mark.parametrize("probs", [(0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)])
+@pytest.mark.parametrize("n", [2, 5])
+def test_final_slot_evidence_is_exact_under_iid_laws(spec, probs, n):
+    # the mean of the final slot's evidence over every tuple of the support,
+    # each weighted by its iid probability, is 1 for every utility: the
+    # e-value is exact on each orbit, so valid under every exchangeable law
+    idx = np.array(list(itertools.product(range(len(_SUPPORT)), repeat=n + 1)))
+    weight = np.prod(np.asarray(probs)[idx], axis=1)
+    alt = parse_ratio(spec)
+    for utility in UTILITIES:
+        mean = weight @ evalues_for(_SUPPORT[idx], alt, utility)
+        assert abs(mean - 1.0) <= 1e-12, (utility_id(utility), mean)
 
 
 def test_power_evidence_near_h_one_matches_50_digit_arithmetic():

@@ -11,7 +11,7 @@ from fuzzyconf.alternatives import (
     IidRatio, KernelAlternative, ar1_kernel, gaussian_composite_kernel, gaussian_scale_ratio,
 )
 from fuzzyconf.cli import main
-from fuzzyconf.confidence import grid_evidence
+from fuzzyconf.confidence import fuzzy_set, grid_evidence
 from fuzzyconf.decisions import (
     DecisionProblem, as_if_decision, post_hoc_decisions, weighted_decision,
 )
@@ -246,6 +246,9 @@ def test_blocked_validators_match_whole_matrix(monkeypatch):
             ]
         if model == "iid-gaussian":
             runs.append(lambda: mc_validate_coverage(cfg, composite, Log(), 5, 0.1))
+            # a kernel's fuzzy set evaluates its bags, 6 wide, in the same blocks
+            runs.append(lambda: fuzzy_set((0.3, -1.2, 0.8, 1.1, 2.0), PlugInGrid.from_spec(
+                "-6:6:0.05"), composite, BoundedLog(0.05)))
         if model in decision_params:
             dcfg = McConfig(trials=1000, seed=31, model=model, params=decision_params[model])
             runs += [
@@ -632,28 +635,14 @@ def test_adversarial_level_excludes_its_own_realization():
     assert report.estimate == pytest.approx(mean_e, rel=1e-12, abs=0.0)
 
 
-_BUILT_IN_KERNELS = (ar1_kernel(0.0, 0.5, 3.5), gaussian_composite_kernel(1.0, 3.5))
+_INFINITE = ("ratio is infinite at z={}; cap the ratio (infinite evidence is expressed "
+             "through the utility, not the alternative)")
+_NAN = "ratio must be nonnegative, got nan at z={}"
 
 
-def test_kernel_row_form_reports_equal_the_per_row_loop(monkeypatch):
-    # the built-in kernels evaluate blocks through their row form; the same
-    # builder without it resolves every trial, and every report must agree
-    cfg = McConfig(trials=1000, seed=19, model="iid-gaussian", params={})
-    runs = [lambda k: mc_validate_evalue(cfg, k, Log(), 4),
-            lambda k: mc_validate_coverage(cfg, k, BoundedLog(0.05), 4, 0.1),
-            lambda k: mc_validate_posthoc(cfg, k, ClippedLog(0.1), 4)]
-    for budget in (harness._BLOCK_ELEMENTS, 1):
-        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
-        for kern in _BUILT_IN_KERNELS:
-            assert kern.row_ratio is not None
-            loop = KernelAlternative(kern.builder, kern.name)
-            for validate in runs:
-                assert validate(kern) == validate(loop), (budget, kern.name)
-
-
-def test_kernel_row_form_errors_equal_the_per_row_loop():
+def test_kernel_ratio_errors_name_the_first_bad_entry():
     # inf and NaN in a calibration or a final slot: the first bad ratio in row
-    # order is named with the same text, block at once or row by row
+    # order is named
     clean = np.array([[0.3, -1.2, 0.8, 1.1], [2.0, 0.5, -0.5, 0.0]])
     cases = []
     for row, col, value in [(1, 2, np.inf), (1, 0, -np.inf), (0, 3, np.inf),
@@ -662,18 +651,24 @@ def test_kernel_row_form_errors_equal_the_per_row_loop():
         block[row, col] = value
         cases.append(block)
     both = clean.copy()
-    both[1, :2] = (np.inf, -np.inf)  # the calibration mean is NaN
+    both[1, :2] = (np.inf, -np.inf)  # the mean is NaN
     cases.append(both)
-    with np.errstate(invalid="ignore"):
-        for kern in _BUILT_IN_KERNELS:
-            loop = KernelAlternative(kern.builder, kern.name)
-            for block in cases:
-                got = _first_error(lambda: evalues_for(block, kern, Log()))
-                assert got is not None and got[0] is ValueError and "ratio" in got[1]
-                assert got == _first_error(lambda: evalues_for(block, loop, Log())), block
-            # a tuple needs a calibration slot before its final one
-            with pytest.raises(ValueError, match="at least one value"):
-                evalues_for(np.array([[1.0], [2.0]]), kern, Log())
+    inf, nan = _INFINITE.format, _NAN.format
+    for kern, texts in [
+        # ar1 centres on the last calibration value: a bad value elsewhere
+        # spoils its own ratio alone
+        (ar1_kernel(0.0, 0.5, 3.5), [inf("2.0"), inf("-inf"), inf("inf"), nan("nan"),
+                                     nan("nan"), inf("inf")]),
+        # the bag mean carries a bad value to every ratio of its row
+        (gaussian_composite_kernel(1.0, 3.5), [inf("2.0"), nan("-inf"), inf("0.3"), nan("2.0"),
+                                               nan("0.3"), nan("inf")]),
+    ]:
+        with np.errstate(invalid="ignore"):
+            assert [_first_error(lambda: evalues_for(block, kern, Log())) for block in cases] \
+                == [(ValueError, text) for text in texts], kern.name
+        # a tuple needs a calibration slot before its final one
+        with pytest.raises(ValueError, match="at least one value"):
+            evalues_for(np.array([[1.0], [2.0]]), kern, Log())
 
 
 def _first_error(run):
@@ -692,6 +687,19 @@ def _whole_and_one_row_blocks(run):
         mp.setattr(harness, "_BLOCK_ELEMENTS", 1)
         assert _first_error(run) == whole
     return whole
+
+
+def test_kernel_fuzzy_set_error_parity_across_blocks():
+    # the bag at z = 0 is all zero, a failure of the core raised after the
+    # last block; a bad ratio at a later grid point is raised at once, so it
+    # wins whether the bags form one block or blocks of one row
+    grid = PlugInGrid.from_points((0.0, 1.0, 2.0))
+    kern = KernelAlternative(lambda b: np.where(b == 2.0, np.inf, np.where(b == 0.0, 0.0, 1.0)))
+    assert _whole_and_one_row_blocks(lambda: fuzzy_set((0.0, 0.0), grid, kern, Log())) == (
+        ValueError, _INFINITE.format("2.0"))
+    kern = KernelAlternative(lambda b: np.where(b == 0.0, 0.0, 1.0))
+    assert _whole_and_one_row_blocks(lambda: fuzzy_set((0.0, 0.0), grid, kern, Log())) == (
+        AllZeroRatioError, "the ratio vanishes on an entire sampled tuple")
 
 
 def _crafted_ratio(zeros=(), infs=()):
