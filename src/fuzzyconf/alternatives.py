@@ -63,24 +63,22 @@ class KernelAlternative:
 AlternativeSpec = Union[IidRatio, KernelAlternative]
 
 
-def _ratio_of(alt: AlternativeSpec) -> Callable:
-    """The alternative's ratio callable, which a (B, m) block of tuples
-    passes to ``_ratio_matrix`` whatever the kind of alternative."""
+def _ratio_matrix(data: np.ndarray, alt: AlternativeSpec) -> np.ndarray:
+    """The alternative's ratio on every entry of ``data`` in one call,
+    raising for the first entry in row order whose ratio is infinite,
+    negative or NaN. An ``IidRatio`` that takes scalars only is applied
+    entry by entry; a kernel's own errors propagate, and a kernel result
+    not of its block's shape is an error naming both shapes."""
     if not isinstance(alt, (IidRatio, KernelAlternative)):
         raise TypeError(f"expected an IidRatio or KernelAlternative, got {type(alt).__name__}")
-    return alt.ratio
-
-
-def _ratio_matrix(data: np.ndarray, ratio: Callable) -> np.ndarray:
-    """The ratio on every entry of ``data``, raising for the first entry in
-    row order whose ratio is infinite, negative or NaN; scalar-only
-    callables are applied entry by entry."""
     try:
-        r = np.asarray(ratio(data), dtype=float)
+        r = np.asarray(alt.ratio(data), dtype=float)
         if r.shape != data.shape:
-            raise TypeError
+            raise ValueError(f"ratio returned shape {r.shape} for a block of shape {data.shape}")
     except (TypeError, ValueError):
-        r = np.vectorize(ratio, otypes=[float])(data)
+        if isinstance(alt, KernelAlternative):
+            raise  # a kernel reads whole rows: it has no entry-by-entry form
+        r = np.vectorize(alt.ratio, otypes=[float])(data)
     bad = ~((r >= 0.0) & (r < math.inf))
     if bad.any():
         i = np.flatnonzero(bad)[0]

@@ -14,11 +14,11 @@ in ``sets``, which needs no numpy.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix, _ratio_of
+from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix
 from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
     EXACTNESS_TOL,
@@ -316,6 +316,70 @@ def _final_slot_evidence(cal: np.ndarray, rz: np.ndarray,
     return ev, _Failures(zero, infeasible, residual.max(axis=0, initial=0.0))
 
 
+# Entries per block of rows. The validators' trials and a kernel's bags hold
+# one block's arrays at a time, so this bounds their memory at any row count.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_slices(size: int, width: int) -> Iterator[slice]:
+    """Rows 0 to ``size`` in consecutive blocks, each at most
+    ``_BLOCK_ELEMENTS`` entries of rows ``width`` wide and at least one row."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    return (slice(a, min(a + step, size)) for a in range(0, size, step))
+
+
+def _row_statistics(blocks: Iterable[tuple], size: int, ratios: Callable, evaluate: Callable,
+                    statistic: Callable) -> np.ndarray:
+    """``statistic(evaluate(ratios(values)), last)`` of each (rows, values,
+    support indices or None) of ``blocks`` in one vector of ``size``; ``last``
+    holds the final slot's support indices, or is None.
+
+    The one loop from blocks of rows to the core, which the validators'
+    trials, a kernel's bags and ``reference.evalues_for`` take. Each draw is
+    freed before ``evaluate`` runs on its ratios. ``ratios`` raises a bad
+    ratio at once and ``evaluate`` returns the core's failures, raised after
+    the last block; so the first bad ratio in row order wins, then the
+    core's lowest failing column, as in one call on every row. Blocks after
+    a failure are evaluated, but no statistic is taken of them.
+    """
+    stats = np.empty(size)
+    failures = None
+    # r stays bound while the next block is drawn: freeing it first lets
+    # malloc trim the heap after every block and fault it back in, which
+    # tripled the page faults of a 200k-trial run
+    for rows, values, idx in blocks:
+        r = ratios(values)
+        # a copy, so that no name holds the block's full support indices
+        last = None if idx is None else idx[:, -1].copy()
+        del values, idx
+        out, found = evaluate(r)
+        failures = found if failures is None else failures.merge(found)
+        if not failures.any():
+            stats[rows] = statistic(out, last)
+    failures.raise_first()
+    return stats
+
+
+def _final_slot_statistics(blocks: Iterable[tuple], size: int, alt: AlternativeSpec,
+                           utility: UtilitySpec, statistic=lambda e, _: e) -> np.ndarray:
+    # _row_statistics of each row's final slot against the rest of its row, for the
+    # validity, coverage and post-hoc validators, a kernel's bags and evalues_for
+
+    def ratios(data):
+        # the alternative's ratio on the whole block in one call, checked on
+        # every entry, naming the first bad one in row order
+        if data.shape[1] < 2:
+            raise ValueError("calibration rows must hold at least one value")
+        return _ratio_matrix(data, alt)
+
+    def evidence(r):
+        # each row's final slot against the rest of its row's ratios
+        ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
+        return ev[:, 0], failures
+
+    return _row_statistics(blocks, size, ratios, evidence, statistic)
+
+
 def grid_evidence(
     calib_rows: np.ndarray, points: Sequence[float], ratio: Callable, utility: UtilitySpec
 ) -> np.ndarray:
@@ -332,8 +396,8 @@ def grid_evidence(
     calibration's and then the grid's; after that the lowest failing grid
     point decides the error.
     """
-    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), ratio)
-    rz = _ratio_matrix(np.asarray(points, dtype=float), ratio)
+    cal = _ratio_matrix(np.asarray(calib_rows, dtype=float), IidRatio(ratio))
+    rz = _ratio_matrix(np.asarray(points, dtype=float), IidRatio(ratio))
     ev, failures = _final_slot_evidence(cal, rz[None], utility)
     failures.raise_first()
     return ev
@@ -351,31 +415,27 @@ def fuzzy_set(
     An ``IidRatio`` takes ``grid_evidence``, which evaluates the ratio on
     n + G values in all. A kernel's ratio may read the whole tuple, so each
     grid point gets its own bag, the calibration values and the point as a
-    row of n + 1; the bags run through the validators' row evaluation in
-    blocks of at most ``harness._BLOCK_ELEMENTS`` entries, O(G * n) work in
-    O(G + block) memory. As in the validators, a bad ratio raises at once,
-    naming the first bad entry in grid order, and the core's failures are
-    raised after the last block.
+    row of n + 1; the bags run through the one row loop, as the validators'
+    trials do, in blocks of at most ``_BLOCK_ELEMENTS`` entries, O(G * n)
+    work in O(G + block) memory. As in the validators, a bad ratio raises at
+    once, naming the first bad entry in grid order, and the core's failures
+    are raised after the last block.
     """
     calib = tuple_values(z_n)
     if len(calib) < 1:
         raise ValueError("calibration data must contain at least one observation")
-    ratio = _ratio_of(alt)
     if isinstance(alt, IidRatio):
-        row = grid_evidence(np.array([calib]), grid.points, ratio, utility)[0]
+        row = grid_evidence(np.array([calib]), grid.points, alt.ratio, utility)[0]
     else:
-        from . import harness  # a kernel's bags only: an iid set loads no validators
+        points, cal, n = np.asarray(grid.points, dtype=float), np.array(calib), len(calib)
 
-        points = np.asarray(grid.points, dtype=float)
-        step = max(1, harness._BLOCK_ELEMENTS // (len(calib) + 1))
-        blocks, failures = [], None
-        for a in range(0, len(points), step):
-            z = points[a:a + step]
-            bags = np.empty((len(z), len(calib) + 1))
-            bags[:, :-1], bags[:, -1] = calib, z
-            ev, found = harness._row_evidence(harness._row_ratios(bags, alt), utility)
-            blocks.append(ev)
-            failures = found if failures is None else failures.merge(found)
-        failures.raise_first()
-        row = np.concatenate(blocks)
+        def bags(rows):
+            # one C-ordered row per grid point, the calibration values and then
+            # the point: by column, a row's values would sum in another order
+            block = np.empty((rows.stop - rows.start, n + 1))
+            block[:, :-1], block[:, -1] = cal, points[rows]
+            return block
+
+        blocks = ((rows, bags(rows), None) for rows in _row_slices(len(points), n + 1))
+        row = _final_slot_statistics(blocks, len(points), alt, utility)
     return FuzzyConfidenceSet(grid, tuple(row.tolist()), calib, alt.name, utility_id(utility))

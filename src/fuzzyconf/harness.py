@@ -10,11 +10,11 @@ trials) configuration reproduces the same matrix, and for some models a
 longer run extends a shorter one (see ``reference.sample_matrix``). The
 validators never hold that matrix: they draw and evaluate the trials in
 fixed blocks of rows, a mixture's per-trial latents redrawn for each block
-from a second generator on the same key. One block loop,
-``_trial_statistics``, serves every validator, decision risk included: each
-passes its ratios, its evidence and its per-trial statistic (a post-hoc
-level rule maps each trial's evidence to that trial's level), and the loop
-writes the statistic into one trial-length vector, so memory is
+from a second generator on the same key. Every validator hands its blocks
+to the engine's one row loop, ``confidence._row_statistics``, with its
+ratios, its evidence and its per-trial statistic (a post-hoc level rule
+maps each trial's evidence to that trial's level), and the loop writes the
+statistic into one trial-length vector, so memory is
 O(trials + block * (n + 1)); every report equals that of one pass over the
 whole matrix.
 Every validator takes its e-values from the sorted-calibration core of
@@ -23,9 +23,9 @@ post-hoc validators pass each trial's final slot against its own
 calibration, and the decision-risk validator inverts every trial over the
 support as ``grid_evidence`` does, its outcomes' ratios checked once
 before the first draw. Every alternative, iid ratio or kernel, maps each
-block of trials to its ratios in one call, and ``fuzzy_set`` runs a
-kernel's bags through the same row evaluation in blocks of the same
-budget. The suite checks the evidence against the per-orbit
+block of trials to its ratios in one call, and the engine's block budget,
+``confidence._BLOCK_ELEMENTS``, bounds the trials' blocks and the bags'
+alike. The suite checks the evidence against the per-orbit
 ``reference.evalue_at``, and its mean over every tuple of a finite support
 against 1. The decision-risk validator decides with ``decisions._minimax``,
 the rule behind every certified decision, so it checks the code that
@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix, _ratio_of
-from .confidence import _Failures, _final_slot_evidence
+from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix
+from .confidence import _final_slot_evidence, _final_slot_statistics, _row_slices, _row_statistics
 from .errors import AllInfiniteRiskError
 from .evalues import EXACTNESS_TOL, UtilitySpec
 from .sets import _Frozen, _excludes, _least_levels
@@ -209,10 +209,6 @@ def _report(check: str, stats: np.ndarray, bound: float, config: McConfig, detai
 # Samplers
 # ---------------------------------------------------------------------------
 
-# Entries per block of trials. The validators hold O(trials) statistics plus
-# one block's arrays, so this bounds their memory whatever the trial count.
-_BLOCK_ELEMENTS = 1 << 16
-
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
@@ -231,10 +227,9 @@ def _trial_blocks(
     on the same key, in step with the blocks. numpy draws each value from the
     bit generator's words in turn and buffers nothing between calls, so
     chunks and blocks continue one stream: they join into the same matrix
-    whatever their size. A block holds at most ``_BLOCK_ELEMENTS`` entries of
-    rows ``max(n_points, width)`` wide, and at least one row. The stream
-    keeps no name on a block while its consumer runs, so the consumer
-    decides when each draw is freed.
+    whatever their size. The blocks are the engine's ``_row_slices`` of rows
+    ``max(n_points, width)`` wide. The stream keeps no name on a block while
+    its consumer runs, so the consumer decides when each draw is freed.
     """
     rng = _generator(config.seed)
     T, m = config.trials, n_points
@@ -244,8 +239,8 @@ def _trial_blocks(
     def latents(draw_latent):
         # draw_latent(generator, k) draws k trials' latents; the function
         # returned gives rows a:b's, for blocks taken in order
-        for a in range(0, T, _BLOCK_ELEMENTS):
-            draw_latent(rng, min(_BLOCK_ELEMENTS, T - a))
+        for rows in _row_slices(T, 1):  # one latent per trial
+            draw_latent(rng, rows.stop - rows.start)
         redraw = _generator(config.seed)
         return lambda a, b: draw_latent(redraw, b - a)
 
@@ -310,62 +305,8 @@ def _trial_blocks(
                 np.minimum(idx, top, out=idx)
                 return np.take(support, idx, out=u, mode="clip"), idx
 
-    step = max(1, _BLOCK_ELEMENTS // max(m, width, 1))
-    for a in range(0, T, step):
-        b = min(a + step, T)
-        yield (slice(a, b), *draw(a, b))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized e-values across trials
-# ---------------------------------------------------------------------------
-
-
-def _row_ratios(data: np.ndarray, alt: AlternativeSpec) -> np.ndarray:
-    # the alternative's ratio on the whole block in one call, checked on
-    # every entry, naming the first bad one in row order
-    if data.shape[1] < 2:
-        raise ValueError("calibration rows must hold at least one value")
-    return _ratio_matrix(data, _ratio_of(alt))
-
-
-def _row_evidence(r: np.ndarray, utility: UtilitySpec) -> tuple[np.ndarray, _Failures]:
-    # each row's final slot against the rest of its row's ratios
-    ev, failures = _final_slot_evidence(r[:, :-1], r[:, -1:], utility)
-    return ev[:, 0], failures
-
-
-def _trial_statistics(
-    config: McConfig, n: int, ratios: Callable, evaluate: Callable,
-    statistic: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray], width: int = 0,
-) -> np.ndarray:
-    """``statistic(evaluate(ratios(values)), last)`` of each block of trials
-    with n calibration slots, in one trial-length vector; ``last`` holds the
-    block's final-slot support indices, or is None for a continuous model.
-
-    This is the validators' one block loop. Each draw is freed before
-    ``evaluate`` runs on its ratios. ``ratios`` raises a bad ratio at once
-    and ``evaluate`` returns the core's failures, which are raised after
-    the last block; so the first bad ratio in row order wins, then the
-    core's lowest failing column, as in one call on the whole matrix.
-    Blocks after a failure are evaluated, but no statistic is taken of them.
-    """
-    stats = np.empty(config.trials)
-    failures = None
-    # r stays bound while the next block is drawn: freeing it first lets
-    # malloc trim the heap after every block and fault it back in, which
-    # tripled the page faults of a 200k-trial run
-    for rows, values, idx in _trial_blocks(config, n + 1, width):
-        r = ratios(values)
-        # a copy, so that no name holds the block's full support indices
-        last = None if idx is None else idx[:, -1].copy()
-        del values, idx
-        out, found = evaluate(r)
-        failures = found if failures is None else failures.merge(found)
-        if not failures.any():
-            stats[rows] = statistic(out, last)
-    failures.raise_first()
-    return stats
+    for rows in _row_slices(T, max(m, width)):
+        yield (rows, *draw(rows.start, rows.stop))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +325,17 @@ def _check_run(config: McConfig, n: int) -> None:
         )
 
 
+def _final_slot_check(check: str, config: McConfig, alt: AlternativeSpec, utility: UtilitySpec,
+                      n: int, statistic: Callable, bound: float, detail: str = "") -> McReport:
+    stats = _final_slot_statistics(_trial_blocks(config, n + 1), config.trials, alt, utility,
+                                   statistic)
+    return _report(check, stats, bound, config, detail=f"n={n}{detail}")
+
+
 def mc_validate_evalue(config: McConfig, alt: AlternativeSpec, utility: UtilitySpec, n: int) -> McReport:
     """Validity: the mean e-value at the true future observation is <= 1."""
     _check_run(config, n)
-    e = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
-                          lambda r: _row_evidence(r, utility), lambda e, _: e)
-    return _report("evalue-validity", e, 1.0, config, detail=f"n={n}")
+    return _final_slot_check("evalue-validity", config, alt, utility, n, lambda e, _: e, 1.0)
 
 
 def mc_validate_coverage(
@@ -399,9 +345,8 @@ def mc_validate_coverage(
     _check_run(config, n)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    excluded = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
-                                 lambda r: _row_evidence(r, utility), lambda e, _: _excludes(e, alpha))
-    return _report("coverage", excluded, alpha, config, detail=f"n={n} alpha={alpha:g}")
+    return _final_slot_check("coverage", config, alt, utility, n, lambda e, _: _excludes(e, alpha),
+                             alpha, f" alpha={alpha:g}")
 
 
 def adversarial_level_rule(e: np.ndarray) -> np.ndarray:
@@ -441,9 +386,7 @@ def mc_validate_posthoc(
         atil = _selected_levels(selection_rule, e)
         return _excludes(e, atil) / atil
 
-    stats = _trial_statistics(config, n, lambda v: _row_ratios(v, alt),
-                              lambda r: _row_evidence(r, utility), excluded_over_level)
-    return _report("posthoc-validity", stats, 1.0, config, detail=f"n={n}")
+    return _final_slot_check("posthoc-validity", config, alt, utility, n, excluded_over_level, 1.0)
 
 
 def mc_validate_decision_risk(
@@ -466,8 +409,8 @@ def mc_validate_decision_risk(
     only biases the check against passing.
 
     The outcomes' ratios are checked before any trial is drawn; the support
-    is the outcomes, so no calibration ratio can fail after them. Then
-    ``_trial_statistics`` inverts each block of trials over the support with
+    is the outcomes, so no calibration ratio can fail after them. Then the
+    engine's row loop inverts each block of trials over the support with
     the core of ``grid_evidence``; each mode's statistic decides it row by
     row with ``decisions._minimax``, on the block's rows made Python floats
     by ``tolist``, and reads each trial's loss ``problem.loss[d][z]`` at its
@@ -519,16 +462,13 @@ def mc_validate_decision_risk(
 
     # the outcomes' ratios, the same row for every trial, are checked before
     # any draw; a block's (rows, D, G) loss ratios count against its budget
-    rz = _ratio_matrix(np.asarray(problem.outcomes, dtype=float), alt.ratio)[None]
-    stats = _trial_statistics(config, n, lambda v: _ratio_matrix(v[:, :-1], alt.ratio),
-                              lambda cal: _final_slot_evidence(cal, rz, utility),
-                              weighted if mode == "weighted" else exceedance,
-                              width=len(problem.decisions) * len(problem.outcomes))
-    if mode == "weighted":
-        if np.isnan(stats).any():
-            raise AllInfiniteRiskError("some trials have infinite weighted risk for every "
-                                       "decision; clip the evidence away from zero")
-        return _report("decision-weighted", stats, 1.0, config, detail=f"n={n}")
-    if posthoc:
-        return _report("decision-post-hoc", stats, 1.0, config, detail=f"n={n}")
-    return _report("decision-as-if", stats, alpha, config, detail=f"n={n} alpha={alpha:g}")
+    rz = _ratio_matrix(np.asarray(problem.outcomes, dtype=float), alt)[None]
+    blocks = _trial_blocks(config, n + 1, len(problem.decisions) * len(problem.outcomes))
+    stats = _row_statistics(blocks, config.trials, lambda v: _ratio_matrix(v[:, :-1], alt),
+                            lambda cal: _final_slot_evidence(cal, rz, utility),
+                            weighted if mode == "weighted" else exceedance)
+    if mode == "weighted" and np.isnan(stats).any():
+        raise AllInfiniteRiskError("some trials have infinite weighted risk for every "
+                                   "decision; clip the evidence away from zero")
+    bound, detail = (alpha, f" alpha={alpha:g}") if mode == "as-if" else (1.0, "")
+    return _report(f"decision-{mode}", stats, bound, config, detail=f"n={n}{detail}")

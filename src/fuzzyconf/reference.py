@@ -22,9 +22,9 @@ functions below.
   exactness polytope with a generic constrained optimizer (an LP for the
   linear-capped family, SLSQP otherwise), independent of the closed forms.
 * ``classical_conformal_membership`` is the textbook conformal set.
-* ``evalues_for``, ``sample_matrix`` and ``sample_finite_matrix`` expose,
-  on whole matrices, the row evaluation and the trial stream the validators
-  run block by block.
+* ``evalues_for`` runs a whole matrix through the engine's row loop as one
+  block, and ``sample_matrix`` and ``sample_finite_matrix`` join the trial
+  stream the validators draw block by block.
 
 The per-orbit path checks its ratios as the core does and shapes them
 without numpy; scipy is imported only inside ``numerical_utility_oracle``.
@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .alternatives import AlternativeSpec, _ratio_matrix, _ratio_of
-from .confidence import TupleLike, tuple_values
+from .alternatives import AlternativeSpec, IidRatio, _ratio_matrix
+from .confidence import TupleLike, _final_slot_statistics, tuple_values
 from .errors import AllZeroRatioError, NormalizationFailureError
 from .evalues import (
     EXACTNESS_TOL,
@@ -166,9 +166,7 @@ def conditional_lr_iid(data: TupleLike, ratio: Callable[[float], float]) -> Like
 
     Raises AllZeroRatioError when r vanishes on every element of the tuple.
     """
-    orbit = orbit_of(data)
-    lr = _shaped(orbit.counts, _ratio_matrix(np.array(orbit.values), ratio).tolist(), Log())
-    return LikelihoodRatioProfile(orbit.values, orbit.counts, tuple(lr))
+    return profile_for(data, IidRatio(ratio))
 
 
 def _orbit_ratios(data: TupleLike, alt: AlternativeSpec) -> tuple[tuple, Orbit, list[float]]:
@@ -177,7 +175,7 @@ def _orbit_ratios(data: TupleLike, alt: AlternativeSpec) -> tuple[tuple, Orbit, 
     the core evaluates every row, and each value's ratio read from its slots."""
     vals = tuple_values(data)
     orbit = orbit_of(vals)
-    at = dict(zip(vals, _ratio_matrix(np.array([vals]), _ratio_of(alt))[0].tolist()))
+    at = dict(zip(vals, _ratio_matrix(np.array([vals]), alt)[0].tolist()))
     return vals, orbit, [at[v] for v in orbit.values]
 
 
@@ -556,9 +554,9 @@ def _try_f(f: Callable, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Whole-matrix views of the validators' steps. Each imports ``harness`` when
-# called, so a process that only runs the per-orbit path loads neither the
-# validators nor the engine and decisions they import.
+# Whole-matrix views of the validators' steps. The samplers import
+# ``harness`` when called, so a process that only runs the per-orbit path
+# loads neither the validators nor the decisions they import.
 # ---------------------------------------------------------------------------
 
 
@@ -568,16 +566,12 @@ def evalues_for(data: np.ndarray, alt: AlternativeSpec, utility: UtilitySpec) ->
     The alternative's ratio maps every row in one call, and a bad ratio
     raises naming the first bad entry in row order. One call to the
     sorted-calibration core then shapes every row, raising
-    AllZeroRatioError or NormalizationFailureError if any row fails. The
-    validators run the same steps on each block of trials they draw, and
-    ``fuzzy_set`` on each block of a kernel's bags. The e-values are exact
-    on orbits when permuting a row permutes its ratios.
+    AllZeroRatioError or NormalizationFailureError if any row fails: the
+    matrix is one block of the engine's row loop, which the validators'
+    trials and a kernel's bags take too. The e-values are exact on orbits
+    when permuting a row permutes its ratios.
     """
-    from .harness import _row_evidence, _row_ratios
-
-    e, failures = _row_evidence(_row_ratios(data, alt), utility)
-    failures.raise_first()
-    return e
+    return _final_slot_statistics([(slice(None), data, None)], len(data), alt, utility)
 
 
 def sample_matrix(config: McConfig, n_points: int) -> np.ndarray:

@@ -130,12 +130,16 @@ class PlugInGrid(_Frozen):
         n = round(steps)
         if n >= 1 and abs(n * step - span) <= _REL_STEP_TOL * max(1.0, abs(span)):
             # the last point is the inclusive max itself; lo + span * n / n
-            # can round past it
-            points = tuple(lo + span * i / n for i in range(n)) + (hi,)
+            # can round past it. Where span * n overflows, span * i is formed
+            # at 2**-k and scaled back: a power of two rounds it the same
+            k = 0 if span * n < math.inf else n.bit_length()
+            unit, back = math.ldexp(span, -k), math.ldexp(1.0, k)
+            points = tuple(lo + unit * i / n * back for i in range(n)) + (hi,)
         else:
-            # step does not divide the span; include every lo + i*step <= max
+            # step does not divide the span; include every finite lo + i*step <= max
+            bound = min(hi + _REL_STEP_TOL * max(1.0, abs(span)), 1.7976931348623157e308)
             points, i = [], 0
-            while lo + i * step <= hi + _REL_STEP_TOL * max(1.0, abs(span)):
+            while lo + i * step <= bound:
                 points.append(lo + i * step)
                 i += 1
             points = tuple(points)

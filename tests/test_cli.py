@@ -536,6 +536,8 @@ _SUCCEEDING_CALLS = {
         "gaussian-np-composite", "-1:1:1", "x", zbar=0.5, n=1234567, alpha=0.05, pins={
             "x.json": ("n=", ['    "alternative": '
                               '"gaussian-np-composite(zbar=0.5,sigma=1,n=1234567,alpha=0.05)",'])}),
+    # lo + span * i / n overflowed at i = 3 on these finite points: exit 2
+    "grid-near-the-float-range": _curve("gaussian-np", "1e308:1.7e308:1e307", "x", alpha=0.5),
     "conformal-log": _conformal("log", "-2:4:1", "--out c.csv", header="value\n"),
     "conformal-clipped-log": _conformal("clipped-log:0.1", "-1:1:1", "--out c.csv --json c.json"),
     "conformal-1201": _conformal("bounded-log:0.05", "-6:6:0.01", "--out c.csv --json c.json"),
@@ -965,12 +967,14 @@ def test_cli_runs_without(probe, blocked, names):
         (reference["out"], reference["err"], reference["files"])
 
 
-def test_conformal_fuzzy_loads_only_its_engine(module_entry):
-    modules = set(module_entry["conformal-clipped-log"]["modules"])
-    assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
-            "fuzzyconf.sets"} <= modules
-    assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian",
-                          "numpy.random"}
+def test_conformal_fuzzy_loads_only_its_engine(probe, module_entry):
+    # an iid ratio's set and a kernel's bags alike run on the engine alone
+    for name in ("conformal-clipped-log", "conformal-composite"):
+        modules = set((module_entry.get(name) or probe([name], entry=True))["modules"])
+        assert {"fuzzyconf.confidence", "fuzzyconf.alternatives", "fuzzyconf.evalues",
+                "fuzzyconf.sets"} <= modules, name
+        assert not modules & {"fuzzyconf.harness", "fuzzyconf.decisions", "fuzzyconf.gaussian",
+                              "numpy.random"}, name
 
 
 def test_validity_coverage_and_posthoc_checks_load_no_decisions(probe):

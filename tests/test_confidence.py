@@ -66,6 +66,30 @@ def test_grid_from_spec_ends_at_its_inclusive_max():
         assert PlugInGrid.from_spec(spec).hi == float(hi), spec
 
 
+def test_grid_from_spec_near_the_float_range():
+    # span * i overflowed at i = 3, and the spec was refused as holding a
+    # non-finite point although all 8 of its points are finite
+    assert PlugInGrid.from_spec("1e308:1.7e308:1e307").points == (
+        1e308, 1.1e308, 1.2e308, 1.3e308, 1.3999999999999999e308, 1.5e308, 1.6e308, 1.7e308)
+    assert len(PlugInGrid.from_spec("0:1.7e308:1e307")) == 18
+    # a step that does not divide the span: the bound hi + tol * span
+    # overflowed to inf, so the points ran on past the float range forever
+    assert PlugInGrid.from_spec("1e308:1.7976931348623157e308:3e307").points == (
+        1e308, 1.3e308, 1.6e308)
+    # every spec whose span * n is finite keeps its points lo + span * i / n
+    rng = np.random.default_rng(47)
+    for _ in range(2000):
+        lo = float(rng.uniform(-1e3, 1e3)) * 10.0 ** int(rng.integers(-300, 300))
+        n = int(rng.integers(1, 500))
+        step = abs(lo) * float(rng.uniform(1e-3, 1.0)) + 1e-300
+        spec = f"{lo!r}:{lo + n * step!r}:{step!r}"
+        grid = PlugInGrid.from_spec(spec)
+        lo, hi, step = map(float, spec.split(":"))
+        span, k = hi - lo, len(grid) - 1
+        if k == round(span / step):
+            assert grid.points[:-1] == tuple(lo + span * i / k for i in range(k)), spec
+
+
 def test_grid_validation():
     for bad in ("1:2", "2:1:0.1", "0:1:0", "0:1:-1", "a:b:c"):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fuzzyconf import cli, decisions, harness
+from fuzzyconf import cli, confidence, decisions, harness
 from fuzzyconf.alternatives import (
     IidRatio, KernelAlternative, ar1_kernel, gaussian_composite_kernel, gaussian_scale_ratio,
 )
@@ -211,7 +211,7 @@ def test_sampler_streams_are_pinned():
 
 
 def _with_block(monkeypatch, elements, run):
-    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", elements)
+    monkeypatch.setattr(confidence, "_BLOCK_ELEMENTS", elements)
     return run()
 
 
@@ -271,7 +271,7 @@ def test_default_posthoc_rule_equals_the_rule_on_every_e_value(monkeypatch):
     for model in ("exchangeable-mixture", "categorical-mixture"):
         cfg = McConfig(trials=1000, seed=31, model=model, params=MODEL_PARAMS[model])
         for budget in (10**9, 16, 462):  # test_blocked_validators_match_whole_matrix's
-            monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+            monkeypatch.setattr(confidence, "_BLOCK_ELEMENTS", budget)
             for utility in (ClippedLog(0.1), Power(0.5)):
                 chunked = mc_validate_posthoc(cfg, ALT, utility, 5)
                 whole = mc_validate_posthoc(cfg, ALT, utility, 5,
@@ -584,7 +584,7 @@ def test_level_rules_must_give_positive_levels():
 def test_level_rule_runs_on_each_block(monkeypatch):
     # one call per block, with that block's e-values in trial order: 77 rows
     # of 6 for the validator and 57 rows of 8 loss entries for decision risk
-    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 462)
+    monkeypatch.setattr(confidence, "_BLOCK_ELEMENTS", 462)
     seen = []
     rule = lambda e: seen.append(e.copy()) or adversarial_level_rule(e)
     cfg = McConfig(trials=1000, seed=31, model="exchangeable-mixture", params={})
@@ -671,6 +671,58 @@ def test_kernel_ratio_errors_name_the_first_bad_entry():
             evalues_for(np.array([[1.0], [2.0]]), kern, Log())
 
 
+class _KernelError(TypeError):
+    """Raised by a kernel itself: a TypeError, the kind a scalar-only iid
+    ratio raises on a block."""
+
+
+def test_kernel_ratio_errors_propagate_and_name_the_shape():
+    # a kernel reads whole rows, so none is retried entry by entry: the
+    # broadcasting slip once reached the callable with a float and raised
+    # AttributeError from inside it, and so did the wrong shape
+    def slip(b):
+        return np.exp(b - b.mean(axis=1))  # (B, m) minus (B,)
+
+    def raises(b):
+        raise _KernelError("the kernel's own error")
+
+    cfg = McConfig(trials=1000, seed=3, model="iid-gaussian")
+    runs = {
+        "fuzzy_set": (lambda alt: fuzzy_set((0.1, 0.2, 0.3), PlugInGrid.from_points((0.0, 1.0)),
+                                            alt, Log()), (2, 4)),
+        "mc_validate_evalue": (lambda alt: mc_validate_evalue(cfg, alt, Log(), 5), (1000, 6)),
+        "evalue_at": (lambda alt: evalue_at((0.1, 0.2, 0.3, 1.0), alt, Log()), (1, 4)),
+    }
+    for name, (run, shape) in runs.items():
+        assert _first_error(lambda: run(KernelAlternative(raises))) == (
+            _KernelError, "the kernel's own error"), name
+        assert _first_error(lambda: run(KernelAlternative(lambda b: np.ones((len(b), 1))))) == (
+            ValueError, f"ratio returned shape ({shape[0]}, 1) for a block of shape {shape}"), name
+        if shape[0] > 1:  # on one row, (1, m) minus (1,) broadcasts as intended
+            kind, text = _first_error(lambda: run(KernelAlternative(slip)))
+            assert kind is ValueError and text.startswith(
+                f"operands could not be broadcast together with shapes ({shape[0]},{shape[1]}) "
+                f"({shape[0]},)"), name
+    # a scalar-only iid ratio is still applied entry by entry
+    assert mc_validate_evalue(cfg, IidRatio(lambda z: max(float(z), 0.0) + 1.0), Log(), 5).passed
+
+
+def test_kernel_fuzzy_set_equals_its_bags_as_one_matrix(monkeypatch):
+    # each grid point's bag, the calibration and then the point, is a
+    # C-ordered row of the bag matrix: the set's evidence is evalues_for of
+    # that matrix bit for bit, in one block or blocks of one bag. Bags laid
+    # out by column once moved the composite mean of 40 values by an ulp
+    calib = tuple(np.round(np.random.default_rng(5).normal(size=40), 3).tolist())
+    grid = PlugInGrid.from_spec("-3:3:0.25")
+    bags = np.array([calib + (z,) for z in grid.points])
+    for kern, utility in ((gaussian_composite_kernel(1.0, 3.5), BoundedLog(0.05)),
+                          (ar1_kernel(0.0, 0.5, 3.5), Log())):
+        want = evalues_for(bags, kern, utility).tolist()
+        for budget in (confidence._BLOCK_ELEMENTS, 41):
+            monkeypatch.setattr(confidence, "_BLOCK_ELEMENTS", budget)
+            assert list(fuzzy_set(calib, grid, kern, utility).evidence) == want, (kern, budget)
+
+
 def _first_error(run):
     try:
         run()
@@ -684,7 +736,7 @@ def _whole_and_one_row_blocks(run):
     the error with blocks of one row."""
     whole = _first_error(run)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_BLOCK_ELEMENTS", 1)
+        mp.setattr(confidence, "_BLOCK_ELEMENTS", 1)
         assert _first_error(run) == whole
     return whole
 
@@ -714,8 +766,8 @@ def _crafted_ratio(zeros=(), infs=()):
 def test_mc_path_error_parity(capsys, monkeypatch):
     # a ratio infinite on a sample is named at its first entry in row order,
     # whether the trials form one block or blocks of one row
-    for budget in (harness._BLOCK_ELEMENTS, 1):
-        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+    for budget in (confidence._BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(confidence, "_BLOCK_ELEMENTS", budget)
         code = main(["validate", "--check", "evalue", "--model", "iid-gaussian",
                      "--ratio", "gaussian-scale:0:0.01:1", "--utility", "log",
                      "--n", "5", "--trials", "1000", "--seed", "7"])
@@ -746,7 +798,7 @@ def test_mc_path_error_parity(capsys, monkeypatch):
     alt = _crafted_ratio(zeros=two_positive, infs=[data[2, 3]])
     monkeypatch.setattr(cli, "parse_ratio", lambda spec: alt)
     for budget in (10**9, 1):
-        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(confidence, "_BLOCK_ELEMENTS", budget)
         assert main(["validate", "--check", "evalue", "--model", "iid-gaussian", "--utility",
                      "bounded-log:0.5", "--n", "7", "--trials", "1000", "--seed", "7"]) == 2
         assert capsys.readouterr().err == (
