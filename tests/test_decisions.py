@@ -298,31 +298,6 @@ def test_gamma_mixture_mean_formula_and_limit():
     assert mean <= 1.0
 
 
-def test_gamma_bridge_recovers_as_if():
-    rng = np.random.default_rng(99)
-    gammas = (0.9, 0.99, 0.999, 0.9999)
-    for _ in range(50):
-        k = int(rng.integers(3, 7))
-        d = int(rng.integers(2, 5))
-        problem = DecisionProblem(
-            tuple(f"d{i}" for i in range(d)),
-            tuple(float(i) for i in range(k)),
-            tuple(tuple(rng.uniform(0.1, 5, size=k)) for _ in range(d)),
-        )
-        membership = rng.random(k) < 0.6
-        if not membership.any():
-            membership[int(rng.integers(0, k))] = True
-        binary = _binary(tuple(bool(m) for m in membership), alpha=0.1)
-        want = as_if_decision(problem, binary).decision_index
-        got = [
-            weighted_decision(problem, gamma_mixture_fuzzy(binary, 0.1, g)).decision_index
-            for g in gammas
-        ]
-        agree_from = next((i for i, gi in enumerate(got) if gi == want), None)
-        assert agree_from is not None, (problem, membership, got, want)
-        assert all(gi == want for gi in got[agree_from:])
-
-
 def test_certificate_json():
     cert = CertifiedDecision(1, "act", 2.5, "as-if", alpha=0.1, set_provenance="p")
     doc = cert.to_json_doc()

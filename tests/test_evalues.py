@@ -138,7 +138,7 @@ def test_level_walk_bounded_unsaturated():
 def test_bounded_binding_cap():
     lrp = LRP((1.0, 2.0, 3.0), (1, 1, 1), (0.1, 0.4, 2.5))
     prof = optimal_evalue(lrp, BoundedLog(alpha=0.5))
-    # lam = 2: (0.2 + 0.8 + 2)/3 = 1 with the top value capped at 2
+    # kappa = 2: (0.2 + 0.8 + 2)/3 = 1 with the top value capped at 2
     assert prof.evidence == pytest.approx((0.2, 0.8, 2.0), abs=1e-9)
 
 
@@ -287,13 +287,13 @@ def _breakpoint_cases(draw):
 
 
 @given(_breakpoint_cases())
-@example(((0.0, 1e5, 1e5, 0.0, 0.0, 2.0, 0.0, 1e-8), BoundedLog(0.5)))  # root lam ~ 5e12
+@example(((0.0, 1e5, 1e5, 0.0, 0.0, 2.0, 0.0, 1e-8), BoundedLog(0.5)))  # root kappa ~ 5e12
 @example(((4e16, 4e16, 4e16, 1.0, 0.0, 0.0, 0.0, 4e16), BoundedLog(0.5)))  # tail below roundoff
 @example(((0.0,) * 19 + (7.0,), BoundedLog(0.05)))  # one slot capped at 20 = m
 @example(((0.0,) * 92 + (1.0,), BoundedLog(1 / 93)))  # cap fl(1/fl(1/93)) < 93: within tolerance
 @example(((0.0,) * 184 + (3.0, 1.0), BoundedLog(1 / 93)))  # likewise, the smaller slot last
 @settings(max_examples=400, deadline=None)
-def test_rows_lambda_matches_scalar_at_breakpoints(case):
+def test_core_matches_the_exact_walk_at_level_breakpoints(case):
     ratios, utility = case
     r = np.asarray(ratios)
     lr = r / r.mean()
