@@ -310,6 +310,27 @@ def test_composite_bounded_null_mean_one():
     assert core + tail == pytest.approx(1.0, abs=1e-6)
 
 
+def test_np_evalue_step():
+    assert gaussian_np_evalue(0.0, 0.0, 1.0, 0.05) == 0.0
+    c = std_normal_quantile(0.975)
+    assert gaussian_np_evalue(c + 1e-9, 0.0, 1.0, 0.05) == 20.0
+    assert gaussian_np_evalue(c - 1e-9, 0.0, 1.0, 0.05) == 0.0
+
+
+def test_np_sublevel_equals_simple_interval():
+    lo, hi = simple_interval(0.3, 1.7, 0.05)
+    for z, inside in ((lo - 1e-12, False), (lo + 1e-12, True), (hi - 1e-12, True), (hi + 1e-12, False)):
+        e = gaussian_np_evalue(z, 0.3, 1.7, 0.05)
+        assert (e < 1 / 0.05) == inside
+
+
+def test_composite_np_matches_composite_interval():
+    lo, hi = composite_interval(1.44, 1.0, 3, 0.05)
+    for z, inside in ((lo - 1e-9, False), (lo + 1e-9, True), (hi - 1e-9, True), (hi + 1e-9, False)):
+        e = gaussian_composite_np_evalue(z, 1.44, 1.0, 3, 0.05)
+        assert (e < 20.0) == inside
+
+
 def test_interval_coverage_mc():
     rng = np.random.default_rng(314)
     trials = 40000
